@@ -34,7 +34,6 @@ from .inversion import (
     build_prior_cov,
     map_estimate,
     mcmc_sample,
-    neg_log_posterior,
     reconstruct,
 )
 from .sgfem import SgfemSystem, assemble_system, rhs_for_current, solve, standard_patterns

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import det_cem, fem, inversion, sgfem, surrogate
 from .chaos import iso_td, moment_matrices
-from .geometry import Mesh, PixelPartition, assign_pixels, load_mesh
+from .geometry import Mesh, PixelPartition, assign_pixels, load_mesh, require_finite
 
 # sampled viridis control points for the flat-shaded field plots
 _COLORMAP = np.array(
@@ -128,6 +128,7 @@ def _load_seeds(path) -> np.ndarray:
     seeds = np.asarray(raw, dtype=np.float64)
     if seeds.ndim != 2 or seeds.shape[1] != 2 or seeds.shape[0] == 0:
         raise ValueError(f"{path}: expected a nonempty list of [x, y] seeds")
+    require_finite(path, seeds=seeds)
     return seeds
 
 
@@ -138,12 +139,12 @@ def _load_phantom(path) -> det_cem.DeterministicSample:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        return det_cem.DeterministicSample(
-            np.asarray(raw["sigma"], dtype=np.float64),
-            np.asarray(raw["zeta"], dtype=np.float64),
-        )
+        sigma = np.asarray(raw["sigma"], dtype=np.float64)
+        zeta = np.asarray(raw["zeta"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed phantom file ({exc})") from exc
+    require_finite(path, sigma=sigma, zeta=zeta)
+    return det_cem.DeterministicSample(sigma, zeta)
 
 
 def cmd_precompute(args) -> int:

@@ -14,12 +14,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import assemble_electrode_mass, stiffness_matrix
-from .geometry import Mesh, PixelPartition, electrode_geometry
-from .sgfem import expand_mean_free
+from .geometry import Mesh, PixelPartition, electrode_geometry, require_finite
+from .sgfem import cem_matrix, expand_mean_free
 
 
 @dataclass(frozen=True)
@@ -136,18 +135,7 @@ def solve_deterministic(
 
     S, g = assemble_electrode_mass(mesh, eg)
     A = stiffness_matrix(mesh, sigma[partition.triangle_pixel])
-    for m in range(n_el):
-        A = A + zeta[m] * S[m]
-    ups = np.column_stack(
-        [zeta[i + 1] * g[i + 1] - zeta[0] * g[0] for i in range(n_el - 1)]
-    )
-    pi = np.full((n_el - 1, n_el - 1), zeta[0] * eg.lengths[0])
-    pi[np.diag_indices(n_el - 1)] += zeta[1:] * eg.lengths[1:]
-    K = sp.bmat(
-        [[A, sp.csr_matrix(ups)], [sp.csr_matrix(ups.T), sp.csr_matrix(pi)]],
-        format="csc",
-    )
-    lu = spla.splu(K)
+    lu = spla.splu(cem_matrix(A, zeta, S, g, eg.lengths).tocsc())
 
     n_d = mesh.n_nodes
     potentials = np.empty((patterns.shape[0], n_d))
@@ -225,6 +213,9 @@ def load_measurements(path) -> MeasurementSet:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed measurement file ({exc})") from exc
+    require_finite(
+        path, patterns=ms.patterns, voltages=ms.voltages, noise_std=ms.noise_std
+    )
     if ms.patterns.ndim != 2 or ms.voltages.shape != ms.patterns.shape:
         raise ValueError(f"{path}: pattern/voltage shapes disagree")
     return ms

@@ -91,6 +91,13 @@ class ElectrodeGeometry:
         return len(self.edges)
 
 
+def require_finite(path, **fields) -> None:
+    """Reject an input file whose named fields hold NaN or infinity."""
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{path}: non-finite value in {name}")
+
+
 def _validate(mesh: Mesh) -> Mesh:
     nodes, tris = mesh.nodes, mesh.triangles
     edges, tags = mesh.boundary_edges, mesh.edge_tags
@@ -183,6 +190,7 @@ def load_mesh(path) -> Mesh:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed mesh file ({exc})") from exc
+    require_finite(path, nodes=nodes)
     return _validate(Mesh(nodes, tris, edges, tags))
 
 

@@ -110,16 +110,9 @@ class Posterior:
     def n_pixels(self) -> int:
         return self.surrogate.n_pixels
 
-    def in_support(self, y: np.ndarray) -> bool:
-        return bool(np.abs(y).max() <= 1.0)
-
     def objective(self, y) -> float:
         """F(y): squared data misfit plus squared prior norm, inf outside."""
-        y = np.asarray(y, dtype=np.float64)
-        if not self.in_support(y):
-            return math.inf
-        r = self.residual(y)
-        return float(r @ r)
+        return -2.0 * self.log_density(np.asarray(y, dtype=np.float64))
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         """Whitened residual r(y) with F(y) = ||r(y)||^2."""
@@ -140,11 +133,6 @@ class Posterior:
         misfit = (self.data - self.surrogate.eval_stacked(y)) * self._inv_std
         w = self.prior.whiten @ y[: self.n_pixels]
         return -0.5 * (misfit @ misfit + w @ w)
-
-
-def neg_log_posterior(posterior: Posterior, y) -> float:
-    """F(y)/2 inside the parameter cube, +inf (sentinel) outside."""
-    return 0.5 * posterior.objective(y)
 
 
 def build_posterior(

@@ -14,7 +14,6 @@ with the spatial index outer and the chaos index inner.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +66,42 @@ def expand_mean_free(gamma: np.ndarray) -> np.ndarray:
     return out
 
 
+def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
+    """Electrode-model block matrix in the mean-free voltage basis.
+
+    Returns [[A + sum_m zeta_m S_m, Upsilon], [Upsilon^T, Pi]] for the
+    stiffness ``A``, contact conductances ``zeta`` and the electrode mass
+    matrices ``S``, load vectors ``g`` and lengths of one mesh.  Column i
+    of Upsilon is zeta_{i+1} g_{i+1} - zeta_1 g_1; Pi is zeta_1 |E_1|
+    everywhere plus zeta_{i+1} |E_{i+1}| on the diagonal.  The result is
+    linear in the pair (A, zeta).
+    """
+    n_el = len(S)
+    delta = A
+    for m in range(n_el):
+        delta = delta + zeta[m] * S[m]
+    ups = np.column_stack(
+        [zeta[i + 1] * g[i + 1] - zeta[0] * g[0] for i in range(n_el - 1)]
+    )
+    pi = np.full((n_el - 1, n_el - 1), zeta[0] * lengths[0])
+    pi[np.diag_indices(n_el - 1)] += zeta[1:] * lengths[1:]
+    return sp.bmat(
+        [[delta, sp.csr_matrix(ups)], [sp.csr_matrix(ups.T), sp.csr_matrix(pi)]],
+        format="csr",
+    )
+
+
 def assemble_system(
     sm: SpatialMatrices, mm: MomentMatrices, a, b
 ) -> SgfemSystem:
-    """Assemble the coupled Galerkin matrix.
+    """Assemble the coupled Galerkin matrix K = sum_k B_k (x) G_k.
 
-    ``a``/``b`` are the per-electrode contact conductance bounds in mS/cm;
-    the contact chaos matrices are Z_m = (a_m+b_m)/2 G_0 + (b_m-a_m)/2
-    G_{L+m}.  Requires 0 < a_m <= b_m (equal bounds give a deterministic
-    contact).  Kronecker factors stay sparse throughout.
+    ``a``/``b`` are the per-electrode contact conductance bounds in mS/cm.
+    The electrode-model matrix is affine in y, so its coefficients are the
+    blocks B_0 at the mean (A0, (a+b)/2), B_l of pixel l (A_l, no contact)
+    and B_{L+m} of electrode m (no stiffness, (b_m-a_m)/2 on contact m).
+    Requires 0 < a_m <= b_m (equal bounds give a deterministic contact).
+    Kronecker factors stay sparse throughout.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -94,33 +120,15 @@ def assemble_system(
             f"spatial data implies {n_pix + n_el}"
         )
 
-    Z = [
-        0.5 * (a[m] + b[m]) * mm[0] + 0.5 * (b[m] - a[m]) * mm[n_pix + m + 1]
+    electrodes = (sm.S, sm.g, sm.lengths)
+    zero = sp.csr_matrix(sm.A0.shape)
+    blocks = [cem_matrix(sm.A0, 0.5 * (a + b), *electrodes)]
+    blocks += [cem_matrix(A_l, np.zeros(n_el), *electrodes) for A_l in sm.A]
+    blocks += [
+        cem_matrix(zero, 0.5 * (b[m] - a[m]) * np.eye(n_el)[m], *electrodes)
         for m in range(n_el)
     ]
-
-    delta = sp.kron(sm.A0, mm[0], format="csr")
-    for l in range(n_pix):
-        delta = delta + sp.kron(sm.A[l], mm[l + 1], format="csr")
-    for m in range(n_el):
-        delta = delta + sp.kron(sm.S[m], Z[m], format="csr")
-
-    gcols = [sp.csr_matrix(g.reshape(-1, 1)) for g in sm.g]
-    ups = sp.hstack(
-        [
-            sp.kron(gcols[i + 1], Z[i + 1], format="csr")
-            - sp.kron(gcols[0], Z[0], format="csr")
-            for i in range(n_el - 1)
-        ],
-        format="csr",
-    )
-    pi = sp.kron(
-        np.ones((n_el - 1, n_el - 1)), sm.lengths[0] * Z[0], format="csr"
-    ) + sp.block_diag(
-        [sm.lengths[i + 1] * Z[i + 1] for i in range(n_el - 1)], format="csr"
-    )
-
-    K = sp.bmat([[delta, ups], [ups.T, pi]], format="csr")
+    K = sum(sp.kron(B, G, format="csr") for B, G in zip(blocks, mm.G))
     # enforce bitwise symmetry; summation order can differ across the
     # diagonal by a last-bit rounding otherwise
     K = (K + K.T) * 0.5
@@ -141,98 +149,21 @@ def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
     return c
 
 
-def _jacobi(K: sp.csr_matrix) -> spla.LinearOperator:
-    d = K.diagonal()
-    if (d <= 0.0).any():
-        raise RuntimeError("nonpositive diagonal; system not positive definite")
-    inv = 1.0 / d
-    return spla.LinearOperator(K.shape, matvec=lambda x: inv * x)
-
-
-def _ic0_factor(indptr, indices, kdata, shift):
-    """Zero-fill incomplete Cholesky of tril(K) + shift*I, or None.
-
-    Up-looking row variant restricted to the input sparsity.  Returns the
-    factor values in the same CSR layout, or None on a nonpositive pivot.
-    """
-    n = indptr.shape[0] - 1
-    ldata = np.zeros_like(kdata)
-    for j in range(n):
-        s, e = indptr[j], indptr[j + 1]
-        w = kdata[s:e].copy()
-        w[-1] += shift
-        for t in range(e - s - 1):
-            k = indices[s + t]
-            ks, ke = indptr[k], indptr[k + 1]
-            common, ia, ib = np.intersect1d(
-                indices[s : s + t],
-                indices[ks : ke - 1],
-                assume_unique=True,
-                return_indices=True,
-            )
-            dot = ldata[s + ia] @ ldata[ks + ib] if common.size else 0.0
-            w[t] = (w[t] - dot) / ldata[ke - 1]
-            w[-1] -= w[t] * w[t]
-        if w[-1] <= 0.0:
-            return None
-        w[-1] = math.sqrt(w[-1])
-        ldata[s:e] = w
-    return ldata
-
-
-def _ic0(K: sp.csr_matrix) -> spla.LinearOperator:
-    """Zero-fill incomplete Cholesky preconditioner (symmetric ILU0).
-
-    Works on the symmetrically scaled matrix D^-1/2 K D^-1/2 (the raw
-    diagonal spans several orders of magnitude between interior and
-    electrode-coupled rows); breakdown is handled by the usual diagonal
-    compensation, retrying with a growing shift.
-    """
-    d = K.diagonal()
-    if (d <= 0.0).any():
-        raise RuntimeError("nonpositive diagonal; system not positive definite")
-    root = np.sqrt(d)
-    inv_root = 1.0 / root
-    scaled = sp.diags(inv_root) @ K @ sp.diags(inv_root)
-    low = sp.tril(scaled, format="csr")
-    low.sort_indices()
-    indptr, indices, kdata = low.indptr, low.indices, low.data
-    shift = 0.0
-    for _ in range(14):
-        ldata = _ic0_factor(indptr, indices, kdata, shift)
-        if ldata is not None:
-            break
-        shift = 2.0 * shift if shift else 1e-3
-    else:
-        raise RuntimeError(
-            "incomplete factorization broke down; system not positive definite"
-        )
-    L = sp.csr_matrix((ldata, indices, indptr), shape=low.shape)
-    # exact triangular solves via LU with natural ordering (no extra fill)
-    lo = spla.splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    up = spla.splu(L.T.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-
-    def apply(x):
-        return inv_root * up.solve(lo.solve(inv_root * x))
-
-    return spla.LinearOperator(K.shape, matvec=apply)
-
-
 def solve(
     system: SgfemSystem,
     patterns,
     method: str = "auto",
     tol: float = 1e-10,
-    precond: str = "jacobi",
     maxiter: int | None = None,
 ) -> SgfemSolution:
     """Solve the Galerkin system for a batch of current patterns.
 
     ``method`` is ``direct`` (sparse LU, one factorization shared by all
     patterns, with iterative refinement down to ``tol``), ``pcg``
-    (conjugate gradients, ``jacobi`` or ``ilu`` preconditioner), or
-    ``auto`` which picks direct up to DIRECT_ORDER_LIMIT unknowns.  Raises
-    if any relative residual stays above ``tol``.
+    (conjugate gradients preconditioned by K_0 (x) I, where K_0 = B_0 is the
+    electrode-model matrix at the parameter mean), or ``auto`` which picks
+    direct up to DIRECT_ORDER_LIMIT unknowns.  Raises if any relative
+    residual stays above ``tol``.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     K = system.K
@@ -242,21 +173,20 @@ def solve(
     if method not in ("direct", "pcg"):
         raise ValueError(f"unknown solver method {method!r}")
 
-    if method == "direct":
-        try:
-            lu = spla.splu(K.tocsc())
-        except RuntimeError as exc:
-            raise RuntimeError(
-                "factorization failed; system not positive definite "
-                f"({exc})"
-            ) from exc
-    else:
-        if precond == "jacobi":
-            prec = _jacobi(K)
-        elif precond == "ilu":
-            prec = _ic0(K)
-        else:
-            raise ValueError(f"unknown preconditioner {precond!r}")
+    # pcg factors only the degree-0 slice of K, which is exactly B_0 since
+    # G_0 = I and G_k[0, 0] = E[y_k] = 0 for k >= 1
+    try:
+        lu = spla.splu((K if method == "direct" else K[::n_g, ::n_g]).tocsc())
+    except RuntimeError as exc:
+        raise RuntimeError(
+            "factorization failed; system not positive definite "
+            f"({exc})"
+        ) from exc
+    if method == "pcg":
+        n_s = n_d + n_el - 1
+        prec = spla.LinearOperator(
+            K.shape, matvec=lambda x: lu.solve(x.reshape(n_s, n_g)).ravel()
+        )
 
     alpha = np.empty((patterns.shape[0], n_d, n_g))
     beta = np.empty((patterns.shape[0], n_el - 1, n_g))

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import ChaosBasis, MultiIndexSet
+from .chaos import ChaosBasis, MultiIndexSet, iso_td
+from .geometry import require_finite
 from .sgfem import SgfemSolution
 
 MAGIC_PREFIX = b"SGFEM-EIT/"
@@ -94,20 +95,6 @@ class SgfemSurrogate:
             )
         return y
 
-    def eval_voltage(self, pattern_index: int, y) -> np.ndarray:
-        """Electrode voltages of pattern ``pattern_index`` (1-based)."""
-        if not 1 <= pattern_index <= self.n_patterns:
-            raise ValueError(
-                f"pattern_index must be in 1..{self.n_patterns}, got {pattern_index}"
-            )
-        y = self._check_point(y)
-        psi = self._basis.eval(y)
-        gamma = self.beta[pattern_index - 1] @ psi
-        out = np.empty(self.n_electrodes)
-        out[0] = gamma.sum()
-        out[1:] = -gamma
-        return out
-
     def eval_stacked(self, y) -> np.ndarray:
         """All patterns' voltages stacked into one vector, pattern-major."""
         y = self._check_point(y)
@@ -175,7 +162,8 @@ def from_solution(
 
 
 def load(path) -> SgfemSurrogate:
-    """Read a surrogate file, rejecting unknown versions and size lies."""
+    """Read a surrogate file, rejecting unknown versions, size lies, an
+    index set other than the total-degree one, and non-finite values."""
     with open(path, "rb") as f:
         line = f.readline()
         if not line.startswith(MAGIC_PREFIX):
@@ -210,7 +198,13 @@ def load(path) -> SgfemSurrogate:
             f"{path}: index set cardinality {indices.shape} does not match "
             f"the total-degree count {expected_card} for L+M={n_dims}, Q={q}"
         )
-    index_set = MultiIndexSet(n_dims, q, indices)
+    # (L+M, Q) determines the set; a stored one that differs is corrupt
+    index_set = iso_td(n_dims, q)
+    if not np.array_equal(indices, index_set.indices):
+        raise ValueError(
+            f"{path}: index_set differs from the total-degree set for "
+            f"L+M={n_dims}, Q={q}"
+        )
     n_values = patterns.shape[0] * (m - 1) * expected_card
     if len(payload) != 8 * n_values:
         raise ValueError(
@@ -218,6 +212,10 @@ def load(path) -> SgfemSurrogate:
         )
     beta = np.frombuffer(payload, dtype="<f8").reshape(
         patterns.shape[0], m - 1, expected_card
+    )
+    require_finite(
+        path, sigma0=sigma0, sigma=sigma, a=a, b=b, seeds=seeds,
+        patterns=patterns, coefficients=beta,
     )
     return SgfemSurrogate(
         index_set, patterns, beta.copy(), sigma0, sigma, a, b, seeds

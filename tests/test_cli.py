@@ -150,6 +150,46 @@ def test_exit_code_2_on_bad_inputs(workdir, capsys, tmp_path):
     assert "patterns of data and surrogate differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("mesh", "nodes", np.nan),
+        ("seeds", "seeds", np.nan),
+        ("phantom", "sigma", np.inf),
+        ("phantom", "zeta", np.nan),
+        ("data", "patterns", np.nan),
+        ("data", "voltages", np.nan),
+        ("data", "noise_std", np.inf),
+    ],
+)
+def test_non_finite_inputs_exit_2_and_name_the_field(
+    workdir, capsys, tmp_path, kind, field, value
+):
+    d = workdir
+    files = {k: d / f"{k}.json" for k in ("mesh", "seeds", "phantom")}
+    files["data"] = tmp_path / "data.json"
+    run(["simulate", "--mesh", files["mesh"], "--seeds", files["seeds"],
+         "--phantom", files["phantom"], "--out", files["data"]])
+    doc = json.loads(files[kind].read_text())
+    arr = np.asarray(doc if kind == "seeds" else doc[field], dtype=np.float64)
+    arr.flat[-1] = value
+    if kind == "seeds":
+        doc = arr.tolist()
+    else:
+        doc[field] = arr.tolist()
+    files[kind] = tmp_path / "bad.json"
+    files[kind].write_text(json.dumps(doc))
+    capsys.readouterr()
+    if kind == "data":
+        rc = run(["reconstruct", "--surrogate", d / "surr.bin", "--data",
+                  files["data"], "--samples", 0, "--out", tmp_path / "e.json"])
+    else:
+        rc = run(["simulate", "--mesh", files["mesh"], "--seeds", files["seeds"],
+                  "--phantom", files["phantom"], "--out", tmp_path / "x.json"])
+    assert rc == 2
+    assert f"non-finite value in {field}" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_numerical_failure(workdir, capsys, tmp_path):
     d = workdir
     rc = run(

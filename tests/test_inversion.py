@@ -85,7 +85,6 @@ def test_objective_sentinels_outside_cube(tiny_posterior):
     y[2] = 1.0 + 1e-9
     assert tiny_posterior.objective(y) == math.inf
     assert tiny_posterior.log_density(y) == -math.inf
-    assert inversion.neg_log_posterior(tiny_posterior, y) == math.inf
     y[2] = 1.0
     assert math.isfinite(tiny_posterior.objective(y))
 

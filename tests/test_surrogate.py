@@ -32,9 +32,12 @@ def test_eval_matches_classical_legendre(tiny_surrogate):
     rng = np.random.default_rng(1)
     for _ in range(4):
         y = rng.uniform(-1.0, 1.0, tiny_surrogate.n_params)
+        volts = tiny_surrogate.eval_stacked(y).reshape(
+            tiny_surrogate.n_patterns, tiny_surrogate.n_electrodes
+        )
         for p in range(1, tiny_surrogate.n_patterns + 1):
             npt.assert_allclose(
-                tiny_surrogate.eval_voltage(p, y),
+                volts[p - 1],
                 classical_eval(tiny_surrogate, p, y),
                 rtol=1e-12,
                 atol=1e-15,
@@ -45,22 +48,14 @@ def test_eval_stacked_and_mean_free(tiny_surrogate):
     rng = np.random.default_rng(2)
     y = rng.uniform(-1.0, 1.0, tiny_surrogate.n_params)
     stacked = tiny_surrogate.eval_stacked(y)
+    # one pattern at a time: coefficient rows against the basis values
+    psi = chaos.ChaosBasis(tiny_surrogate.index_set).eval(y)
     per = np.concatenate(
-        [tiny_surrogate.eval_voltage(p, y) for p in range(1, 4)]
+        [sgfem.expand_mean_free(tiny_surrogate.beta[p - 1] @ psi) for p in range(1, 4)]
     )
     # batched and per-pattern matmuls differ in the last ulp only
     npt.assert_allclose(stacked, per, rtol=1e-14)
     npt.assert_allclose(stacked.reshape(3, 4).sum(axis=1), 0.0, atol=1e-13)
-
-
-def test_pattern_index_is_one_based(tiny_surrogate):
-    y = np.zeros(tiny_surrogate.n_params)
-    with pytest.raises(ValueError, match="pattern_index must be in 1..3"):
-        tiny_surrogate.eval_voltage(0, y)
-    with pytest.raises(ValueError, match="pattern_index must be in 1..3"):
-        tiny_surrogate.eval_voltage(4, y)
-    first = tiny_surrogate.eval_voltage(1, y)
-    npt.assert_array_equal(first, tiny_surrogate.eval_stacked(y)[:4])
 
 
 def test_check_point_contract(tiny_surrogate):
@@ -213,6 +208,42 @@ def test_load_rejects_corrupt_files(tmp_path, tiny_surrogate):
 
     tamper(good, bad, header_edit=wrong_q)
     with pytest.raises(ValueError, match="cardinality"):
+        surrogate.load(bad)
+
+
+def test_load_rejects_duplicated_index_row(tmp_path, tiny_surrogate):
+    # same cardinality, but row 3 repeats row 2: evaluation would be wrong
+    good = tmp_path / "good.sgfem"
+    tiny_surrogate.save(good)
+    bad = tmp_path / "bad.sgfem"
+
+    def duplicate_row(h):
+        h["index_set"][3] = h["index_set"][2]
+
+    tamper(good, bad, header_edit=duplicate_row)
+    with pytest.raises(ValueError, match="index_set differs"):
+        surrogate.load(bad)
+
+
+@pytest.mark.parametrize(
+    "field", ["sigma0", "sigma", "a", "b", "seeds", "patterns", "coefficients"]
+)
+def test_load_rejects_non_finite_fields(tmp_path, tiny_surrogate, field):
+    good = tmp_path / "good.sgfem"
+    tiny_surrogate.save(good)
+    bad = tmp_path / "bad.sgfem"
+
+    def poison_header(h):
+        h[field] = (np.asarray(h[field]) * np.nan).tolist()
+
+    def poison_payload(p):
+        return struct.pack("<d", np.inf) + p[8:]
+
+    if field == "coefficients":
+        tamper(good, bad, payload_edit=poison_payload)
+    else:
+        tamper(good, bad, header_edit=poison_header)
+    with pytest.raises(ValueError, match=f"non-finite value in {field}$"):
         surrogate.load(bad)
 
 
