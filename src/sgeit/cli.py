@@ -175,7 +175,11 @@ def cmd_precompute(args) -> int:
     surr.save(args.out)
     print(f"spatial dofs: {mesh.n_nodes}, chaos basis: {len(index_set)}")
     print(f"system order: {system.order}, nonzeros: {system.K.nnz}")
-    print(f"assembly {t_asm:.2f} s, solve {t_solve:.2f} s ({sol.method})")
+    steps = "iteration" if sol.iterations == 1 else "iterations"
+    print(
+        f"assembly {t_asm:.2f} s, solve {t_solve:.2f} s "
+        f"({sol.method}, {sol.iterations} {steps})"
+    )
     print(f"max relative residual: {sol.residuals.max():.2e}")
     print(f"wrote {args.out}")
     return 0
@@ -283,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--zeta-max", type=float, default=1000.0, help="contact upper bound mS/cm"
     )
     p.add_argument(
-        "--solver", choices=("auto", "direct", "pcg"), default="auto"
+        "--solver",
+        choices=("direct", "pcg"),
+        default="pcg",
+        help="block CG (default) or the sparse LU reference",
     )
     p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
     p.add_argument("--out", required=True, help="output surrogate file")

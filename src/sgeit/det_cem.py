@@ -211,7 +211,7 @@ def load_measurements(path) -> MeasurementSet:
             int(raw["seed"]),
             raw.get("provenance", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed measurement file ({exc})") from exc
     require_finite(
         path, patterns=ms.patterns, voltages=ms.voltages, noise_std=ms.noise_std

@@ -188,7 +188,7 @@ def load_mesh(path) -> Mesh:
             [0 if e.get("electrode") is None else int(e["electrode"]) for e in be],
             dtype=np.int64,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed mesh file ({exc})") from exc
     require_finite(path, nodes=nodes)
     return _validate(Mesh(nodes, tris, edges, tags))

@@ -10,6 +10,12 @@ electrode coupling in the mean-free voltage basis v_i = e_1 - e_{i+1},
 and c the injected current pattern.  Unknowns are chaos coefficients of
 the interior potential (alpha) and the electrode voltages (beta), stored
 with the spatial index outer and the chaos index inner.
+
+``solve`` treats all current patterns as one block.  Its default,
+``pcg``, is conjugate gradients preconditioned by the mean matrix
+K_0 (x) I and needs only a dense factorization of the n_s x n_s matrix
+K_0; ``direct``, one sparse LU factorization of all of K, is the
+reference.
 """
 
 from __future__ import annotations
@@ -19,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .chaos import MomentMatrices
 from .fem import SpatialMatrices
-
-DIRECT_ORDER_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,7 @@ class SgfemSolution:
     beta: np.ndarray
     residuals: np.ndarray
     method: str
+    iterations: int  # CG iterations for pcg, refinement steps for direct
 
     def mean_voltages(self) -> np.ndarray:
         """Expected electrode voltages (the degree-0 chaos coefficients)."""
@@ -128,7 +134,18 @@ def assemble_system(
         cem_matrix(zero, 0.5 * (b[m] - a[m]) * np.eye(n_el)[m], *electrodes)
         for m in range(n_el)
     ]
-    K = sum(sp.kron(B, G, format="csr") for B, G in zip(blocks, mm.G))
+    # all terms in one COO-to-CSR conversion, which sums duplicate entries
+    terms = [sp.kron(B, G, format="coo") for B, G in zip(blocks, mm.G)]
+    K = sp.coo_matrix(
+        (
+            np.concatenate([t.data for t in terms]),
+            (
+                np.concatenate([t.row for t in terms]),
+                np.concatenate([t.col for t in terms]),
+            ),
+        ),
+        shape=terms[0].shape,
+    ).tocsr()
     # enforce bitwise symmetry; summation order can differ across the
     # diagonal by a last-bit rounding otherwise
     K = (K + K.T) * 0.5
@@ -152,70 +169,134 @@ def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
 def solve(
     system: SgfemSystem,
     patterns,
-    method: str = "auto",
+    method: str = "pcg",
     tol: float = 1e-10,
     maxiter: int | None = None,
 ) -> SgfemSolution:
     """Solve the Galerkin system for a batch of current patterns.
 
-    ``method`` is ``direct`` (sparse LU, one factorization shared by all
-    patterns, with iterative refinement down to ``tol``), ``pcg``
-    (conjugate gradients preconditioned by K_0 (x) I, where K_0 = B_0 is the
-    electrode-model matrix at the parameter mean), or ``auto`` which picks
-    direct up to DIRECT_ORDER_LIMIT unknowns.  Raises if any relative
+    ``method`` is ``pcg`` (the default) or ``direct`` (the reference).
+    ``pcg`` runs conjugate gradients on all patterns at once, with a step
+    length and direction per pattern, preconditioned by K_0^{-1} (x) I where
+    K_0 = B_0 is the electrode-model matrix at the parameter mean; it stops
+    once every pattern's residual is at most ``tol`` times its load norm and
+    raises after ``maxiter`` iterations (default ten times the order).
+    ``direct`` factors K once by sparse LU, solves for all patterns together
+    and refines iteratively down to ``tol``.  Raises if any relative
     residual stays above ``tol``.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
-    K = system.K
-    n_d, n_el, n_g = system.n_nodes, system.n_electrodes, system.n_chaos
-    if method == "auto":
-        method = "direct" if system.order <= DIRECT_ORDER_LIMIT else "pcg"
     if method not in ("direct", "pcg"):
         raise ValueError(f"unknown solver method {method!r}")
+    K = system.K
+    n_d, n_el, n_g = system.n_nodes, system.n_electrodes, system.n_chaos
+    # one column per pattern: spatial index outer, chaos inner, pattern last
+    C = np.column_stack([rhs_for_current(system, p) for p in patterns])
+    if method == "direct":
+        X, iterations = _lu_solve(K, C, tol)
+    else:
+        if maxiter is None:
+            maxiter = 10 * system.order
+        X, iterations = _block_pcg(K, C, n_g, tol, maxiter)
 
-    # pcg factors only the degree-0 slice of K, which is exactly B_0 since
-    # G_0 = I and G_k[0, 0] = E[y_k] = 0 for k >= 1
-    try:
-        lu = spla.splu((K if method == "direct" else K[::n_g, ::n_g]).tocsc())
-    except RuntimeError as exc:
-        raise RuntimeError(
-            "factorization failed; system not positive definite "
-            f"({exc})"
-        ) from exc
-    if method == "pcg":
-        n_s = n_d + n_el - 1
-        prec = spla.LinearOperator(
-            K.shape, matvec=lambda x: lu.solve(x.reshape(n_s, n_g)).ravel()
-        )
-
-    alpha = np.empty((patterns.shape[0], n_d, n_g))
-    beta = np.empty((patterns.shape[0], n_el - 1, n_g))
-    residuals = np.empty(patterns.shape[0])
-    for p, pattern in enumerate(patterns):
-        c = rhs_for_current(system, pattern)
-        cnorm = np.linalg.norm(c)
-        if method == "direct":
-            x = lu.solve(c)
-            for _ in range(3):
-                r = c - K @ x
-                if np.linalg.norm(r) <= tol * cnorm:
-                    break
-                x = x + lu.solve(r)
-        else:
-            x, info = spla.cg(K, c, rtol=tol, atol=0.0, M=prec, maxiter=maxiter)
-            if info != 0:
-                raise RuntimeError(
-                    f"PCG did not reach tolerance {tol:g} (info={info})"
-                )
-        rel = np.linalg.norm(c - K @ x) / cnorm
+    residuals = np.linalg.norm(C - K @ X, axis=0) / np.linalg.norm(C, axis=0)
+    for p, rel in enumerate(residuals):
         if rel > tol:
             raise RuntimeError(
                 f"pattern {p}: relative residual {rel:.3e} above {tol:g}"
             )
-        residuals[p] = rel
-        alpha[p] = x[: n_d * n_g].reshape(n_d, n_g)
-        beta[p] = x[n_d * n_g :].reshape(n_el - 1, n_g)
-    return SgfemSolution(patterns, alpha, beta, residuals, method)
+    n_p = patterns.shape[0]
+    alpha = X[: n_d * n_g].T.reshape(n_p, n_d, n_g)
+    beta = X[n_d * n_g :].T.reshape(n_p, n_el - 1, n_g)
+    return SgfemSolution(patterns, alpha, beta, residuals, method, iterations)
+
+
+def _not_positive_definite(detail) -> RuntimeError:
+    return RuntimeError(
+        f"factorization failed; system not positive definite ({detail})"
+    )
+
+
+def _lu_solve(K, C, tol):
+    """Sparse LU of K with up to three refinement steps on the block C.
+
+    Returns the solution block and the number of refinement steps taken.
+    """
+    atol = tol * np.linalg.norm(C, axis=0)
+    try:
+        lu = spla.splu(K.tocsc())
+    except RuntimeError as exc:
+        raise _not_positive_definite(exc) from exc
+    X = lu.solve(C)
+    steps = 0
+    while steps < 3:
+        R = C - K @ X
+        if np.all(np.linalg.norm(R, axis=0) <= atol):
+            break
+        X += lu.solve(R)
+        steps += 1
+    return X, steps
+
+
+def _block_pcg(K, C, n_g, tol, maxiter):
+    """Conjugate gradients on every column of C at once, preconditioned by
+    K_0^{-1} (x) I.
+
+    K_0 = K[::n_g, ::n_g] is exactly B_0, since G_0 = I and G_k[0, 0] =
+    E[y_k] = 0 for k >= 1.  The iterates are kept as (n_s, n_g * n_p)
+    views of the (order, n_p) block: on them K_0^{-1} (x) I is one product
+    with the dense inverse of K_0, and the vector updates run along rows
+    of length n_g * n_p instead of n_p.  Each column has its own step
+    length and direction, and stops moving once its residual norm is at
+    most ``tol`` times its load norm.  Returns the solution block and the
+    iteration count.
+    """
+    K0 = K[::n_g, ::n_g].toarray()
+    factor, info = lapack.dpotrf(K0, lower=True)
+    if info != 0:
+        raise _not_positive_definite(f"dense Cholesky of K_0, info={info}")
+    inv, _ = lapack.dpotri(factor, lower=True)
+    K0inv = np.tril(inv) + np.tril(inv, -1).T
+    n_s, n_p = K0.shape[0], C.shape[1]
+
+    def column_dots(U, V):
+        return np.einsum("ij,ij->j", U, V).reshape(n_g, n_p).sum(axis=0)
+
+    def active_ratio(num, den, done):
+        """num / den for each active column (0 where done), repeated
+        along a row of the wide view."""
+        ratio = np.divide(num, den, out=np.zeros_like(num), where=~done)
+        return np.tile(ratio, n_g)
+
+    C = C.reshape(n_s, -1)
+    # squared residual norms against squared thresholds
+    atol2 = tol**2 * column_dots(C, C)
+    X = np.zeros_like(C)
+    R = C.copy()
+    done = column_dots(R, R) <= atol2
+    if done.all():
+        return X.reshape(-1, n_p), 0
+    Z = K0inv @ R
+    D = Z.copy()
+    rz = column_dots(R, Z)
+    for iteration in range(1, maxiter + 1):
+        Q = (K @ D.reshape(-1, n_p)).reshape(n_s, -1)
+        step = active_ratio(rz, column_dots(D, Q), done)
+        # Z is free until the next preconditioning; Q is dropped before the
+        # next product allocates its successor, so one block fewer is alive
+        X += np.multiply(D, step, out=Z)
+        R -= np.multiply(Q, step, out=Q)
+        del Q
+        done |= column_dots(R, R) <= atol2
+        if done.all():
+            return X.reshape(-1, n_p), iteration
+        np.matmul(K0inv, R, out=Z)
+        rz, rz_old = column_dots(R, Z), rz
+        D *= active_ratio(rz, rz_old, done)
+        D += Z
+    raise RuntimeError(
+        f"PCG did not reach tolerance {tol:g} in {maxiter} iterations"
+    )
 
 
 def standard_patterns(n_electrodes: int, amplitude: float = 1.0) -> np.ndarray:

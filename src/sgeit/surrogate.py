@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -162,8 +163,9 @@ def from_solution(
 
 
 def load(path) -> SgfemSurrogate:
-    """Read a surrogate file, rejecting unknown versions, size lies, an
-    index set other than the total-degree one, and non-finite values."""
+    """Read a surrogate file, rejecting unknown versions, size lies, fields
+    of the wrong shape, an index set other than the total-degree one, and
+    non-finite values."""
     with open(path, "rb") as f:
         line = f.readline()
         if not line.startswith(MAGIC_PREFIX):
@@ -174,7 +176,15 @@ def load(path) -> SgfemSurrogate:
                 f"{path}: unsupported format version {version!r} "
                 f"(supported: {FORMAT_VERSION})"
             )
-        (hlen,) = struct.unpack("<Q", f.read(8))
+        size = f.read(8)
+        if len(size) != 8:
+            raise ValueError(f"{path}: truncated before the header length")
+        (hlen,) = struct.unpack("<Q", size)
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        if hlen > remaining:
+            raise ValueError(
+                f"{path}: header length {hlen} exceeds the {remaining} bytes left"
+            )
         try:
             header = json.loads(f.read(hlen).decode())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -189,8 +199,19 @@ def load(path) -> SgfemSurrogate:
         b = np.asarray(header["b"], dtype=np.float64)
         seeds = np.asarray(header["seeds"], dtype=np.float64)
         sigma0 = float(header["sigma0"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed header ({exc})") from exc
+    for name, value, shape in (
+        ("sigma", sigma, (big_l,)),
+        ("a", a, (m,)),
+        ("b", b, (m,)),
+        ("seeds", seeds, (big_l, 2)),
+        ("patterns", patterns, patterns.shape[:1] + (m,)),
+    ):
+        if value.shape != shape:
+            raise ValueError(
+                f"{path}: {name} has shape {value.shape}, expected {shape}"
+            )
     n_dims = big_l + m
     expected_card = math.comb(n_dims + q, q)
     if indices.ndim != 2 or indices.shape != (expected_card, n_dims):
