@@ -65,7 +65,8 @@ posterior = inversion.build_posterior(surr, data, corr_length=0.5)
 t0 = time.perf_counter()
 estimates = inversion.reconstruct(posterior, inversion.McmcConfig())
 print(f"reconstruction: {time.perf_counter() - t0:.1f} s, "
-      f"acceptance {estimates.diagnostics['acceptance']:.3f}")
+      f"acceptance {estimates.diagnostics['acceptance']:.3f}, "
+      f"proposals inside the cube {estimates.diagnostics['in_support']:.3f}")
 
 print("\npixel   true sigma   MAP     CM      SD")
 for l in range(n_pixels):

@@ -26,24 +26,27 @@ def _recurrence_coeff(m: int) -> float:
     return m / math.sqrt(4.0 * m * m - 1.0)
 
 
-def _tables(max_degree: int, y: np.ndarray, const: float) -> tuple[np.ndarray, np.ndarray]:
+def _tables(max_degree: int, y: np.ndarray, const: float, derivatives: bool = True):
     """Values and derivatives of the orthonormal family up to max_degree.
 
     ``const`` is the value of the degree-0 polynomial (1/sqrt(2) for the
     Lebesgue normalization, 1 for the uniform-probability normalization).
+    ``derivatives=False`` skips the derivative table and returns None for it.
     """
     y = np.asarray(y, dtype=np.float64)
     vals = np.empty(y.shape + (max_degree + 1,))
-    ders = np.zeros_like(vals)
+    ders = np.zeros_like(vals) if derivatives else None
     vals[..., 0] = const
     if max_degree >= 1:
         vals[..., 1] = math.sqrt(3.0) * const * y
-        ders[..., 1] = math.sqrt(3.0) * const
+        if derivatives:
+            ders[..., 1] = math.sqrt(3.0) * const
     for m in range(1, max_degree):
         cm = _recurrence_coeff(m)
         cn = _recurrence_coeff(m + 1)
         vals[..., m + 1] = (y * vals[..., m] - cm * vals[..., m - 1]) / cn
-        ders[..., m + 1] = (vals[..., m] + y * ders[..., m] - cm * ders[..., m - 1]) / cn
+        if derivatives:
+            ders[..., m + 1] = (vals[..., m] + y * ders[..., m] - cm * ders[..., m - 1]) / cn
     return vals, ders
 
 
@@ -191,56 +194,49 @@ class ChaosBasis:
     """
 
     index_set: MultiIndexSet
-    _slots: list[np.ndarray] = field(init=False, repr=False)
+    _slots: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        idx = self.index_set.indices
         q = self.index_set.degree
-        n = len(self.index_set)
-        width = self.index_set.degree + 1
-        slots = []
-        for s in range(q):
-            flat = np.zeros(n, dtype=np.int64)
-            dims = np.zeros(n, dtype=np.int64)
-            degs = np.zeros(n, dtype=np.int64)
-            for i in range(n):
-                nz = np.flatnonzero(idx[i])
-                if s < nz.size:
-                    dims[i] = nz[s]
-                    degs[i] = idx[i, nz[s]]
-                    flat[i] = dims[i] * width + degs[i]
-            slots.append((flat, dims, degs))
-        self._slots = slots
+        idx = self.index_set.indices
+        # q degree-0 columns pad rows with fewer than q active dimensions;
+        # a stable sort brings each row's active dimensions first, in order
+        padded = np.hstack([idx, np.zeros((len(idx), q), dtype=np.int64)])
+        order = np.argsort(padded == 0, axis=1, kind="stable")[:, :q]
+        degs = np.take_along_axis(padded, order, axis=1)
+        dims = np.where(degs > 0, order, 0)
+        self._slots = [(dims[:, s] * (q + 1) + degs[:, s], dims[:, s]) for s in range(q)]
 
     @property
     def n_dims(self) -> int:
         return self.index_set.n_dims
 
+    def _product(self, flat: np.ndarray) -> np.ndarray:
+        """Basis values from the flattened univariate value table."""
+        if not self._slots:
+            return np.ones(len(self.index_set))
+        psi = flat[self._slots[0][0]]
+        for slot_flat, _ in self._slots[1:]:
+            psi *= flat[slot_flat]
+        return psi
+
     def eval(self, y: np.ndarray) -> np.ndarray:
         """Values of all basis polynomials at one parameter point."""
-        vals, _ = _tables(self.index_set.degree, y, 1.0)
-        flat = vals.ravel()
-        out = np.ones(len(self.index_set))
-        for slot_flat, _, _ in self._slots:
-            out *= flat[slot_flat]
-        return out
+        vals, _ = _tables(self.index_set.degree, y, 1.0, derivatives=False)
+        return self._product(vals.ravel())
 
     def eval_with_jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and per-dimension partial derivatives at one point."""
         vals, ders = _tables(self.index_set.degree, y, 1.0)
         fv, fd = vals.ravel(), ders.ravel()
-        n = len(self.index_set)
-        slot_vals = [fv[flat] for flat, _, _ in self._slots]
-        slot_ders = [fd[flat] for flat, _, _ in self._slots]
-        psi = np.ones(n)
-        for v in slot_vals:
-            psi *= v
-        jac = np.zeros((n, self.n_dims))
-        rows = np.arange(n)
-        for s, (flat, dims, degs) in enumerate(self._slots):
-            term = slot_ders[s].copy()
-            for t in range(len(self._slots)):
+        slot_vals = [fv[flat] for flat, _ in self._slots]
+        jac = np.zeros((len(self.index_set), self.n_dims))
+        rows = np.arange(len(self.index_set))
+        for s, (flat, dims) in enumerate(self._slots):
+            term = fd[flat]
+            for t, v in enumerate(slot_vals):
                 if t != s:
-                    term *= slot_vals[t]
-            np.add.at(jac, (rows, dims), term)
-        return psi, jac
+                    term *= v
+            # the rows are distinct, so no index pair repeats within a slot
+            jac[rows, dims] += term
+        return self._product(fv), jac

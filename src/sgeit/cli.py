@@ -125,7 +125,10 @@ def _load_seeds(path) -> np.ndarray:
             raw = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    seeds = np.asarray(raw, dtype=np.float64)
+    try:
+        seeds = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed seeds file ({exc})") from exc
     if seeds.ndim != 2 or seeds.shape[1] != 2 or seeds.shape[0] == 0:
         raise ValueError(f"{path}: expected a nonempty list of [x, y] seeds")
     require_finite(path, seeds=seeds)
@@ -141,8 +144,10 @@ def _load_phantom(path) -> det_cem.DeterministicSample:
     try:
         sigma = np.asarray(raw["sigma"], dtype=np.float64)
         zeta = np.asarray(raw["zeta"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed phantom file ({exc})") from exc
+    if sigma.ndim != 1 or zeta.ndim != 1:
+        raise ValueError(f"{path}: sigma and zeta must be lists of numbers")
     require_finite(path, sigma=sigma, zeta=zeta)
     return det_cem.DeterministicSample(sigma, zeta)
 
@@ -243,6 +248,7 @@ def cmd_reconstruct(args) -> int:
     if config is not None:
         print(
             f"chain: {diag['n']} samples, acceptance {diag['acceptance']:.3f}, "
+            f"in support {diag['in_support']:.3f}, "
             f"stabilization {diag['stabilization']:.3e}"
         )
     print(f"wrote {args.out}")

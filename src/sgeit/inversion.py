@@ -128,9 +128,11 @@ class Posterior:
 
     def log_density(self, y: np.ndarray) -> float:
         """-F(y)/2 inside the cube, -inf outside (up to a constant)."""
+        if np.shape(y) != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got {np.shape(y)}")
         if np.abs(y).max() > 1.0:
             return -math.inf
-        misfit = (self.data - self.surrogate.eval_stacked(y)) * self._inv_std
+        misfit = (self.data - self.surrogate.eval_stacked(y, check=False)) * self._inv_std
         w = self.prior.whiten @ y[: self.n_pixels]
         return -0.5 * (misfit @ misfit + w @ w)
 
@@ -290,6 +292,7 @@ class McmcResult:
     samples: np.ndarray
     acceptance: float
     warning: bool
+    in_support: float  # share of all proposals inside the support
 
 
 def random_walk_metropolis(
@@ -298,10 +301,10 @@ def random_walk_metropolis(
     """Metropolis sampling with an isotropic Gaussian proposal.
 
     Proposals outside the support (log density -inf) are rejected without
-    further evaluation.  Runs burn_in + n_samples * thinning iterations
-    and keeps every thinning-th state after burn-in.  The acceptance rate
-    is measured over the post-burn-in phase; a rate outside [0.05, 0.8]
-    sets the warning flag.
+    further evaluation; ``in_support`` is the share of all proposals inside
+    it.  Runs burn_in + n_samples * thinning iterations and keeps every
+    thinning-th state after burn-in.  The acceptance rate is measured over
+    the post-burn-in phase; a rate outside [0.05, 0.8] sets the warning flag.
     """
     y = np.asarray(start, dtype=np.float64).copy()
     lp = float(log_density(y))
@@ -313,10 +316,12 @@ def random_walk_metropolis(
     samples = np.empty((config.n_samples, n_dim))
     accepted = 0
     kept = 0
+    inside = 0
     for t in range(total):
         prop = y + config.proposal_std * rng.standard_normal(n_dim)
         lp_new = log_density(prop)
         if lp_new > -math.inf:
+            inside += 1
             d = lp_new - lp
             if d >= 0.0 or rng.random() < math.exp(d):
                 y, lp = prop, float(lp_new)
@@ -330,7 +335,7 @@ def random_walk_metropolis(
     warn = not 0.05 <= rate <= 0.8
     if warn:
         warnings.warn(f"MCMC acceptance rate {rate:.3f} outside [0.05, 0.8]")
-    return McmcResult(samples, rate, warn)
+    return McmcResult(samples, rate, warn, inside / total)
 
 
 def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcResult:
@@ -411,6 +416,7 @@ def reconstruct(
         kwargs = cm
         diagnostics.update(
             acceptance=chain.acceptance,
+            in_support=chain.in_support,
             n=chain.samples.shape[0],
             stabilization=stabilization,
         )

@@ -3,10 +3,10 @@
 A surrogate holds the voltage chaos coefficients of a Galerkin solve for a
 batch of current patterns, together with everything needed to reuse it:
 parametrization bounds, pixel seeds, current patterns and the multi-index
-set.  Evaluation sums beta_{i,mu} Psi_mu(y) over the mean-free voltage
-basis, where Psi is the chaos basis orthonormal under the uniform
-distribution on the parameter cube, so the degree-0 coefficients are the
-expected voltages.
+set.  Evaluation is one product V Psi(y), where V holds the electrode
+voltage coefficients (the mean-free coefficients beta expanded once) and
+Psi is the chaos basis orthonormal under the uniform distribution on the
+parameter cube, so the degree-0 coefficients are the expected voltages.
 
 File format ``SGFEM-EIT/1``: a magic line, an 8-byte little-endian header
 length, a JSON header {M, L, Q, sigma0, sigma, a, b, seeds, patterns,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .chaos import ChaosBasis, MultiIndexSet, iso_td
 from .geometry import require_finite
-from .sgfem import SgfemSolution
+from .sgfem import SgfemSolution, expand_mean_free
 
 MAGIC_PREFIX = b"SGFEM-EIT/"
 FORMAT_VERSION = "1"
@@ -45,7 +45,7 @@ class SgfemSurrogate:
     b: np.ndarray
     seeds: np.ndarray
     _basis: ChaosBasis = field(init=False, repr=False)
-    _flat_beta: np.ndarray = field(init=False, repr=False)
+    _voltage_coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.patterns = np.atleast_2d(np.asarray(self.patterns, dtype=np.float64))
@@ -65,9 +65,10 @@ class SgfemSurrogate:
                 "index set dimension does not match pixel and electrode counts"
             )
         self._basis = ChaosBasis(self.index_set)
-        self._flat_beta = np.ascontiguousarray(
-            self.beta.reshape(-1, len(self.index_set))
-        )
+        # electrode voltage coefficients, (n_patterns * M, n_terms)
+        self._voltage_coeffs = np.ascontiguousarray(
+            expand_mean_free(self.beta.swapaxes(1, 2)).swapaxes(1, 2)
+        ).reshape(-1, len(self.index_set))
 
     @property
     def n_electrodes(self) -> int:
@@ -96,27 +97,17 @@ class SgfemSurrogate:
             )
         return y
 
-    def eval_stacked(self, y) -> np.ndarray:
-        """All patterns' voltages stacked into one vector, pattern-major."""
-        y = self._check_point(y)
-        psi = self._basis.eval(y)
-        gamma = (self._flat_beta @ psi).reshape(self.n_patterns, -1)
-        out = np.empty((self.n_patterns, self.n_electrodes))
-        out[:, 0] = gamma.sum(axis=1)
-        out[:, 1:] = -gamma
-        return out.ravel()
+    def eval_stacked(self, y, *, check: bool = True) -> np.ndarray:
+        """All patterns' voltages stacked into one vector, pattern-major;
+        ``check=False`` skips the test of ``y`` for callers that made it."""
+        if check:
+            y = self._check_point(y)
+        return self._voltage_coeffs @ self._basis.eval(y)
 
     def jacobian(self, y) -> np.ndarray:
         """Derivative of the stacked voltages with respect to y."""
-        y = self._check_point(y)
-        _, jpsi = self._basis.eval_with_jacobian(y)
-        dgamma = (self._flat_beta @ jpsi).reshape(
-            self.n_patterns, self.n_electrodes - 1, self.n_params
-        )
-        out = np.empty((self.n_patterns, self.n_electrodes, self.n_params))
-        out[:, 0] = dgamma.sum(axis=1)
-        out[:, 1:] = -dgamma
-        return out.reshape(-1, self.n_params)
+        _, jpsi = self._basis.eval_with_jacobian(self._check_point(y))
+        return self._voltage_coeffs @ jpsi
 
     def save(self, path) -> None:
         """Write the surrogate in the versioned binary format."""

@@ -160,6 +160,30 @@ def test_chaos_basis_constant_for_degree_zero():
     npt.assert_array_equal(basis.eval(np.full(6, 0.3)), [1.0])
 
 
+@pytest.mark.parametrize("n_dims, degree", [(1, 3), (2, 3), (4, 0), (5, 2), (6, 3)])
+def test_chaos_basis_slots_match_a_per_row_loop(n_dims, degree):
+    basis = chaos.ChaosBasis(chaos.iso_td(n_dims, degree))
+    idx = basis.index_set.indices
+    assert len(basis._slots) == degree
+    for s, (flat, dims) in enumerate(basis._slots):
+        for i, mu in enumerate(idx):
+            # the s-th active dimension of row i, or the degree-0 entry
+            nz = np.flatnonzero(mu)
+            d = int(nz[s]) if s < nz.size else 0
+            assert dims[i] == d
+            assert flat[i] == d * (degree + 1) + (mu[d] if s < nz.size else 0)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_chaos_basis_values_match_jacobian_path_bitwise(degree):
+    basis = chaos.ChaosBasis(chaos.iso_td(5, degree))
+    rng = np.random.default_rng(40 + degree)
+    for _ in range(10):
+        y = rng.uniform(-1.0, 1.0, 5)
+        psi, _ = basis.eval_with_jacobian(y)
+        npt.assert_array_equal(basis.eval(y), psi)
+
+
 def test_chaos_basis_jacobian_matches_fd():
     idx = chaos.iso_td(5, 2)
     basis = chaos.ChaosBasis(idx)

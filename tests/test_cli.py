@@ -76,6 +76,7 @@ def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
 
     est = inversion.load_estimates(d / "est.json")
     assert est.diagnostics["map_converged"]
+    assert f"in support {est.diagnostics['in_support']:.3f}" in out
     assert est.sigma_cm is not None
     # the phantom's low-contrast pixel should come out lowest
     assert est.sigma_map.argmin() == 1
@@ -153,6 +154,13 @@ def test_exit_code_2_on_bad_inputs(workdir, surrogate_and_data, capsys, tmp_path
     assert rc == 2
     assert "wrong number of contact" in capsys.readouterr().err
 
+    # phantom with a scalar where a list belongs
+    bad.write_text(json.dumps({"sigma": 1.0, "zeta": [400.0] * 4}))
+    rc = run(["simulate", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
+              "--phantom", bad, "--out", tmp_path / "x.json"])
+    assert rc == 2
+    assert "sigma and zeta must be lists of numbers" in capsys.readouterr().err
+
     # data simulated with fewer electrodes than the surrogate expects
     mesh3 = sgeit.make_disk_fixture(2, 12, 3, 0.5)
     sgeit.save_mesh(mesh3, tmp_path / "mesh3.json")
@@ -167,6 +175,22 @@ def test_exit_code_2_on_bad_inputs(workdir, surrogate_and_data, capsys, tmp_path
               "--out", tmp_path / "e3.json"])
     assert rc == 2
     assert "patterns of data and surrogate differ" in capsys.readouterr().err
+
+
+# a JSON object, a list holding one, an integer too large for a float
+@pytest.mark.parametrize(
+    "text",
+    ['{"a": 1}', '[[0.0, 0.0], {"x": 1}]', "[[1" + "0" * 400 + ", 0.0]]"],
+    ids=["object", "list-with-object", "huge-integer"],
+)
+def test_seeds_file_of_the_wrong_kind_exits_2(workdir, capsys, tmp_path, text):
+    d = workdir
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(text)
+    rc = run(["precompute", "--mesh", d / "mesh.json", "--seeds", seeds,
+              "--out", tmp_path / "s.bin"])
+    assert rc == 2
+    assert f"{seeds}: malformed seeds file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Property tests of the input boundaries: corrupt or out-of-contract
-mesh, measurement and surrogate files raise ValueError (exit code 2 in
-the CLI) and never another exception."""
+mesh, seed, phantom, measurement and surrogate files raise ValueError
+(exit code 2 in the CLI) and never another exception."""
 
 import json
 
@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sgeit
-from sgeit import det_cem, surrogate
+from sgeit import cli, det_cem, surrogate
 
 FUZZ = settings(
     max_examples=60,
@@ -54,11 +54,24 @@ def replaced(doc, path, value):
 
 
 def loads_or_rejects(load, path):
-    """Call the loader; a ValueError is an accepted outcome."""
+    """Call the loader and return its result; a ValueError is an accepted
+    outcome (None)."""
     try:
-        load(path)
+        return load(path)
     except ValueError:
-        pass
+        return None
+
+
+def check_seeds(seeds):
+    if seeds is not None:
+        assert seeds.ndim == 2 and seeds.shape[1] == 2 and seeds.shape[0] > 0
+        assert np.isfinite(seeds).all()
+
+
+def check_phantom(sample):
+    if sample is not None:
+        for value in (sample.sigma, sample.zeta):
+            assert value.ndim == 1 and np.isfinite(value).all()
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +79,10 @@ def mesh_doc(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "mesh.json"
     sgeit.save_mesh(sgeit.make_disk_fixture(2, 12, 3, 0.5), path)
     return json.loads(path.read_text())
+
+
+SEEDS_DOC = [[0.0, 0.0], [0.55, 0.0], [-0.55, 0.0]]
+PHANTOM_DOC = {"sigma": [1.1, 0.7, 1.3], "zeta": [400.0] * 4}
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +117,60 @@ def test_load_mesh_survives_any_field_value(mesh_doc, tmp_path, key, value):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(replaced(mesh_doc, (key,), value)))
     loads_or_rejects(sgeit.load_mesh, path)
+
+
+@FUZZ
+@given(data=st.data(), value=non_finite)
+def test_load_seeds_rejects_any_non_finite_entry(tmp_path, data, value):
+    leaf = data.draw(st.sampled_from(list(numeric_leaves(SEEDS_DOC))))
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(replaced(SEEDS_DOC, leaf, value)))
+    with pytest.raises(ValueError, match="non-finite value in seeds"):
+        cli._load_seeds(path)
+
+
+@FUZZ
+@given(doc=json_values)
+def test_load_seeds_survives_any_document(tmp_path, doc):
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(doc))
+    check_seeds(loads_or_rejects(cli._load_seeds, path))
+
+
+@FUZZ
+@given(data=st.data(), value=json_values)
+def test_load_seeds_survives_any_entry_value(tmp_path, data, value):
+    leaf = data.draw(st.sampled_from([(i,) for i in range(3)]
+                                     + list(numeric_leaves(SEEDS_DOC))))
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(replaced(SEEDS_DOC, leaf, value)))
+    check_seeds(loads_or_rejects(cli._load_seeds, path))
+
+
+@FUZZ
+@given(data=st.data(), value=non_finite)
+def test_load_phantom_rejects_any_non_finite_entry(tmp_path, data, value):
+    leaf = data.draw(st.sampled_from(list(numeric_leaves(PHANTOM_DOC))))
+    path = tmp_path / "phantom.json"
+    path.write_text(json.dumps(replaced(PHANTOM_DOC, leaf, value)))
+    with pytest.raises(ValueError, match=f"non-finite value in {leaf[0]}"):
+        cli._load_phantom(path)
+
+
+@FUZZ
+@given(key=st.sampled_from(["sigma", "zeta"]), value=json_values)
+def test_load_phantom_survives_any_field_value(tmp_path, key, value):
+    path = tmp_path / "phantom.json"
+    path.write_text(json.dumps(replaced(PHANTOM_DOC, (key,), value)))
+    check_phantom(loads_or_rejects(cli._load_phantom, path))
+
+
+@FUZZ
+@given(doc=json_values)
+def test_load_phantom_survives_any_document(tmp_path, doc):
+    path = tmp_path / "phantom.json"
+    path.write_text(json.dumps(doc))
+    check_phantom(loads_or_rejects(cli._load_phantom, path))
 
 
 @FUZZ

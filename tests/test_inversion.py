@@ -80,6 +80,21 @@ def test_objective_against_explicit_covariance(tiny_posterior):
         )
 
 
+def test_log_density_matches_the_formula(tiny_posterior):
+    post = tiny_posterior
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        y = rng.uniform(-1.0, 1.0, post.n_params)
+        misfit = (post.data - post.surrogate.eval_stacked(y)) / post.noise.std
+        w = post.prior.whiten @ y[: post.n_pixels]
+        expected = -0.5 * (misfit @ misfit + w @ w)
+        assert post.log_density(y) == pytest.approx(expected, rel=1e-13)
+    # the surrogate's own test of y is skipped here, so the shape is checked
+    for bad in (np.zeros(post.n_params + 2), np.zeros(post.n_params - 1)):
+        with pytest.raises(ValueError, match="expected 7 parameters"):
+            post.log_density(bad)
+
+
 def test_objective_sentinels_outside_cube(tiny_posterior):
     y = np.zeros(tiny_posterior.n_params)
     y[2] = 1.0 + 1e-9
@@ -176,6 +191,26 @@ def test_mcmc_reproducible_and_in_support(tiny_posterior):
     assert np.abs(a.samples - c.samples).max() > 0.0
 
 
+def test_mcmc_in_support_share_counts_proposals_inside_the_cube(tiny_posterior):
+    cfg = inversion.McmcConfig(
+        n_samples=300, burn_in=100, thinning=2, proposal_std=0.5, seed=23
+    )
+    values = []
+
+    def log_density(y):
+        values.append(tiny_posterior.log_density(y))
+        return values[-1]
+
+    res = inversion.random_walk_metropolis(log_density, np.zeros(7), cfg)
+    # the first call evaluates the start point
+    inside = sum(math.isfinite(v) for v in values[1:])
+    assert len(values) == 1 + 700
+    assert res.in_support == inside / 700
+    assert 0.0 < res.in_support < 1.0
+    # counting draws no random numbers: the chain is the plain sampler's
+    npt.assert_array_equal(res.samples, inversion.mcmc_sample(tiny_posterior, cfg).samples)
+
+
 def test_mcmc_truncated_normal_moments():
     # analytic check: unit normal restricted to [-1, 1]
     def logd(y):
@@ -248,7 +283,7 @@ def test_reconstruct_with_chain(tiny_posterior):
     est = inversion.reconstruct(tiny_posterior, cfg)
     assert est.sigma_cm.shape == (3,) and est.zeta_cm.shape == (4,)
     assert (est.sigma_sd > 0.0).all() and (est.zeta_sd > 0.0).all()
-    assert set(est.diagnostics) >= {"acceptance", "n", "stabilization"}
+    assert set(est.diagnostics) >= {"acceptance", "in_support", "n", "stabilization"}
     assert est.diagnostics["n"] == 300
     # the chain runs from the MAP point with the stated seed
     map_res = inversion.map_estimate(tiny_posterior)
@@ -258,6 +293,7 @@ def test_reconstruct_with_chain(tiny_posterior):
     cm, _ = inversion.cm_sd_estimates(chain.samples, bounds)
     npt.assert_allclose(est.sigma_cm, cm["sigma_cm"])
     npt.assert_allclose(est.zeta_sd, cm["zeta_sd"])
+    assert est.diagnostics["in_support"] == chain.in_support
 
 
 def test_estimates_roundtrip(tmp_path, tiny_posterior):

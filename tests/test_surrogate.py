@@ -81,6 +81,17 @@ def test_jacobian_matches_finite_differences(tiny_surrogate):
         npt.assert_allclose(jac[:, k], fd, rtol=1e-6, atol=1e-10)
 
 
+def test_jacobian_is_mean_free(tiny_surrogate):
+    # the electrode voltages of a pattern sum to zero at every y, so the
+    # rows of each pattern's block of the Jacobian do too
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        y = rng.uniform(-1.0, 1.0, tiny_surrogate.n_params)
+        jac = tiny_surrogate.jacobian(y).reshape(3, 4, tiny_surrogate.n_params)
+        scale = np.abs(jac).max()
+        npt.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-14 * scale)
+
+
 def test_surrogate_tracks_deterministic_solve(tiny, tiny_surrogate):
     # same mesh on both sides, so the gap is pure chaos truncation
     mesh, part, _ = tiny
