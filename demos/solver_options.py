@@ -28,14 +28,13 @@ seeds = np.vstack([
 ])
 part = sgeit.assign_pixels(mesh, seeds)
 
-spatial = fem.assemble_spatial(mesh, part, 1.1, np.full(n_pixels, 0.6))
-index_set = chaos.iso_td(n_pixels + n_electrodes, 2)
-system = sgfem.assemble_system(
-    spatial,
-    chaos.moment_matrices(index_set),
-    np.full(n_electrodes, 100.0),
-    np.full(n_electrodes, 1000.0),
+bounds = fem.ParameterBounds(
+    1.1, np.full(n_pixels, 0.6),
+    np.full(n_electrodes, 100.0), np.full(n_electrodes, 1000.0),
 )
+spatial = fem.assemble_spatial(mesh, part, bounds)
+index_set = chaos.iso_td(n_pixels + n_electrodes, 2)
+system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set))
 patterns = sgfem.standard_patterns(n_electrodes)
 print(f"system order {system.order}, {system.K.nnz} nonzeros")
 

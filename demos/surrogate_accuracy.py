@@ -30,23 +30,20 @@ print(f"mesh: {mesh.n_nodes} nodes, {mesh.triangles.shape[0]} triangles, "
       f"{part.n_pixels} pixels")
 
 # conductivity 1.1 +- 0.6 mS per pixel, contact conductance 100..1000 mS/cm
-sigma0, sigma = 1.1, np.full(n_pixels, 0.6)
-a, b = np.full(n_electrodes, 100.0), np.full(n_electrodes, 1000.0)
-bounds = det_cem.ParameterBounds(sigma0, sigma, a, b)
+bounds = fem.ParameterBounds(
+    1.1, np.full(n_pixels, 0.6),
+    np.full(n_electrodes, 100.0), np.full(n_electrodes, 1000.0),
+)
 patterns = sgfem.standard_patterns(n_electrodes)
-spatial = fem.assemble_spatial(mesh, part, sigma0, sigma)
+spatial = fem.assemble_spatial(mesh, part, bounds)
 
 surrogates = {}
 for degree in (0, 1, 2):
     t0 = time.perf_counter()
     index_set = chaos.iso_td(n_pixels + n_electrodes, degree)
-    system = sgfem.assemble_system(
-        spatial, chaos.moment_matrices(index_set), a, b
-    )
+    system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set))
     solution = sgfem.solve(system, patterns)
-    surrogates[degree] = surrogate.from_solution(
-        solution, index_set, sigma0, sigma, a, b, seeds
-    )
+    surrogates[degree] = surrogate.from_solution(solution, index_set, bounds, seeds)
     print(f"degree {degree}: {len(index_set):4d} basis terms, "
           f"system order {system.order:6d}, "
           f"built in {time.perf_counter() - t0:5.2f} s")

@@ -32,16 +32,18 @@ seeds = np.vstack([
 # forward surrogate on the coarse reconstruction mesh, wide contact bounds
 mesh = sgeit.make_disk_fixture(10, 32, n_electrodes, 0.5)
 part = sgeit.assign_pixels(mesh, seeds)
-sigma0, sigma = 1.1, np.full(n_pixels, 0.9)
-a, b = np.full(n_electrodes, 10.0), np.full(n_electrodes, 1000.0)
+bounds = fem.ParameterBounds(
+    1.1, np.full(n_pixels, 0.9),
+    np.full(n_electrodes, 10.0), np.full(n_electrodes, 1000.0),
+)
 patterns = sgfem.standard_patterns(n_electrodes)
 
 t0 = time.perf_counter()
-spatial = fem.assemble_spatial(mesh, part, sigma0, sigma)
+spatial = fem.assemble_spatial(mesh, part, bounds)
 index_set = chaos.iso_td(n_pixels + n_electrodes, 2)
-system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set), a, b)
+system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set))
 solution = sgfem.solve(system, patterns)
-surr = surrogate.from_solution(solution, index_set, sigma0, sigma, a, b, seeds)
+surr = surrogate.from_solution(solution, index_set, bounds, seeds)
 print(f"surrogate: order {system.order} system, "
       f"{time.perf_counter() - t0:.1f} s, "
       f"max residual {solution.residuals.max():.1e}")

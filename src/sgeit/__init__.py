@@ -9,12 +9,11 @@ from .chaos import ChaosBasis, MultiIndexSet, iso_td, legendre_eval, moment_matr
 from .det_cem import (
     DeterministicSample,
     MeasurementSet,
-    ParameterBounds,
     params_from_y,
     simulate_measurements,
     solve_deterministic,
 )
-from .fem import SpatialMatrices, assemble_spatial
+from .fem import ParameterBounds, SpatialMatrices, assemble_spatial
 from .geometry import (
     ElectrodeGeometry,
     Mesh,

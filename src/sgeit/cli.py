@@ -156,17 +156,17 @@ def cmd_precompute(args) -> int:
     mesh = load_mesh(args.mesh)
     seeds = _load_seeds(args.seeds)
     partition = assign_pixels(mesh, seeds)
-    n_pix = partition.n_pixels
-    n_el = mesh.n_electrodes
-    sigma = np.full(n_pix, args.dsigma)
-    a = np.full(n_el, args.zeta_min)
-    b = np.full(n_el, args.zeta_max)
+    n_pix, n_el = partition.n_pixels, mesh.n_electrodes
+    bounds = fem.ParameterBounds(
+        args.sigma0, np.full(n_pix, args.dsigma),
+        np.full(n_el, args.zeta_min), np.full(n_el, args.zeta_max),
+    )
 
     t0 = time.perf_counter()
-    sm = fem.assemble_spatial(mesh, partition, args.sigma0, sigma)
+    sm = fem.assemble_spatial(mesh, partition, bounds)
     index_set = iso_td(n_pix + n_el, args.order)
     mm = moment_matrices(index_set)
-    system = sgfem.assemble_system(sm, mm, a, b)
+    system = sgfem.assemble_system(sm, mm)
     t_asm = time.perf_counter() - t0
 
     patterns = sgfem.standard_patterns(n_el)
@@ -174,9 +174,7 @@ def cmd_precompute(args) -> int:
     sol = sgfem.solve(system, patterns, method=args.solver, tol=args.tol)
     t_solve = time.perf_counter() - t0
 
-    surr = surrogate.from_solution(
-        sol, index_set, args.sigma0, sigma, a, b, seeds
-    )
+    surr = surrogate.from_solution(sol, index_set, bounds, seeds)
     surr.save(args.out)
     print(f"spatial dofs: {mesh.n_nodes}, chaos basis: {len(index_set)}")
     print(f"system order: {system.order}, nonzeros: {system.K.nnz}")

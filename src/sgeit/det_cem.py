@@ -16,50 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import assemble_electrode_mass, stiffness_matrix
+from .fem import ParameterBounds, assemble_electrode_mass, stiffness_matrix
 from .geometry import Mesh, PixelPartition, electrode_geometry, require_finite
 from .sgfem import cem_matrix, expand_mean_free
-
-
-@dataclass(frozen=True)
-class ParameterBounds:
-    """Affine parametrization of conductivity pixels and contacts.
-
-    Pixel l has conductivity sigma0 + sigma[l] * y_l and electrode m has
-    contact conductance (a_m+b_m)/2 + (b_m-a_m)/2 * y_{L+m}, both over
-    y in [-1, 1].  Requires sigma0 > 0, 0 <= sigma[l] < sigma0 and
-    0 < a_m <= b_m.
-    """
-
-    sigma0: float
-    sigma: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=np.float64))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        if self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
-        if ((self.sigma < 0.0) | (self.sigma >= self.sigma0)).any():
-            raise ValueError("pixel magnitudes must satisfy 0 <= sigma < sigma0")
-        if self.a.shape != self.b.shape:
-            raise ValueError("contact bound arrays differ in length")
-        if ((self.a <= 0.0) | (self.a > self.b)).any():
-            raise ValueError("contact bounds must satisfy 0 < a <= b")
-
-    @property
-    def n_pixels(self) -> int:
-        return self.sigma.shape[0]
-
-    @property
-    def n_electrodes(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.n_pixels + self.n_electrodes
 
 
 @dataclass(frozen=True)
@@ -99,7 +58,7 @@ def params_from_y(y, bounds: ParameterBounds) -> DeterministicSample:
         )
     L = bounds.n_pixels
     sigma = bounds.sigma0 + bounds.sigma * y[:L]
-    zeta = 0.5 * (bounds.a + bounds.b) + 0.5 * (bounds.b - bounds.a) * y[L:]
+    zeta = bounds.zeta_mid + bounds.zeta_half * y[L:]
     return DeterministicSample(sigma, zeta)
 
 

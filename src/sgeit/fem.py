@@ -1,9 +1,12 @@
-"""Piecewise-linear finite element matrices for the complete electrode model.
+"""Parameter box and piecewise-linear finite element matrices for the
+complete electrode model.
 
-Assembles the conductivity stiffness matrices (one background matrix plus
-one restriction per pixel) and, for every electrode, the boundary mass
-matrix and boundary load vector that carry the contact terms.  Conductivity
-is in mS, electrode lengths in cm.
+``ParameterBounds`` holds and checks the box: pixel l has conductivity
+sigma0 + sigma[l] y_l and electrode m contact conductance
+(a_m+b_m)/2 + (b_m-a_m)/2 y_{L+m}, over y in [-1, 1]^(L+M).  The stiffness
+matrices (background plus one restriction per pixel) are scaled by it; each
+electrode adds a boundary mass matrix and load vector for the contact
+terms.  Conductivity is in mS, contact conductance in mS/cm, lengths in cm.
 """
 
 from __future__ import annotations
@@ -17,6 +20,79 @@ from .geometry import ElectrodeGeometry, Mesh, PixelPartition, electrode_geometr
 
 
 @dataclass(frozen=True)
+class ParameterBounds:
+    """Affine parametrization of conductivity pixels and contacts.
+
+    Requires finite entries, sigma0 > 0, 0 <= sigma[l] < sigma0 (so the
+    conductivity stays positive over the whole box), 0 < a_m <= b_m (equal
+    bounds give a deterministic contact), and box ends that stay positive
+    and finite in float64 as ``det_cem.params_from_y`` computes them.
+    """
+
+    sigma0: float
+    sigma: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma0", float(self.sigma0))
+        for name in ("sigma", "a", "b"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        for name in ("sigma0", "sigma", "a", "b"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"non-finite value in {name}")
+        sigma0, sigma, a, b = self.sigma0, self.sigma, self.a, self.b
+        if sigma0 <= 0.0:
+            raise ValueError(f"sigma0 must be positive, got {sigma0:g}")
+        bad = np.flatnonzero((sigma < 0.0) | (sigma >= sigma0))
+        if bad.size:
+            l = int(bad[0])
+            raise ValueError(
+                f"pixel {l}: sigma[{l}] = {sigma[l]:g} violates "
+                f"0 <= sigma < sigma0 = {sigma0:g}"
+            )
+        if a.shape != b.shape:
+            raise ValueError("contact bound arrays differ in length")
+        bad = np.flatnonzero((a <= 0.0) | (a > b))
+        if bad.size:
+            m = int(bad[0])
+            raise ValueError(
+                f"electrode {m + 1}: invalid contact bounds a={a[m]:g}, "
+                f"b={b[m]:g}; need 0 < a <= b"
+            )
+        # the box ends as the map computes them: sigma0 + sigma can overflow,
+        # and (a+b)/2 - (b-a)/2 can overflow or round to zero when b >> a
+        with np.errstate(over="ignore"):
+            ends = np.concatenate([sigma0 + sigma, self.zeta_mid - self.zeta_half])
+        bad = np.flatnonzero(~((ends > 0.0) & (ends < np.inf)))
+        if bad.size:
+            k, L = int(bad[0]), sigma.size
+            where = f"pixel {k}" if k < L else f"electrode {k - L + 1}"
+            raise ValueError(f"{where}: box end {ends[k]:g} is not positive and finite")
+
+    @property
+    def n_pixels(self) -> int:
+        return self.sigma.shape[0]
+
+    @property
+    def n_electrodes(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def n_params(self) -> int:
+        return self.n_pixels + self.n_electrodes
+
+    # centre and half-width of each contact interval
+    @property
+    def zeta_mid(self) -> np.ndarray:
+        return 0.5 * (self.a + self.b)
+
+    @property
+    def zeta_half(self) -> np.ndarray:
+        return 0.5 * (self.b - self.a)
+
+
+@dataclass(frozen=True)
 class SpatialMatrices:
     """FEM building blocks of the electrode model on one mesh.
 
@@ -27,6 +103,7 @@ class SpatialMatrices:
     S : tuple of electrode boundary mass matrices.
     g : tuple of electrode boundary load vectors (sum equals |E_m|).
     lengths : (M,) electrode lengths |E_m| in cm.
+    bounds : the parameter box that A0 and A were scaled by.
     """
 
     A0: sp.csr_matrix
@@ -34,6 +111,7 @@ class SpatialMatrices:
     S: tuple[sp.csr_matrix, ...]
     g: tuple[np.ndarray, ...]
     lengths: np.ndarray
+    bounds: ParameterBounds
 
     @property
     def n_nodes(self) -> int:
@@ -80,37 +158,6 @@ def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble_stiffness(
-    mesh: Mesh, partition: PixelPartition, sigma0: float, sigma: np.ndarray
-) -> tuple[sp.csr_matrix, tuple[sp.csr_matrix, ...]]:
-    """Background and per-pixel stiffness matrices.
-
-    ``A0`` is the global stiffness scaled by the background conductivity
-    ``sigma0``; ``A[l]`` is the stiffness restricted to pixel l and scaled
-    by the perturbation magnitude ``sigma[l]``.  Requires ``sigma0 > 0``
-    and ``0 <= sigma[l] < sigma0`` so the total conductivity stays positive
-    for every parameter value.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma0 <= 0.0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0:g}")
-    bad = np.flatnonzero((sigma < 0.0) | (sigma >= sigma0))
-    if bad.size:
-        l = int(bad[0])
-        raise ValueError(
-            f"pixel {l}: sigma[{l}] = {sigma[l]:g} outside [0, sigma0 = {sigma0:g})"
-        )
-    if sigma.shape[0] != partition.n_pixels:
-        raise ValueError("sigma length does not match the pixel count")
-    owner = partition.triangle_pixel
-    A0 = stiffness_matrix(mesh, np.full(mesh.n_triangles, sigma0))
-    A = tuple(
-        stiffness_matrix(mesh, np.where(owner == l, sigma[l], 0.0))
-        for l in range(partition.n_pixels)
-    )
-    return A0, A
-
-
 def assemble_electrode_mass(
     mesh: Mesh, eg: ElectrodeGeometry | None = None
 ) -> tuple[tuple[sp.csr_matrix, ...], tuple[np.ndarray, ...]]:
@@ -139,10 +186,24 @@ def assemble_electrode_mass(
 
 
 def assemble_spatial(
-    mesh: Mesh, partition: PixelPartition, sigma0: float, sigma: np.ndarray
+    mesh: Mesh, partition: PixelPartition, bounds: ParameterBounds
 ) -> SpatialMatrices:
-    """Bundle all FEM matrices of one mesh/partition/conductivity setup."""
+    """Bundle all FEM matrices of one mesh, partition and parameter box.
+
+    ``A0`` is the global stiffness scaled by the background conductivity
+    ``bounds.sigma0``; ``A[l]`` is the stiffness restricted to pixel l and
+    scaled by the perturbation magnitude ``bounds.sigma[l]``.
+    """
     eg = electrode_geometry(mesh)
-    A0, A = assemble_stiffness(mesh, partition, sigma0, sigma)
+    if bounds.n_pixels != partition.n_pixels:
+        raise ValueError("sigma length does not match the pixel count")
+    if bounds.n_electrodes != eg.n_electrodes:
+        raise ValueError("need one contact bound pair per electrode")
+    owner = partition.triangle_pixel
+    A0 = stiffness_matrix(mesh, np.full(mesh.n_triangles, bounds.sigma0))
+    A = tuple(
+        stiffness_matrix(mesh, np.where(owner == l, bounds.sigma[l], 0.0))
+        for l in range(partition.n_pixels)
+    )
     S, g = assemble_electrode_mass(mesh, eg)
-    return SpatialMatrices(A0, A, S, g, eg.lengths.copy())
+    return SpatialMatrices(A0, A, S, g, eg.lengths.copy(), bounds)

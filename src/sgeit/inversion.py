@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .det_cem import MeasurementSet, ParameterBounds, params_from_y
+from .det_cem import MeasurementSet, params_from_y
+from .fem import ParameterBounds
 from .surrogate import SgfemSurrogate
 
 
@@ -34,8 +35,11 @@ class NoiseModel:
     rule: str = "explicit"
 
     def __post_init__(self):
-        if self.std <= 0.0:
-            raise ValueError("noise standard deviation must be positive")
+        if not 0.0 < self.std < math.inf:
+            raise ValueError(
+                "noise standard deviation must be positive and finite, "
+                f"got {self.std:g} (rule {self.rule})"
+            )
 
     @classmethod
     def percent_rule(cls, voltages, pct: float = 1.0) -> "NoiseModel":
@@ -61,8 +65,9 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
     A tiny jitter (1e-10 eta^2) is added once if the Cholesky factorization
     fails; a second failure is reported (duplicate or near-duplicate seeds).
     """
-    if corr_length <= 0.0 or eta <= 0.0:
-        raise ValueError("correlation length and eta must be positive")
+    for name, value in (("correlation length", corr_length), ("eta", eta)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value:g}")
     seeds = np.asarray(seeds, dtype=np.float64).reshape(-1, 2)
     if not np.isfinite(seeds).all():
         raise ValueError("pixel seeds must be finite")
@@ -281,8 +286,10 @@ class McmcConfig:
     def __post_init__(self):
         if self.n_samples < 1 or self.burn_in < 0 or self.thinning < 1:
             raise ValueError("invalid chain lengths")
-        if self.proposal_std <= 0.0:
-            raise ValueError("proposal_std must be positive")
+        if not 0.0 < self.proposal_std < math.inf:
+            raise ValueError(
+                f"proposal_std must be positive and finite, got {self.proposal_std:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -370,22 +377,17 @@ def cm_sd_estimates(
     """
     chain = np.asarray(chain, dtype=np.float64)
     L = bounds.n_pixels
-    mean = chain.mean(axis=0)
+    full = params_from_y(chain.mean(axis=0), bounds)
+    first = params_from_y(chain[: max(1, chain.shape[0] // 2)].mean(axis=0), bounds)
     std = chain.std(axis=0)
     cm = {
-        "sigma_cm": bounds.sigma0 + bounds.sigma * mean[:L],
+        "sigma_cm": full.sigma,
         "sigma_sd": bounds.sigma * std[:L],
-        "zeta_cm": 0.5 * (bounds.a + bounds.b) + 0.5 * (bounds.b - bounds.a) * mean[L:],
-        "zeta_sd": 0.5 * (bounds.b - bounds.a) * std[L:],
+        "zeta_cm": full.zeta,
+        "zeta_sd": bounds.zeta_half * std[L:],
     }
-    half_mean = chain[: max(1, chain.shape[0] // 2)].mean(axis=0)
-    full_cm = np.concatenate([cm["sigma_cm"], cm["zeta_cm"]])
-    half_cm = np.concatenate(
-        [
-            bounds.sigma0 + bounds.sigma * half_mean[:L],
-            0.5 * (bounds.a + bounds.b) + 0.5 * (bounds.b - bounds.a) * half_mean[L:],
-        ]
-    )
+    full_cm = np.concatenate([full.sigma, full.zeta])
+    half_cm = np.concatenate([first.sigma, first.zeta])
     stabilization = float(np.max(np.abs(full_cm - half_cm) / np.abs(full_cm)))
     return cm, stabilization
 
@@ -400,8 +402,7 @@ def reconstruct(
     With ``config=None`` only the MAP is computed.  The chain starts from
     the MAP point.
     """
-    surr = posterior.surrogate
-    bounds = ParameterBounds(surr.sigma0, surr.sigma, surr.a, surr.b)
+    bounds = posterior.surrogate.bounds
     map_res = map_estimate(posterior, start=start)
     sample_map = params_from_y(map_res.y, bounds)
     diagnostics = {

@@ -9,7 +9,9 @@ where Delta carries the conductivity and contact terms, Upsilon/Pi the
 electrode coupling in the mean-free voltage basis v_i = e_1 - e_{i+1},
 and c the injected current pattern.  Unknowns are chaos coefficients of
 the interior potential (alpha) and the electrode voltages (beta), stored
-with the spatial index outer and the chaos index inner.
+with the spatial index outer and the chaos index inner.  The parameter box
+enters only through the spatial matrices: their stiffness blocks are
+scaled by it, and they carry it for the contact centres and half-widths.
 
 ``solve`` treats all current patterns as one block.  Its default,
 ``pcg``, is conjugate gradients preconditioned by the mean matrix
@@ -39,8 +41,6 @@ class SgfemSystem:
     n_nodes: int
     n_electrodes: int
     n_chaos: int
-    a: np.ndarray
-    b: np.ndarray
 
     @property
     def order(self) -> int:
@@ -97,33 +97,20 @@ def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
     )
 
 
-def assemble_system(
-    sm: SpatialMatrices, mm: MomentMatrices, a, b
-) -> SgfemSystem:
+def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     """Assemble the coupled Galerkin matrix K = sum_k B_k (x) G_k.
 
-    ``a``/``b`` are the per-electrode contact conductance bounds in mS/cm.
     The electrode-model matrix is affine in y, so its coefficients are the
-    blocks B_0 at the mean (A0, (a+b)/2), B_l of pixel l (A_l, no contact)
-    and B_{L+m} of electrode m (no stiffness, (b_m-a_m)/2 on contact m).
-    Requires 0 < a_m <= b_m (equal bounds give a deterministic contact).
+    blocks B_0 at the centre of the box ``sm.bounds`` (A0 and the contact
+    centres (a+b)/2), B_l of pixel l (A_l, no contact) and B_{L+m} of
+    electrode m (no stiffness, the half-width (b_m-a_m)/2 on contact m).
     Kronecker factors stay sparse throughout.  K is exactly symmetric
     without a symmetrization step: the terms have disjoint sparsity (G_0 is
     diagonal, G_k couples only indices that differ in dimension k), so each
     entry is one product B_k[i, j] G_k[mu, nu], and every B_k and G_k is
     exactly symmetric.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     n_pix, n_el = sm.n_pixels, sm.n_electrodes
-    if a.shape != (n_el,) or b.shape != (n_el,):
-        raise ValueError("need one contact bound pair per electrode")
-    bad = np.flatnonzero((a <= 0.0) | (a > b))
-    if bad.size:
-        m = int(bad[0])
-        raise ValueError(
-            f"electrode {m + 1}: invalid contact bounds a={a[m]:g}, b={b[m]:g}"
-        )
     if mm.n_dims != n_pix + n_el:
         raise ValueError(
             f"moment matrices cover {mm.n_dims} dimensions, "
@@ -132,11 +119,11 @@ def assemble_system(
 
     electrodes = (sm.S, sm.g, sm.lengths)
     zero = sp.csr_matrix(sm.A0.shape)
-    blocks = [cem_matrix(sm.A0, 0.5 * (a + b), *electrodes)]
+    blocks = [cem_matrix(sm.A0, sm.bounds.zeta_mid, *electrodes)]
     blocks += [cem_matrix(A_l, np.zeros(n_el), *electrodes) for A_l in sm.A]
     blocks += [
-        cem_matrix(zero, 0.5 * (b[m] - a[m]) * np.eye(n_el)[m], *electrodes)
-        for m in range(n_el)
+        cem_matrix(zero, h * e_m, *electrodes)
+        for h, e_m in zip(sm.bounds.zeta_half, np.eye(n_el))
     ]
     # all terms in one COO-to-CSR conversion, which sums duplicate entries
     terms = [sp.kron(B, G, format="coo") for B, G in zip(blocks, mm.G)]
@@ -150,7 +137,7 @@ def assemble_system(
         ),
         shape=terms[0].shape,
     ).tocsr()
-    return SgfemSystem(K, sm.n_nodes, n_el, mm[0].shape[0], a, b)
+    return SgfemSystem(K, sm.n_nodes, n_el, mm[0].shape[0])
 
 
 def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
@@ -183,12 +170,14 @@ def solve(
     once every pattern's residual is at most ``tol`` times its load norm and
     raises after ``maxiter`` iterations (default ten times the order).
     ``direct`` factors K once by sparse LU, solves for all patterns together
-    and refines iteratively down to ``tol``.  Raises if any relative
-    residual stays above ``tol``.
+    and refines iteratively down to ``tol``, which must be positive and
+    finite.  Raises if any relative residual stays above ``tol``.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if method not in ("direct", "pcg"):
         raise ValueError(f"unknown solver method {method!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
     K = system.K
     n_d, n_el, n_g = system.n_nodes, system.n_electrodes, system.n_chaos
     # one column per pattern: spatial index outer, chaos inner, pattern last

@@ -2,15 +2,17 @@
 
 A surrogate holds the voltage chaos coefficients of a Galerkin solve for a
 batch of current patterns, together with everything needed to reuse it:
-parametrization bounds, pixel seeds, current patterns and the multi-index
-set.  Evaluation is one product V Psi(y), where V holds the electrode
-voltage coefficients (the mean-free coefficients beta expanded once) and
-Psi is the chaos basis orthonormal under the uniform distribution on the
-parameter cube, so the degree-0 coefficients are the expected voltages.
+the parameter box (``fem.ParameterBounds``), pixel seeds, current patterns
+and the multi-index set.  Evaluation is one product V Psi(y), where V
+holds the electrode voltage coefficients (the mean-free coefficients beta
+expanded once) and Psi is the chaos basis orthonormal under the uniform
+distribution on the parameter cube, so the degree-0 coefficients are the
+expected voltages.
 
 File format ``SGFEM-EIT/1``: a magic line, an 8-byte little-endian header
 length, a JSON header {M, L, Q, sigma0, sigma, a, b, seeds, patterns,
 index_set}, then the coefficients as little-endian float64, pattern-major.
+Loading checks the stored box and puts the file path in front of any error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import ChaosBasis, MultiIndexSet, iso_td
+from .fem import ParameterBounds
 from .geometry import require_finite
 from .sgfem import SgfemSolution, expand_mean_free
 
@@ -39,10 +42,7 @@ class SgfemSurrogate:
     index_set: MultiIndexSet
     patterns: np.ndarray
     beta: np.ndarray
-    sigma0: float
-    sigma: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    bounds: ParameterBounds
     seeds: np.ndarray
     _basis: ChaosBasis = field(init=False, repr=False)
     _voltage_coeffs: np.ndarray = field(init=False, repr=False)
@@ -50,9 +50,6 @@ class SgfemSurrogate:
     def __post_init__(self):
         self.patterns = np.atleast_2d(np.asarray(self.patterns, dtype=np.float64))
         self.beta = np.asarray(self.beta, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
         self.seeds = np.asarray(self.seeds, dtype=np.float64).reshape(-1, 2)
         m = self.patterns.shape[1]
         expected = (self.patterns.shape[0], m - 1, len(self.index_set))
@@ -60,7 +57,7 @@ class SgfemSurrogate:
             raise ValueError(
                 f"coefficient array has shape {self.beta.shape}, expected {expected}"
             )
-        if self.index_set.n_dims != self.n_pixels + m:
+        if self.bounds.n_electrodes != m or self.bounds.n_params != self.n_params:
             raise ValueError(
                 "index set dimension does not match pixel and electrode counts"
             )
@@ -76,7 +73,7 @@ class SgfemSurrogate:
 
     @property
     def n_pixels(self) -> int:
-        return self.sigma.shape[0]
+        return self.bounds.n_pixels
 
     @property
     def n_patterns(self) -> int:
@@ -85,6 +82,12 @@ class SgfemSurrogate:
     @property
     def n_params(self) -> int:
         return self.index_set.n_dims
+
+    # the box's fields, read-only
+    sigma0 = property(lambda self: self.bounds.sigma0)
+    sigma = property(lambda self: self.bounds.sigma)
+    a = property(lambda self: self.bounds.a)
+    b = property(lambda self: self.bounds.b)
 
     def _check_point(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
@@ -134,29 +137,17 @@ class SgfemSurrogate:
 def from_solution(
     solution: SgfemSolution,
     index_set: MultiIndexSet,
-    sigma0: float,
-    sigma,
-    a,
-    b,
+    bounds: ParameterBounds,
     seeds,
 ) -> SgfemSurrogate:
     """Package a Galerkin solution as a reusable surrogate."""
-    return SgfemSurrogate(
-        index_set,
-        solution.patterns,
-        solution.beta,
-        sigma0,
-        np.asarray(sigma, dtype=np.float64),
-        np.asarray(a, dtype=np.float64),
-        np.asarray(b, dtype=np.float64),
-        np.asarray(seeds, dtype=np.float64),
-    )
+    return SgfemSurrogate(index_set, solution.patterns, solution.beta, bounds, seeds)
 
 
 def load(path) -> SgfemSurrogate:
     """Read a surrogate file, rejecting unknown versions, size lies, fields
-    of the wrong shape, an index set other than the total-degree one, and
-    non-finite values."""
+    of the wrong shape, an index set other than the total-degree one,
+    non-finite values and an invalid parameter box."""
     with open(path, "rb") as f:
         line = f.readline()
         if not line.startswith(MAGIC_PREFIX):
@@ -203,6 +194,10 @@ def load(path) -> SgfemSurrogate:
             raise ValueError(
                 f"{path}: {name} has shape {value.shape}, expected {shape}"
             )
+    try:
+        bounds = ParameterBounds(sigma0, sigma, a, b)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     n_dims = big_l + m
     expected_card = math.comb(n_dims + q, q)
     if indices.ndim != 2 or indices.shape != (expected_card, n_dims):
@@ -225,10 +220,5 @@ def load(path) -> SgfemSurrogate:
     beta = np.frombuffer(payload, dtype="<f8").reshape(
         patterns.shape[0], m - 1, expected_card
     )
-    require_finite(
-        path, sigma0=sigma0, sigma=sigma, a=a, b=b, seeds=seeds,
-        patterns=patterns, coefficients=beta,
-    )
-    return SgfemSurrogate(
-        index_set, patterns, beta.copy(), sigma0, sigma, a, b, seeds
-    )
+    require_finite(path, seeds=seeds, patterns=patterns, coefficients=beta)
+    return SgfemSurrogate(index_set, patterns, beta.copy(), bounds, seeds)

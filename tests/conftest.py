@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,22 @@ def two_ring_layout():
     inner = 0.35 * np.column_stack([np.cos(inner_t), np.sin(inner_t)])
     outer = 0.75 * np.column_stack([np.cos(outer_t), np.sin(outer_t)])
     return np.vstack([inner, outer])
+
+
+def tamper(path, out, header_edit=None, payload_edit=None):
+    """Copy a surrogate file to ``out``, editing its JSON header and/or its
+    payload bytes on the way."""
+    raw = path.read_bytes()
+    nl = raw.index(b"\n") + 1
+    (hlen,) = struct.unpack("<Q", raw[nl : nl + 8])
+    header = json.loads(raw[nl + 8 : nl + 8 + hlen])
+    payload = raw[nl + 8 + hlen :]
+    if header_edit:
+        header_edit(header)
+    if payload_edit:
+        payload = payload_edit(payload)
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    out.write_bytes(raw[:nl] + struct.pack("<Q", len(blob)) + blob + payload)
 
 
 @pytest.fixture(scope="session")
@@ -32,19 +51,16 @@ def tiny():
 def tiny_surrogate(tiny):
     mesh, part, seeds = tiny
     L, M = part.n_pixels, mesh.n_electrodes
-    sigma0 = 1.1
-    sigma = np.full(L, 0.6)
-    a = np.full(M, 100.0)
-    b = np.full(M, 1000.0)
-    spatial = fem.assemble_spatial(mesh, part, sigma0, sigma)
+    bounds = fem.ParameterBounds(
+        1.1, np.full(L, 0.6), np.full(M, 100.0), np.full(M, 1000.0)
+    )
+    spatial = fem.assemble_spatial(mesh, part, bounds)
     index_set = chaos.iso_td(L + M, 2)
     moments = chaos.moment_matrices(index_set)
-    system = sgfem.assemble_system(spatial, moments, a, b)
+    system = sgfem.assemble_system(spatial, moments)
     patterns = sgfem.standard_patterns(M)
     solution = sgfem.solve(system, patterns)
-    return surrogate.from_solution(
-        solution, index_set, sigma0, sigma, a, b, seeds
-    )
+    return surrogate.from_solution(solution, index_set, bounds, seeds)
 
 
 @pytest.fixture(scope="session")

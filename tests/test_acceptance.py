@@ -25,12 +25,12 @@ from sgeit import chaos, cli, det_cem, fem, inversion, sgfem, surrogate
 L, M = 12, 8
 
 
-def _build(mesh, part, seeds, degree, sigma, a, b, sigma0=1.1):
-    spatial = fem.assemble_spatial(mesh, part, sigma0, sigma)
+def _build(mesh, part, seeds, degree, bounds):
+    spatial = fem.assemble_spatial(mesh, part, bounds)
     index_set = chaos.iso_td(L + M, degree)
-    system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set), a, b)
+    system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set))
     solution = sgfem.solve(system, sgfem.standard_patterns(M))
-    surr = surrogate.from_solution(solution, index_set, sigma0, sigma, a, b, seeds)
+    surr = surrogate.from_solution(solution, index_set, bounds, seeds)
     return system, solution, surr
 
 
@@ -45,17 +45,17 @@ def recon_grid():
 def order_sweep(recon_grid):
     """Surrogates of chaos degree 0, 1, 2 on one moderate fixture."""
     mesh, seeds, part = recon_grid
-    sigma = np.full(L, 0.6)
-    a = np.full(M, 100.0)
-    b = np.full(M, 1000.0)
+    bounds = fem.ParameterBounds(
+        1.1, np.full(L, 0.6), np.full(M, 100.0), np.full(M, 1000.0)
+    )
     out = {
-        "bounds": det_cem.ParameterBounds(1.1, sigma, a, b),
+        "bounds": bounds,
         "mesh": mesh,
         "part": part,
     }
     t0 = time.perf_counter()
     for q in (0, 1, 2):
-        out[q] = _build(mesh, part, seeds, q, sigma, a, b)
+        out[q] = _build(mesh, part, seeds, q, bounds)
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -65,9 +65,10 @@ def default_model(recon_grid):
     """Degree-2 surrogate at the precompute defaults (wide contact bounds)."""
     mesh, seeds, part = recon_grid
     t0 = time.perf_counter()
-    system, solution, surr = _build(
-        mesh, part, seeds, 2, np.full(L, 0.9), np.full(M, 10.0), np.full(M, 1000.0)
+    bounds = fem.ParameterBounds(
+        1.1, np.full(L, 0.9), np.full(M, 10.0), np.full(M, 1000.0)
     )
+    system, solution, surr = _build(mesh, part, seeds, 2, bounds)
     return {
         "mesh": mesh,
         "seeds": seeds,
@@ -166,9 +167,10 @@ def test_degree_zero_collapse_to_deterministic():
     seeds = two_ring_layout()
     part = sgeit.assign_pixels(mesh, seeds)
     zeta = np.full(M, 400.0)
-    spatial = fem.assemble_spatial(mesh, part, 1.1, np.full(L, 0.6))
+    bounds = fem.ParameterBounds(1.1, np.full(L, 0.6), zeta, zeta)
+    spatial = fem.assemble_spatial(mesh, part, bounds)
     idx0 = chaos.iso_td(L + M, 0)
-    system = sgfem.assemble_system(spatial, chaos.moment_matrices(idx0), zeta, zeta)
+    system = sgfem.assemble_system(spatial, chaos.moment_matrices(idx0))
     pats = sgfem.standard_patterns(M)
     sol = sgfem.solve(system, pats)
     det = det_cem.solve_deterministic(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sgeit
+from conftest import tamper
 from sgeit import cli, inversion
 
 
@@ -231,6 +232,72 @@ def test_non_finite_inputs_exit_2_and_name_the_field(
                   "--phantom", files["phantom"], "--out", tmp_path / "x.json"])
     assert rc == 2
     assert f"non-finite value in {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, field",
+    [
+        ("--sigma0", "nan", "sigma0"),
+        ("--dsigma", "nan", "sigma"),
+        ("--zeta-min", "nan", "a"),
+        ("--zeta-max", "inf", "b"),
+    ],
+)
+def test_non_finite_box_exits_2_before_any_solve(
+    workdir, capsys, tmp_path, option, value, field
+):
+    d = workdir
+    out = tmp_path / "s.bin"
+    rc = run(["precompute", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
+              option, value, "--out", out])
+    assert rc == 2
+    assert f"error: non-finite value in {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_an_inconsistent_box_before_the_map(
+    workdir, surrogate_and_data, capsys, tmp_path, monkeypatch
+):
+    d = workdir
+    bad = tmp_path / "bad.bin"
+
+    def a_above_b(h):
+        h["a"][1] = 2 * h["b"][1]
+
+    tamper(d / "surr.bin", bad, header_edit=a_above_b)
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("MAP started on an invalid surrogate")
+
+    monkeypatch.setattr(inversion, "map_estimate", no_map)
+    rc = run(["reconstruct", "--surrogate", bad, "--data", d / "data.json",
+              "--samples", 0, "--out", tmp_path / "e.json"])
+    assert rc == 2
+    assert (f"error: {bad}: electrode 2: invalid contact bounds"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--proposal-std", "nan", "proposal_std must be positive and finite"),
+        ("--noise-std", "inf", "noise standard deviation must be positive"),
+        ("--noise-std", "nan", "noise standard deviation must be positive"),
+        ("--noise-pct", "nan", "(rule percent:nan)"),
+        ("--corr-length", "nan", "correlation length must be positive"),
+        ("--eta-factor", "nan", "eta must be positive and finite"),
+    ],
+)
+def test_non_finite_reconstruct_options_exit_2(
+    workdir, surrogate_and_data, capsys, tmp_path, option, value, named
+):
+    d = workdir
+    out = tmp_path / "e.json"
+    rc = run(["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+              "--samples", 50, "--burn-in", 10, option, value, "--out", out])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_3_on_numerical_failure(workdir, capsys, tmp_path):

@@ -83,7 +83,9 @@ def test_electrode_mass_local_values():
 def test_electrode_mass_totals_match_lengths():
     mesh = sgeit.make_disk_fixture(4, 24, 4, 0.75)
     sm = fem.assemble_spatial(
-        mesh, sgeit.assign_pixels(mesh, np.array([[0.0, 0.0]])), 1.0, np.array([0.0])
+        mesh,
+        sgeit.assign_pixels(mesh, np.array([[0.0, 0.0]])),
+        fem.ParameterBounds(1.0, [0.0], np.full(4, 1.0), np.full(4, 10.0)),
     )
     for m in range(4):
         npt.assert_allclose(sm.S[m].sum(), sm.lengths[m], rtol=1e-13)
@@ -93,27 +95,33 @@ def test_electrode_mass_totals_match_lengths():
 def test_pixel_stiffness_partitions_background(tiny):
     mesh, part, _ = tiny
     sigma = np.array([0.3, 0.5, 0.7])
-    sm = fem.assemble_spatial(mesh, part, 2.0, sigma)
+    bounds = fem.ParameterBounds(2.0, sigma, np.full(4, 1.0), np.full(4, 10.0))
+    sm = fem.assemble_spatial(mesh, part, bounds)
     total = sum((sm.A[l] / sigma[l]).toarray() for l in range(3))
     npt.assert_allclose(total, (sm.A0 / 2.0).toarray(), rtol=1e-12, atol=1e-14)
 
 
-def test_assemble_stiffness_rejects():
+def test_assemble_spatial_rejects():
     mesh = sgeit.make_disk_fixture(2, 8, 4, 0.5)
     part = sgeit.assign_pixels(mesh, np.array([[0.0, 0.0], [0.5, 0.0]]))
+    a, b = np.full(4, 100.0), np.full(4, 1000.0)
     with pytest.raises(ValueError, match="sigma0 must be positive"):
-        fem.assemble_stiffness(mesh, part, 0.0, np.array([0.0, 0.0]))
+        fem.ParameterBounds(0.0, np.array([0.0, 0.0]), a, b)
     with pytest.raises(ValueError, match=r"pixel 1: sigma\[1\]"):
-        fem.assemble_stiffness(mesh, part, 1.0, np.array([0.5, 1.0]))
+        fem.ParameterBounds(1.0, np.array([0.5, 1.0]), a, b)
     with pytest.raises(ValueError, match=r"pixel 0"):
-        fem.assemble_stiffness(mesh, part, 1.0, np.array([-0.1, 0.5]))
+        fem.ParameterBounds(1.0, np.array([-0.1, 0.5]), a, b)
     with pytest.raises(ValueError, match="length"):
-        fem.assemble_stiffness(mesh, part, 1.0, np.array([0.5]))
+        fem.assemble_spatial(mesh, part, fem.ParameterBounds(1.0, [0.5], a, b))
 
 
 def test_spatial_matrices_shape_properties(tiny):
     mesh, part, _ = tiny
-    sm = fem.assemble_spatial(mesh, part, 1.1, np.full(3, 0.6))
+    bounds = fem.ParameterBounds(
+        1.1, np.full(3, 0.6), np.full(4, 1.0), np.full(4, 10.0)
+    )
+    sm = fem.assemble_spatial(mesh, part, bounds)
+    assert sm.bounds is bounds
     assert sm.n_nodes == mesh.n_nodes
     assert sm.n_pixels == 3
     assert sm.n_electrodes == 4

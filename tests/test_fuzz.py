@@ -1,6 +1,6 @@
 """Property tests of the input boundaries: corrupt or out-of-contract
-mesh, seed, phantom, measurement and surrogate files raise ValueError
-(exit code 2 in the CLI) and never another exception."""
+mesh, seed, phantom, measurement and surrogate files and parameter boxes
+raise ValueError (exit code 2 in the CLI) and never another exception."""
 
 import json
 
@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sgeit
-from sgeit import cli, det_cem, surrogate
+from sgeit import cli, det_cem, fem, surrogate
 
 FUZZ = settings(
     max_examples=60,
@@ -263,3 +263,39 @@ def test_surrogate_load_rejects_a_header_length_past_the_end(
     )
     with pytest.raises(ValueError, match="header length"):
         surrogate.load(path)
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+# about one box in ten is valid, so this test draws more examples
+@settings(FUZZ, max_examples=300)
+@given(data=st.data())
+def test_parameter_bounds_reject_or_map_the_cube_into_the_box(data):
+    # each entry is any float, or one drawn to make a valid box likely
+    n_pix, n_el = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    sigma0 = data.draw(any_float | st.floats(0.0, 1e3))
+    sigma = [
+        data.draw(any_float | st.floats(0.0, 1.0).map(lambda r: r * sigma0))
+        for _ in range(n_pix)
+    ]
+    a = [data.draw(any_float | st.floats(0.0, 1e3)) for _ in range(n_el)]
+    b = [data.draw(any_float | st.floats(1.0, 1e3).map(lambda r: r * a_m)) for a_m in a]
+    try:
+        bounds = fem.ParameterBounds(sigma0, sigma, a, b)
+    except ValueError:
+        return
+    n = n_pix + n_el
+    corner = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    inner = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    # the contact map meets [a, b] up to rounding of centre and half-width
+    f64 = np.finfo(np.float64)
+    slack = 4.0 * (f64.eps * bounds.b + f64.smallest_subnormal)
+    for y in (np.zeros(n), -np.ones(n), np.ones(n), np.array(corner), np.array(inner)):
+        s = det_cem.params_from_y(y, bounds)
+        assert np.isfinite(s.sigma).all() and (s.sigma > 0.0).all()
+        assert (bounds.sigma0 - bounds.sigma <= s.sigma).all()
+        assert (s.sigma <= bounds.sigma0 + bounds.sigma).all()
+        assert np.isfinite(s.zeta).all() and (s.zeta > 0.0).all()
+        assert (bounds.a - slack <= s.zeta).all()
+        assert (s.zeta - slack <= bounds.b).all()

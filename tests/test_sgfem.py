@@ -6,16 +6,20 @@ import sgeit
 from sgeit import chaos, det_cem, fem, sgfem
 
 
+def spatial(mesh, part, sigma0, sigma, a, b):
+    return fem.assemble_spatial(mesh, part, fem.ParameterBounds(sigma0, sigma, a, b))
+
+
 @pytest.fixture(scope="module")
 def tiny_sg():
     # 5 nodes, 2 electrodes, 1 pixel: 3 stochastic dims, order 60 at Q=2
     mesh = sgeit.make_disk_fixture(1, 4, 2, 0.5)
     part = sgeit.assign_pixels(mesh, np.array([[0.0, 0.0]]))
-    sm = fem.assemble_spatial(mesh, part, 1.1, np.array([0.6]))
     a = np.array([100.0, 150.0])
     b = np.array([1000.0, 800.0])
+    sm = spatial(mesh, part, 1.1, np.array([0.6]), a, b)
     idx = chaos.iso_td(3, 2)
-    system = sgfem.assemble_system(sm, chaos.moment_matrices(idx), a, b)
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     return mesh, part, sm, idx, system, a, b
 
 
@@ -136,27 +140,26 @@ def test_system_bookkeeping(tiny_sg):
 
 
 def test_assemble_system_rejects(tiny_sg):
+    # the contact checks live in the box and in assemble_spatial
     mesh, part, sm, idx, _, _, _ = tiny_sg
-    mm = chaos.moment_matrices(idx)
+    sigma = np.array([0.6])
     with pytest.raises(ValueError, match="electrode 1: invalid contact"):
-        sgfem.assemble_system(sm, mm, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        fem.ParameterBounds(1.1, sigma, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="electrode 2: invalid contact"):
-        sgfem.assemble_system(sm, mm, np.array([1.0, 5.0]), np.array([2.0, 1.0]))
+        fem.ParameterBounds(1.1, sigma, np.array([1.0, 5.0]), np.array([2.0, 1.0]))
     with pytest.raises(ValueError, match="one contact bound pair"):
-        sgfem.assemble_system(sm, mm, np.array([1.0]), np.array([2.0]))
+        spatial(mesh, part, 1.1, sigma, np.array([1.0]), np.array([2.0]))
     mm_small = chaos.moment_matrices(chaos.iso_td(2, 2))
     with pytest.raises(ValueError, match="moment matrices cover 2 dimensions"):
-        sgfem.assemble_system(sm, mm_small, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+        sgfem.assemble_system(sm, mm_small)
 
 
 def test_rhs_frozen_examples():
     mesh = sgeit.make_disk_fixture(2, 12, 3, 0.5)
     part = sgeit.assign_pixels(mesh, np.array([[0.0, 0.0]]))
-    sm = fem.assemble_spatial(mesh, part, 1.0, np.array([0.5]))
+    sm = spatial(mesh, part, 1.0, [0.5], np.full(3, 10.0), np.full(3, 1000.0))
     idx = chaos.iso_td(4, 1)
-    system = sgfem.assemble_system(
-        sm, chaos.moment_matrices(idx), np.full(3, 10.0), np.full(3, 1000.0)
-    )
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     n_g = len(idx)
     base = mesh.n_nodes * n_g
 
@@ -177,10 +180,9 @@ def test_rhs_frozen_examples():
 
 def test_solve_direct_and_pcg_agree(tiny_sg):
     # moderate contact bounds keep the system well conditioned for CG
-    _, part, sm, idx, _, _, _ = tiny_sg
-    system = sgfem.assemble_system(
-        sm, chaos.moment_matrices(idx), np.array([1.0, 2.0]), np.array([5.0, 4.0])
-    )
+    mesh, part, _, idx, _, _, _ = tiny_sg
+    sm = spatial(mesh, part, 1.1, [0.6], np.array([1.0, 2.0]), np.array([5.0, 4.0]))
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(2)
     sol_d = sgfem.solve(system, pats, method="direct")
     # the mean preconditioner needs 7 iterations here, Jacobi 34
@@ -196,11 +198,10 @@ def test_solve_direct_and_pcg_agree(tiny_sg):
 def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
     # three patterns of different amplitude share one block CG run
     mesh, part, _ = tiny
-    sm = fem.assemble_spatial(mesh, part, 1.1, np.full(3, 0.6))
-    system = sgfem.assemble_system(
-        sm, chaos.moment_matrices(chaos.iso_td(7, 2)),
-        np.full(4, 100.0), np.full(4, 1000.0),
+    sm = spatial(
+        mesh, part, 1.1, np.full(3, 0.6), np.full(4, 100.0), np.full(4, 1000.0)
     )
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(7, 2)))
     pats = np.array(
         [[1.0, -1.0, 0.0, 0.0], [0.0, 2.0, -2.0, 0.0], [0.5, 0.5, -0.5, -0.5]]
     )
@@ -226,22 +227,26 @@ def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
 
 
 def test_solve_rejects_bad_options(tiny_sg):
-    _, part, sm, idx, _, _, _ = tiny_sg
-    system = sgfem.assemble_system(
-        sm, chaos.moment_matrices(idx), np.array([1.0, 2.0]), np.array([5.0, 4.0])
-    )
+    mesh, part, _, idx, _, _, _ = tiny_sg
+    sm = spatial(mesh, part, 1.1, [0.6], np.array([1.0, 2.0]), np.array([5.0, 4.0]))
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(2)
     with pytest.raises(ValueError, match="unknown solver method"):
         sgfem.solve(system, pats, method="qr")
     with pytest.raises(RuntimeError, match="PCG did not reach"):
         sgfem.solve(system, pats, method="pcg", maxiter=1)
+    # a tolerance that is not positive and finite would run to the cap
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        for method in ("pcg", "direct"):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                sgfem.solve(system, pats, method=method, tol=tol)
 
 
 def test_degree_zero_equals_deterministic_midpoint(tiny_sg):
     # Q=0 keeps only the parameter mean, and B(y) is affine in y
     mesh, part, sm, _, _, a, b = tiny_sg
     idx0 = chaos.iso_td(3, 0)
-    system0 = sgfem.assemble_system(sm, chaos.moment_matrices(idx0), a, b)
+    system0 = sgfem.assemble_system(sm, chaos.moment_matrices(idx0))
     pats = sgfem.standard_patterns(2)
     sol = sgfem.solve(system0, pats)
     det = det_cem.solve_deterministic(
@@ -256,11 +261,9 @@ def test_degree_zero_equals_deterministic_midpoint(tiny_sg):
 def test_mean_reciprocity():
     mesh = sgeit.make_disk_fixture(3, 12, 3, 0.5)
     part = sgeit.assign_pixels(mesh, np.array([[0.3, 0.0], [-0.3, 0.0]]))
-    sm = fem.assemble_spatial(mesh, part, 1.1, np.array([0.5, 0.5]))
+    sm = spatial(mesh, part, 1.1, [0.5, 0.5], np.full(3, 50.0), np.full(3, 900.0))
     idx = chaos.iso_td(5, 2)
-    system = sgfem.assemble_system(
-        sm, chaos.moment_matrices(idx), np.full(3, 50.0), np.full(3, 900.0)
-    )
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(3)
     sol = sgfem.solve(system, pats)
     U = sol.mean_voltages()

@@ -1,4 +1,4 @@
-import json
+import re
 import struct
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 import sgeit
+from conftest import tamper
 from sgeit import chaos, det_cem, fem, sgfem, surrogate
 
 
@@ -97,11 +98,9 @@ def test_surrogate_tracks_deterministic_solve(tiny, tiny_surrogate):
     mesh, part, _ = tiny
     rng = np.random.default_rng(4)
     y = rng.uniform(-0.5, 0.5, tiny_surrogate.n_params)
-    bounds = det_cem.ParameterBounds(
-        tiny_surrogate.sigma0, tiny_surrogate.sigma, tiny_surrogate.a, tiny_surrogate.b
-    )
     sol = det_cem.solve_deterministic(
-        mesh, part, det_cem.params_from_y(y, bounds), tiny_surrogate.patterns
+        mesh, part, det_cem.params_from_y(y, tiny_surrogate.bounds),
+        tiny_surrogate.patterns,
     )
     exact = sol.voltages.ravel()
     err = np.abs(tiny_surrogate.eval_stacked(y) - exact).max()
@@ -111,16 +110,14 @@ def test_surrogate_tracks_deterministic_solve(tiny, tiny_surrogate):
 def test_collapsed_contacts_remove_contact_dependence(tiny):
     mesh, part, seeds = tiny
     L, M = part.n_pixels, mesh.n_electrodes
-    spatial = fem.assemble_spatial(mesh, part, 1.1, np.full(L, 0.6))
+    bounds = fem.ParameterBounds(
+        1.1, np.full(L, 0.6), np.full(M, 300.0), np.full(M, 300.0)
+    )
+    spatial = fem.assemble_spatial(mesh, part, bounds)
     index_set = chaos.iso_td(L + M, 2)
-    system = sgfem.assemble_system(
-        spatial, chaos.moment_matrices(index_set), np.full(M, 300.0), np.full(M, 300.0)
-    )
+    system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set))
     solution = sgfem.solve(system, sgfem.standard_patterns(M))
-    surr = surrogate.from_solution(
-        solution, index_set, 1.1, np.full(L, 0.6), np.full(M, 300.0),
-        np.full(M, 300.0), seeds,
-    )
+    surr = surrogate.from_solution(solution, index_set, bounds, seeds)
     rng = np.random.default_rng(5)
     y = rng.uniform(-0.9, 0.9, L + M)
     scale = np.abs(surr.jacobian(y)).max()
@@ -132,16 +129,14 @@ def test_collapsed_contacts_remove_contact_dependence(tiny):
 def test_degree_one_surrogate_is_affine(tiny):
     mesh, part, seeds = tiny
     L, M = part.n_pixels, mesh.n_electrodes
-    spatial = fem.assemble_spatial(mesh, part, 1.1, np.full(L, 0.6))
+    bounds = fem.ParameterBounds(
+        1.1, np.full(L, 0.6), np.full(M, 100.0), np.full(M, 1000.0)
+    )
+    spatial = fem.assemble_spatial(mesh, part, bounds)
     index_set = chaos.iso_td(L + M, 1)
-    system = sgfem.assemble_system(
-        spatial, chaos.moment_matrices(index_set), np.full(M, 100.0), np.full(M, 1000.0)
-    )
+    system = sgfem.assemble_system(spatial, chaos.moment_matrices(index_set))
     solution = sgfem.solve(system, sgfem.standard_patterns(M))
-    surr = surrogate.from_solution(
-        solution, index_set, 1.1, np.full(L, 0.6), np.full(M, 100.0),
-        np.full(M, 1000.0), seeds,
-    )
+    surr = surrogate.from_solution(solution, index_set, bounds, seeds)
     rng = np.random.default_rng(6)
     y0 = np.zeros(L + M)
     base = surr.eval_stacked(y0)
@@ -168,20 +163,6 @@ def test_save_load_roundtrip(tmp_path, tiny_surrogate):
     npt.assert_array_equal(back.b, tiny_surrogate.b)
     y = np.full(tiny_surrogate.n_params, 0.3)
     npt.assert_array_equal(back.eval_stacked(y), tiny_surrogate.eval_stacked(y))
-
-
-def tamper(path, out, header_edit=None, payload_edit=None):
-    raw = path.read_bytes()
-    nl = raw.index(b"\n") + 1
-    (hlen,) = struct.unpack("<Q", raw[nl : nl + 8])
-    header = json.loads(raw[nl + 8 : nl + 8 + hlen])
-    payload = raw[nl + 8 + hlen :]
-    if header_edit:
-        header_edit(header)
-    if payload_edit:
-        payload = payload_edit(payload)
-    blob = json.dumps(header, separators=(",", ":")).encode()
-    out.write_bytes(raw[:nl] + struct.pack("<Q", len(blob)) + blob + payload)
 
 
 def test_load_rejects_corrupt_files(tmp_path, tiny_surrogate):
@@ -258,16 +239,43 @@ def test_load_rejects_non_finite_fields(tmp_path, tiny_surrogate, field):
         surrogate.load(bad)
 
 
+# the stored box is 1.1 + 0.6 y per pixel and [100, 1000] per contact
+@pytest.mark.parametrize(
+    "field, index, value, named",
+    [
+        ("a", 1, 2000.0, "electrode 2: invalid contact bounds"),
+        ("a", 3, 0.0, "electrode 4: invalid contact bounds"),
+        ("sigma", 2, 1.1, r"pixel 2: sigma\[2\]"),
+        ("sigma", 0, -0.1, r"pixel 0: sigma\[0\]"),
+        ("sigma0", None, -1.0, "sigma0 must be positive"),
+    ],
+    ids=["a-above-b", "a-zero", "sigma-at-sigma0", "sigma-negative", "sigma0-negative"],
+)
+def test_load_rejects_an_inconsistent_box(
+    tmp_path, tiny_surrogate, field, index, value, named
+):
+    good = tmp_path / "good.sgfem"
+    tiny_surrogate.save(good)
+    bad = tmp_path / "bad.sgfem"
+
+    def edit(h):
+        if index is None:
+            h[field] = value
+        else:
+            h[field][index] = value
+
+    tamper(good, bad, header_edit=edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {named}"):
+        surrogate.load(bad)
+
+
 def test_from_solution_validates_shapes(tiny_surrogate):
     with pytest.raises(ValueError, match="coefficient array has shape"):
         surrogate.SgfemSurrogate(
             tiny_surrogate.index_set,
             tiny_surrogate.patterns,
             tiny_surrogate.beta[:, :, :-1],
-            tiny_surrogate.sigma0,
-            tiny_surrogate.sigma,
-            tiny_surrogate.a,
-            tiny_surrogate.b,
+            tiny_surrogate.bounds,
             tiny_surrogate.seeds,
         )
     # same cardinality (36) so only the dimension count is wrong
@@ -276,9 +284,6 @@ def test_from_solution_validates_shapes(tiny_surrogate):
             chaos.iso_td(35, 1),
             tiny_surrogate.patterns,
             tiny_surrogate.beta,
-            tiny_surrogate.sigma0,
-            tiny_surrogate.sigma,
-            tiny_surrogate.a,
-            tiny_surrogate.b,
+            tiny_surrogate.bounds,
             tiny_surrogate.seeds,
         )
