@@ -10,6 +10,12 @@ the uniform probability measure instead (constant polynomial 1), which is
 the scaling under which the Galerkin right-hand side carries the plain
 current pattern.  Both share the same recurrence, so the moment matrices
 are identical either way.
+
+For fast evaluation the basis also has a power form: a sparse change of
+basis T from the monomials y^mu of the same index set (Psi = T m), and a
+slot table that builds every monomial as a product of Q entries of the
+extended point [1, y].  ``ChaosBasis`` keeps the Legendre recurrence, the
+definition the power form is checked against.
 """
 
 from __future__ import annotations
@@ -182,6 +188,89 @@ def moment_matrices(index_set: MultiIndexSet) -> MomentMatrices:
     return MomentMatrices(tuple(mats))
 
 
+def _active(index_set: MultiIndexSet) -> tuple[np.ndarray, np.ndarray]:
+    """Active dimensions and their degrees of every row, (n_terms, Q) each.
+
+    A total-degree-Q index has at most Q nonzero entries, listed in
+    increasing dimension; rows with fewer are padded with dimension 0 at
+    degree 0, the neutral factor.
+    """
+    idx = index_set.indices
+    shape = (len(idx), index_set.degree)
+    dims, degs = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    # nonzeros come row by row in increasing dimension; rank them per row
+    rows, cols = np.nonzero(idx)
+    first = np.searchsorted(rows, rows)
+    rank = np.arange(len(rows)) - first
+    dims[rows, rank] = cols
+    degs[rows, rank] = idx[rows, cols]
+    return dims, degs
+
+
+def _power_slots(dims: np.ndarray, degs: np.ndarray) -> np.ndarray:
+    """Monomial slot rows: dimension k listed as k + 1 once per unit of
+    degree, in increasing order (as ``dims`` lists them), then 0 (the
+    constant) up to Q entries."""
+    n, q = degs.shape
+    # position p of a row belongs to the first slot whose degrees reach past p
+    reach = np.cumsum(degs, axis=1)
+    owner = (reach[:, None, :] <= np.arange(q)[:, None]).sum(axis=2)
+    listed = np.take_along_axis(dims, np.minimum(owner, q - 1), axis=1) + 1
+    return np.where(owner < q, listed, 0)
+
+
+def monomial_slots(index_set: MultiIndexSet) -> np.ndarray:
+    """Slot table of the monomials y^mu of an index set, (n_terms, Q).
+
+    Row mu indexes into the extended point [1, y]: every active dimension
+    k appears as k + 1, repeated mu_k times, and the remaining entries are
+    0, so y^mu is the product of the Q gathered entries.
+    """
+    return _power_slots(*_active(index_set))
+
+
+def legendre_to_monomial(index_set: MultiIndexSet) -> sp.csr_matrix:
+    """Sparse change of basis T with Psi(y) = T m(y), m the monomials y^mu.
+
+    The orthonormal Legendre polynomial of degree d has the powers d, d-2,
+    ... of its variable, so term mu expands to prod_k (mu_k // 2 + 1)
+    monomials of the same, downward-closed, index set; columns follow the
+    rows of the set.  Built one active dimension at a time, without a
+    dense n_terms^2 array.
+    """
+    q = index_set.degree
+    n = len(index_set)
+    # coef[d, j]: coefficient of y^j in the degree-d polynomial, by the
+    # recurrence of _tables applied to coefficient rows
+    coef = np.zeros((q + 1, q + 1))
+    coef[0, 0] = 1.0
+    for m in range(q):
+        coef[m + 1, 1:] = coef[m, :-1]
+        if m:
+            coef[m + 1] -= _recurrence_coeff(m) * coef[m - 1]
+        coef[m + 1] /= _recurrence_coeff(m + 1)
+    dims, degs = _active(index_set)
+    rows, vals = np.arange(n), np.ones(n)
+    reduced = np.zeros((n, 0), dtype=np.int64)
+    for s in range(q):
+        # every expansion so far branches into the degrees d, d-2, ... of slot s
+        d = degs[rows, s]
+        counts = d // 2 + 1
+        pick = np.repeat(np.arange(len(rows)), counts)
+        skip = np.arange(len(pick)) - np.repeat(np.cumsum(counts) - counts, counts)
+        e = d[pick] - 2 * skip
+        rows, vals = rows[pick], vals[pick] * coef[d[pick], e]
+        reduced = np.column_stack([reduced[pick], e])
+    # a monomial's slot row identifies it; the set's own rows name the columns
+    column = {tuple(key): j for j, key in enumerate(_power_slots(dims, degs).tolist())}
+    expanded = _power_slots(dims[rows], reduced).tolist()
+    try:
+        cols = [column[tuple(key)] for key in expanded]
+    except KeyError:
+        raise ValueError("index set is not downward closed") from None
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 @dataclass
 class ChaosBasis:
     """Product Legendre basis orthonormal under Uniform([-1, 1]^P).
@@ -198,13 +287,7 @@ class ChaosBasis:
 
     def __post_init__(self):
         q = self.index_set.degree
-        idx = self.index_set.indices
-        # q degree-0 columns pad rows with fewer than q active dimensions;
-        # a stable sort brings each row's active dimensions first, in order
-        padded = np.hstack([idx, np.zeros((len(idx), q), dtype=np.int64)])
-        order = np.argsort(padded == 0, axis=1, kind="stable")[:, :q]
-        degs = np.take_along_axis(padded, order, axis=1)
-        dims = np.where(degs > 0, order, 0)
+        dims, degs = _active(self.index_set)
         self._slots = [(dims[:, s] * (q + 1) + degs[:, s], dims[:, s]) for s in range(q)]
 
     @property

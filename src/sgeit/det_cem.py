@@ -11,6 +11,7 @@ currents mA.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,18 +123,21 @@ def simulate_measurements(
 
     The noise level is either ``noise_std`` directly or, via
     ``noise_pct``, that percentage of the spread max(U) - min(U) of the
-    noise-free voltages.  With neither given the data are noise-free.
+    noise-free voltages.  With neither given the data are noise-free.  A
+    negative, NaN or infinite noise level is refused by name before the
+    solve.
     """
-    sol = solve_deterministic(mesh, partition, sample, patterns)
-    clean = sol.voltages
     if noise_std is not None and noise_pct is not None:
         raise ValueError("give either noise_std or noise_pct, not both")
+    for name, value in (("noise_std", noise_std), ("noise_pct", noise_pct)):
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value:g}")
+    sol = solve_deterministic(mesh, partition, sample, patterns)
+    clean = sol.voltages
     if noise_pct is not None:
         xi = (noise_pct / 100.0) * (clean.max() - clean.min())
     else:
         xi = float(noise_std) if noise_std is not None else 0.0
-    if xi < 0.0:
-        raise ValueError("noise level must be nonnegative")
     rng = np.random.default_rng(seed)
     noisy = clean + xi * rng.standard_normal(clean.shape) if xi else clean.copy()
     return MeasurementSet(sol.patterns, noisy, xi, seed, provenance)

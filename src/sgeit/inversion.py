@@ -10,7 +10,12 @@ F(y)/2 with
     F(y) = ||v - U(y)||^2 / xi^2 + y_sigma^T Mcov^{-1} y_sigma.
 
 Point estimates: projected damped Gauss-Newton for the MAP, random-walk
-Metropolis for conditional-mean and spread estimates.
+Metropolis for conditional-mean and spread estimates.  The chain draws its
+random numbers in blocks from two child streams of its seed, the proposal
+increments from one and one uniform u per step from the other, and accepts
+a step when the log density rises by at least log u; one step costs one
+surrogate evaluation (``eval_stacked``, in power form) when the proposal
+lies in the cube and a cube test otherwise.
 """
 
 from __future__ import annotations
@@ -97,6 +102,9 @@ class Posterior:
     noise: NoiseModel
     prior: SmoothnessPrior
     _inv_std: float = field(init=False, repr=False)
+    # the parameter shape and pixel count, read once for log_density
+    _shape: tuple[int] = field(init=False, repr=False)
+    _n_pixels: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64).ravel()
@@ -106,6 +114,8 @@ class Posterior:
         if self.prior.cov.shape[0] != self.surrogate.n_pixels:
             raise ValueError("prior covers the wrong number of pixels")
         self._inv_std = 1.0 / self.noise.std
+        self._shape = (self.surrogate.n_params,)
+        self._n_pixels = self.surrogate.n_pixels
 
     @property
     def n_params(self) -> int:
@@ -133,13 +143,14 @@ class Posterior:
 
     def log_density(self, y: np.ndarray) -> float:
         """-F(y)/2 inside the cube, -inf outside (up to a constant)."""
-        if np.shape(y) != (self.n_params,):
+        if np.shape(y) != self._shape:
             raise ValueError(f"expected {self.n_params} parameters, got {np.shape(y)}")
-        if np.abs(y).max() > 1.0:
+        # also false for a NaN entry, which lies outside the cube too
+        if not np.abs(y).max() <= 1.0:
             return -math.inf
-        misfit = (self.data - self.surrogate.eval_stacked(y, check=False)) * self._inv_std
-        w = self.prior.whiten @ y[: self.n_pixels]
-        return -0.5 * (misfit @ misfit + w @ w)
+        r = self.data - self.surrogate.eval_stacked(y, check=False)
+        w = self.prior.whiten @ y[: self._n_pixels]
+        return -0.5 * float((r @ r) * self._inv_std**2 + w @ w)
 
 
 def build_posterior(
@@ -292,6 +303,10 @@ class McmcConfig:
             )
 
 
+# steps per block of random draws; the chain does not depend on it
+_DRAW_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class McmcResult:
     """Thinned chain with its acceptance diagnostics."""
@@ -307,36 +322,47 @@ def random_walk_metropolis(
 ) -> McmcResult:
     """Metropolis sampling with an isotropic Gaussian proposal.
 
-    Proposals outside the support (log density -inf) are rejected without
-    further evaluation; ``in_support`` is the share of all proposals inside
-    it.  Runs burn_in + n_samples * thinning iterations and keeps every
-    thinning-th state after burn-in.  The acceptance rate is measured over
-    the post-burn-in phase; a rate outside [0.05, 0.8] sets the warning flag.
+    Random numbers come in blocks from two child streams spawned from
+    ``config.seed``: one gives the proposal increments, the other one
+    uniform u per step (1 - U for a draw U in [0, 1), so log u is
+    finite), and a step accepts when the change of the log density is at
+    least log u.  Numpy fills a block exactly as it draws one value after
+    another, so the chain does not depend on the block size.  Proposals
+    outside the support (log density -inf) are rejected
+    without further evaluation; ``in_support`` is the share of all
+    proposals inside it.  Runs burn_in + n_samples * thinning iterations
+    and keeps every thinning-th state after burn-in.  The acceptance rate
+    is measured over the post-burn-in phase; a rate outside [0.05, 0.8]
+    sets the warning flag.
     """
     y = np.asarray(start, dtype=np.float64).copy()
     lp = float(log_density(y))
     if not math.isfinite(lp):
         raise ValueError("chain start lies outside the posterior support")
-    rng = np.random.default_rng(config.seed)
+    steps, uniforms = np.random.default_rng(config.seed).spawn(2)
     n_dim = y.shape[0]
     total = config.burn_in + config.n_samples * config.thinning
     samples = np.empty((config.n_samples, n_dim))
     accepted = 0
     kept = 0
     inside = 0
-    for t in range(total):
-        prop = y + config.proposal_std * rng.standard_normal(n_dim)
-        lp_new = log_density(prop)
-        if lp_new > -math.inf:
-            inside += 1
-            d = lp_new - lp
-            if d >= 0.0 or rng.random() < math.exp(d):
-                y, lp = prop, float(lp_new)
-                if t >= config.burn_in:
-                    accepted += 1
-        if t >= config.burn_in and (t - config.burn_in + 1) % config.thinning == 0:
-            samples[kept] = y
-            kept += 1
+    for t0 in range(0, total, _DRAW_BLOCK):
+        n = min(_DRAW_BLOCK, total - t0)
+        incs = config.proposal_std * steps.standard_normal((n, n_dim))
+        log_us = np.log1p(-uniforms.random(n)).tolist()
+        for i in range(n):
+            t = t0 + i
+            prop = y + incs[i]
+            lp_new = log_density(prop)
+            if lp_new > -math.inf:
+                inside += 1
+                if lp_new - lp >= log_us[i]:
+                    y, lp = prop, float(lp_new)
+                    if t >= config.burn_in:
+                        accepted += 1
+            if t >= config.burn_in and (t - config.burn_in + 1) % config.thinning == 0:
+                samples[kept] = y
+                kept += 1
     post = total - config.burn_in
     rate = accepted / post if post else 0.0
     warn = not 0.05 <= rate <= 0.8

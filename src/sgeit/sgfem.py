@@ -125,19 +125,22 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
         cem_matrix(zero, h * e_m, *electrodes)
         for h, e_m in zip(sm.bounds.zeta_half, np.eye(n_el))
     ]
-    # all terms in one COO-to-CSR conversion, which sums duplicate entries
-    terms = [sp.kron(B, G, format="coo") for B, G in zip(blocks, mm.G)]
+    # the COO triplets of every B_k (x) G_k by broadcasting, in the order
+    # of sp.kron, then one COO-to-CSR conversion for all terms
+    n_g = mm[0].shape[0]
+    shape = (blocks[0].shape[0] * n_g, blocks[0].shape[1] * n_g)
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows, cols, vals = [], [], []
+    for B, G in zip(blocks, mm.G):
+        B, G = B.tocoo(), G.tocoo()
+        rows.append((B.row.astype(index)[:, None] * n_g + G.row).ravel())
+        cols.append((B.col.astype(index)[:, None] * n_g + G.col).ravel())
+        vals.append((B.data[:, None] * G.data).ravel())
     K = sp.coo_matrix(
-        (
-            np.concatenate([t.data for t in terms]),
-            (
-                np.concatenate([t.row for t in terms]),
-                np.concatenate([t.col for t in terms]),
-            ),
-        ),
-        shape=terms[0].shape,
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape,
     ).tocsr()
-    return SgfemSystem(K, sm.n_nodes, n_el, mm[0].shape[0])
+    return SgfemSystem(K, sm.n_nodes, n_el, n_g)
 
 
 def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:

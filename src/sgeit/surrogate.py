@@ -3,11 +3,14 @@
 A surrogate holds the voltage chaos coefficients of a Galerkin solve for a
 batch of current patterns, together with everything needed to reuse it:
 the parameter box (``fem.ParameterBounds``), pixel seeds, current patterns
-and the multi-index set.  Evaluation is one product V Psi(y), where V
-holds the electrode voltage coefficients (the mean-free coefficients beta
-expanded once) and Psi is the chaos basis orthonormal under the uniform
-distribution on the parameter cube, so the degree-0 coefficients are the
-expected voltages.
+and the multi-index set.  The coefficients beta are those of the chaos
+basis Psi orthonormal under the uniform distribution on the parameter
+cube, so the degree-0 coefficients are the expected voltages.  Evaluation
+uses the power form of that basis instead: with V the electrode voltage
+coefficients (beta expanded mean-free) and Psi = T m the change to the
+monomials m(y) = y^mu, the surrogate keeps M = V T once, and one
+evaluation is Q gathers of [1, y] that form m(y), then the product M m(y).
+The Jacobian is M times the derivatives of the monomials.
 
 File format ``SGFEM-EIT/1``: a magic line, an 8-byte little-endian header
 length, a JSON header {M, L, Q, sigma0, sigma, a, b, seeds, patterns,
@@ -26,13 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import ChaosBasis, MultiIndexSet, iso_td
+from .chaos import MultiIndexSet, iso_td, legendre_to_monomial, monomial_slots
 from .fem import ParameterBounds
 from .geometry import require_finite
 from .sgfem import SgfemSolution, expand_mean_free
 
 MAGIC_PREFIX = b"SGFEM-EIT/"
 FORMAT_VERSION = "1"
+# the leading entry of the extended point [1, y] the monomial slots index
+_ONE = np.ones(1)
 
 
 @dataclass
@@ -44,8 +49,8 @@ class SgfemSurrogate:
     beta: np.ndarray
     bounds: ParameterBounds
     seeds: np.ndarray
-    _basis: ChaosBasis = field(init=False, repr=False)
-    _voltage_coeffs: np.ndarray = field(init=False, repr=False)
+    _slots: list[np.ndarray] = field(init=False, repr=False)
+    _power_coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.patterns = np.atleast_2d(np.asarray(self.patterns, dtype=np.float64))
@@ -61,11 +66,18 @@ class SgfemSurrogate:
             raise ValueError(
                 "index set dimension does not match pixel and electrode counts"
             )
-        self._basis = ChaosBasis(self.index_set)
-        # electrode voltage coefficients, (n_patterns * M, n_terms)
-        self._voltage_coeffs = np.ascontiguousarray(
-            expand_mean_free(self.beta.swapaxes(1, 2)).swapaxes(1, 2)
-        ).reshape(-1, len(self.index_set))
+        # Q = 0 has no slot; one gather of the constant stands for it
+        slots = monomial_slots(self.index_set).T
+        self._slots = [np.ascontiguousarray(s) for s in slots] or [
+            np.zeros(len(self.index_set), dtype=np.int64)
+        ]
+        # electrode voltage coefficients, (n_patterns * M, n_terms), in the
+        # monomial basis: M = V T
+        volts = expand_mean_free(self.beta.swapaxes(1, 2)).swapaxes(1, 2)
+        volts = volts.reshape(-1, len(self.index_set))
+        self._power_coeffs = np.ascontiguousarray(
+            volts @ legendre_to_monomial(self.index_set)
+        )
 
     @property
     def n_electrodes(self) -> int:
@@ -93,7 +105,10 @@ class SgfemSurrogate:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {y.shape}")
-        if np.abs(y).max() > 1.0 + 1e-12:
+        top = np.abs(y).max()
+        if not top <= 1.0 + 1e-12:
+            if not math.isfinite(top):
+                raise ValueError("non-finite parameter point")
             warnings.warn(
                 "parameter point outside [-1, 1]; polynomial extrapolation",
                 stacklevel=3,
@@ -105,12 +120,28 @@ class SgfemSurrogate:
         ``check=False`` skips the test of ``y`` for callers that made it."""
         if check:
             y = self._check_point(y)
-        return self._voltage_coeffs @ self._basis.eval(y)
+        ext = np.concatenate((_ONE, y))
+        first, *rest = self._slots
+        mono = ext.take(first)
+        for slot in rest:
+            mono *= ext.take(slot)
+        return self._power_coeffs @ mono
 
     def jacobian(self, y) -> np.ndarray:
         """Derivative of the stacked voltages with respect to y."""
-        _, jpsi = self._basis.eval_with_jacobian(self._check_point(y))
-        return self._voltage_coeffs @ jpsi
+        ext = np.concatenate((_ONE, self._check_point(y)))
+        gathered = [ext.take(slot) for slot in self._slots]
+        rows = np.arange(len(self.index_set))
+        # column 0 collects the derivatives with respect to the constant
+        dmono = np.zeros((len(rows), len(ext)))
+        for s, slot in enumerate(self._slots):
+            term = np.ones(len(rows))
+            for t, g in enumerate(gathered):
+                if t != s:
+                    term *= g
+            # the rows are distinct, so no index pair repeats within a slot
+            dmono[rows, slot] += term
+        return self._power_coeffs @ dmono[:, 1:]
 
     def save(self, path) -> None:
         """Write the surrogate in the versioned binary format."""

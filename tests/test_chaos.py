@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -197,3 +198,57 @@ def test_chaos_basis_jacobian_matches_fd():
         e[d] = h
         fd = (basis.eval(y + e) - basis.eval(y - e)) / (2 * h)
         npt.assert_allclose(jac[:, d], fd, rtol=1e-6, atol=1e-8)
+
+
+def monomials(index_set, y):
+    """y^mu for every row, from the slot table over [1, y]."""
+    slots = chaos.monomial_slots(index_set)
+    return np.concatenate([[1.0], y])[slots].prod(axis=1)
+
+
+@pytest.mark.parametrize("n_dims, degree", [(1, 3), (4, 0), (5, 2), (6, 3), (3, 5)])
+def test_monomial_slots_list_each_dimension_by_its_degree(n_dims, degree):
+    idx = chaos.iso_td(n_dims, degree)
+    slots = chaos.monomial_slots(idx)
+    assert slots.shape == (len(idx), degree)
+    for mu, row in zip(idx.indices, slots):
+        expect = np.repeat(np.arange(1, n_dims + 1), mu)
+        expect = np.concatenate([expect, np.zeros(degree - expect.size, int)])
+        npt.assert_array_equal(np.sort(row), np.sort(expect))
+    # a monomial is a plain power product
+    y = np.random.default_rng(30).uniform(-1.0, 1.0, n_dims)
+    npt.assert_allclose(monomials(idx, y), np.prod(y**idx.indices, axis=1), rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n_dims, degree", [(4, 0), (4, 1), (5, 2), (20, 2), (6, 3), (3, 6)]
+)
+def test_legendre_to_monomial_is_sparse_by_parity(n_dims, degree):
+    idx = chaos.iso_td(n_dims, degree)
+    T = chaos.legendre_to_monomial(idx)
+    assert T.shape == (len(idx), len(idx))
+    # degree d has the powers d, d-2, ...: prod_k (mu_k // 2 + 1) monomials
+    per_row = np.prod(idx.indices // 2 + 1, axis=1)
+    npt.assert_array_equal(np.diff(T.indptr), per_row)
+    assert np.all(T.data != 0.0)
+    # every monomial of row mu has the parity of mu and lies below it
+    for i, mu in enumerate(idx.indices):
+        nus = idx.indices[T.indices[T.indptr[i] : T.indptr[i + 1]]]
+        assert np.all(nus <= mu) and np.all((mu - nus) % 2 == 0)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_power_form_equals_the_legendre_basis(degree):
+    n_dims = 4
+    idx = chaos.iso_td(n_dims, degree)
+    basis = chaos.ChaosBasis(idx)
+    T = chaos.legendre_to_monomial(idx)
+    rng = np.random.default_rng(50 + degree)
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=n_dims)))
+    for y in np.vstack([rng.uniform(-1.0, 1.0, (20, n_dims)), corners]):
+        want = basis.eval(y)
+        # entries that cancel to near zero carry an absolute rounding error,
+        # so the relative bound is taken against the largest entry
+        npt.assert_allclose(
+            T @ monomials(idx, y), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )

@@ -300,6 +300,23 @@ def test_non_finite_reconstruct_options_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [("--noise-pct", "nan", "noise_pct"), ("--noise-pct", "inf", "noise_pct"),
+     ("--noise-std", "inf", "noise_std"), ("--noise-std", "nan", "noise_std")],
+)
+def test_non_finite_simulate_noise_exits_2(
+    workdir, capsys, tmp_path, option, value, named
+):
+    d = workdir
+    out = tmp_path / "m.json"
+    rc = run(["simulate", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
+              "--phantom", d / "phantom.json", option, value, "--out", out])
+    assert rc == 2
+    assert f"{named} must be nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_3_on_numerical_failure(workdir, capsys, tmp_path):
     d = workdir
     rc = run(

@@ -202,6 +202,19 @@ def test_simulate_noise_arg_validation(small):
         det_cem.simulate_measurements(mesh, part, sample, pats, noise_std=-1.0)
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("noise_std", np.nan), ("noise_std", np.inf), ("noise_pct", np.nan),
+     ("noise_pct", np.inf), ("noise_pct", -1.0)],
+)
+def test_simulate_refuses_a_non_finite_noise_level(small, option, value):
+    mesh, part, sample = small
+    with pytest.raises(ValueError, match=f"{option} must be nonnegative and finite"):
+        det_cem.simulate_measurements(
+            mesh, part, sample, standard_patterns(3), **{option: value}
+        )
+
+
 def test_simulate_seed_determinism(small):
     mesh, part, sample = small
     pats = standard_patterns(3)

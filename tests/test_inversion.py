@@ -104,6 +104,13 @@ def test_objective_sentinels_outside_cube(tiny_posterior):
     assert math.isfinite(tiny_posterior.objective(y))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_log_density_is_minus_inf_at_a_non_finite_point(tiny_posterior, bad):
+    y = np.zeros(tiny_posterior.n_params)
+    y[5] = bad
+    assert tiny_posterior.log_density(y) == -math.inf
+
+
 def test_residual_jacobian_matches_fd(tiny_posterior):
     rng = np.random.default_rng(11)
     y = rng.uniform(-0.5, 0.5, tiny_posterior.n_params)
@@ -209,6 +216,49 @@ def test_mcmc_in_support_share_counts_proposals_inside_the_cube(tiny_posterior):
     assert 0.0 < res.in_support < 1.0
     # counting draws no random numbers: the chain is the plain sampler's
     npt.assert_array_equal(res.samples, inversion.mcmc_sample(tiny_posterior, cfg).samples)
+
+
+def reference_chain(log_density, start, cfg):
+    """The sampler written step by step: one increment and one uniform
+    drawn per step from the two child streams of the seed."""
+    steps, uniforms = np.random.default_rng(cfg.seed).spawn(2)
+    y = np.asarray(start, dtype=np.float64).copy()
+    lp = log_density(y)
+    samples, accepted, inside = [], 0, 0
+    for t in range(cfg.burn_in + cfg.n_samples * cfg.thinning):
+        prop = y + cfg.proposal_std * steps.standard_normal(y.size)
+        log_u = math.log1p(-uniforms.random())
+        lp_new = log_density(prop)
+        if lp_new > -math.inf:
+            inside += 1
+            if lp_new - lp >= log_u:
+                y, lp = prop, lp_new
+                accepted += t >= cfg.burn_in
+        if t >= cfg.burn_in and (t - cfg.burn_in + 1) % cfg.thinning == 0:
+            samples.append(y)
+    total = cfg.burn_in + cfg.n_samples * cfg.thinning
+    return np.array(samples), accepted / (total - cfg.burn_in), inside / total
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, None])
+def test_mcmc_equals_a_per_step_loop_for_any_block_size(
+    tiny_posterior, monkeypatch, block
+):
+    if block is not None:
+        monkeypatch.setattr(inversion, "_DRAW_BLOCK", block)
+    # 2,300 steps: several blocks of the default size, the last one partial
+    cfg = inversion.McmcConfig(
+        n_samples=700, burn_in=200, thinning=3, proposal_std=0.2, seed=31
+    )
+    start = np.zeros(tiny_posterior.n_params)
+    res = inversion.random_walk_metropolis(tiny_posterior.log_density, start, cfg)
+    samples, acceptance, in_support = reference_chain(
+        tiny_posterior.log_density, start, cfg
+    )
+    assert res.samples.tobytes() == samples.tobytes()
+    assert res.acceptance == acceptance
+    assert res.in_support == in_support
+    assert 0.0 < in_support < 1.0
 
 
 def test_mcmc_truncated_normal_moments():

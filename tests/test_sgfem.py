@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 import sgeit
 from sgeit import chaos, det_cem, fem, sgfem
@@ -122,6 +123,46 @@ def test_system_bitwise_symmetric(tiny_sg):
     _, _, _, _, system, _, _ = tiny_sg
     diff = (system.K - system.K.T).toarray()
     assert np.abs(diff).max() == 0.0
+
+
+def kron_reference(sm, mm):
+    """K from sp.kron of every block pair, one COO-to-CSR conversion."""
+    n_el = sm.n_electrodes
+    electrodes = (sm.S, sm.g, sm.lengths)
+    zero = sp.csr_matrix(sm.A0.shape)
+    blocks = [sgfem.cem_matrix(sm.A0, sm.bounds.zeta_mid, *electrodes)]
+    blocks += [sgfem.cem_matrix(A_l, np.zeros(n_el), *electrodes) for A_l in sm.A]
+    blocks += [
+        sgfem.cem_matrix(zero, h * e_m, *electrodes)
+        for h, e_m in zip(sm.bounds.zeta_half, np.eye(n_el))
+    ]
+    terms = [sp.kron(B, G, format="coo") for B, G in zip(blocks, mm.G)]
+    return sp.coo_matrix(
+        (
+            np.concatenate([t.data for t in terms]),
+            (
+                np.concatenate([t.row for t in terms]),
+                np.concatenate([t.col for t in terms]),
+            ),
+        ),
+        shape=terms[0].shape,
+    ).tocsr()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_system_equals_the_kron_construction_bitwise(tiny, degree):
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    sm = spatial(
+        mesh, part, 1.1, np.full(L, 0.6), np.full(M, 100.0), np.full(M, 1000.0)
+    )
+    mm = chaos.moment_matrices(chaos.iso_td(L + M, degree))
+    K = sgfem.assemble_system(sm, mm).K
+    ref = kron_reference(sm, mm)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(K, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_system_positive_definite(tiny_sg):

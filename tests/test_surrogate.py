@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -66,6 +67,42 @@ def test_check_point_contract(tiny_surrogate):
     y[0] = 1.5
     with pytest.warns(UserWarning, match="outside"):
         tiny_surrogate.eval_stacked(y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_refused(tiny_surrogate, bad):
+    y = np.zeros(7)
+    y[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite parameter point"):
+            tiny_surrogate.eval_stacked(y)
+        with pytest.raises(ValueError, match="non-finite parameter point"):
+            tiny_surrogate.jacobian(y)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_power_form_equals_the_legendre_expansion(tiny_surrogate, degree):
+    # random coefficients over the tiny box: evaluation and Jacobian in the
+    # monomial basis against V Psi(y) and V dPsi(y) of the Legendre basis
+    index_set = chaos.iso_td(tiny_surrogate.n_params, degree)
+    rng = np.random.default_rng(60 + degree)
+    beta = rng.standard_normal((3, 3, len(index_set)))
+    surr = surrogate.SgfemSurrogate(
+        index_set, tiny_surrogate.patterns, beta, tiny_surrogate.bounds,
+        tiny_surrogate.seeds,
+    )
+    basis = chaos.ChaosBasis(index_set)
+    volts = sgfem.expand_mean_free(beta.swapaxes(1, 2)).swapaxes(1, 2)
+    volts = volts.reshape(-1, len(index_set))
+    corners = 2.0 * rng.integers(0, 2, (16, 7)) - 1.0
+    for y in np.vstack([rng.uniform(-1.0, 1.0, (16, 7)), corners]):
+        psi, jpsi = basis.eval_with_jacobian(y)
+        for got, want in ((surr.eval_stacked(y), volts @ psi),
+                          (surr.jacobian(y), volts @ jpsi)):
+            # entries that cancel to near zero carry an absolute rounding
+            # error, so the relative bound is taken against the largest one
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_jacobian_matches_finite_differences(tiny_surrogate):
