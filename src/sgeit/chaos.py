@@ -16,6 +16,10 @@ basis T from the monomials y^mu of the same index set (Psi = T m), and a
 slot table that builds every monomial as a product of Q entries of the
 extended point [1, y].  ``ChaosBasis`` keeps the Legendre recurrence, the
 definition the power form is checked against.
+
+A slot row names its multi-index, so one exact, vectorised lookup of slot
+rows (``_find_rows``) finds the neighbours mu - e_k of the moment matrices
+and the monomials of the change of basis, for any downward-closed set.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _recurrence_coeff(m: int) -> float:
-    # y p_m = c_{m+1} p_{m+1} + c_m p_{m-1} for the orthonormal family
-    return m / math.sqrt(4.0 * m * m - 1.0)
+def _recurrence_coeff(m):
+    # y p_m = c_{m+1} p_{m+1} + c_m p_{m-1} for the orthonormal family;
+    # elementwise for an array of degrees m >= 1
+    return m / np.sqrt(4.0 * m * m - 1.0)
 
 
 def _tables(max_degree: int, y: np.ndarray, const: float, derivatives: bool = True):
@@ -94,10 +99,6 @@ class MultiIndexSet:
     def __len__(self) -> int:
         return self.indices.shape[0]
 
-    def position(self) -> dict[tuple[int, ...], int]:
-        """Row number of every multi-index, keyed by tuple."""
-        return {tuple(mu): i for i, mu in enumerate(self.indices.tolist())}
-
 
 def _composition_blocks(degree: int, n_dims: int) -> list[np.ndarray]:
     """Compositions of 0..degree into n_dims parts as one array per total.
@@ -107,20 +108,10 @@ def _composition_blocks(degree: int, n_dims: int) -> list[np.ndarray]:
     """
     blocks = [np.full((1, 1), d, dtype=np.int64) for d in range(degree + 1)]
     for _ in range(1, n_dims):
-        blocks = [
-            np.vstack(
-                [
-                    np.hstack(
-                        [
-                            np.full((blocks[d - h].shape[0], 1), h, dtype=np.int64),
-                            blocks[d - h],
-                        ]
-                    )
-                    for h in range(d, -1, -1)
-                ]
-            )
-            for d in range(degree + 1)
-        ]
+        # total d: heads d, d-1, ..., 0, each before the tails of total d - head
+        sizes = [len(b) for b in blocks]
+        heads = [np.repeat(range(d, -1, -1), sizes[: d + 1]) for d in range(degree + 1)]
+        blocks = [np.c_[h, np.vstack(blocks[: d + 1])] for d, h in enumerate(heads)]
     return blocks
 
 
@@ -162,29 +153,23 @@ def moment_matrices(index_set: MultiIndexSet) -> MomentMatrices:
 
     G_k couples indices differing by exactly one in dimension k; the entry
     between degrees m and m+1 is (m+1)/sqrt((2m+1)(2m+3)).  Every G_k is
-    symmetric with zero diagonal except G_0, the identity.
+    symmetric with zero diagonal except G_0, the identity.  One lookup of
+    slot rows finds every neighbour mu - e_k; one outside the set couples
+    nothing.
     """
     n = len(index_set)
-    pos = index_set.position()
+    dims, degs = _active(index_set)
+    # lowering active slot s of row i by one degree gives mu - e_k
+    i, s = np.nonzero(degs)
+    lowered = degs[i]
+    lowered[np.arange(len(i)), s] -= 1
+    j = _find_rows(_power_slots(dims, degs), _power_slots(dims[i], lowered))
+    k, c = dims[i, s], _recurrence_coeff(degs[i, s])
     mats = [sp.identity(n, format="csr")]
-    for k in range(index_set.n_dims):
-        rows, cols, vals = [], [], []
-        for i, mu in enumerate(index_set.indices):
-            m = int(mu[k])
-            if m == 0:
-                continue
-            nu = mu.copy()
-            nu[k] = m - 1
-            j = pos.get(tuple(nu.tolist()))
-            if j is None:
-                continue
-            c = _recurrence_coeff(m)
-            rows += [i, j]
-            cols += [j, i]
-            vals += [c, c]
-        mats.append(
-            sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        )
+    for dim in range(index_set.n_dims):
+        at = (k == dim) & (j >= 0)
+        pairs = (np.r_[i[at], j[at]], np.r_[j[at], i[at]])
+        mats.append(sp.coo_matrix((np.tile(c[at], 2), pairs), shape=(n, n)).tocsr())
     return MomentMatrices(tuple(mats))
 
 
@@ -219,6 +204,20 @@ def _power_slots(dims: np.ndarray, degs: np.ndarray) -> np.ndarray:
     return np.where(owner < q, listed, 0)
 
 
+def _find_rows(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row number in ``table`` (distinct rows) of every row of ``keys``, -1
+    where absent; exact, by one lexsort of both as whole integer rows."""
+    both = np.vstack([table, keys])
+    # a constant key keeps lexsort defined for rows without entries (Q = 0)
+    order = np.lexsort([*both.T, np.zeros(len(both), dtype=both.dtype)])
+    ordered = both[order]
+    ids = np.empty(len(both), dtype=np.int64)
+    ids[order] = np.cumsum(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    where = np.full(len(both) + 1, -1)
+    where[ids[: len(table)]] = np.arange(len(table))
+    return where[ids[len(table) :]]
+
+
 def monomial_slots(index_set: MultiIndexSet) -> np.ndarray:
     """Slot table of the monomials y^mu of an index set, (n_terms, Q).
 
@@ -236,7 +235,7 @@ def legendre_to_monomial(index_set: MultiIndexSet) -> sp.csr_matrix:
     ... of its variable, so term mu expands to prod_k (mu_k // 2 + 1)
     monomials of the same, downward-closed, index set; columns follow the
     rows of the set.  Built one active dimension at a time, without a
-    dense n_terms^2 array.
+    dense n_terms^2 array; one lookup of slot rows finds the columns.
     """
     q = index_set.degree
     n = len(index_set)
@@ -262,12 +261,9 @@ def legendre_to_monomial(index_set: MultiIndexSet) -> sp.csr_matrix:
         rows, vals = rows[pick], vals[pick] * coef[d[pick], e]
         reduced = np.column_stack([reduced[pick], e])
     # a monomial's slot row identifies it; the set's own rows name the columns
-    column = {tuple(key): j for j, key in enumerate(_power_slots(dims, degs).tolist())}
-    expanded = _power_slots(dims[rows], reduced).tolist()
-    try:
-        cols = [column[tuple(key)] for key in expanded]
-    except KeyError:
-        raise ValueError("index set is not downward closed") from None
+    cols = _find_rows(_power_slots(dims, degs), _power_slots(dims[rows], reduced))
+    if (cols < 0).any():
+        raise ValueError("index set is not downward closed")
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 

@@ -63,6 +63,11 @@ def params_from_y(y, bounds: ParameterBounds) -> DeterministicSample:
     return DeterministicSample(sigma, zeta)
 
 
+def percent_noise(voltages, pct: float) -> float:
+    """Noise level of ``pct`` percent of the voltage spread max - min."""
+    return (pct / 100.0) * (np.max(voltages) - np.min(voltages))
+
+
 def solve_deterministic(
     mesh: Mesh,
     partition: PixelPartition,
@@ -135,7 +140,7 @@ def simulate_measurements(
     sol = solve_deterministic(mesh, partition, sample, patterns)
     clean = sol.voltages
     if noise_pct is not None:
-        xi = (noise_pct / 100.0) * (clean.max() - clean.min())
+        xi = percent_noise(clean, noise_pct)
     else:
         xi = float(noise_std) if noise_std is not None else 0.0
     rng = np.random.default_rng(seed)

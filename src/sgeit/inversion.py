@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .det_cem import MeasurementSet, params_from_y
+from .det_cem import MeasurementSet, params_from_y, percent_noise
 from .fem import ParameterBounds
 from .surrogate import SgfemSurrogate
 
@@ -49,8 +49,7 @@ class NoiseModel:
     @classmethod
     def percent_rule(cls, voltages, pct: float = 1.0) -> "NoiseModel":
         """pct percent of the voltage spread max(v) - min(v)."""
-        v = np.asarray(voltages, dtype=np.float64)
-        return cls((pct / 100.0) * (v.max() - v.min()), rule=f"percent:{pct:g}")
+        return cls(percent_noise(voltages, pct), rule=f"percent:{pct:g}")
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
     matrices ``S``, load vectors ``g`` and lengths of one mesh.  Column i
     of Upsilon is zeta_{i+1} g_{i+1} - zeta_1 g_1; Pi is zeta_1 |E_1|
     everywhere plus zeta_{i+1} |E_{i+1}| on the diagonal.  The result is
-    linear in the pair (A, zeta).
+    linear in the pair (A, zeta); ``A`` may be the scalar 0.
     """
     n_el = len(S)
     delta = A
@@ -100,15 +100,16 @@ def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
 def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     """Assemble the coupled Galerkin matrix K = sum_k B_k (x) G_k.
 
-    The electrode-model matrix is affine in y, so its coefficients are the
-    blocks B_0 at the centre of the box ``sm.bounds`` (A0 and the contact
-    centres (a+b)/2), B_l of pixel l (A_l, no contact) and B_{L+m} of
-    electrode m (no stiffness, the half-width (b_m-a_m)/2 on contact m).
-    Kronecker factors stay sparse throughout.  K is exactly symmetric
-    without a symmetrization step: the terms have disjoint sparsity (G_0 is
-    diagonal, G_k couples only indices that differ in dimension k), so each
-    entry is one product B_k[i, j] G_k[mu, nu], and every B_k and G_k is
-    exactly symmetric.
+    The electrode-model matrix is affine in y: B_0 is the model at the
+    centre of the box ``sm.bounds`` (A0 and the contact centres (a+b)/2),
+    the block B_l of pixel l is just A_l in the top-left corner, and B_{L+m}
+    of electrode m is the half-width (b_m-a_m)/2 times the unit block
+    ``cem_matrix(0, e_m)``: 1 + M model builds, whatever the pixel count.
+    Every B_k keeps only its nonzero entries, as ``cem_matrix`` does.  K is
+    exactly symmetric without a symmetrization step: the terms have
+    disjoint sparsity (G_0 is diagonal, G_k couples only indices that
+    differ in dimension k), so each entry is one product B_k[i, j]
+    G_k[mu, nu], and every B_k and G_k is exactly symmetric.
     """
     n_pix, n_el = sm.n_pixels, sm.n_electrodes
     if mm.n_dims != n_pix + n_el:
@@ -118,24 +119,21 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
         )
 
     electrodes = (sm.S, sm.g, sm.lengths)
-    zero = sp.csr_matrix(sm.A0.shape)
-    blocks = [cem_matrix(sm.A0, sm.bounds.zeta_mid, *electrodes)]
-    blocks += [cem_matrix(A_l, np.zeros(n_el), *electrodes) for A_l in sm.A]
-    blocks += [
-        cem_matrix(zero, h * e_m, *electrodes)
-        for h, e_m in zip(sm.bounds.zeta_half, np.eye(n_el))
-    ]
-    # the COO triplets of every B_k (x) G_k by broadcasting, in the order
-    # of sp.kron, then one COO-to-CSR conversion for all terms
+    units = [cem_matrix(0, e_m, *electrodes) for e_m in np.eye(n_el)]
+    blocks = [cem_matrix(sm.A0, sm.bounds.zeta_mid, *electrodes), *sm.A]
+    blocks += [h * U for h, U in zip(sm.bounds.zeta_half, units)]
+    # the COO triplets of every B_k (x) G_k by broadcasting, then one
+    # COO-to-CSR conversion for all terms
     n_g = mm[0].shape[0]
     shape = (blocks[0].shape[0] * n_g, blocks[0].shape[1] * n_g)
     index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     rows, cols, vals = [], [], []
     for B, G in zip(blocks, mm.G):
         B, G = B.tocoo(), G.tocoo()
-        rows.append((B.row.astype(index)[:, None] * n_g + G.row).ravel())
-        cols.append((B.col.astype(index)[:, None] * n_g + G.col).ravel())
-        vals.append((B.data[:, None] * G.data).ravel())
+        nz = B.data != 0.0
+        rows.append((B.row[nz].astype(index)[:, None] * n_g + G.row).ravel())
+        cols.append((B.col[nz].astype(index)[:, None] * n_g + G.col).ravel())
+        vals.append((B.data[nz][:, None] * G.data).ravel())
     K = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=shape,

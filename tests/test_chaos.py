@@ -101,9 +101,9 @@ def test_moment_matrices_identity_and_symmetry():
         npt.assert_array_equal(np.diag(g), 0.0)
 
 
-def test_moment_entries_match_quadrature_oracle():
-    """Every entry of every G_k against a tensor Gauss quadrature."""
-    idx = chaos.iso_td(3, 2)
+def check_moments_against_quadrature(idx):
+    """Every entry of every G_k of a 3-dimensional set against a 4-point
+    tensor Gauss quadrature, exact up to degree 7 per dimension."""
     mm = chaos.moment_matrices(idx)
     basis = chaos.ChaosBasis(idx)
     x, w = npleg.leggauss(4)
@@ -117,6 +117,59 @@ def test_moment_entries_match_quadrature_oracle():
     # and orthonormality of the probability-normalized basis itself
     gram = (psi * W[:, None]).T @ psi
     npt.assert_allclose(gram, np.eye(len(idx)), atol=1e-12)
+
+
+def test_moment_entries_match_quadrature_oracle():
+    check_moments_against_quadrature(chaos.iso_td(3, 2))
+
+
+def td_with_cubes():
+    """A downward-closed set that is not isotropic: total degree 2 in three
+    dimensions plus the pure cubes y_k^3."""
+    cubes = 3 * np.eye(3, dtype=np.int64)
+    return chaos.MultiIndexSet(3, 3, np.vstack([chaos.iso_td(3, 2).indices, cubes]))
+
+
+def test_moment_entries_of_a_non_isotropic_set_match_quadrature_oracle():
+    idx = td_with_cubes()
+    check_moments_against_quadrature(idx)
+    # a cube couples only to its square
+    g = chaos.moment_matrices(idx)[1].tocoo()
+    cube = len(idx) - 3
+    assert g.col[g.row == cube].tolist() == [idx.indices.tolist().index([2, 0, 0])]
+
+
+def moment_matrices_by_loop(index_set):
+    """G_1..G_P, dense, index by index: mu couples to mu - e_k when the set
+    holds it."""
+    rows = index_set.indices.tolist()
+    pos = {tuple(mu): i for i, mu in enumerate(rows)}
+    G = np.zeros((index_set.n_dims, len(rows), len(rows)))
+    for i, mu in enumerate(rows):
+        for k, m in enumerate(mu):
+            j = pos.get(tuple(mu[:k] + [m - 1] + mu[k + 1 :]))
+            if m and j is not None:
+                G[k, i, j] = G[k, j, i] = m / math.sqrt(4.0 * m * m - 1.0)
+    return G
+
+
+@pytest.mark.parametrize(
+    "index_set",
+    [
+        chaos.iso_td(1, 4),
+        chaos.iso_td(4, 0),
+        chaos.iso_td(6, 3),
+        td_with_cubes(),
+        # y_1^3 lacks y_1^2: its neighbour is missing and couples nothing
+        chaos.MultiIndexSet(2, 3, np.array([[0, 0], [1, 0], [0, 1], [3, 0]])),
+    ],
+    ids=["1x4", "4x0", "6x3", "cubes", "hole"],
+)
+def test_moment_matrices_equal_a_per_index_loop(index_set):
+    mm = chaos.moment_matrices(index_set)
+    for k, want in enumerate(moment_matrices_by_loop(index_set), start=1):
+        npt.assert_array_equal(mm[k].toarray(), want)
+        assert np.all(mm[k].data != 0.0)
 
 
 def test_moment_sparsity_is_degree_one_coupling():
@@ -252,3 +305,25 @@ def test_power_form_equals_the_legendre_basis(degree):
         npt.assert_allclose(
             T @ monomials(idx, y), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
         )
+
+
+def test_power_form_of_a_non_isotropic_set_equals_the_legendre_basis():
+    idx = td_with_cubes()
+    basis = chaos.ChaosBasis(idx)
+    T = chaos.legendre_to_monomial(idx)
+    # a cube expands to y_k^3 and y_k
+    npt.assert_array_equal(np.diff(T.indptr)[-3:], [2, 2, 2])
+    rng = np.random.default_rng(60)
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    for y in np.vstack([rng.uniform(-1.0, 1.0, (20, 3)), corners]):
+        want = basis.eval(y)
+        npt.assert_allclose(
+            T @ monomials(idx, y), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
+
+
+def test_legendre_to_monomial_rejects_a_set_with_a_hole():
+    # y_1^3 expands to y_1^3 and y_1, and y_1 is missing
+    idx = chaos.MultiIndexSet(2, 3, np.array([[0, 0], [3, 0]]))
+    with pytest.raises(ValueError, match="not downward closed"):
+        chaos.legendre_to_monomial(idx)

@@ -208,14 +208,18 @@ def test_mcmc_in_support_share_counts_proposals_inside_the_cube(tiny_posterior):
         values.append(tiny_posterior.log_density(y))
         return values[-1]
 
-    res = inversion.random_walk_metropolis(log_density, np.zeros(7), cfg)
+    # the wide proposal from the cube centre accepts too rarely, and says so
+    with pytest.warns(UserWarning, match="acceptance rate"):
+        res = inversion.random_walk_metropolis(log_density, np.zeros(7), cfg)
     # the first call evaluates the start point
     inside = sum(math.isfinite(v) for v in values[1:])
     assert len(values) == 1 + 700
     assert res.in_support == inside / 700
     assert 0.0 < res.in_support < 1.0
     # counting draws no random numbers: the chain is the plain sampler's
-    npt.assert_array_equal(res.samples, inversion.mcmc_sample(tiny_posterior, cfg).samples)
+    with pytest.warns(UserWarning, match="acceptance rate"):
+        plain = inversion.mcmc_sample(tiny_posterior, cfg)
+    npt.assert_array_equal(res.samples, plain.samples)
 
 
 def reference_chain(log_density, start, cfg):

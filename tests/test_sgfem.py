@@ -165,6 +165,19 @@ def test_system_equals_the_kron_construction_bitwise(tiny, degree):
         assert got.tobytes() == want.tobytes()
 
 
+def test_system_with_collapsed_contacts_equals_the_kron_construction_bitwise(tiny):
+    # a zero half-width makes a zero electrode block, which K must not store
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    sm = spatial(mesh, part, 1.1, np.full(L, 0.6), np.full(M, 300.0), np.full(M, 300.0))
+    mm = chaos.moment_matrices(chaos.iso_td(L + M, 2))
+    K = sgfem.assemble_system(sm, mm).K
+    ref = kron_reference(sm, mm)
+    assert K.nnz == ref.nnz and np.all(K.data != 0.0)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(K, name).tobytes() == getattr(ref, name).tobytes()
+
+
 def test_system_positive_definite(tiny_sg):
     _, _, _, _, system, _, _ = tiny_sg
     w = np.linalg.eigvalsh(system.K.toarray())
