@@ -23,10 +23,11 @@ from .geometry import ElectrodeGeometry, Mesh, PixelPartition, electrode_geometr
 class ParameterBounds:
     """Affine parametrization of conductivity pixels and contacts.
 
-    Requires finite entries, sigma0 > 0, 0 <= sigma[l] < sigma0 (so the
-    conductivity stays positive over the whole box), 0 < a_m <= b_m (equal
-    bounds give a deterministic contact), and box ends that stay positive
-    and finite in float64 as ``det_cem.params_from_y`` computes them.
+    Requires one-dimensional sigma, a and b, finite entries, sigma0 > 0,
+    0 <= sigma[l] < sigma0 (so the conductivity stays positive over the
+    whole box), 0 < a_m <= b_m (equal bounds give a deterministic contact),
+    and box ends that stay positive and finite in float64 as
+    ``det_cem.params_from_y`` computes them.
     """
 
     sigma0: float
@@ -37,7 +38,10 @@ class ParameterBounds:
     def __post_init__(self):
         object.__setattr__(self, "sigma0", float(self.sigma0))
         for name in ("sigma", "a", "b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+            value = np.asarray(getattr(self, name), float)
+            if value.ndim != 1:
+                raise ValueError(f"{name} must be a one-dimensional array")
+            object.__setattr__(self, name, value)
         for name in ("sigma0", "sigma", "a", "b"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite value in {name}")
@@ -159,7 +163,7 @@ def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_electrode_mass(
-    mesh: Mesh, eg: ElectrodeGeometry | None = None
+    mesh: Mesh, eg: ElectrodeGeometry
 ) -> tuple[tuple[sp.csr_matrix, ...], tuple[np.ndarray, ...]]:
     """Boundary mass matrix S_m and load vector g_m for every electrode.
 
@@ -167,8 +171,6 @@ def assemble_electrode_mass(
     local load is h/2 * [1, 1]; hence sum(g_m) = |E_m| and the total mass
     of S_m equals |E_m|.
     """
-    if eg is None:
-        eg = electrode_geometry(mesh)
     n = mesh.n_nodes
     S, g = [], []
     for run in eg.edges:

@@ -12,10 +12,12 @@ monomials m(y) = y^mu, the surrogate keeps M = V T once, and one
 evaluation is Q gathers of [1, y] that form m(y), then the product M m(y).
 The Jacobian is M times the derivatives of the monomials.
 
-File format ``SGFEM-EIT/1``: a magic line, an 8-byte little-endian header
-length, a JSON header {M, L, Q, sigma0, sigma, a, b, seeds, patterns,
-index_set}, then the coefficients as little-endian float64, pattern-major.
-Loading checks the stored box and puts the file path in front of any error.
+File format ``SGFEM-EIT/2``: a magic line, an 8-byte little-endian header
+length, a JSON header {Q, sigma0, sigma, a, b, seeds, patterns}, then the
+coefficients as little-endian float64, pattern-major.  The file stores
+nothing that can be derived: L = len(sigma), M = len(a), and the index set
+is ``iso_td(L+M, Q)``.  Version-1 files, whose header also holds M, L and
+the index set, are read but not written.
 """
 
 from __future__ import annotations
@@ -31,18 +33,21 @@ import numpy as np
 
 from .chaos import MultiIndexSet, iso_td, legendre_to_monomial, monomial_slots
 from .fem import ParameterBounds
-from .geometry import require_finite
 from .sgfem import SgfemSolution, expand_mean_free
 
 MAGIC_PREFIX = b"SGFEM-EIT/"
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
+# the header fields of each readable version; version 1 adds what 2 derives
+HEADER_FIELDS = {"2": ("Q", "sigma0", "sigma", "a", "b", "seeds", "patterns")}
+HEADER_FIELDS["1"] = ("M", "L") + HEADER_FIELDS["2"] + ("index_set",)
 # the leading entry of the extended point [1, y] the monomial slots index
 _ONE = np.ones(1)
 
 
 @dataclass
 class SgfemSurrogate:
-    """Voltage surrogate over the parameter cube [-1, 1]^(L+M)."""
+    """Voltage surrogate over the parameter cube [-1, 1]^(L+M); construction
+    checks that seeds, patterns, coefficients and index set fit the box."""
 
     index_set: MultiIndexSet
     patterns: np.ndarray
@@ -53,19 +58,19 @@ class SgfemSurrogate:
     _power_coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.patterns = np.atleast_2d(np.asarray(self.patterns, dtype=np.float64))
+        self.patterns = np.asarray(self.patterns, dtype=np.float64)
         self.beta = np.asarray(self.beta, dtype=np.float64)
-        self.seeds = np.asarray(self.seeds, dtype=np.float64).reshape(-1, 2)
-        m = self.patterns.shape[1]
-        expected = (self.patterns.shape[0], m - 1, len(self.index_set))
-        if self.beta.shape != expected:
-            raise ValueError(
-                f"coefficient array has shape {self.beta.shape}, expected {expected}"
-            )
-        if self.bounds.n_electrodes != m or self.bounds.n_params != self.n_params:
-            raise ValueError(
-                "index set dimension does not match pixel and electrode counts"
-            )
+        self.seeds = np.asarray(self.seeds, dtype=np.float64)
+        n_pix, m = self.bounds.n_pixels, self.bounds.n_electrodes
+        p, n_terms = self.patterns.shape[:1], len(self.index_set)
+        for name, value, expected in (
+            ("seeds", self.seeds, (n_pix, 2)),
+            ("patterns", self.patterns, p + (m,)),
+            ("coefficient array", self.beta, p + (m - 1, n_terms)),
+            ("index set", self.index_set.indices, (n_terms, n_pix + m)),
+        ):
+            if value.shape != expected:
+                raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
         # Q = 0 has no slot; one gather of the constant stands for it
         slots = monomial_slots(self.index_set).T
         self._slots = [np.ascontiguousarray(s) for s in slots] or [
@@ -144,19 +149,18 @@ class SgfemSurrogate:
         return self._power_coeffs @ dmono[:, 1:]
 
     def save(self, path) -> None:
-        """Write the surrogate in the versioned binary format."""
-        header = {
-            "M": self.n_electrodes,
-            "L": self.n_pixels,
-            "Q": self.index_set.degree,
-            "sigma0": float(self.sigma0),
-            "sigma": self.sigma.tolist(),
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "seeds": self.seeds.tolist(),
-            "patterns": self.patterns.tolist(),
-            "index_set": self.index_set.indices.tolist(),
-        }
+        """Write the surrogate in format version 2.  The file names its
+        index set by Q alone, so a set other than ``iso_td(L+M, Q)`` is
+        refused."""
+        q = self.index_set.degree
+        if not np.array_equal(self.index_set.indices, iso_td(self.n_params, q).indices):
+            raise ValueError(
+                f"index set is not the total-degree set for L+M={self.n_params}, "
+                f"Q={q}; the surrogate file cannot store it"
+            )
+        # Q, sigma0, then the arrays, in the order of HEADER_FIELDS
+        header = {"Q": q, "sigma0": self.sigma0}
+        header.update((k, getattr(self, k).tolist()) for k in HEADER_FIELDS["2"][2:])
         blob = json.dumps(header, separators=(",", ":")).encode()
         with open(path, "wb") as f:
             f.write(MAGIC_PREFIX + FORMAT_VERSION.encode() + b"\n")
@@ -176,80 +180,72 @@ def from_solution(
 
 
 def load(path) -> SgfemSurrogate:
-    """Read a surrogate file, rejecting unknown versions, size lies, fields
-    of the wrong shape, an index set other than the total-degree one,
-    non-finite values and an invalid parameter box."""
+    """Read a surrogate file of format version 2 or 1, putting the path in
+    front of any error.  Loading parses the magic line, version, header
+    length, JSON header and payload size and checks finiteness; the box and
+    the surrogate check that the parts agree.  A version-1 header must hold
+    the M, L and index set that version 2 derives."""
     with open(path, "rb") as f:
-        line = f.readline()
-        if not line.startswith(MAGIC_PREFIX):
-            raise ValueError(f"{path}: not a surrogate file")
-        version = line[len(MAGIC_PREFIX) :].strip().decode(errors="replace")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported format version {version!r} "
-                f"(supported: {FORMAT_VERSION})"
-            )
-        size = f.read(8)
-        if len(size) != 8:
-            raise ValueError(f"{path}: truncated before the header length")
-        (hlen,) = struct.unpack("<Q", size)
-        remaining = os.fstat(f.fileno()).st_size - f.tell()
-        if hlen > remaining:
-            raise ValueError(
-                f"{path}: header length {hlen} exceeds the {remaining} bytes left"
-            )
         try:
-            header = json.loads(f.read(hlen).decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: corrupt header ({exc})") from exc
-        payload = f.read()
+            return _read(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read(f) -> SgfemSurrogate:
+    line = f.readline()
+    if not line.startswith(MAGIC_PREFIX):
+        raise ValueError("not a surrogate file")
+    version = line[len(MAGIC_PREFIX) :].strip().decode(errors="replace")
+    if version not in HEADER_FIELDS:
+        raise ValueError(f"unsupported format version {version!r} (reads 1 and 2)")
+    size = f.read(8)
+    if len(size) != 8:
+        raise ValueError("truncated before the header length")
+    (hlen,) = struct.unpack("<Q", size)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if hlen > left:
+        raise ValueError(f"header length {hlen} exceeds the {left} bytes left")
     try:
-        m, big_l, q = int(header["M"]), int(header["L"]), int(header["Q"])
-        indices = np.asarray(header["index_set"], dtype=np.int64)
-        patterns = np.asarray(header["patterns"], dtype=np.float64)
-        sigma = np.asarray(header["sigma"], dtype=np.float64)
-        a = np.asarray(header["a"], dtype=np.float64)
-        b = np.asarray(header["b"], dtype=np.float64)
-        seeds = np.asarray(header["seeds"], dtype=np.float64)
+        header = json.loads(f.read(hlen).decode())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"corrupt header ({exc})") from exc
+    fields = HEADER_FIELDS[version]
+    if not isinstance(header, dict) or header.keys() != set(fields):
+        raise ValueError(f"header must hold exactly the fields {', '.join(fields)}")
+    for key in ("Q", "M", "L"):
+        # M and L exist in version 1 only; a bool is an int subclass, and a
+        # float would be truncated
+        value = header.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
+    try:
         sigma0 = float(header["sigma0"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed header ({exc})") from exc
-    for name, value, shape in (
-        ("sigma", sigma, (big_l,)),
-        ("a", a, (m,)),
-        ("b", b, (m,)),
-        ("seeds", seeds, (big_l, 2)),
-        ("patterns", patterns, patterns.shape[:1] + (m,)),
-    ):
-        if value.shape != shape:
-            raise ValueError(
-                f"{path}: {name} has shape {value.shape}, expected {shape}"
-            )
-    try:
-        bounds = ParameterBounds(sigma0, sigma, a, b)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    n_dims = big_l + m
-    expected_card = math.comb(n_dims + q, q)
-    if indices.ndim != 2 or indices.shape != (expected_card, n_dims):
-        raise ValueError(
-            f"{path}: index set cardinality {indices.shape} does not match "
-            f"the total-degree count {expected_card} for L+M={n_dims}, Q={q}"
+        sigma, a, b, seeds, patterns = (
+            np.asarray(header[key], dtype=np.float64)
+            for key in ("sigma", "a", "b", "seeds", "patterns")
         )
-    # (L+M, Q) determines the set; a stored one that differs is corrupt
+        n_patterns = len(patterns)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed header ({exc})") from exc
+    bounds = ParameterBounds(sigma0, sigma, a, b)
+    q, m, n_dims = header["Q"], bounds.n_electrodes, bounds.n_params
+    # the payload size bounds the work before the index set is built
+    shape = (n_patterns, m - 1, math.comb(n_dims + q, q))
+    payload = f.read()
+    if len(payload) != 8 * math.prod(shape):
+        raise ValueError(
+            f"payload holds {len(payload)} bytes, expected {8 * math.prod(shape)}"
+        )
     index_set = iso_td(n_dims, q)
-    if not np.array_equal(indices, index_set.indices):
-        raise ValueError(
-            f"{path}: index_set differs from the total-degree set for "
-            f"L+M={n_dims}, Q={q}"
-        )
-    n_values = patterns.shape[0] * (m - 1) * expected_card
-    if len(payload) != 8 * n_values:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, expected {8 * n_values}"
-        )
-    beta = np.frombuffer(payload, dtype="<f8").reshape(
-        patterns.shape[0], m - 1, expected_card
-    )
-    require_finite(path, seeds=seeds, patterns=patterns, coefficients=beta)
+    if version == "1":
+        rows = index_set.indices.tolist()
+        for key, value in (("M", m), ("L", bounds.n_pixels), ("index_set", rows)):
+            if header[key] != value:
+                raise ValueError(f"stored {key} does not match the box and Q={q}")
+    beta = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    finite = {"seeds": seeds, "patterns": patterns, "coefficients": beta}
+    for name, value in finite.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"non-finite value in {name}")
     return SgfemSurrogate(index_set, patterns, beta.copy(), bounds, seeds)

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,20 +18,28 @@ def two_ring_layout():
     return np.vstack([inner, outer])
 
 
-def tamper(path, out, header_edit=None, payload_edit=None):
-    """Copy a surrogate file to ``out``, editing its JSON header and/or its
-    payload bytes on the way."""
+# the tiny_surrogate fixture as the version-1 writer saved it
+TINY_V1 = Path(__file__).parent / "data" / "tiny_surrogate_v1.sgfem"
+
+
+def split_surrogate(path):
+    """Magic line, JSON header and payload bytes of a surrogate file."""
     raw = path.read_bytes()
     nl = raw.index(b"\n") + 1
     (hlen,) = struct.unpack("<Q", raw[nl : nl + 8])
-    header = json.loads(raw[nl + 8 : nl + 8 + hlen])
-    payload = raw[nl + 8 + hlen :]
+    return raw[:nl], json.loads(raw[nl + 8 : nl + 8 + hlen]), raw[nl + 8 + hlen :]
+
+
+def tamper(path, out, header_edit=None, payload_edit=None):
+    """Copy a surrogate file to ``out``, editing its JSON header and/or its
+    payload bytes on the way."""
+    magic, header, payload = split_surrogate(path)
     if header_edit:
         header_edit(header)
     if payload_edit:
         payload = payload_edit(payload)
     blob = json.dumps(header, separators=(",", ":")).encode()
-    out.write_bytes(raw[:nl] + struct.pack("<Q", len(blob)) + blob + payload)
+    out.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + payload)
 
 
 @pytest.fixture(scope="session")

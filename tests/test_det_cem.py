@@ -136,6 +136,8 @@ def test_parameter_bounds_validation():
         det_cem.ParameterBounds(**{**ok, "a": [3.0]})
     with pytest.raises(ValueError, match="differ in length"):
         det_cem.ParameterBounds(**{**ok, "a": [1.0, 1.0]})
+    with pytest.raises(ValueError, match="a must be a one-dimensional array"):
+        det_cem.ParameterBounds(**{**ok, "a": [[1.0]]})
 
 
 def test_solve_deterministic_rejects(small):

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sgeit
-from sgeit import cli, det_cem, fem, surrogate
+from conftest import TINY_V1
+from sgeit import chaos, cli, det_cem, fem, surrogate
 
 FUZZ = settings(
     max_examples=60,
@@ -228,28 +229,36 @@ def test_surrogate_load_survives_flipped_bytes(surrogate_bytes, tmp_path, data):
     loads_or_rejects(surrogate.load, path)
 
 
+def with_header_value(raw, key, value):
+    """Surrogate file bytes with one header field replaced."""
+    nl = raw.index(b"\n") + 1
+    hlen = int.from_bytes(raw[nl : nl + 8], "little")
+    header = json.loads(raw[nl + 8 : nl + 8 + hlen])
+    blob = json.dumps(replaced(header, (key,), value)).encode()
+    return raw[:nl] + len(blob).to_bytes(8, "little") + blob + raw[nl + 8 + hlen :]
+
+
 @FUZZ
-@given(
-    key=st.sampled_from(
-        ["M", "L", "Q", "sigma0", "sigma", "a", "b", "seeds", "patterns"]
-    ),
-    value=json_values,
-)
+@given(key=st.sampled_from(surrogate.HEADER_FIELDS["2"]), value=json_values)
 def test_surrogate_load_survives_any_header_value(
     surrogate_bytes, tmp_path, key, value
 ):
-    nl = surrogate_bytes.index(b"\n") + 1
-    hlen = int.from_bytes(surrogate_bytes[nl : nl + 8], "little")
-    header = json.loads(surrogate_bytes[nl + 8 : nl + 8 + hlen])
-    blob = json.dumps(replaced(header, (key,), value)).encode()
     path = tmp_path / "surr.bin"
-    path.write_bytes(
-        surrogate_bytes[:nl]
-        + len(blob).to_bytes(8, "little")
-        + blob
-        + surrogate_bytes[nl + 8 + hlen :]
-    )
+    path.write_bytes(with_header_value(surrogate_bytes, key, value))
     loads_or_rejects(surrogate.load, path)
+
+
+@FUZZ
+@given(
+    key=st.sampled_from(["M", "L", "index_set"]),
+    value=json_values | st.integers(0, 8),
+)
+def test_version_1_load_accepts_only_the_derived_values(tmp_path, key, value):
+    derived = {"M": 4, "L": 3, "index_set": chaos.iso_td(7, 2).indices.tolist()}
+    path = tmp_path / "surr.bin"
+    path.write_bytes(with_header_value(TINY_V1.read_bytes(), key, value))
+    if loads_or_rejects(surrogate.load, path) is not None:
+        assert value == derived[key]
 
 
 def test_surrogate_load_rejects_a_header_length_past_the_end(

@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 import sgeit
-from conftest import tamper
+from conftest import TINY_V1, split_surrogate, tamper
 from sgeit import chaos, det_cem, fem, sgfem, surrogate
 
 
@@ -187,6 +187,9 @@ def test_save_load_roundtrip(tmp_path, tiny_surrogate):
     p1 = tmp_path / "s1.sgfem"
     p2 = tmp_path / "s2.sgfem"
     tiny_surrogate.save(p1)
+    magic, header, _ = split_surrogate(p1)
+    assert magic == b"SGFEM-EIT/2\n"
+    assert list(header) == ["Q", "sigma0", "sigma", "a", "b", "seeds", "patterns"]
     back = surrogate.load(p1)
     back.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -221,37 +224,103 @@ def test_load_rejects_corrupt_files(tmp_path, tiny_surrogate):
     with pytest.raises(ValueError, match="corrupt header"):
         surrogate.load(bad)
 
-    def drop_row(h):
-        h["index_set"] = h["index_set"][:-1]
-
-    tamper(good, bad, header_edit=drop_row)
-    with pytest.raises(ValueError, match="cardinality"):
-        surrogate.load(bad)
-
     tamper(good, bad, payload_edit=lambda p: p[:-8])
     with pytest.raises(ValueError, match="payload holds"):
         surrogate.load(bad)
 
-    def wrong_q(h):
-        h["Q"] = 3
-
-    tamper(good, bad, header_edit=wrong_q)
-    with pytest.raises(ValueError, match="cardinality"):
+    # Q names the index set, so a wrong Q asks for another payload size
+    tamper(good, bad, header_edit=lambda h: h.update(Q=3))
+    with pytest.raises(ValueError, match="payload holds"):
         surrogate.load(bad)
 
 
-def test_load_rejects_duplicated_index_row(tmp_path, tiny_surrogate):
+def drop_field(h):
+    del h["seeds"]
+
+
+def drop_row(h):
+    h["index_set"] = h["index_set"][:-1]
+
+
+def duplicate_row(h):
     # same cardinality, but row 3 repeats row 2: evaluation would be wrong
-    good = tmp_path / "good.sgfem"
-    tiny_surrogate.save(good)
+    h["index_set"][3] = h["index_set"][2]
+
+
+# version-1 headers store M, L and the index set, which must equal what the
+# box and Q derive
+@pytest.mark.parametrize(
+    "version, edit, named",
+    [
+        ("2", drop_field, "header must hold exactly the fields"),
+        ("2", lambda h: h.update(index_set=[]), "header must hold exactly"),
+        ("2", lambda h: h.update(Q=2.5), "Q must be a nonnegative integer, got 2.5"),
+        ("2", lambda h: h.update(Q=-1), "Q must be a nonnegative integer, got -1"),
+        ("2", lambda h: h.update(Q="2"), "Q must be a nonnegative integer"),
+        ("2", lambda h: h.update(Q=True), "Q must be a nonnegative integer"),
+        ("1", drop_field, "header must hold exactly the fields M, L, Q"),
+        ("1", lambda h: h.update(M=4.7), "M must be a nonnegative integer, got 4.7"),
+        ("1", lambda h: h.update(L=3.2), "L must be a nonnegative integer, got 3.2"),
+        ("1", lambda h: h.update(M=5), "stored M does not match"),
+        ("1", lambda h: h.update(L=2), "stored L does not match"),
+        ("1", drop_row, "stored index_set does not match"),
+        ("1", duplicate_row, "stored index_set does not match"),
+        ("1", lambda h: h.update(Q=3), "payload holds"),
+    ],
+    ids=[
+        "v2-missing-field", "v2-extra-field", "v2-q-float", "v2-q-negative",
+        "v2-q-string", "v2-q-bool", "v1-missing-field", "v1-m-float", "v1-l-float",
+        "v1-wrong-m", "v1-wrong-l", "v1-drop-row", "v1-duplicate-row", "v1-wrong-q",
+    ],
+)
+def test_load_rejects_a_header_that_does_not_fit(
+    tmp_path, tiny_surrogate, version, edit, named
+):
+    good = TINY_V1
+    if version == "2":
+        good = tmp_path / "good.sgfem"
+        tiny_surrogate.save(good)
     bad = tmp_path / "bad.sgfem"
-
-    def duplicate_row(h):
-        h["index_set"][3] = h["index_set"][2]
-
-    tamper(good, bad, header_edit=duplicate_row)
-    with pytest.raises(ValueError, match="index_set differs"):
+    tamper(good, bad, header_edit=edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {named}"):
         surrogate.load(bad)
+
+
+def test_version_1_file_reads_as_the_same_surrogate(tmp_path, tiny_surrogate):
+    # TINY_V1 is the tiny_surrogate fixture as the version-1 writer saved it.
+    # A fresh solve can differ from its coefficients in the last bits with the
+    # BLAS thread count, so the fixture is rebuilt on the stored ones.
+    old = surrogate.load(TINY_V1)
+    npt.assert_allclose(old.beta, tiny_surrogate.beta, rtol=0.0, atol=1e-12)
+    same = surrogate.SgfemSurrogate(
+        tiny_surrogate.index_set, tiny_surrogate.patterns, old.beta,
+        tiny_surrogate.bounds, tiny_surrogate.seeds,
+    )
+    rng = np.random.default_rng(70)
+    for y in rng.uniform(-1.0, 1.0, (8, tiny_surrogate.n_params)):
+        npt.assert_array_equal(old.eval_stacked(y), same.eval_stacked(y))
+        npt.assert_array_equal(old.jacobian(y), same.jacobian(y))
+    resaved, expected = tmp_path / "old.sgfem", tmp_path / "same.sgfem"
+    old.save(resaved)
+    same.save(expected)
+    assert resaved.read_bytes() == expected.read_bytes()
+    # the header drops M, L and index_set; the payload stays as it was
+    _, header, payload = split_surrogate(resaved)
+    _, v1_header, v1_payload = split_surrogate(TINY_V1)
+    assert payload == v1_payload
+    assert {k: v for k, v in v1_header.items() if k in header} == header
+
+
+def test_save_refuses_a_set_the_file_cannot_name(tmp_path, tiny_surrogate):
+    full = tiny_surrogate.index_set
+    partial = chaos.MultiIndexSet(full.n_dims, full.degree, full.indices[:-1])
+    surr = surrogate.SgfemSurrogate(
+        partial, tiny_surrogate.patterns, tiny_surrogate.beta[:, :, :-1],
+        tiny_surrogate.bounds, tiny_surrogate.seeds,
+    )
+    path = tmp_path / "partial.sgfem"
+    with pytest.raises(ValueError, match="not the total-degree set for L\\+M=7, Q=2"):
+        surr.save(path)
 
 
 @pytest.mark.parametrize(
@@ -285,8 +354,12 @@ def test_load_rejects_non_finite_fields(tmp_path, tiny_surrogate, field):
         ("sigma", 2, 1.1, r"pixel 2: sigma\[2\]"),
         ("sigma", 0, -0.1, r"pixel 0: sigma\[0\]"),
         ("sigma0", None, -1.0, "sigma0 must be positive"),
+        ("sigma", None, 0.6, "sigma must be a one-dimensional array"),
     ],
-    ids=["a-above-b", "a-zero", "sigma-at-sigma0", "sigma-negative", "sigma0-negative"],
+    ids=[
+        "a-above-b", "a-zero", "sigma-at-sigma0", "sigma-negative",
+        "sigma0-negative", "sigma-scalar",
+    ],
 )
 def test_load_rejects_an_inconsistent_box(
     tmp_path, tiny_surrogate, field, index, value, named
@@ -307,20 +380,18 @@ def test_load_rejects_an_inconsistent_box(
 
 
 def test_from_solution_validates_shapes(tiny_surrogate):
-    with pytest.raises(ValueError, match="coefficient array has shape"):
-        surrogate.SgfemSurrogate(
-            tiny_surrogate.index_set,
-            tiny_surrogate.patterns,
-            tiny_surrogate.beta[:, :, :-1],
-            tiny_surrogate.bounds,
-            tiny_surrogate.seeds,
-        )
-    # same cardinality (36) so only the dimension count is wrong
-    with pytest.raises(ValueError, match="does not match pixel and electrode"):
-        surrogate.SgfemSurrogate(
-            chaos.iso_td(35, 1),
-            tiny_surrogate.patterns,
-            tiny_surrogate.beta,
-            tiny_surrogate.bounds,
-            tiny_surrogate.seeds,
-        )
+    t = tiny_surrogate
+    cases = [
+        ("coefficient array has shape", dict(beta=t.beta[:, :, :-1])),
+        # five seeds for three pixels
+        (r"seeds has shape \(5, 2\), expected \(3, 2\)", dict(seeds=np.zeros((5, 2)))),
+        ("patterns has shape", dict(patterns=t.patterns[:, :-1])),
+        # same cardinality (36) so only the dimension count is wrong
+        (r"index set has shape \(36, 35\), expected \(36, 7\)",
+         dict(index_set=chaos.iso_td(35, 1))),
+    ]
+    for named, change in cases:
+        parts = dict(index_set=t.index_set, patterns=t.patterns, beta=t.beta,
+                     bounds=t.bounds, seeds=t.seeds)
+        with pytest.raises(ValueError, match=named):
+            surrogate.SgfemSurrogate(**{**parts, **change})
