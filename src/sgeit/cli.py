@@ -6,14 +6,14 @@ reconstruct  MAP and (optionally) conditional-mean/spread estimates
 render       flat-shaded SVG of a per-pixel conductivity field
 
 Exit codes: 0 success, 2 invalid inputs or usage, 3 numerical failure.
-All randomness is seeded, so rerunning a command reproduces its output
-byte for byte.
+All randomness is seeded, so rerunning a command with the same number of
+BLAS threads reproduces its output byte for byte; another thread count can
+change results in the last bits.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -21,7 +21,9 @@ import numpy as np
 
 from . import det_cem, fem, inversion, sgfem, surrogate
 from .chaos import iso_td, moment_matrices
-from .geometry import Mesh, PixelPartition, assign_pixels, load_mesh, require_finite
+from .geometry import (
+    Mesh, PixelPartition, assign_pixels, load_mesh, read_json, require_finite
+)
 
 # sampled viridis control points for the flat-shaded field plots
 _COLORMAP = np.array(
@@ -120,11 +122,7 @@ def render_field_svg(
 
 
 def _load_seeds(path) -> np.ndarray:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     try:
         seeds = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -136,11 +134,7 @@ def _load_seeds(path) -> np.ndarray:
 
 
 def _load_phantom(path) -> det_cem.DeterministicSample:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     try:
         sigma = np.asarray(raw["sigma"], dtype=np.float64)
         zeta = np.asarray(raw["zeta"], dtype=np.float64)
@@ -241,7 +235,7 @@ def cmd_reconstruct(args) -> int:
     diag = est.diagnostics
     print(
         f"MAP objective {diag['map_objective']:.6g} "
-        f"after {diag['map_iterations']} iterations"
+        f"after {diag['map_iterations']} residual evaluations"
     )
     if config is not None:
         print(

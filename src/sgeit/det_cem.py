@@ -18,7 +18,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import ParameterBounds, assemble_electrode_mass, stiffness_matrix
-from .geometry import Mesh, PixelPartition, electrode_geometry, require_finite
+from .geometry import (
+    Mesh, PixelPartition, electrode_geometry, read_json, require_finite
+)
 from .sgfem import cem_matrix, expand_mean_free
 
 
@@ -164,11 +166,7 @@ def save_measurements(ms: MeasurementSet, path) -> None:
 
 def load_measurements(path) -> MeasurementSet:
     """Read a measurement set written by :func:`save_measurements`."""
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     try:
         patterns = np.asarray(raw["patterns"], dtype=np.float64)
         voltages = np.asarray(raw["voltages"], dtype=np.float64)

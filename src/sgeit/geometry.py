@@ -91,6 +91,15 @@ class ElectrodeGeometry:
         return len(self.edges)
 
 
+def read_json(path):
+    """Parse a JSON input file, naming it if it is not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def require_finite(path, **fields) -> None:
     """Reject an input file whose named fields hold NaN or infinity."""
     for name, value in fields.items():
@@ -174,11 +183,7 @@ def load_mesh(path) -> Mesh:
     ``electrode`` tag or null).  The first offending entity is reported on
     validation failure.
     """
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     try:
         nodes = np.asarray(raw["nodes"], dtype=np.float64).reshape(-1, 2)
         tris = np.asarray(raw["triangles"], dtype=np.int64).reshape(-1, 3)

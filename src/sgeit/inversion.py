@@ -9,7 +9,7 @@ F(y)/2 with
 
     F(y) = ||v - U(y)||^2 / xi^2 + y_sigma^T Mcov^{-1} y_sigma.
 
-Point estimates: projected damped Gauss-Newton for the MAP, random-walk
+Point estimates: affine-scaled Levenberg-Marquardt for the MAP, random-walk
 Metropolis for conditional-mean and spread estimates.  The chain draws its
 random numbers in blocks from two child streams of its seed, the proposal
 increments from one and one uniform u per step from the other, and accepts
@@ -29,6 +29,7 @@ import numpy as np
 
 from .det_cem import MeasurementSet, params_from_y, percent_noise
 from .fem import ParameterBounds
+from .geometry import read_json
 from .surrogate import SgfemSurrogate
 
 
@@ -183,7 +184,11 @@ def build_posterior(
 
 @dataclass(frozen=True)
 class MapResult:
-    """Gauss-Newton output: the estimate and convergence diagnostics."""
+    """MAP point with the search's diagnostics.
+
+    ``iterations`` counts residual evaluations, the first one included;
+    ``converged`` is False when the evaluation cap stopped the search.
+    """
 
     y: np.ndarray
     objective: float
@@ -191,96 +196,62 @@ class MapResult:
     converged: bool
 
 
-def _projected_gradient(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    pg = grad.copy()
-    pg[(y <= -1.0) & (grad > 0.0)] = 0.0
-    pg[(y >= 1.0) & (grad < 0.0)] = 0.0
-    return pg
+# relative tolerance of the MAP search on F, its step and its gradient
+_MAP_TOL = 1e-8
 
 
-def _backtrack(posterior, y, r, obj, grad, step, min_alpha=1e-12):
-    """Armijo backtracking along a projected step; (y, r, obj, moved)."""
-    alpha = 1.0
-    while alpha >= min_alpha:
-        y_new = np.clip(y + alpha * step, -1.0, 1.0)
-        if not np.any(y_new != y):
-            break
-        r_new = posterior.residual(y_new)
-        obj_new = float(r_new @ r_new)
-        if obj_new <= obj + 1e-4 * (grad @ (y_new - y)):
-            return y_new, r_new, obj_new, True
-        alpha *= 0.5
-    return y, r, obj, False
+def map_estimate(posterior: Posterior, start=None, max_iter: int = 500) -> MapResult:
+    """Minimize F over the cube by affine-scaled Levenberg-Marquardt.
 
-
-def map_estimate(
-    posterior: Posterior,
-    start=None,
-    max_iter: int = 500,
-    grad_tol: float = 1e-8,
-) -> MapResult:
-    """Projected damped Gauss-Newton minimization of F over the cube.
-
-    Starts from the cube midpoint unless ``start`` is given.  Each step
-    solves a Marquardt-damped linearized least-squares problem in the
-    free coordinates (those not pinned at the box boundary by the
-    gradient sign), projects onto the box and backtracks under an Armijo
-    test; a rejected step raises the damping, an accepted one lowers it.
-    Damping keeps the nearly-flat directions (weakly determined contact
-    parameters) from swamping the step, and as it grows the step turns
-    into a projected gradient, so progress is guaranteed away from
-    stationarity.  Terminates when the projected gradient norm drops
-    below grad_tol * (1 + |F|), or when the damping sweep finds no
-    feasible decrease at all (stationary to working precision); hitting
-    the iteration cap returns the best iterate with ``converged=False``
-    and a warning.
+    Starts from the cube midpoint, or from ``start`` clipped to the cube.
+    With J the residual Jacobian and g = J^T r, coordinate k is scaled by
+    sqrt(v_k), its distance to the face that -g points it at (Coleman &
+    Li, SIAM J. Optim. 1996), and |g_k| joins the diagonal of J^T J, so a
+    coordinate slows down near a face it is pushed against and may leave
+    one it is pulled from.  A step is damped by lambda times the mean
+    diagonal of the scaled matrix and goes at most 99.5 % of the way to
+    a face, so every iterate lies inside the cube.  A step that lowers F
+    is taken and divides lambda by 10; any other step multiplies it by
+    10.  The search stops when a step lowers F by at most ``_MAP_TOL``
+    relative, or when a step or max_k v_k |g_k| is that small.  After
+    ``max_iter`` residual evaluations it returns the best point with
+    ``converged=False`` and a warning.
     """
     n = posterior.n_params
     y = np.zeros(n) if start is None else np.clip(np.asarray(start, float), -1, 1)
     r = posterior.residual(y)
     obj = float(r @ r)
-    converged = False
-    lam = 1e-3
-    it = 0
-    for it in range(1, max_iter + 1):
-        jac = posterior.residual_jacobian(y)
-        grad = 2.0 * (jac.T @ r)
-        pg = _projected_gradient(y, grad)
-        if np.linalg.norm(pg) <= grad_tol * (1.0 + obj):
-            converged = True
-            break
-        free = pg != 0.0
-        jac_f = jac[:, free]
-        n_free = int(free.sum())
-        scale = math.sqrt(float((jac_f * jac_f).sum(axis=0).max()))
-        rhs = np.concatenate([-r, np.zeros(n_free)])
-        moved = False
-        # the line search is kept shallow on purpose: a step rejected
-        # near full length signals the damping, not the step size, is off
-        while lam < 1e16:
-            aug = np.vstack([jac_f, lam * scale * np.eye(n_free)])
-            step = np.zeros(n)
-            step[free] = np.linalg.lstsq(aug, rhs, rcond=None)[0]
-            y, r, obj, moved = _backtrack(
-                posterior, y, r, obj, grad, step, min_alpha=0.25
-            )
-            if moved:
-                lam = max(lam / 10.0, 1e-8)
+    evals, lam, moved, converged = 1, 10.0, True, False
+    while evals < max_iter:
+        if moved:
+            jac = posterior.residual_jacobian(y)
+            grad = jac.T @ r
+            v = np.where(grad < 0.0, 1.0 - y, 1.0 + y)
+            if np.max(v * np.abs(grad)) <= _MAP_TOL * (1.0 + obj):
+                converged = True
                 break
-            lam *= 10.0
-        if not moved:
-            # the damping swept to its cap without an admissible decrease,
-            # so the remaining first-order improvement sits below the
-            # floating-point noise of F: the iterate is stationary to
-            # working precision even if the gradient test misses by a hair
-            converged = True
+            d = np.sqrt(v)
+            normal = (jac * d).T @ (jac * d) + np.diag(v * np.abs(grad))
+            damping = np.trace(normal) / n * np.eye(n)
+        step = d * np.linalg.solve(normal + lam * damping, -d * grad)
+        step = np.clip(step, -0.995 * (1.0 + y), 0.995 * (1.0 - y))
+        r_new = posterior.residual(y + step)
+        evals += 1
+        obj_new = float(r_new @ r_new)
+        moved = obj_new < obj
+        tiny_step = np.linalg.norm(step) <= _MAP_TOL * (_MAP_TOL + np.linalg.norm(y))
+        converged = tiny_step or (moved and obj - obj_new <= _MAP_TOL * obj)
+        if moved:
+            y, r, obj = y + step, r_new, obj_new
+        lam = lam / 10.0 if moved else lam * 10.0
+        if converged:
             break
     if not converged:
         warnings.warn(
-            f"Gauss-Newton stopped after {it} iterations without meeting "
-            "the gradient tolerance; returning the best iterate"
+            f"MAP search stopped after {evals} residual evaluations "
+            "without meeting its tolerance; returning the best point"
         )
-    return MapResult(y, obj, it, converged)
+    return MapResult(y, obj, evals, converged)
 
 
 @dataclass(frozen=True)
@@ -469,11 +440,7 @@ def save_estimates(est: Estimates, path) -> None:
 
 def load_estimates(path) -> Estimates:
     """Read estimates written by :func:`save_estimates`."""
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     try:
         opt = {
             name: np.asarray(raw[name], dtype=np.float64)

@@ -148,6 +148,21 @@ def test_exit_code_2_on_bad_inputs(workdir, surrogate_and_data, capsys, tmp_path
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
 
+    # a file that is not UTF-8 is not valid JSON either, and is named
+    bad.write_bytes(b"\xff\xfe{}")
+    sim = ["simulate", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
+           "--phantom", d / "phantom.json", "--out", tmp_path / "x.json"]
+    rec = ["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+           "--samples", 0, "--out", tmp_path / "e.json"]
+    ren = ["render", "--estimates", d / "est.json", "--mesh", d / "mesh.json",
+           "--seeds", d / "seeds.json", "--out", tmp_path / "f.svg"]
+    for argv, flag in [(sim, "--mesh"), (sim, "--seeds"), (sim, "--phantom"),
+                       (rec, "--data"), (ren, "--estimates")]:
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = bad
+        assert run(argv) == 2
+        assert f"error: {bad}: not valid JSON" in capsys.readouterr().err
+
     # phantom with the wrong electrode count
     bad.write_text(json.dumps({"sigma": [1.0, 1.0, 1.0], "zeta": [400.0] * 3}))
     rc = run(["simulate", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",

@@ -181,6 +181,23 @@ def test_map_accepts_start(tiny_posterior):
     assert np.abs(res2.y).max() <= 1.0
 
 
+def test_map_from_the_centre_matches_the_best_restart(tiny, tiny_surrogate):
+    # F has a second, local optimum here (1.300836 against 1.293027)
+    # that a search from the centre can stop at
+    mesh, part, _ = tiny
+    sample = det_cem.DeterministicSample(np.array([1.1, 0.7, 1.3]), np.full(4, 400.0))
+    patterns = tiny_surrogate.patterns
+    data = det_cem.simulate_measurements(
+        mesh, part, sample, patterns, noise_pct=1.0, seed=3
+    )
+    post = inversion.build_posterior(
+        tiny_surrogate, data, noise_pct=5.0, corr_length=0.5
+    )
+    starts = np.random.default_rng(0).uniform(-1.0, 1.0, (10, post.n_params))
+    best = min(inversion.map_estimate(post, start=s).objective for s in starts)
+    assert inversion.map_estimate(post).objective == pytest.approx(best, rel=1e-6)
+
+
 def test_mcmc_reproducible_and_in_support(tiny_posterior):
     cfg = inversion.McmcConfig(
         n_samples=400, burn_in=200, thinning=2, proposal_std=0.07, seed=21
