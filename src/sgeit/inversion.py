@@ -9,13 +9,17 @@ F(y)/2 with
 
     F(y) = ||v - U(y)||^2 / xi^2 + y_sigma^T Mcov^{-1} y_sigma.
 
+``Posterior`` whitens both terms into one matrix A once, so that F(y) is
+the squared norm of one residual d~ - A m+(y); its residual, Jacobian,
+objective and log density all evaluate that form.
+
 Point estimates: affine-scaled Levenberg-Marquardt for the MAP, random-walk
 Metropolis for conditional-mean and spread estimates.  The chain draws its
 random numbers in blocks from two child streams of its seed, the proposal
 increments from one and one uniform u per step from the other, and accepts
-a step when the log density rises by at least log u; one step costs one
-surrogate evaluation (``eval_stacked``, in power form) when the proposal
-lies in the cube and a cube test otherwise.
+a step when the log density rises by at least log u.  One step costs a cube
+test, and for a proposal inside the cube Q gathers of [1, y] that form
+m+(y), one product with A and one dot product.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .det_cem import MeasurementSet, params_from_y, percent_noise
 from .fem import ParameterBounds
 from .geometry import read_json
-from .surrogate import SgfemSurrogate
+from .surrogate import SgfemSurrogate, monomial_jacobian, monomials
 
 
 @dataclass(frozen=True)
@@ -95,27 +99,49 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
 
 @dataclass
 class Posterior:
-    """Posterior density of the parameter vector given one data set."""
+    """Posterior density of the parameter vector given one data set.
+
+    Construction whitens the whole of F into one matrix A and one target
+    d~, so that the residual is r(y) = d~ - A m+(y) and F(y) = ||r(y)||^2.
+    m+(y) is the surrogate's monomial vector m(y) followed by L slot rows
+    that gather y_sigma, A = [[M / xi, 0], [0, -W]] with M the surrogate's
+    power coefficients and W the prior whitening factor, and d~ = [v / xi, 0].
+    """
 
     surrogate: SgfemSurrogate
     data: np.ndarray
     noise: NoiseModel
     prior: SmoothnessPrior
-    _inv_std: float = field(init=False, repr=False)
-    # the parameter shape and pixel count, read once for log_density
+    _whitened: np.ndarray = field(init=False, repr=False)
+    _target: np.ndarray = field(init=False, repr=False)
+    _slots: list[np.ndarray] = field(init=False, repr=False)
+    # the extended point [1, y] that log_density fills in place, so
+    # threads must not share one posterior
+    _ext: np.ndarray = field(init=False, repr=False)
     _shape: tuple[int] = field(init=False, repr=False)
-    _n_pixels: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        surr = self.surrogate
         self.data = np.asarray(self.data, dtype=np.float64).ravel()
-        n = self.surrogate.n_patterns * self.surrogate.n_electrodes
-        if self.data.shape != (n,):
-            raise ValueError(f"data must stack to {n} voltages")
-        if self.prior.cov.shape[0] != self.surrogate.n_pixels:
+        n_data, n_terms = surr.power_coeffs.shape
+        if self.data.shape != (n_data,):
+            raise ValueError(f"data must stack to {n_data} voltages")
+        if not np.isfinite(self.data).all():
+            raise ValueError("non-finite value in data")
+        L = surr.n_pixels
+        if self.prior.cov.shape[0] != L:
             raise ValueError("prior covers the wrong number of pixels")
-        self._inv_std = 1.0 / self.noise.std
-        self._shape = (self.surrogate.n_params,)
-        self._n_pixels = self.surrogate.n_pixels
+        inv_std = 1.0 / self.noise.std
+        self._whitened = np.zeros((n_data + L, n_terms + L))
+        self._whitened[:n_data, :n_terms] = surr.power_coeffs * inv_std
+        self._whitened[n_data:, n_terms:] = -self.prior.whiten
+        self._target = np.concatenate([self.data * inv_std, np.zeros(L)])
+        # the first slot of the extra rows gathers y_1..y_L, the others the 1
+        extra = np.zeros((len(surr.slots), L), dtype=np.int64)
+        extra[0] = np.arange(1, L + 1)
+        self._slots = [np.concatenate(pair) for pair in zip(surr.slots, extra)]
+        self._ext = np.ones(surr.n_params + 1)
+        self._shape = (surr.n_params,)
 
     @property
     def n_params(self) -> int:
@@ -130,27 +156,38 @@ class Posterior:
         return -2.0 * self.log_density(np.asarray(y, dtype=np.float64))
 
     def residual(self, y: np.ndarray) -> np.ndarray:
-        """Whitened residual r(y) with F(y) = ||r(y)||^2."""
-        misfit = (self.data - self.surrogate.eval_stacked(y)) * self._inv_std
-        return np.concatenate([misfit, self.prior.whiten @ y[: self.n_pixels]])
+        """Whitened residual r(y) = d~ - A m+(y), with F(y) = ||r(y)||^2."""
+        mono = monomials(self.surrogate.check_point(y), self._slots)
+        return self._target - self._whitened @ mono
 
     def residual_jacobian(self, y: np.ndarray) -> np.ndarray:
-        """Derivative of the whitened residual."""
-        top = -self._inv_std * self.surrogate.jacobian(y)
-        bottom = np.zeros((self.n_pixels, self.n_params))
-        bottom[:, : self.n_pixels] = self.prior.whiten
-        return np.vstack([top, bottom])
+        """Derivative of the whitened residual, -A dm+(y)."""
+        dmono = monomial_jacobian(self.surrogate.check_point(y), self._slots)
+        return -(self._whitened @ dmono)
 
     def log_density(self, y: np.ndarray) -> float:
-        """-F(y)/2 inside the cube, -inf outside (up to a constant)."""
+        """-F(y)/2 inside the cube, -inf outside (up to a constant).
+
+        The chain calls this once per step, so it is written out in one
+        frame: the gathers of :func:`surrogate.monomials` into the kept
+        point [1, y], then one product with A.
+        """
         if np.shape(y) != self._shape:
             raise ValueError(f"expected {self.n_params} parameters, got {np.shape(y)}")
         # also false for a NaN entry, which lies outside the cube too
         if not np.abs(y).max() <= 1.0:
             return -math.inf
-        r = self.data - self.surrogate.eval_stacked(y, check=False)
-        w = self.prior.whiten @ y[: self._n_pixels]
-        return -0.5 * float((r @ r) * self._inv_std**2 + w @ w)
+        ext = self._ext
+        ext[1:] = y
+        first, *rest = self._slots
+        mono = ext.take(first)
+        for slot in rest:
+            mono *= ext.take(slot)
+        # A m+ - d~ is -r, whose norm is the same; ndarray.dot skips the
+        # ufunc dispatch of @, which shows at this size
+        r = self._whitened.dot(mono)
+        r -= self._target
+        return -0.5 * float(r.dot(r))
 
 
 def build_posterior(

@@ -8,9 +8,12 @@ basis Psi orthonormal under the uniform distribution on the parameter
 cube, so the degree-0 coefficients are the expected voltages.  Evaluation
 uses the power form of that basis instead: with V the electrode voltage
 coefficients (beta expanded mean-free) and Psi = T m the change to the
-monomials m(y) = y^mu, the surrogate keeps M = V T once, and one
-evaluation is Q gathers of [1, y] that form m(y), then the product M m(y).
-The Jacobian is M times the derivatives of the monomials.
+monomials m(y) = y^mu, the surrogate keeps M = V T (``power_coeffs``)
+once, and one evaluation is Q gathers of [1, y] that form m(y), then the
+product M m(y).  The Jacobian is M times the derivatives of the monomials.
+The gathers follow a slot table (``slots``); ``monomials`` and
+``monomial_jacobian`` take any such table, so a caller may append rows of
+its own.
 
 File format ``SGFEM-EIT/2``: a magic line, an 8-byte little-endian header
 length, a JSON header {Q, sigma0, sigma, a, b, seeds, patterns}, then the
@@ -54,8 +57,10 @@ class SgfemSurrogate:
     beta: np.ndarray
     bounds: ParameterBounds
     seeds: np.ndarray
-    _slots: list[np.ndarray] = field(init=False, repr=False)
-    _power_coeffs: np.ndarray = field(init=False, repr=False)
+    # the power form, derived at construction: U(y) = power_coeffs @
+    # monomials(y, slots)
+    slots: list[np.ndarray] = field(init=False, repr=False)
+    power_coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.patterns = np.asarray(self.patterns, dtype=np.float64)
@@ -73,14 +78,14 @@ class SgfemSurrogate:
                 raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
         # Q = 0 has no slot; one gather of the constant stands for it
         slots = monomial_slots(self.index_set).T
-        self._slots = [np.ascontiguousarray(s) for s in slots] or [
+        self.slots = [np.ascontiguousarray(s) for s in slots] or [
             np.zeros(len(self.index_set), dtype=np.int64)
         ]
         # electrode voltage coefficients, (n_patterns * M, n_terms), in the
         # monomial basis: M = V T
         volts = expand_mean_free(self.beta.swapaxes(1, 2)).swapaxes(1, 2)
         volts = volts.reshape(-1, len(self.index_set))
-        self._power_coeffs = np.ascontiguousarray(
+        self.power_coeffs = np.ascontiguousarray(
             volts @ legendre_to_monomial(self.index_set)
         )
 
@@ -106,7 +111,10 @@ class SgfemSurrogate:
     a = property(lambda self: self.bounds.a)
     b = property(lambda self: self.bounds.b)
 
-    def _check_point(self, y: np.ndarray) -> np.ndarray:
+    def check_point(self, y: np.ndarray) -> np.ndarray:
+        """``y`` as a float array after the tests of a parameter point:
+        the shape must be (L+M,) and the entries finite; a point outside
+        the cube warns of extrapolation."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {y.shape}")
@@ -120,33 +128,13 @@ class SgfemSurrogate:
             )
         return y
 
-    def eval_stacked(self, y, *, check: bool = True) -> np.ndarray:
-        """All patterns' voltages stacked into one vector, pattern-major;
-        ``check=False`` skips the test of ``y`` for callers that made it."""
-        if check:
-            y = self._check_point(y)
-        ext = np.concatenate((_ONE, y))
-        first, *rest = self._slots
-        mono = ext.take(first)
-        for slot in rest:
-            mono *= ext.take(slot)
-        return self._power_coeffs @ mono
+    def eval_stacked(self, y) -> np.ndarray:
+        """All patterns' voltages stacked into one vector, pattern-major."""
+        return self.power_coeffs @ monomials(self.check_point(y), self.slots)
 
     def jacobian(self, y) -> np.ndarray:
         """Derivative of the stacked voltages with respect to y."""
-        ext = np.concatenate((_ONE, self._check_point(y)))
-        gathered = [ext.take(slot) for slot in self._slots]
-        rows = np.arange(len(self.index_set))
-        # column 0 collects the derivatives with respect to the constant
-        dmono = np.zeros((len(rows), len(ext)))
-        for s, slot in enumerate(self._slots):
-            term = np.ones(len(rows))
-            for t, g in enumerate(gathered):
-                if t != s:
-                    term *= g
-            # the rows are distinct, so no index pair repeats within a slot
-            dmono[rows, slot] += term
-        return self._power_coeffs @ dmono[:, 1:]
+        return self.power_coeffs @ monomial_jacobian(self.check_point(y), self.slots)
 
     def save(self, path) -> None:
         """Write the surrogate in format version 2.  The file names its
@@ -167,6 +155,34 @@ class SgfemSurrogate:
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             f.write(np.ascontiguousarray(self.beta, dtype="<f8").tobytes())
+
+
+def monomials(y: np.ndarray, slots: list[np.ndarray]) -> np.ndarray:
+    """Monomials named by a slot table at the point y: entry i is the
+    product over the slots of [1, y] gathered at index ``slot[i]``."""
+    ext = np.concatenate((_ONE, y))
+    first, *rest = slots
+    mono = ext.take(first)
+    for slot in rest:
+        mono *= ext.take(slot)
+    return mono
+
+
+def monomial_jacobian(y: np.ndarray, slots: list[np.ndarray]) -> np.ndarray:
+    """Derivatives of :func:`monomials` with respect to y, (rows, len(y))."""
+    ext = np.concatenate((_ONE, y))
+    gathered = [ext.take(slot) for slot in slots]
+    rows = np.arange(len(slots[0]))
+    # column 0 collects the derivatives with respect to the constant
+    dmono = np.zeros((len(rows), len(ext)))
+    for s, slot in enumerate(slots):
+        term = np.ones(len(rows))
+        for t, g in enumerate(gathered):
+            if t != s:
+                term *= g
+        # the rows are distinct, so no index pair repeats within a slot
+        dmono[rows, slot] += term
+    return dmono[:, 1:]
 
 
 def from_solution(

@@ -56,20 +56,25 @@ def tiny():
     return mesh, part, seeds
 
 
-@pytest.fixture(scope="session")
-def tiny_surrogate(tiny):
+def build_tiny_surrogate(tiny, degree):
+    """Galerkin surrogate of chaos degree ``degree`` on the tiny setup."""
     mesh, part, seeds = tiny
     L, M = part.n_pixels, mesh.n_electrodes
     bounds = fem.ParameterBounds(
         1.1, np.full(L, 0.6), np.full(M, 100.0), np.full(M, 1000.0)
     )
     spatial = fem.assemble_spatial(mesh, part, bounds)
-    index_set = chaos.iso_td(L + M, 2)
+    index_set = chaos.iso_td(L + M, degree)
     moments = chaos.moment_matrices(index_set)
     system = sgfem.assemble_system(spatial, moments)
     patterns = sgfem.standard_patterns(M)
     solution = sgfem.solve(system, patterns)
     return surrogate.from_solution(solution, index_set, bounds, seeds)
+
+
+@pytest.fixture(scope="session")
+def tiny_surrogate(tiny):
+    return build_tiny_surrogate(tiny, 2)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from sgeit import det_cem, inversion
+from conftest import build_tiny_surrogate
+from sgeit import chaos, det_cem, inversion, sgfem
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,83 @@ def test_residual_jacobian_matches_fd(tiny_posterior):
             2.0 * h
         )
         npt.assert_allclose(jac[:, k], fd, rtol=2e-5, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def tiny_posteriors_by_degree(tiny, tiny_measurements):
+    """Posteriors on tiny surrogates of chaos degree 0 to 3."""
+    return {
+        degree: inversion.build_posterior(
+            build_tiny_surrogate(tiny, degree),
+            tiny_measurements,
+            noise_pct=5.0,
+            corr_length=0.5,
+        )
+        for degree in range(4)
+    }
+
+
+def explicit_residual(post, y):
+    """[(d - U(y)) / xi, W y_sigma], with U(y) from the Legendre
+    coefficients and the chaos basis rather than the power form."""
+    psi = chaos.ChaosBasis(post.surrogate.index_set).eval(y)
+    beta = post.surrogate.beta
+    volts = np.concatenate(
+        [sgfem.expand_mean_free(beta[p] @ psi) for p in range(len(beta))]
+    )
+    misfit = (post.data - volts) / post.noise.std
+    return np.concatenate([misfit, post.prior.whiten @ y[: post.n_pixels]])
+
+
+def explicit_log_density(post, y):
+    """-F(y)/2 from :func:`explicit_residual`, -inf outside the cube."""
+    if not np.abs(y).max() <= 1.0:
+        return -math.inf
+    r = explicit_residual(post, y)
+    return -0.5 * float(r @ r)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_whitened_form_matches_the_explicit_formula(tiny_posteriors_by_degree, degree):
+    post = tiny_posteriors_by_degree[degree]
+    rng = np.random.default_rng(70 + degree)
+    corners = 2.0 * rng.integers(0, 2, (4, post.n_params)) - 1.0
+    for y in np.vstack([rng.uniform(-1.0, 1.0, (8, post.n_params)), corners]):
+        want = explicit_residual(post, y)
+        npt.assert_allclose(
+            post.residual(y), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
+        assert post.log_density(y) == pytest.approx(
+            explicit_log_density(post, y), rel=1e-12
+        )
+        assert post.objective(y) == pytest.approx(float(want @ want), rel=1e-12)
+    # the Jacobian against central differences of the explicit residual
+    y = rng.uniform(-0.5, 0.5, post.n_params)
+    jac = post.residual_jacobian(y)
+    assert jac.shape == (len(post.data) + post.n_pixels, post.n_params)
+    h = 1e-6
+    for k in range(post.n_params):
+        e = np.zeros_like(y)
+        e[k] = h
+        fd = (explicit_residual(post, y + e) - explicit_residual(post, y - e)) / (
+            2.0 * h
+        )
+        npt.assert_allclose(jac[:, k], fd, rtol=1e-5, atol=1e-8 * np.abs(jac).max())
+
+
+def test_posterior_rejects_non_finite_data(tiny_posterior):
+    post = tiny_posterior
+    for bad in (np.nan, np.inf):
+        data = post.data.copy()
+        data[4] = bad
+        with pytest.raises(ValueError, match="non-finite value in data"):
+            inversion.Posterior(post.surrogate, data, post.noise, post.prior)
+    # the percent rule never sees NaN data when the noise is given
+    ms = det_cem.MeasurementSet(
+        post.surrogate.patterns, np.full((3, 4), np.nan), 0.0, 0
+    )
+    with pytest.raises(ValueError, match="non-finite value in data"):
+        inversion.build_posterior(post.surrogate, ms, noise_std=0.1)
 
 
 def test_build_posterior_wiring(tiny_surrogate, tiny_measurements):
@@ -280,6 +358,21 @@ def test_mcmc_equals_a_per_step_loop_for_any_block_size(
     assert res.acceptance == acceptance
     assert res.in_support == in_support
     assert 0.0 < in_support < 1.0
+
+
+def test_mcmc_equals_the_reference_chain_on_the_explicit_formula(tiny_posterior):
+    cfg = inversion.McmcConfig(
+        n_samples=600, burn_in=200, thinning=3, proposal_std=0.2, seed=37
+    )
+    start = inversion.map_estimate(tiny_posterior).y
+    res = inversion.mcmc_sample(tiny_posterior, cfg, start=start)
+    samples, acceptance, in_support = reference_chain(
+        lambda y: explicit_log_density(tiny_posterior, y), start, cfg
+    )
+    assert res.samples.tobytes() == samples.tobytes()
+    assert res.acceptance == acceptance
+    assert res.in_support == in_support
+    assert 0.0 < acceptance < 1.0 and 0.0 < in_support < 1.0
 
 
 def test_mcmc_truncated_normal_moments():
