@@ -9,17 +9,30 @@ F(y)/2 with
 
     F(y) = ||v - U(y)||^2 / xi^2 + y_sigma^T Mcov^{-1} y_sigma.
 
-``Posterior`` whitens both terms into one matrix A once, so that F(y) is
-the squared norm of one residual d~ - A m+(y); its residual, Jacobian,
-objective and log density all evaluate that form.
+``Posterior`` whitens both terms and the data into one matrix A' once, so
+that F(y) is the squared norm of one residual r(y) = -A' m+(y); its
+residual, Jacobian, objective and log density all evaluate that form.
 
-Point estimates: affine-scaled Levenberg-Marquardt for the MAP, random-walk
-Metropolis for conditional-mean and spread estimates.  The chain draws its
-random numbers in blocks from two child streams of its seed, the proposal
-increments from one and one uniform u per step from the other, and accepts
-a step when the log density rises by at least log u.  One step costs a cube
-test, and for a proposal inside the cube Q gathers of [1, y] that form
-m+(y), one product with A and one dot product.
+Point estimates: affine-scaled Levenberg-Marquardt for the MAP, Metropolis
+for conditional-mean and spread estimates.  The chain's proposal is scaled
+by the Laplace covariance C = (J^T J + I/4)^{-1} at its start (the MAP in
+``reconstruct``): the pixels move jointly with covariance C_PP, the
+contacts independently with the standard deviations sqrt(diag C)_CC and
+are reflected into [-1, 1].  A reflected Gaussian kernel is symmetric only
+in coordinates drawn independently of all others, which is why the
+contacts are diagonal and the pixels are not reflected: a pixel proposal
+outside the cube is rejected.  The common scale starts at 2.38/sqrt(d)
+(Roberts, Gelman & Gilks 1997), adapts toward an acceptance of 0.25 in
+fixed windows of the burn-in (Haario, Saksman & Tamminen 2001), and is
+frozen after it at the geometric mean of its values over the burn-in's
+second half, as dual averaging freezes its averaged iterate (Hoffman &
+Gelman 2014).  The chain draws its random numbers in blocks from two
+child streams of its seed, the proposal increments from one and one
+uniform u per step from the other, and accepts a step when the log
+density rises by at least log u.  One step costs the fold of the contacts
+that left the cube, a cube test, and for a proposal inside the cube Q
+gathers of [1, y] that form m+(y), one product with A' and one dot
+product.
 """
 
 from __future__ import annotations
@@ -101,11 +114,14 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
 class Posterior:
     """Posterior density of the parameter vector given one data set.
 
-    Construction whitens the whole of F into one matrix A and one target
-    d~, so that the residual is r(y) = d~ - A m+(y) and F(y) = ||r(y)||^2.
+    Construction whitens the whole of F, data included, into one matrix
+    A', so that the residual is r(y) = -A' m+(y) and F(y) = ||r(y)||^2.
     m+(y) is the surrogate's monomial vector m(y) followed by L slot rows
-    that gather y_sigma, A = [[M / xi, 0], [0, -W]] with M the surrogate's
-    power coefficients and W the prior whitening factor, and d~ = [v / xi, 0].
+    that gather y_sigma.  With M the surrogate's power coefficients, W the
+    prior whitening factor and A = [[M / xi, 0], [0, -W]], the residual
+    d~ - A m+(y) with target d~ = [v / xi, 0] is the same: the constant
+    monomial is the first entry of m+ and always 1, so A' is A with d~
+    subtracted from its first column.
     """
 
     surrogate: SgfemSurrogate
@@ -113,7 +129,6 @@ class Posterior:
     noise: NoiseModel
     prior: SmoothnessPrior
     _whitened: np.ndarray = field(init=False, repr=False)
-    _target: np.ndarray = field(init=False, repr=False)
     _slots: list[np.ndarray] = field(init=False, repr=False)
     # the extended point [1, y] that log_density fills in place, so
     # threads must not share one posterior
@@ -133,9 +148,11 @@ class Posterior:
             raise ValueError("prior covers the wrong number of pixels")
         inv_std = 1.0 / self.noise.std
         self._whitened = np.zeros((n_data + L, n_terms + L))
-        self._whitened[:n_data, :n_terms] = surr.power_coeffs * inv_std
+        coeffs = surr.power_coeffs.copy()
+        # the index set starts with the zero multi-index, whose monomial is 1
+        coeffs[:, 0] -= self.data
+        self._whitened[:n_data, :n_terms] = coeffs * inv_std
         self._whitened[n_data:, n_terms:] = -self.prior.whiten
-        self._target = np.concatenate([self.data * inv_std, np.zeros(L)])
         # the first slot of the extra rows gathers y_1..y_L, the others the 1
         extra = np.zeros((len(surr.slots), L), dtype=np.int64)
         extra[0] = np.arange(1, L + 1)
@@ -156,12 +173,12 @@ class Posterior:
         return -2.0 * self.log_density(np.asarray(y, dtype=np.float64))
 
     def residual(self, y: np.ndarray) -> np.ndarray:
-        """Whitened residual r(y) = d~ - A m+(y), with F(y) = ||r(y)||^2."""
+        """Whitened residual r(y) = -A' m+(y), with F(y) = ||r(y)||^2."""
         mono = monomials(self.surrogate.check_point(y), self._slots)
-        return self._target - self._whitened @ mono
+        return -(self._whitened @ mono)
 
     def residual_jacobian(self, y: np.ndarray) -> np.ndarray:
-        """Derivative of the whitened residual, -A dm+(y)."""
+        """Derivative of the whitened residual, -A' dm+(y)."""
         dmono = monomial_jacobian(self.surrogate.check_point(y), self._slots)
         return -(self._whitened @ dmono)
 
@@ -169,13 +186,16 @@ class Posterior:
         """-F(y)/2 inside the cube, -inf outside (up to a constant).
 
         The chain calls this once per step, so it is written out in one
-        frame: the gathers of :func:`surrogate.monomials` into the kept
-        point [1, y], then one product with A.
+        frame: the cube test on Python floats, the gathers of
+        :func:`surrogate.monomials` into the kept point [1, y], then one
+        product with A'.
         """
-        if np.shape(y) != self._shape:
-            raise ValueError(f"expected {self.n_params} parameters, got {np.shape(y)}")
-        # also false for a NaN entry, which lies outside the cube too
-        if not np.abs(y).max() <= 1.0:
+        if y.shape != self._shape:
+            raise ValueError(f"expected {self.n_params} parameters, got {y.shape}")
+        # max and min skip a NaN that is not first, the sum does not; an
+        # infinite entry fails both tests
+        v = y.tolist()
+        if not (max(v) <= 1.0 and min(v) >= -1.0 and math.isfinite(sum(v))):
             return -math.inf
         ext = self._ext
         ext[1:] = y
@@ -183,10 +203,9 @@ class Posterior:
         mono = ext.take(first)
         for slot in rest:
             mono *= ext.take(slot)
-        # A m+ - d~ is -r, whose norm is the same; ndarray.dot skips the
-        # ufunc dispatch of @, which shows at this size
+        # A' m+ is -r, whose norm is the same; ndarray.dot skips the ufunc
+        # dispatch of @, which shows at this size
         r = self._whitened.dot(mono)
-        r -= self._target
         return -0.5 * float(r.dot(r))
 
 
@@ -293,25 +312,32 @@ def map_estimate(posterior: Posterior, start=None, max_iter: int = 500) -> MapRe
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Random-walk Metropolis settings (defaults sized for tank data)."""
+    """Metropolis settings (defaults sized for tank data).
 
-    n_samples: int = 400_000
-    burn_in: int = 50_000
+    ``proposal_std`` is the proposal scale at the chain start; None starts
+    at 2.38/sqrt(d) for d parameters.  The scale adapts during burn-in.
+    """
+
+    n_samples: int = 50_000
+    burn_in: int = 10_000
     thinning: int = 5
-    proposal_std: float = 0.07
+    proposal_std: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1 or self.burn_in < 0 or self.thinning < 1:
             raise ValueError("invalid chain lengths")
-        if not 0.0 < self.proposal_std < math.inf:
+        if self.proposal_std is not None and not 0.0 < self.proposal_std < math.inf:
             raise ValueError(
                 f"proposal_std must be positive and finite, got {self.proposal_std:g}"
             )
 
 
 # steps per block of random draws; the chain does not depend on it
-_DRAW_BLOCK = 256
+_DRAW_BLOCK = 1024
+# burn-in steps per adaptation of the proposal scale, and its target
+_ADAPT_WINDOW = 500
+_TARGET_ACCEPTANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -322,66 +348,170 @@ class McmcResult:
     acceptance: float
     warning: bool
     in_support: float  # share of all proposals inside the support
+    proposal_scale: float  # the scale after burn-in, used for every sample
+
+
+def correlated_increments(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Rows z_i mapped to factor @ z_i, one column of the factor at a time.
+
+    Entry k of a row is the sum of factor[k, j] z_ij in the order of j,
+    whatever the number of rows, so a chain does not depend on how many
+    steps are drawn together (a BLAS product may round a row differently
+    for another number of rows).  A column is applied only between its
+    first and last nonzero entry; the zero products left out change no sum.
+    """
+    zt = np.ascontiguousarray(z.T)
+    out = np.zeros_like(zt)
+    for j in range(factor.shape[1]):
+        rows = np.flatnonzero(factor[:, j])
+        if rows.size:
+            a, b = rows[0], rows[-1] + 1
+            out[a:b] += factor[a:b, j, None] * zt[j]
+    return out.T
 
 
 def random_walk_metropolis(
-    log_density, start, config: McmcConfig
+    log_density, start, config: McmcConfig, factor=None, reflect: slice = slice(0)
 ) -> McmcResult:
-    """Metropolis sampling with an isotropic Gaussian proposal.
+    """Metropolis sampling with a Gaussian proposal of covariance s^2 F F^T.
 
-    Random numbers come in blocks from two child streams spawned from
-    ``config.seed``: one gives the proposal increments, the other one
-    uniform u per step (1 - U for a draw U in [0, 1), so log u is
-    finite), and a step accepts when the change of the log density is at
-    least log u.  Numpy fills a block exactly as it draws one value after
-    another, so the chain does not depend on the block size.  Proposals
-    outside the support (log density -inf) are rejected
+    F is ``factor`` (the identity by default) and s the proposal scale.
+    Coordinates in the ``reflect`` slice are folded back into [-1, 1] by
+    p -> 1 - |((p + 1) mod 4) - 2|; the folded kernel is symmetric only if
+    each of them is drawn independently of all others, so a ``factor``
+    that couples one of them with another coordinate raises ValueError.
+    Any other proposal outside the support (log density -inf) is rejected
     without further evaluation; ``in_support`` is the share of all
-    proposals inside it.  Runs burn_in + n_samples * thinning iterations
-    and keeps every thinning-th state after burn-in.  The acceptance rate
-    is measured over the post-burn-in phase; a rate outside [0.05, 0.8]
-    sets the warning flag.
+    proposals inside it, after the fold.
+
+    The scale starts at ``config.proposal_std``, or 2.38/sqrt(d) if that
+    is None.  After every full window of ``_ADAPT_WINDOW`` burn-in steps it
+    is multiplied by exp(2 (a - 0.25)), with a the window's acceptance
+    rate.  At the end of burn-in it is set to the geometric mean of the
+    scales set after the windows of the burn-in's second half (windows
+    k > K // 2 of K full windows), so that the acceptance noise of the
+    last window alone does not decide it; it then stays fixed and is
+    returned as ``proposal_scale``.  Random numbers come in blocks from
+    two child streams spawned from ``config.seed``: one gives the
+    increments F z, the other one uniform u per step (1 - U for a draw U
+    in [0, 1), so log u is finite), and a step accepts when the change of
+    the log density is at least log u.  Numpy fills a block exactly as it draws
+    one value after another, and :func:`correlated_increments` maps each
+    row alone, so the chain does not depend on the block size.  Runs
+    burn_in + n_samples * thinning iterations and keeps every thinning-th
+    state after burn-in.  The acceptance rate is measured over the
+    post-burn-in phase; a rate outside [0.05, 0.8] sets the warning flag.
     """
     y = np.asarray(start, dtype=np.float64).copy()
+    n_dim = y.shape[0]
+    factor = np.eye(n_dim) if factor is None else np.asarray(factor, dtype=np.float64)
+    if factor.shape != (n_dim, n_dim):
+        raise ValueError(f"proposal factor must be {n_dim} x {n_dim}")
+    lo, hi, stride = reflect.indices(n_dim)
+    if stride != 1:
+        raise ValueError("reflected coordinates must form a contiguous slice")
+    coupling = factor - np.diag(np.diag(factor))
+    if coupling[lo:hi].any() or coupling[:, lo:hi].any():
+        raise ValueError("a reflected coordinate is drawn jointly with another one")
+    fold = lo < hi
     lp = float(log_density(y))
     if not math.isfinite(lp):
         raise ValueError("chain start lies outside the posterior support")
     steps, uniforms = np.random.default_rng(config.seed).spawn(2)
-    n_dim = y.shape[0]
-    total = config.burn_in + config.n_samples * config.thinning
+    scale = config.proposal_std
+    if scale is None:
+        scale = 2.38 / math.sqrt(n_dim)
+    burn_in, thinning = config.burn_in, config.thinning
+    total = burn_in + config.n_samples * thinning
     samples = np.empty((config.n_samples, n_dim))
-    accepted = 0
+    # acceptances counted over all steps, and their count at the last mark
+    accepted = marked = 0
     kept = 0
     inside = 0
+    # the adaptations after this many steps enter the frozen scale
+    late = burn_in // _ADAPT_WINDOW // 2 * _ADAPT_WINDOW
+    log_sum = 0.0
+    n_late = 0
     for t0 in range(0, total, _DRAW_BLOCK):
         n = min(_DRAW_BLOCK, total - t0)
-        incs = config.proposal_std * steps.standard_normal((n, n_dim))
+        raw = correlated_increments(steps.standard_normal((n, n_dim)), factor)
+        incs = raw * scale
         log_us = np.log1p(-uniforms.random(n)).tolist()
         for i in range(n):
             t = t0 + i
             prop = y + incs[i]
+            if fold:
+                k = lo
+                for v in prop[lo:hi].tolist():
+                    if not -1.0 <= v <= 1.0:
+                        prop[k] = 1.0 - abs((v + 1.0) % 4.0 - 2.0)
+                    k += 1
             lp_new = log_density(prop)
             if lp_new > -math.inf:
                 inside += 1
                 if lp_new - lp >= log_us[i]:
                     y, lp = prop, float(lp_new)
-                    if t >= config.burn_in:
-                        accepted += 1
-            if t >= config.burn_in and (t - config.burn_in + 1) % config.thinning == 0:
-                samples[kept] = y
-                kept += 1
-    post = total - config.burn_in
-    rate = accepted / post if post else 0.0
+                    accepted += 1
+            if t >= burn_in:
+                if (t - burn_in + 1) % thinning == 0:
+                    samples[kept] = y
+                    kept += 1
+            elif (t + 1) % _ADAPT_WINDOW == 0:
+                # a full window of burn-in ends with this step
+                rate = (accepted - marked) / _ADAPT_WINDOW
+                scale *= math.exp(2.0 * (rate - _TARGET_ACCEPTANCE))
+                if t >= late:
+                    log_sum += math.log(scale)
+                    n_late += 1
+                np.multiply(raw[i + 1 :], scale, out=incs[i + 1 :])
+                marked = accepted
+            if t + 1 == burn_in:
+                marked = accepted
+                if n_late:
+                    scale = math.exp(log_sum / n_late)
+                    np.multiply(raw[i + 1 :], scale, out=incs[i + 1 :])
+    post = total - burn_in
+    rate = (accepted - marked) / post
     warn = not 0.05 <= rate <= 0.8
     if warn:
         warnings.warn(f"MCMC acceptance rate {rate:.3f} outside [0.05, 0.8]")
-    return McmcResult(samples, rate, warn, inside / total)
+    return McmcResult(samples, rate, warn, inside / total, scale)
+
+
+def laplace_proposal(posterior: Posterior, y: np.ndarray) -> np.ndarray:
+    """Proposal factor of the chain from the Laplace covariance at y.
+
+    C = (J^T J + I/4)^{-1}, with J the residual Jacobian at y; the I/4
+    bounds every proposal standard deviation by 2, one cube width, so C
+    exists even where a contact leaves the data unchanged.  The factor is
+    the Cholesky factor of the pixel block C_PP beside the diagonal
+    sqrt(diag C)_CC of the contacts, which the chain reflects.
+    """
+    jac = posterior.residual_jacobian(y)
+    cov = np.linalg.inv(jac.T @ jac + 0.25 * np.eye(posterior.n_params))
+    L = posterior.n_pixels
+    factor = np.diag(np.sqrt(np.diag(cov)))
+    factor[:L, :L] = np.linalg.cholesky(cov[:L, :L])
+    return factor
 
 
 def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcResult:
-    """Run the random-walk sampler on a posterior (start defaults to 0)."""
+    """Run the Laplace-scaled sampler on a posterior (start defaults to 0).
+
+    The proposal factor comes from :func:`laplace_proposal` at the start,
+    and the contacts are the reflected coordinates.
+    """
     y0 = np.zeros(posterior.n_params) if start is None else np.asarray(start, float)
-    return random_walk_metropolis(posterior.log_density, y0, config)
+    # before the Jacobian, which would extrapolate outside the cube
+    if not math.isfinite(posterior.log_density(y0)):
+        raise ValueError("chain start lies outside the posterior support")
+    return random_walk_metropolis(
+        posterior.log_density,
+        y0,
+        config,
+        laplace_proposal(posterior, y0),
+        slice(posterior.n_pixels, None),
+    )
 
 
 @dataclass(frozen=True)
@@ -451,6 +581,7 @@ def reconstruct(
         diagnostics.update(
             acceptance=chain.acceptance,
             in_support=chain.in_support,
+            proposal_scale=chain.proposal_scale,
             n=chain.samples.shape[0],
             stabilization=stabilization,
         )

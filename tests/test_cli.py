@@ -78,6 +78,7 @@ def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
     est = inversion.load_estimates(d / "est.json")
     assert est.diagnostics["map_converged"]
     assert f"in support {est.diagnostics['in_support']:.3f}" in out
+    assert f"proposal scale {est.diagnostics['proposal_scale']:.3g}," in out
     assert est.sigma_cm is not None
     # the phantom's low-contrast pixel should come out lowest
     assert est.sigma_map.argmin() == 1
