@@ -165,7 +165,7 @@ def cmd_precompute(args) -> int:
 
     patterns = sgfem.standard_patterns(n_el)
     t0 = time.perf_counter()
-    sol = sgfem.solve(system, patterns, method=args.solver, tol=args.tol)
+    sol = sgfem.solve(system, patterns, tol=args.tol)
     t_solve = time.perf_counter() - t0
 
     surr = surrogate.from_solution(sol, index_set, bounds, seeds)
@@ -175,7 +175,7 @@ def cmd_precompute(args) -> int:
     steps = "iteration" if sol.iterations == 1 else "iterations"
     print(
         f"assembly {t_asm:.2f} s, solve {t_solve:.2f} s "
-        f"({sol.method}, {sol.iterations} {steps})"
+        f"(pcg, {sol.iterations} {steps})"
     )
     print(f"max relative residual: {sol.residuals.max():.2e}")
     print(f"wrote {args.out}")
@@ -284,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--zeta-max", type=float, default=1000.0, help="contact upper bound mS/cm"
-    )
-    p.add_argument(
-        "--solver",
-        choices=("direct", "pcg"),
-        default="pcg",
-        help="block CG (default) or the sparse LU reference",
     )
     p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
     p.add_argument("--out", required=True, help="output surrogate file")

@@ -170,11 +170,15 @@ def load_measurements(path) -> MeasurementSet:
     try:
         patterns = np.asarray(raw["patterns"], dtype=np.float64)
         voltages = np.asarray(raw["voltages"], dtype=np.float64)
+        seed = raw["seed"]
+        # a bool is an int subclass, and int() would take 1.5 or "7"
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         ms = MeasurementSet(
             patterns,
             voltages,
             float(raw["noise_std"]),
-            int(raw["seed"]),
+            seed,
             raw.get("provenance", ""),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .det_cem import MeasurementSet, params_from_y, percent_noise
 from .fem import ParameterBounds
-from .geometry import read_json
+from .geometry import read_json, require_finite
 from .surrogate import SgfemSurrogate, monomial_jacobian, monomials
 
 
@@ -615,12 +615,12 @@ def load_estimates(path) -> Estimates:
             for name in ("sigma_cm", "sigma_sd", "zeta_cm", "zeta_sd")
             if name in raw
         }
-        return Estimates(
-            np.asarray(raw["y_map"], dtype=np.float64),
-            np.asarray(raw["sigma_map"], dtype=np.float64),
-            np.asarray(raw["zeta_map"], dtype=np.float64),
-            dict(raw.get("diagnostics", {})),
-            **opt,
-        )
+        maps = {
+            name: np.asarray(raw[name], dtype=np.float64)
+            for name in ("y_map", "sigma_map", "zeta_map")
+        }
+        diagnostics = dict(raw.get("diagnostics", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed estimates file ({exc})") from exc
+    require_finite(path, **maps, **opt)
+    return Estimates(**maps, diagnostics=diagnostics, **opt)

@@ -13,11 +13,9 @@ with the spatial index outer and the chaos index inner.  The parameter box
 enters only through the spatial matrices: their stiffness blocks are
 scaled by it, and they carry it for the contact centres and half-widths.
 
-``solve`` treats all current patterns as one block.  Its default,
-``pcg``, is conjugate gradients preconditioned by the mean matrix
-K_0 (x) I and needs only a dense factorization of the n_s x n_s matrix
-K_0; ``direct``, one sparse LU factorization of all of K, is the
-reference.
+``solve`` treats all current patterns as one block: conjugate gradients
+preconditioned by the mean matrix K_0 (x) I, which needs only a dense
+factorization of the n_s x n_s matrix K_0, never one of K.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .chaos import MomentMatrices
@@ -55,8 +52,7 @@ class SgfemSolution:
     alpha: np.ndarray
     beta: np.ndarray
     residuals: np.ndarray
-    method: str
-    iterations: int  # CG iterations for pcg, refinement steps for direct
+    iterations: int  # block CG iterations
 
     def mean_voltages(self) -> np.ndarray:
         """Expected electrode voltages (the degree-0 chaos coefficients)."""
@@ -158,37 +154,29 @@ def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
 def solve(
     system: SgfemSystem,
     patterns,
-    method: str = "pcg",
     tol: float = 1e-10,
     maxiter: int | None = None,
 ) -> SgfemSolution:
     """Solve the Galerkin system for a batch of current patterns.
 
-    ``method`` is ``pcg`` (the default) or ``direct`` (the reference).
-    ``pcg`` runs conjugate gradients on all patterns at once, with a step
-    length and direction per pattern, preconditioned by K_0^{-1} (x) I where
-    K_0 = B_0 is the electrode-model matrix at the parameter mean; it stops
-    once every pattern's residual is at most ``tol`` times its load norm and
-    raises after ``maxiter`` iterations (default ten times the order).
-    ``direct`` factors K once by sparse LU, solves for all patterns together
-    and refines iteratively down to ``tol``, which must be positive and
-    finite.  Raises if any relative residual stays above ``tol``.
+    Runs conjugate gradients on all patterns at once, with a step length
+    and direction per pattern, preconditioned by K_0^{-1} (x) I where
+    K_0 = B_0 is the electrode-model matrix at the parameter mean.  It stops
+    once every pattern's residual is at most ``tol`` times its load norm;
+    ``tol`` must be positive and finite.  Raises after ``maxiter``
+    iterations (default ten times the order), if K_0 is not positive
+    definite, or if any relative residual stays above ``tol``.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
-    if method not in ("direct", "pcg"):
-        raise ValueError(f"unknown solver method {method!r}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
     K = system.K
     n_d, n_el, n_g = system.n_nodes, system.n_electrodes, system.n_chaos
     # one column per pattern: spatial index outer, chaos inner, pattern last
     C = np.column_stack([rhs_for_current(system, p) for p in patterns])
-    if method == "direct":
-        X, iterations = _lu_solve(K, C, tol)
-    else:
-        if maxiter is None:
-            maxiter = 10 * system.order
-        X, iterations = _block_pcg(K, C, n_g, tol, maxiter)
+    if maxiter is None:
+        maxiter = 10 * system.order
+    X, iterations = _block_pcg(K, C, n_g, tol, maxiter)
 
     residuals = np.linalg.norm(C - K @ X, axis=0) / np.linalg.norm(C, axis=0)
     for p, rel in enumerate(residuals):
@@ -199,34 +187,7 @@ def solve(
     n_p = patterns.shape[0]
     alpha = X[: n_d * n_g].T.reshape(n_p, n_d, n_g)
     beta = X[n_d * n_g :].T.reshape(n_p, n_el - 1, n_g)
-    return SgfemSolution(patterns, alpha, beta, residuals, method, iterations)
-
-
-def _not_positive_definite(detail) -> RuntimeError:
-    return RuntimeError(
-        f"factorization failed; system not positive definite ({detail})"
-    )
-
-
-def _lu_solve(K, C, tol):
-    """Sparse LU of K with up to three refinement steps on the block C.
-
-    Returns the solution block and the number of refinement steps taken.
-    """
-    atol = tol * np.linalg.norm(C, axis=0)
-    try:
-        lu = spla.splu(K.tocsc())
-    except RuntimeError as exc:
-        raise _not_positive_definite(exc) from exc
-    X = lu.solve(C)
-    steps = 0
-    while steps < 3:
-        R = C - K @ X
-        if np.all(np.linalg.norm(R, axis=0) <= atol):
-            break
-        X += lu.solve(R)
-        steps += 1
-    return X, steps
+    return SgfemSolution(patterns, alpha, beta, residuals, iterations)
 
 
 def _block_pcg(K, C, n_g, tol, maxiter):
@@ -245,7 +206,10 @@ def _block_pcg(K, C, n_g, tol, maxiter):
     K0 = K[::n_g, ::n_g].toarray()
     factor, info = lapack.dpotrf(K0, lower=True)
     if info != 0:
-        raise _not_positive_definite(f"dense Cholesky of K_0, info={info}")
+        raise RuntimeError(
+            "factorization failed; system not positive definite "
+            f"(dense Cholesky of K_0, info={info})"
+        )
     inv, _ = lapack.dpotri(factor, lower=True)
     K0inv = np.tril(inv) + np.tril(inv, -1).T
     n_s, n_p = K0.shape[0], C.shape[1]

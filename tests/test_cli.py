@@ -220,6 +220,7 @@ def test_seeds_file_of_the_wrong_kind_exits_2(workdir, capsys, tmp_path, text):
         ("data", "patterns", np.nan),
         ("data", "voltages", np.nan),
         ("data", "noise_std", np.inf),
+        ("estimates", "sigma_map", np.nan),
     ],
 )
 def test_non_finite_inputs_exit_2_and_name_the_field(
@@ -230,6 +231,10 @@ def test_non_finite_inputs_exit_2_and_name_the_field(
     files["data"] = tmp_path / "data.json"
     run(["simulate", "--mesh", files["mesh"], "--seeds", files["seeds"],
          "--phantom", files["phantom"], "--out", files["data"]])
+    if kind == "estimates":
+        files["estimates"] = tmp_path / "est.json"
+        run(["reconstruct", "--surrogate", d / "surr.bin", "--data", files["data"],
+             "--samples", 0, "--out", files["estimates"]])
     doc = json.loads(files[kind].read_text())
     arr = np.asarray(doc if kind == "seeds" else doc[field], dtype=np.float64)
     arr.flat[-1] = value
@@ -243,6 +248,10 @@ def test_non_finite_inputs_exit_2_and_name_the_field(
     if kind == "data":
         rc = run(["reconstruct", "--surrogate", d / "surr.bin", "--data",
                   files["data"], "--samples", 0, "--out", tmp_path / "e.json"])
+    elif kind == "estimates":
+        rc = run(["render", "--estimates", files["estimates"], "--mesh",
+                  files["mesh"], "--seeds", files["seeds"], "--field", field,
+                  "--out", tmp_path / "x.svg"])
     else:
         rc = run(["simulate", "--mesh", files["mesh"], "--seeds", files["seeds"],
                   "--phantom", files["phantom"], "--out", tmp_path / "x.json"])
@@ -337,7 +346,7 @@ def test_exit_code_3_on_numerical_failure(workdir, capsys, tmp_path):
     d = workdir
     rc = run(
         ["precompute", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
-         "--solver", "pcg", "--tol", 1e-30, "--out", tmp_path / "s.bin"]
+         "--tol", 1e-30, "--out", tmp_path / "s.bin"]
     )
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err

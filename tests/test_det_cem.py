@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -256,4 +258,17 @@ def test_load_measurements_rejects(tmp_path):
         '"noise_std": 0.0, "seed": 0}'
     )
     with pytest.raises(ValueError, match="shapes disagree"):
+        det_cem.load_measurements(p)
+
+
+@pytest.mark.parametrize("seed", ["1.5", "true", '"7"'])
+def test_load_measurements_refuses_a_seed_that_is_not_an_integer(tmp_path, seed):
+    # int() would read these as 1, 1 and 7
+    p = tmp_path / "m.json"
+    p.write_text(
+        '{"patterns": [[1.0, -1.0]], "voltages": [[0.5, -0.5]], '
+        f'"noise_std": 0.0, "seed": {seed}}}'
+    )
+    named = re.escape(f"{p}: ") + ".*seed must be an integer"
+    with pytest.raises(ValueError, match=named):
         det_cem.load_measurements(p)

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import sgeit
 from sgeit import chaos, det_cem, fem, sgfem
@@ -22,6 +23,18 @@ def tiny_sg():
     idx = chaos.iso_td(3, 2)
     system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     return mesh, part, sm, idx, system, a, b
+
+
+def lu_reference(system, patterns):
+    """alpha and beta of every pattern by scipy's sparse LU of all of K."""
+    C = np.column_stack(
+        [sgfem.rhs_for_current(system, p) for p in np.atleast_2d(patterns)]
+    )
+    X = spla.spsolve(system.K.tocsc(), C).reshape(C.shape)
+    n_d, n_g, n_p = system.n_nodes, system.n_chaos, C.shape[1]
+    alpha = X[: n_d * n_g].T.reshape(n_p, n_d, n_g)
+    beta = X[n_d * n_g :].T.reshape(n_p, -1, n_g)
+    return alpha, beta
 
 
 def dense_block_matrix(sm, a, b, y):
@@ -238,14 +251,11 @@ def test_solve_direct_and_pcg_agree(tiny_sg):
     sm = spatial(mesh, part, 1.1, [0.6], np.array([1.0, 2.0]), np.array([5.0, 4.0]))
     system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(2)
-    sol_d = sgfem.solve(system, pats, method="direct")
+    _, beta = lu_reference(system, pats)
     # the mean preconditioner needs 7 iterations here, Jacobi 34
-    sol_p = sgfem.solve(system, pats, method="pcg", maxiter=20)
-    assert sol_d.method == "direct"
-    assert sol_p.method == "pcg"
+    sol_p = sgfem.solve(system, pats, maxiter=20)
     # symmetry zeros carry solver noise ~tol, so an absolute floor applies
-    npt.assert_allclose(sol_p.beta, sol_d.beta, rtol=1e-7, atol=1e-9)
-    assert sol_d.residuals.max() <= 1e-10
+    npt.assert_allclose(sol_p.beta, beta, rtol=1e-7, atol=1e-9)
     assert sol_p.residuals.max() <= 1e-10
 
 
@@ -260,13 +270,12 @@ def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
         [[1.0, -1.0, 0.0, 0.0], [0.0, 2.0, -2.0, 0.0], [0.5, 0.5, -0.5, -0.5]]
     )
     sol = sgfem.solve(system, pats)
-    ref = sgfem.solve(system, pats, method="direct")
-    assert sol.method == "pcg"
+    alpha, beta = lu_reference(system, pats)
     # 19 iterations measured for every pattern
     assert sol.iterations <= 25
     assert sol.residuals.max() <= 1e-10
-    npt.assert_allclose(sol.beta, ref.beta, rtol=1e-7, atol=1e-9)
-    npt.assert_allclose(sol.alpha, ref.alpha, rtol=1e-7, atol=1e-9)
+    npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
+    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
     # each column follows its own CG iterates: pattern-wise step lengths
     # agree with one-pattern runs to rounding (~4e-15 measured), where
     # step lengths shared across the block differ by ~1e-12
@@ -285,15 +294,22 @@ def test_solve_rejects_bad_options(tiny_sg):
     sm = spatial(mesh, part, 1.1, [0.6], np.array([1.0, 2.0]), np.array([5.0, 4.0]))
     system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(2)
-    with pytest.raises(ValueError, match="unknown solver method"):
-        sgfem.solve(system, pats, method="qr")
     with pytest.raises(RuntimeError, match="PCG did not reach"):
-        sgfem.solve(system, pats, method="pcg", maxiter=1)
+        sgfem.solve(system, pats, maxiter=1)
     # a tolerance that is not positive and finite would run to the cap
     for tol in (0.0, -1.0, np.nan, np.inf):
-        for method in ("pcg", "direct"):
-            with pytest.raises(ValueError, match="tol must be positive and finite"):
-                sgfem.solve(system, pats, method=method, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sgfem.solve(system, pats, tol=tol)
+
+
+def test_solve_refuses_a_mean_matrix_that_is_not_positive_definite(tiny_sg):
+    # -K has the mean block -K_0, whose dense Cholesky fails at once
+    system = tiny_sg[4]
+    negated = sgfem.SgfemSystem(
+        -system.K, system.n_nodes, system.n_electrodes, system.n_chaos
+    )
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        sgfem.solve(negated, sgfem.standard_patterns(2))
 
 
 def test_degree_zero_equals_deterministic_midpoint(tiny_sg):
