@@ -136,9 +136,12 @@ def iso_td(n_dims: int, degree: int, size_cap: int = 10_000_000) -> MultiIndexSe
 
 @dataclass(frozen=True)
 class MomentMatrices:
-    """Sparse moment matrices G_0 = I and G_k = E[y_k Psi Psi'], k = 1..P."""
+    """Sparse moment matrices G_0 = I and G_k = E[y_k Psi Psi'], k = 1..P,
+    with the total-degree parity (0 even, 1 odd) of every index of the set.
+    """
 
     G: tuple[sp.csr_matrix, ...]
+    parity: np.ndarray
 
     @property
     def n_dims(self) -> int:
@@ -155,7 +158,8 @@ def moment_matrices(index_set: MultiIndexSet) -> MomentMatrices:
     between degrees m and m+1 is (m+1)/sqrt((2m+1)(2m+3)).  Every G_k is
     symmetric with zero diagonal except G_0, the identity.  One lookup of
     slot rows finds every neighbour mu - e_k; one outside the set couples
-    nothing.
+    nothing.  So every G_k, k >= 1, couples only indices of opposite
+    total-degree parity.
     """
     n = len(index_set)
     dims, degs = _active(index_set)
@@ -170,7 +174,7 @@ def moment_matrices(index_set: MultiIndexSet) -> MomentMatrices:
         at = (k == dim) & (j >= 0)
         pairs = (np.r_[i[at], j[at]], np.r_[j[at], i[at]])
         mats.append(sp.coo_matrix((np.tile(c[at], 2), pairs), shape=(n, n)).tocsr())
-    return MomentMatrices(tuple(mats))
+    return MomentMatrices(tuple(mats), index_set.indices.sum(axis=1) % 2)
 
 
 def _active(index_set: MultiIndexSet) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -252,11 +254,18 @@ def test_solve_direct_and_pcg_agree(tiny_sg):
     system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(2)
     _, beta = lu_reference(system, pats)
-    # the mean preconditioner needs 7 iterations here, Jacobi 34
+    # CG on the Schur complement of one parity class needs 3 iterations
+    # here, CG on all of K with the same preconditioner 7, Jacobi 34
     sol_p = sgfem.solve(system, pats, maxiter=20)
     # symmetry zeros carry solver noise ~tol, so an absolute floor applies
     npt.assert_allclose(sol_p.beta, beta, rtol=1e-7, atol=1e-9)
     assert sol_p.residuals.max() <= 1e-10
+
+
+# three patterns of different amplitude on the 4 electrodes of ``tiny``
+MIXED_PATTERNS = np.array(
+    [[1.0, -1.0, 0.0, 0.0], [0.0, 2.0, -2.0, 0.0], [0.5, 0.5, -0.5, -0.5]]
+)
 
 
 def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
@@ -266,13 +275,11 @@ def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
         mesh, part, 1.1, np.full(3, 0.6), np.full(4, 100.0), np.full(4, 1000.0)
     )
     system = sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(7, 2)))
-    pats = np.array(
-        [[1.0, -1.0, 0.0, 0.0], [0.0, 2.0, -2.0, 0.0], [0.5, 0.5, -0.5, -0.5]]
-    )
+    pats = MIXED_PATTERNS
     sol = sgfem.solve(system, pats)
     alpha, beta = lu_reference(system, pats)
-    # 19 iterations measured for every pattern
-    assert sol.iterations <= 25
+    # 9 iterations measured for every pattern (19 for CG on all of K)
+    assert sol.iterations <= 9
     assert sol.residuals.max() <= 1e-10
     npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
     npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
@@ -305,11 +312,83 @@ def test_solve_rejects_bad_options(tiny_sg):
 def test_solve_refuses_a_mean_matrix_that_is_not_positive_definite(tiny_sg):
     # -K has the mean block -K_0, whose dense Cholesky fails at once
     system = tiny_sg[4]
-    negated = sgfem.SgfemSystem(
-        -system.K, system.n_nodes, system.n_electrodes, system.n_chaos
-    )
+    negated = dataclasses.replace(system, K=-system.K)
     with pytest.raises(RuntimeError, match="not positive definite"):
         sgfem.solve(negated, sgfem.standard_patterns(2))
+
+
+def tiny_system(tiny, degree):
+    """Galerkin system of the tiny setup (7 dimensions) at one degree."""
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    sm = spatial(
+        mesh, part, 1.1, np.full(L, 0.6), np.full(M, 100.0), np.full(M, 1000.0)
+    )
+    mm = chaos.moment_matrices(chaos.iso_td(L + M, degree))
+    return sm, sgfem.assemble_system(sm, mm)
+
+
+def assert_two_cyclic(sm, idx, system):
+    """Both same-parity blocks of K are exactly B_0 (x) I."""
+    npt.assert_array_equal(system.parity, idx.indices.sum(axis=1) % 2)
+    B0 = sgfem.cem_matrix(sm.A0, sm.bounds.zeta_mid, sm.S, sm.g, sm.lengths)
+    n_s, n_g = B0.shape[0], system.n_chaos
+    for parity in (0, 1):
+        members = np.flatnonzero(system.parity == parity)
+        rows = (np.arange(n_s)[:, None] * n_g + members).ravel()
+        same = system.K[rows][:, rows]
+        assert same.shape == (n_s * len(members),) * 2
+        assert (same != sp.kron(B0, sp.identity(len(members)))).nnz == 0
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_same_parity_blocks_are_the_mean_matrix_times_identity(tiny, degree):
+    sm, system = tiny_system(tiny, degree)
+    assert_two_cyclic(sm, chaos.iso_td(7, degree), system)
+
+
+def test_same_parity_blocks_of_a_set_that_is_not_total_degree(tiny_sg):
+    # iso_td(3, 3) without its last cubic row is still downward closed
+    sm = tiny_sg[2]
+    full = chaos.iso_td(3, 3)
+    idx = chaos.MultiIndexSet(3, 3, full.indices[:-1])
+    assert idx.indices[-1].sum() == 3
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
+    assert_two_cyclic(sm, idx, system)
+    alpha, beta = lu_reference(system, sgfem.standard_patterns(2))
+    sol = sgfem.solve(system, sgfem.standard_patterns(2))
+    npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
+    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
+
+
+def test_solve_refuses_a_same_parity_coupling(tiny_sg):
+    # one symmetric pair of entries between chaos indices 0 and 4, both even
+    system = tiny_sg[4]
+    n_g = system.n_chaos
+    assert system.parity[0] == system.parity[4] == 0
+    i, j = 0, n_g + 4
+    coupling = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=system.K.shape)
+    coupled = dataclasses.replace(system, K=system.K + coupling)
+    with pytest.raises(ValueError, match="indices 0 and 4 of the same degree parity"):
+        sgfem.solve(coupled, sgfem.standard_patterns(2))
+
+
+@pytest.mark.parametrize(
+    "degree, kept, iterations", [(0, 1, 0), (1, 0, 7), (2, 1, 9), (3, 0, 12)]
+)
+def test_solve_on_one_parity_class_matches_direct(tiny, degree, kept, iterations):
+    # the kept class is the smaller one: Q=0 has no odd index, Q=1 one even
+    # index against 7 odd ones, Q=2 7 odd against 29 even, Q=3 29 even
+    # against 91 odd; the iteration counts are the measured ones
+    _, system = tiny_system(tiny, degree)
+    assert system.kept_parity == kept
+    assert np.count_nonzero(system.parity == kept) <= system.n_chaos / 2
+    sol = sgfem.solve(system, MIXED_PATTERNS)
+    assert sol.iterations <= iterations
+    assert sol.residuals.max() <= 1e-10
+    alpha, beta = lu_reference(system, MIXED_PATTERNS)
+    npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
+    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
 
 
 def test_degree_zero_equals_deterministic_midpoint(tiny_sg):
