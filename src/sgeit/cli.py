@@ -239,9 +239,11 @@ def cmd_reconstruct(args) -> int:
     )
     if config is not None:
         print(
-            f"chain: {diag['n']} samples, acceptance {diag['acceptance']:.3f}, "
+            f"chain: {diag['n']} samples from {len(diag['chain_scales'])} chains, "
+            f"acceptance {diag['acceptance']:.3f}, "
             f"in support {diag['in_support']:.3f}, "
             f"proposal scale {diag['proposal_scale']:.3g}, "
+            f"split R-hat {diag['rhat_max']:.4f}, "
             f"stabilization {diag['stabilization']:.3e}"
         )
     print(f"wrote {args.out}")
@@ -325,14 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="prior spread as multiple of the noise std",
     )
     p.add_argument(
-        "--samples", type=int, default=50_000, help="retained samples (0: MAP only)"
+        "--samples",
+        type=int,
+        default=50_000,
+        help="retained samples, split over two chains that run in parallel "
+        "(0: MAP only)",
     )
     p.add_argument(
         "--burn-in",
         type=int,
         default=10_000,
-        help="steps before the first sample; the proposal scale adapts only "
-        "during these (default 10000)",
+        help="steps of each chain before its first sample; the proposal scale "
+        "adapts only during these (default 10000)",
     )
     p.add_argument("--thin", type=int, default=5)
     p.add_argument(
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="proposal scale at the chain start, in units of the Laplace "
         "covariance at the MAP (default 2.38/sqrt(number of parameters))",
     )
-    p.add_argument("--seed", type=int, default=0, help="chain RNG seed")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the chains")
     p.add_argument("--out", required=True, help="output estimates JSON")
     p.set_defaults(func=cmd_reconstruct)
 

@@ -33,14 +33,22 @@ density rises by at least log u.  One step costs the fold of the contacts
 that left the cube, a cube test, and for a proposal inside the cube Q
 gathers of [1, y] that form m+(y), one product with A' and one dot
 product.
+
+``mcmc_sample`` runs two such chains from the same start, each with its
+own child seed, burn-in and adaptation and half of the retained samples,
+the second in a forked child process at the same time as the first.  Their
+split-R-hat over the four half-chains (Vehtari, Gelman, Simpson, Carpenter
+& Buerkner 2021) tells ``reconstruct`` whether they mixed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,13 +324,15 @@ class McmcConfig:
 
     ``proposal_std`` is the proposal scale at the chain start; None starts
     at 2.38/sqrt(d) for d parameters.  The scale adapts during burn-in.
+    ``seed`` seeds numpy's ``default_rng``; :func:`mcmc_sample` gives each
+    of its chains a child ``SeedSequence`` of it.
     """
 
     n_samples: int = 50_000
     burn_in: int = 10_000
     thinning: int = 5
     proposal_std: float | None = None
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
         if self.n_samples < 1 or self.burn_in < 0 or self.thinning < 1:
@@ -342,13 +352,89 @@ _TARGET_ACCEPTANCE = 0.25
 
 @dataclass(frozen=True)
 class McmcResult:
-    """Thinned chain with its acceptance diagnostics."""
+    """Thinned samples of one or more chains, with their diagnostics.
+
+    ``samples`` holds the chains one after another.  ``acceptance`` is
+    pooled over the chains' post-burn-in steps and ``in_support`` over all
+    their steps; ``warning`` is set when the pooled acceptance lies outside
+    [0.05, 0.8].  ``chain_scales`` is the frozen proposal scale of each
+    chain and ``proposal_scale`` their geometric mean (for one chain, its
+    scale).  ``rhat`` is the split-R-hat of every coordinate over the
+    chains' halves (:func:`split_rhat`).
+    """
 
     samples: np.ndarray
     acceptance: float
     warning: bool
-    in_support: float  # share of all proposals inside the support
-    proposal_scale: float  # the scale after burn-in, used for every sample
+    in_support: float
+    proposal_scale: float
+    chain_scales: tuple[float, ...]
+    rhat: np.ndarray
+
+
+class _Chain(NamedTuple):
+    """One chain's retained samples, with the counts that pool into a result."""
+
+    samples: np.ndarray
+    accepted: int  # acceptances after burn-in
+    inside: int  # proposals inside the support, over all steps
+    steps: int
+    burn_in: int
+    scale: float  # the scale after burn-in
+
+
+def split_rhat(chains) -> np.ndarray:
+    """Split-R-hat of every coordinate (Vehtari, Gelman, Simpson, Carpenter
+    & Buerkner 2021, without rank normalization).
+
+    Each (draws, dims) chain gives its first and its last h draws, h half
+    the shortest chain's length, and R-hat = sqrt(V+ / W) over those
+    halves, with W their mean variance and V+ = (h - 1)/h W plus the
+    variance of their means.  A coordinate that never moves within a half
+    (W = 0), or chains shorter than 4 draws, give inf: the chains cannot
+    show that they mixed.
+    """
+    chains = [np.asarray(c, dtype=np.float64) for c in chains]
+    h = min(c.shape[0] for c in chains) // 2
+    rhat = np.full(chains[0].shape[1], math.inf)
+    if h < 2:
+        return rhat
+    ones = np.ones(h)
+    # each half shifted by its first draw, so that a coordinate that never
+    # moves sums to exactly 0; one reused buffer and BLAS sums, because
+    # ndarray.var allocates and reduces along rows, several times slower
+    shifted = np.empty((h, rhat.size))
+    means, within = [], 0.0
+    for part in (p for c in chains for p in (c[:h], c[-h:])):
+        np.subtract(part, part[0], out=shifted)
+        sums = ones @ shifted
+        means.append(part[0] + sums / h)
+        within = within + np.maximum(
+            np.einsum("ij,ij->j", shifted, shifted) - sums * sums / h, 0.0
+        )
+    within = within / (len(means) * (h - 1))
+    var_plus = (h - 1) / h * within + np.var(means, axis=0, ddof=1)
+    np.divide(var_plus, within, out=rhat, where=within > 0.0)
+    return np.sqrt(rhat, out=rhat)
+
+
+def _pooled(chains: list[_Chain]) -> McmcResult:
+    """One result from the chains, with the acceptance warning of the pool."""
+    post = sum(c.steps - c.burn_in for c in chains)
+    rate = sum(c.accepted for c in chains) / post
+    warn = not 0.05 <= rate <= 0.8
+    if warn:
+        warnings.warn(f"MCMC acceptance rate {rate:.3f} outside [0.05, 0.8]")
+    scales = tuple(c.scale for c in chains)
+    return McmcResult(
+        np.concatenate([c.samples for c in chains]),
+        rate,
+        warn,
+        sum(c.inside for c in chains) / sum(c.steps for c in chains),
+        math.prod(scales) ** (1.0 / len(scales)),
+        scales,
+        split_rhat([c.samples for c in chains]),
+    )
 
 
 def correlated_increments(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -402,6 +488,11 @@ def random_walk_metropolis(
     state after burn-in.  The acceptance rate is measured over the
     post-burn-in phase; a rate outside [0.05, 0.8] sets the warning flag.
     """
+    return _pooled([_metropolis(log_density, start, config, factor, reflect)])
+
+
+def _metropolis(log_density, start, config, factor, reflect) -> _Chain:
+    """The chain of :func:`random_walk_metropolis`, before pooling."""
     y = np.asarray(start, dtype=np.float64).copy()
     n_dim = y.shape[0]
     factor = np.eye(n_dim) if factor is None else np.asarray(factor, dtype=np.float64)
@@ -470,12 +561,7 @@ def random_walk_metropolis(
                 if n_late:
                     scale = math.exp(log_sum / n_late)
                     np.multiply(raw[i + 1 :], scale, out=incs[i + 1 :])
-    post = total - burn_in
-    rate = (accepted - marked) / post
-    warn = not 0.05 <= rate <= 0.8
-    if warn:
-        warnings.warn(f"MCMC acceptance rate {rate:.3f} outside [0.05, 0.8]")
-    return McmcResult(samples, rate, warn, inside / total, scale)
+    return _Chain(samples, accepted - marked, inside, total, burn_in, scale)
 
 
 def laplace_proposal(posterior: Posterior, y: np.ndarray) -> np.ndarray:
@@ -495,23 +581,83 @@ def laplace_proposal(posterior: Posterior, y: np.ndarray) -> np.ndarray:
     return factor
 
 
-def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcResult:
-    """Run the Laplace-scaled sampler on a posterior (start defaults to 0).
+# whether chain 1 can run in a forked child; otherwise it runs after chain 0
+_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-    The proposal factor comes from :func:`laplace_proposal` at the start,
-    and the contacts are the reflected coordinates.
+
+def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcResult:
+    """Two Laplace-scaled chains on a posterior (start defaults to 0).
+
+    Both chains start at ``start`` with the proposal factor of
+    :func:`laplace_proposal` there, and the contacts are the reflected
+    coordinates.  Chain c is seeded by child c of
+    ``SeedSequence(config.seed).spawn(2)``, runs the full burn-in with its
+    own adaptation, and keeps ceil(n/2) (chain 0) or floor(n/2) (chain 1)
+    of the ``config.n_samples`` samples; with n = 1 only chain 0 runs.
+    The result pools them as :class:`McmcResult` describes, and the
+    acceptance warning is raised here, once, from the pooled rate.
+
+    Chain 0 runs in this process and chain 1 at the same time in a forked
+    child, which inherits the posterior and sends back its chain, or the
+    exception it raised, over a pipe.  The child is always joined, and
+    terminated first if chain 0 raised.  Where fork is unavailable chain 1
+    runs after chain 0 here, with the same bytes.
     """
     y0 = np.zeros(posterior.n_params) if start is None else np.asarray(start, float)
     # before the Jacobian, which would extrapolate outside the cube
     if not math.isfinite(posterior.log_density(y0)):
         raise ValueError("chain start lies outside the posterior support")
-    return random_walk_metropolis(
-        posterior.log_density,
-        y0,
-        config,
-        laplace_proposal(posterior, y0),
-        slice(posterior.n_pixels, None),
-    )
+    factor = laplace_proposal(posterior, y0)
+    reflect = slice(posterior.n_pixels, None)
+    n = config.n_samples
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    configs = [
+        replace(config, n_samples=share, seed=seed)
+        for share, seed in zip((n - n // 2, n // 2), seeds)
+        if share
+    ]
+
+    def run(cfg):
+        return _metropolis(posterior.log_density, y0, cfg, factor, reflect)
+
+    if len(configs) == 1 or not _FORK:
+        return _pooled([run(cfg) for cfg in configs])
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_chain, args=(run, configs[1], sender))
+    child.start()
+    sender.close()
+    try:
+        first = run(configs[0])
+        try:
+            second = receiver.recv()
+        except EOFError:
+            second = None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receiver.close()
+    if second is None:
+        raise RuntimeError(
+            "the second chain's process ended without a result "
+            f"(exit code {child.exitcode})"
+        )
+    if isinstance(second, BaseException):
+        raise second
+    return _pooled([first, second])
+
+
+def _send_chain(run, config: McmcConfig, sender) -> None:
+    """Body of the child process: run one chain, send it or its exception."""
+    try:
+        outcome = run(config)
+    except BaseException as exc:  # the caller re-raises it
+        outcome = exc
+    # one that does not pickle fails here, and the caller sees the pipe end
+    sender.send(outcome)
+    sender.close()
 
 
 @dataclass(frozen=True)
@@ -555,6 +701,10 @@ def cm_sd_estimates(
     return cm, stabilization
 
 
+# largest split-R-hat that counts as mixed (Vehtari et al. 2021)
+_RHAT_LIMIT = 1.01
+
+
 def reconstruct(
     posterior: Posterior,
     config: McmcConfig | None = None,
@@ -562,8 +712,10 @@ def reconstruct(
 ) -> Estimates:
     """MAP estimate, optionally followed by a Metropolis chain for CM/SD.
 
-    With ``config=None`` only the MAP is computed.  The chain starts from
-    the MAP point.
+    With ``config=None`` only the MAP is computed.  The chains start from
+    the MAP point.  ``rhat_max`` in the diagnostics is the largest
+    split-R-hat over the coordinates; above 1.01 (Vehtari et al. 2021)
+    the chains have not been shown to mix, and a warning names the remedy.
     """
     bounds = posterior.surrogate.bounds
     map_res = map_estimate(posterior, start=start)
@@ -582,9 +734,17 @@ def reconstruct(
             acceptance=chain.acceptance,
             in_support=chain.in_support,
             proposal_scale=chain.proposal_scale,
+            chain_scales=list(chain.chain_scales),
             n=chain.samples.shape[0],
+            rhat_max=float(chain.rhat.max()),
             stabilization=stabilization,
         )
+        if not diagnostics["rhat_max"] <= _RHAT_LIMIT:
+            warnings.warn(
+                f"split R-hat {diagnostics['rhat_max']:.4f} above {_RHAT_LIMIT}: "
+                "the chains have not been shown to mix; raise the number of "
+                "retained samples (--samples)"
+            )
     return Estimates(
         map_res.y, sample_map.sigma, sample_map.zeta, diagnostics, **kwargs
     )

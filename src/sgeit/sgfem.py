@@ -225,7 +225,10 @@ def solve(
         maxiter = 10 * system.order
     X, iterations = _schur_pcg(system, C, tol, maxiter)
 
-    residuals = np.linalg.norm(C - K @ X, axis=0) / np.linalg.norm(C, axis=0)
+    # one pattern at a time: the check adds vectors, not blocks, beside C and X
+    residuals = np.array(
+        [np.linalg.norm(c - K @ x) / np.linalg.norm(c) for c, x in zip(C.T, X.T)]
+    )
     for p, rel in enumerate(residuals):
         if rel > tol:
             raise RuntimeError(

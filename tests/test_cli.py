@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,23 @@ def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
     assert "sigma_map" in svg
     lo, hi = est.sigma_map.min(), est.sigma_map.max()
     assert f"{hi:.6g}</text>" in svg and f"{lo:.6g}</text>" in svg
+
+
+def test_reconstruct_prints_the_chains_and_their_split_rhat(
+    workdir, surrogate_and_data, capsys
+):
+    d = workdir
+    rc = run(
+        ["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+         "--noise-pct", 5, "--corr-length", 0.5,
+         "--samples", 4000, "--burn-in", 500, "--thin", 2,
+         "--out", d / "est-rhat.json"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    est = inversion.load_estimates(d / "est-rhat.json")
+    assert "chain: 4000 samples from 2 chains," in out
+    assert f"split R-hat {est.diagnostics['rhat_max']:.4f}," in out
 
 
 def test_simulate_default_noise_is_one_percent(workdir, capsys):
@@ -383,11 +402,15 @@ def test_render_constant_field_single_color(workdir, tmp_path, capsys):
 
 def test_console_entry_point(workdir, tmp_path):
     d = workdir
+    # pytest's pythonpath setting does not reach a child interpreter
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sgeit.cli", "simulate",
          "--mesh", str(d / "mesh.json"), "--seeds", str(d / "seeds.json"),
          "--phantom", str(d / "phantom.json"), "--out", str(tmp_path / "m.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "wrote" in proc.stdout

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -349,9 +352,35 @@ def test_mcmc_in_support_share_counts_proposals_inside_the_cube(tiny_posterior):
     assert len(values) == 1 + 700
     assert res.in_support == inside / 700
     assert 0.0 < res.in_support < 1.0
-    # counting draws no random numbers: the chain is the plain sampler's
+    # counting draws no random numbers: the two chains of the plain sampler
+    # are the reference chains of its two child seeds
     plain = inversion.mcmc_sample(tiny_posterior, cfg)
-    npt.assert_array_equal(res.samples, plain.samples)
+    configs = child_configs(cfg)
+    chains = [
+        reference_chain(tiny_posterior.log_density, start, c, factor, range(3, 7))
+        for c in configs
+    ]
+    samples, _, in_support, _ = zip(*chains)
+    assert plain.samples.tobytes() == np.concatenate(samples).tobytes()
+    assert plain.in_support == pooled(in_support, configs, post=False)
+
+
+def child_configs(cfg):
+    """The settings of the two chains of ``mcmc_sample``: child c of the
+    seed's SeedSequence, ceil(n/2) samples for chain 0, floor(n/2) for 1."""
+    n = cfg.n_samples
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    return [
+        dataclasses.replace(cfg, n_samples=k, seed=seed)
+        for k, seed in zip((n - n // 2, n // 2), seeds)
+    ]
+
+
+def pooled(rates, configs, post):
+    """A rate pooled over chains from each chain's rate: over the steps
+    after burn-in (``post``) or over all steps."""
+    steps = [c.n_samples * c.thinning + (0 if post else c.burn_in) for c in configs]
+    return sum(round(r * n) for r, n in zip(rates, steps)) / sum(steps)
 
 
 def fold(p):
@@ -447,18 +476,141 @@ def test_mcmc_equals_the_reference_chain_on_the_explicit_formula(
     cfg = inversion.McmcConfig(n_samples=600, burn_in=200, thinning=3, seed=37)
     start = inversion.map_estimate(tiny_posterior).y
     res = inversion.mcmc_sample(tiny_posterior, cfg, start=start)
-    samples, acceptance, in_support, scale = reference_chain(
-        lambda y: explicit_log_density(tiny_posterior, y),
-        start,
-        cfg,
-        laplace_factor(tiny_posterior, start),
-        range(3, 7),
+    configs = child_configs(cfg)
+    chains = [
+        reference_chain(
+            lambda y: explicit_log_density(tiny_posterior, y),
+            start,
+            c,
+            laplace_factor(tiny_posterior, start),
+            range(3, 7),
+        )
+        for c in configs
+    ]
+    samples, acceptance, in_support, scales = zip(*chains)
+    assert res.samples.tobytes() == np.concatenate(samples).tobytes()
+    assert res.acceptance == pooled(acceptance, configs, post=True)
+    assert res.in_support == pooled(in_support, configs, post=False)
+    assert res.chain_scales == scales
+    assert 2.38 / math.sqrt(7) not in scales
+    assert 0.0 < res.acceptance < 1.0 and 0.0 < res.in_support <= 1.0
+
+
+def test_mcmc_chains_are_the_same_bytes_forked_or_in_process(tiny_posterior, monkeypatch):
+    cfg = inversion.McmcConfig(n_samples=500, burn_in=600, thinning=2, seed=41)
+    start = inversion.map_estimate(tiny_posterior).y
+    forked = inversion.mcmc_sample(tiny_posterior, cfg, start=start)
+    monkeypatch.setattr(inversion, "_FORK", False)
+    here = inversion.mcmc_sample(tiny_posterior, cfg, start=start)
+    assert forked.samples.tobytes() == here.samples.tobytes()
+    assert forked.rhat.tobytes() == here.rhat.tobytes()
+    assert (forked.acceptance, forked.in_support, forked.chain_scales) == (
+        here.acceptance, here.in_support, here.chain_scales
     )
-    assert res.samples.tobytes() == samples.tobytes()
-    assert res.acceptance == acceptance
-    assert res.in_support == in_support
-    assert res.proposal_scale == scale != 2.38 / math.sqrt(7)
-    assert 0.0 < acceptance < 1.0 and 0.0 < in_support <= 1.0
+    assert len(forked.chain_scales) == 2
+    assert forked.proposal_scale == math.sqrt(math.prod(forked.chain_scales))
+    assert multiprocessing.active_children() == []
+
+
+def test_mcmc_odd_sample_count_splits_ceil_then_floor(tiny_posterior):
+    cfg = inversion.McmcConfig(n_samples=401, burn_in=100, thinning=2, seed=43)
+    start = np.zeros(7)
+    res = inversion.mcmc_sample(tiny_posterior, cfg)
+    configs = child_configs(cfg)
+    assert [c.n_samples for c in configs] == [201, 200]
+    factor = inversion.laplace_proposal(tiny_posterior, start)
+    chains = [
+        inversion.random_walk_metropolis(
+            tiny_posterior.log_density, start, c, factor, slice(3, None)
+        )
+        for c in configs
+    ]
+    assert res.samples.shape == (401, 7)
+    assert res.samples.tobytes() == np.concatenate([c.samples for c in chains]).tobytes()
+    # one retained sample: only the first chain runs
+    one = inversion.mcmc_sample(tiny_posterior, dataclasses.replace(cfg, n_samples=1))
+    assert one.samples.shape == (1, 7) and len(one.chain_scales) == 1
+    assert one.samples.tobytes() == chains[0].samples[:1].tobytes()
+    assert np.isinf(one.rhat).all()
+
+
+def test_mcmc_error_in_the_child_reaches_the_caller(tiny_posterior, monkeypatch):
+    parent, plain = os.getpid(), tiny_posterior.log_density
+
+    def log_density(y):
+        if os.getpid() != parent:
+            raise ValueError("log density failed in the second chain")
+        return plain(y)
+
+    monkeypatch.setattr(tiny_posterior, "log_density", log_density)
+    cfg = inversion.McmcConfig(n_samples=200, burn_in=100, thinning=1, seed=44)
+    with pytest.raises(ValueError, match="failed in the second chain"):
+        inversion.mcmc_sample(tiny_posterior, cfg)
+    assert multiprocessing.active_children() == []
+
+    # a child that dies without sending anything
+    def dying_log_density(y):
+        if os.getpid() != parent:
+            os._exit(3)
+        return plain(y)
+
+    monkeypatch.setattr(tiny_posterior, "log_density", dying_log_density)
+    with pytest.raises(RuntimeError, match=r"without a result \(exit code 3\)"):
+        inversion.mcmc_sample(tiny_posterior, cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_mcmc_error_in_the_caller_stops_the_child(tiny_posterior, monkeypatch):
+    parent, plain = os.getpid(), tiny_posterior.log_density
+    calls = []
+
+    def log_density(y):
+        calls.append(None)
+        if os.getpid() == parent and len(calls) > 50:
+            raise ValueError("log density failed in the first chain")
+        return plain(y)
+
+    monkeypatch.setattr(tiny_posterior, "log_density", log_density)
+    # long enough that the child is still running when the caller fails
+    cfg = inversion.McmcConfig(n_samples=200_000, burn_in=100, thinning=5, seed=45)
+    with pytest.raises(ValueError, match="failed in the first chain"):
+        inversion.mcmc_sample(tiny_posterior, cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_mcmc_pooled_acceptance_warns_once_in_the_caller(tiny_posterior):
+    # a tiny scale that never adapts accepts nearly every step
+    cfg = inversion.McmcConfig(300, 0, 1, proposal_std=1e-4, seed=46)
+    with pytest.warns(UserWarning, match="acceptance rate") as record:
+        res = inversion.mcmc_sample(tiny_posterior, cfg)
+    assert sum("acceptance rate" in str(w.message) for w in record) == 1
+    assert res.warning and res.acceptance > 0.8
+
+
+def test_split_rhat_matches_the_textbook_formula():
+    rng = np.random.default_rng(47)
+    # two chains of unequal length; the second sits 0.3 higher in dim 1
+    a = rng.normal(size=(1001, 3))
+    b = rng.normal(size=(1000, 3)) + [0.0, 0.3, 0.0]
+    halves = np.stack([a[:500], a[-500:], b[:500], b[-500:]])
+    within = halves.var(axis=1, ddof=1).mean(axis=0)
+    var_plus = 499 / 500 * within + halves.mean(axis=1).var(axis=0, ddof=1)
+    rhat = inversion.split_rhat([a, b])
+    npt.assert_allclose(rhat, np.sqrt(var_plus / within), rtol=1e-12)
+    assert rhat[1] > 1.01 > max(rhat[0], rhat[2])
+    # a coordinate that never moves, or chains too short to split, show nothing
+    a[:, 2] = b[:, 2] = 0.3
+    assert np.isinf(inversion.split_rhat([a, b])[2])
+    assert np.isinf(inversion.split_rhat([a[:3], b[:3]])).all()
+
+
+def test_reconstruct_reports_split_rhat_and_warns_above_the_limit(tiny_posterior):
+    est = inversion.reconstruct(tiny_posterior, inversion.McmcConfig(4000, 500, 2, seed=5))
+    assert est.diagnostics["rhat_max"] <= 1.01
+    assert len(est.diagnostics["chain_scales"]) == 2
+    with pytest.warns(UserWarning, match=r"split R-hat .* raise the number of retained"):
+        short = inversion.reconstruct(tiny_posterior, inversion.McmcConfig(8, 0, 1, seed=5))
+    assert short.diagnostics["rhat_max"] > 1.01
 
 
 # a box-truncated correlated Gaussian: mean, standard deviations and
