@@ -12,6 +12,10 @@ the interior potential (alpha) and the electrode voltages (beta), stored
 with the spatial index outer and the chaos index inner.  The parameter box
 enters only through the spatial matrices: their stiffness blocks are
 scaled by it, and they carry it for the contact centres and half-widths.
+Every electrode-model matrix, the deterministic one of ``cem_matrix`` (which
+``det_cem`` solves) and each Galerkin term B_k, is built from the unit
+electrode blocks E_m of ``_electrode_triplets``, the one place that lays
+out Upsilon and Pi.
 
 With a Legendre basis every G_k, k >= 1, couples only chaos indices of
 opposite total-degree parity, so K is 2-cyclic: its blocks between indices
@@ -19,7 +23,8 @@ of one parity are B_0 (x) I (Ernst & Ullmann, SIAM J. Matrix Anal. Appl.
 2010).  ``solve`` eliminates the larger parity class and treats all current
 patterns as one block: conjugate gradients on the Schur complement of the
 smaller class, preconditioned by the mean matrix K_0 (x) I, which needs
-only a dense factorization of the n_s x n_s matrix K_0, never one of K.
+only a dense factorization of the n_s x n_s matrix K_0, never one of K,
+and of the blocks between the classes only K_kj, since K is symmetric.
 CG on that Schur complement takes half the iterations of CG on all of K
 (Reid, SIAM J. Numer. Anal. 1972).
 """
@@ -82,54 +87,53 @@ def expand_mean_free(gamma: np.ndarray) -> np.ndarray:
     return out
 
 
+def _electrode_triplets(S, g, lengths):
+    """COO triplets of the unit block E_m of every electrode m, the only
+    place that lays out Upsilon and Pi.
+
+    E_m holds S_m, and in Upsilon and Pi what zeta = e_m leaves of them:
+    for m = 1, -g_1 in every column and |E_1| over all of Pi; for m > 1,
+    g_m in column m-1 and |E_m| at diagonal entry m-1 of Pi.  Rows and
+    columns count the mesh nodes first, then the M-1 mean-free voltages.
+    """
+    n_d, n_el = S[0].shape[0], len(S)
+    voltage = n_d + np.arange(n_el - 1)
+    for m in range(n_el):
+        S_m = S[m].tocoo()
+        cols = voltage if m == 0 else voltage[m - 1 : m]
+        nodes = np.flatnonzero(g[m])
+        g_m = (-1.0 if m == 0 else 1.0) * g[m][nodes]
+        node, volt = np.repeat(nodes, len(cols)), np.tile(cols, len(nodes))
+        ups = np.repeat(g_m, len(cols))
+        pi_r, pi_c = np.repeat(cols, len(cols)), np.tile(cols, len(cols))
+        yield (
+            np.concatenate([S_m.row, node, volt, pi_r]),
+            np.concatenate([S_m.col, volt, node, pi_c]),
+            np.concatenate([S_m.data, ups, ups, np.full(len(pi_r), lengths[m])]),
+        )
+
+
 def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
     """Electrode-model block matrix in the mean-free voltage basis.
 
     Returns [[A + sum_m zeta_m S_m, Upsilon], [Upsilon^T, Pi]] for the
-    stiffness ``A``, contact conductances ``zeta`` and the electrode mass
-    matrices ``S``, load vectors ``g`` and lengths of one mesh.  Column i
-    of Upsilon is zeta_{i+1} g_{i+1} - zeta_1 g_1; Pi is zeta_1 |E_1|
-    everywhere plus zeta_{i+1} |E_{i+1}| on the diagonal.  The result is
-    linear in the pair (A, zeta); ``A`` may be the scalar 0.
+    sparse stiffness ``A``, contact conductances ``zeta`` and the electrode
+    mass matrices ``S``, load vectors ``g`` and lengths of one mesh: the
+    sum [[A, 0], [0, 0]] + sum_m zeta_m E_m over the unit blocks E_m of
+    ``_electrode_triplets``.  Column i of Upsilon is zeta_{i+1} g_{i+1} -
+    zeta_1 g_1; Pi is zeta_1 |E_1| everywhere plus zeta_{i+1} |E_{i+1}| on
+    the diagonal.  The result is linear in the pair (A, zeta) and stores
+    no zero.
     """
-    n_el = len(S)
-    delta = A
-    for m in range(n_el):
-        delta = delta + zeta[m] * S[m]
-    ups = np.column_stack(
-        [zeta[i + 1] * g[i + 1] - zeta[0] * g[0] for i in range(n_el - 1)]
-    )
-    pi = np.full((n_el - 1, n_el - 1), zeta[0] * lengths[0])
-    pi[np.diag_indices(n_el - 1)] += zeta[1:] * lengths[1:]
-    return sp.bmat(
-        [[delta, sp.csr_matrix(ups)], [sp.csr_matrix(ups.T), sp.csr_matrix(pi)]],
-        format="csr",
-    )
-
-
-def _unit_electrode_triplets(sm: SpatialMatrices):
-    """COO triplets of every unit block ``cem_matrix(0, e_m)``, built
-    directly with the same stored entries and values.
-
-    The block holds S_m, and in Upsilon and Pi only what zeta = e_m leaves
-    nonzero: for m = 1, -g_1 in every column and |E_1| over all of Pi; for
-    m > 1, g_m in column m-1 and |E_m| at diagonal entry m-1 of Pi.
-    """
-    n_d, n_el = sm.n_nodes, sm.n_electrodes
-    voltage = n_d + np.arange(n_el - 1)
-    for m in range(n_el):
-        S = sm.S[m].tocoo()
-        cols = voltage if m == 0 else voltage[m - 1 : m]
-        nodes = np.flatnonzero(sm.g[m])
-        g = (-1.0 if m == 0 else 1.0) * sm.g[m][nodes]
-        node, volt = np.repeat(nodes, len(cols)), np.tile(cols, len(nodes))
-        ups = np.repeat(g, len(cols))
-        pi_r, pi_c = np.repeat(cols, len(cols)), np.tile(cols, len(cols))
-        yield (
-            np.concatenate([S.row, node, volt, pi_r]),
-            np.concatenate([S.col, volt, node, pi_c]),
-            np.concatenate([S.data, ups, ups, np.full(len(pi_r), sm.lengths[m])]),
-        )
+    A = sp.coo_matrix(A)
+    n = A.shape[0] + len(S) - 1
+    units = _electrode_triplets(S, g, lengths)
+    terms = [(A.row, A.col, A.data)]
+    terms += [(r, c, z * v) for z, (r, c, v) in zip(zeta, units)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    B = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    B.eliminate_zeros()
+    return B
 
 
 def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
@@ -139,9 +143,9 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     centre of the box ``sm.bounds`` (A0 and the contact centres (a+b)/2),
     the block B_l of pixel l is just A_l in the top-left corner, and B_{L+m}
     of electrode m is the half-width (b_m-a_m)/2 times the unit block
-    ``cem_matrix(0, e_m)``, whose few entries are written down directly.
-    Every B_k keeps only its nonzero entries, as ``cem_matrix`` does.  K is
-    exactly symmetric without a symmetrization step: the terms have
+    E_m of ``_electrode_triplets``, from which ``cem_matrix`` also builds
+    B_0.  Every B_k keeps only its nonzero entries, as ``cem_matrix`` does.
+    K is exactly symmetric without a symmetrization step: the terms have
     disjoint sparsity (G_0 is diagonal, G_k couples only indices that
     differ in dimension k), so each entry is one product B_k[i, j]
     G_k[mu, nu], and every B_k and G_k is exactly symmetric.  The system
@@ -156,10 +160,8 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
 
     B0 = cem_matrix(sm.A0, sm.bounds.zeta_mid, sm.S, sm.g, sm.lengths)
     triplets = [(B.row, B.col, B.data) for B in map(sp.coo_matrix, [B0, *sm.A])]
-    triplets += [
-        (r, c, h * v)
-        for h, (r, c, v) in zip(sm.bounds.zeta_half, _unit_electrode_triplets(sm))
-    ]
+    units = _electrode_triplets(sm.S, sm.g, sm.lengths)
+    triplets += [(r, c, h * v) for h, (r, c, v) in zip(sm.bounds.zeta_half, units)]
     # the COO triplets of every B_k (x) G_k by broadcasting, then one
     # COO-to-CSR conversion for all terms
     n_g = mm[0].shape[0]
@@ -241,49 +243,37 @@ def solve(
 
 
 def _parity_split(system: SgfemSystem):
-    """Chaos indices of the kept and the other parity class, and the two
-    off-diagonal blocks K_kj and K_jk of K between them.
+    """Chaos indices of the kept and the other parity class, and the
+    off-diagonal block K_kj of K from the kept rows to the other columns.
 
     Block rows and columns are numbered spatial index outer, position in
-    the class inner, which keeps K's order, so the blocks are sliced out of
-    its CSR arrays without a sort.  Raises ValueError if K couples two
-    distinct chaos indices of the same parity: then its same-parity blocks
-    are not B_0 (x) I and the Schur complement of ``_schur_pcg`` does not
-    apply.
+    the class inner, which keeps K's order.  When the same-parity blocks
+    of K are B_0 (x) I, K holds n_g nnz(B_0) + 2 nnz(K_kj) entries, since
+    K is symmetric; only if that count fails are the entries searched.
+    Raises ValueError if K couples two distinct chaos indices of the same
+    parity: then the Schur complement of ``_schur_pcg`` does not apply.
     """
     K, n_g, parity = system.K, system.n_chaos, system.parity
     n_s = K.shape[0] // n_g
     kept = parity == system.kept_parity
     classes = (np.flatnonzero(kept), np.flatnonzero(~kept))
-    place, size = np.empty(n_g, dtype=np.int64), np.empty(n_g, dtype=np.int64)
-    for members in classes:
-        place[members], size[members] = np.arange(len(members)), len(members)
-    # per row (= column) of K: its number within its class block, and a
-    # code 2 mu + parity, so that two codes differ in the lowest bit exactly
-    # when the chaos indices differ in parity
-    number = (np.arange(n_s)[:, None] * size + place).ravel()
-    code = np.tile((2 * np.arange(n_g) + parity).astype(np.int32), n_s)
-    row_code = np.repeat(code, np.diff(K.indptr))
-    differ = row_code ^ code[K.indices]
-    cross = (differ & 1).astype(bool)
-    same = np.flatnonzero(~cross & (differ != 0) & (K.data != 0.0))
-    if same.size:
-        mu, nu = row_code[same[0]] // 2, K.indices[same[0]] % n_g
-        raise ValueError(
-            f"K couples chaos indices {mu} and {nu} of the same degree parity; "
-            "the solver needs the 2-cyclic structure of a Legendre basis"
+    rows_kept, rows_other = (
+        (np.arange(n_s)[:, None] * n_g + members).ravel() for members in classes
+    )
+    K_kj = K[rows_kept][:, rows_other]
+    if K.nnz != n_g * K[::n_g, ::n_g].nnz + 2 * K_kj.nnz:
+        mu = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr)) % n_g
+        nu = K.indices % n_g
+        same = np.flatnonzero(
+            (mu != nu) & (parity[mu] == parity[nu]) & (K.data != 0.0)
         )
-    from_kept = (row_code & 1) == system.kept_parity
-
-    def block(at, rows):
-        """The entries ``at`` of K, which lie in the rows of class ``rows``."""
-        at = np.flatnonzero(at)
-        starts = K.indptr[np.flatnonzero(np.tile(rows, n_s))]
-        indptr = np.r_[np.searchsorted(at, starts), len(at)]
-        shape = (n_s * np.count_nonzero(rows), n_s * (n_g - np.count_nonzero(rows)))
-        return sp.csr_matrix((K.data[at], number[K.indices[at]], indptr), shape=shape)
-
-    return classes, block(cross & from_kept, kept), block(cross & ~from_kept, ~kept)
+        if same.size:
+            raise ValueError(
+                f"K couples chaos indices {mu[same[0]]} and {nu[same[0]]} of the "
+                "same degree parity; the solver needs the 2-cyclic structure of "
+                "a Legendre basis"
+            )
+    return classes, K_kj
 
 
 def _schur_pcg(system: SgfemSystem, C, tol, maxiter):
@@ -297,11 +287,12 @@ def _schur_pcg(system: SgfemSystem, C, tol, maxiter):
         S_k x_k = (B_0 (x) I) x_k - K_kj (K_0^{-1} (x) I) K_jk x_k
                 = c_k - K_kj (K_0^{-1} (x) I) c_j,
 
-    and x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) afterwards.  The residual of
-    the reduced system is that of all of K, whose j rows x_j solves exactly.
-    Vectors are kept as (n_s, n_class * n_p) views of (n_s * n_class, n_p)
-    blocks: on them K_0^{-1} (x) I is one product with the dense inverse of
-    K_0.  Each column has its own step length and direction, and stops
+    and x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) afterwards.  K is symmetric,
+    so K_jk is the transpose of K_kj, and only K_kj is stored.  The residual
+    of the reduced system is that of all of K, whose j rows x_j solves
+    exactly.  Vectors are kept as (n_s, n_class * n_p) views of
+    (n_s * n_class, n_p) blocks: on them K_0^{-1} (x) I is one product with
+    the dense inverse of K_0.  Each column has its own step length and direction, and stops
     moving once its residual norm is at most ``tol`` times its load norm.
     Returns the solution block and the iteration count.
     """
@@ -315,7 +306,8 @@ def _schur_pcg(system: SgfemSystem, C, tol, maxiter):
         )
     inv, _ = lapack.dpotri(factor, lower=True)
     K0inv = np.tril(inv) + np.tril(inv, -1).T
-    (keep, other), K_kj, K_jk = _parity_split(system)
+    (keep, other), K_kj = _parity_split(system)
+    K_jk = K_kj.T
     n_s, n_k = B0.shape[0], len(keep)
 
     def product(A, V):

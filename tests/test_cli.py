@@ -67,12 +67,14 @@ def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
     assert rc == 0
     assert "3 patterns on 4 electrodes" in out
 
-    rc = run(
-        ["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
-         "--noise-pct", 5, "--corr-length", 0.5,
-         "--samples", 400, "--burn-in", 200, "--thin", 2,
-         "--out", d / "est.json"]
-    )
+    # these chains are deliberately too short to show mixing, which warns
+    with pytest.warns(UserWarning, match="split R-hat"):
+        rc = run(
+            ["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+             "--noise-pct", 5, "--corr-length", 0.5,
+             "--samples", 400, "--burn-in", 200, "--thin", 2,
+             "--out", d / "est.json"]
+        )
     out = capsys.readouterr().out
     assert rc == 0
     assert "MAP objective" in out and "chain: 400 samples" in out
@@ -140,10 +142,11 @@ def test_reruns_are_byte_identical(workdir, surrogate_and_data, capsys):
         run(["simulate", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
              "--phantom", d / "phantom.json", "--seed", 4,
              "--out", d / f"rep_{tag}.json"])
-        run(["reconstruct", "--surrogate", d / "surr.bin",
-             "--data", d / f"rep_{tag}.json", "--noise-pct", 5,
-             "--corr-length", 0.5, "--samples", 300, "--burn-in", 100,
-             "--thin", 1, "--seed", 9, "--out", d / f"est_{tag}.json"])
+        with pytest.warns(UserWarning, match="split R-hat"):
+            run(["reconstruct", "--surrogate", d / "surr.bin",
+                 "--data", d / f"rep_{tag}.json", "--noise-pct", 5,
+                 "--corr-length", 0.5, "--samples", 300, "--burn-in", 100,
+                 "--thin", 1, "--seed", 9, "--out", d / f"est_{tag}.json"])
         run(["render", "--estimates", d / f"est_{tag}.json",
              "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
              "--out", d / f"f_{tag}.svg"])

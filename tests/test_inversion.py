@@ -771,7 +771,9 @@ def test_reconstruct_map_only(tiny_posterior):
 
 def test_reconstruct_with_chain(tiny_posterior):
     cfg = inversion.McmcConfig(300, 100, 2, seed=5)
-    est = inversion.reconstruct(tiny_posterior, cfg)
+    # these chains are deliberately too short to show mixing, which warns
+    with pytest.warns(UserWarning, match="split R-hat"):
+        est = inversion.reconstruct(tiny_posterior, cfg)
     assert est.sigma_cm.shape == (3,) and est.zeta_cm.shape == (4,)
     assert (est.sigma_sd > 0.0).all() and (est.zeta_sd > 0.0).all()
     assert set(est.diagnostics) >= {
@@ -792,7 +794,8 @@ def test_reconstruct_with_chain(tiny_posterior):
 
 def test_estimates_roundtrip(tmp_path, tiny_posterior):
     cfg = inversion.McmcConfig(200, 50, 1, seed=6)
-    est = inversion.reconstruct(tiny_posterior, cfg)
+    with pytest.warns(UserWarning, match="split R-hat"):
+        est = inversion.reconstruct(tiny_posterior, cfg)
     path = tmp_path / "est.json"
     inversion.save_estimates(est, path)
     back = inversion.load_estimates(path)

@@ -134,6 +134,25 @@ def test_degree_zero_slice_is_mean_block_matrix(tiny_sg):
     assert (system.K[::n_g, ::n_g] != B0).nnz == 0
 
 
+def test_cem_matrix_equals_the_dense_block_matrix(tiny):
+    # the one builder against the layout written out by hand, at points y
+    # inside the box; kron_reference builds its blocks with the same builder
+    # as assembly, so it cannot catch a layout error
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    a, b = np.full(M, 100.0), np.linspace(500.0, 1000.0, M)
+    sm = spatial(mesh, part, 1.1, np.full(L, 0.6), a, b)
+    rng = np.random.default_rng(16)
+    for y in rng.uniform(-1.0, 1.0, (4, L + M)):
+        A = sm.A0 + sum(y_l * A_l for y_l, A_l in zip(y, sm.A))
+        zeta = sm.bounds.zeta_mid + sm.bounds.zeta_half * y[L:]
+        B = sgfem.cem_matrix(A, zeta, sm.S, sm.g, sm.lengths)
+        assert np.all(B.data != 0.0)
+        npt.assert_allclose(
+            B.toarray(), dense_block_matrix(sm, a, b, y), rtol=1e-13, atol=1e-12
+        )
+
+
 def test_system_bitwise_symmetric(tiny_sg):
     _, _, _, _, system, _, _ = tiny_sg
     diff = (system.K - system.K.T).toarray()
@@ -361,15 +380,19 @@ def test_same_parity_blocks_of_a_set_that_is_not_total_degree(tiny_sg):
     npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
 
 
-def test_solve_refuses_a_same_parity_coupling(tiny_sg):
-    # one symmetric pair of entries between chaos indices 0 and 4, both even
+@pytest.mark.parametrize("mu, nu, parity", [(0, 4, 0), (1, 3, 1)], ids=["even", "odd"])
+def test_solve_refuses_a_same_parity_coupling(tiny_sg, mu, nu, parity):
+    # one symmetric pair of entries between chaos indices mu and nu of one
+    # parity: of the eliminated even class, or of the kept odd class
     system = tiny_sg[4]
     n_g = system.n_chaos
-    assert system.parity[0] == system.parity[4] == 0
-    i, j = 0, n_g + 4
+    assert system.parity[mu] == system.parity[nu] == parity
+    assert system.kept_parity == 1
+    i, j = mu, n_g + nu
     coupling = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=system.K.shape)
     coupled = dataclasses.replace(system, K=system.K + coupling)
-    with pytest.raises(ValueError, match="indices 0 and 4 of the same degree parity"):
+    match = f"indices {mu} and {nu} of the same degree parity"
+    with pytest.raises(ValueError, match=match):
         sgfem.solve(coupled, sgfem.standard_patterns(2))
 
 
