@@ -14,6 +14,7 @@ change results in the last bits.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
@@ -167,6 +168,9 @@ def cmd_precompute(args) -> int:
     t0 = time.perf_counter()
     sol = sgfem.solve(system, patterns, tol=args.tol)
     t_solve = time.perf_counter() - t0
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mib = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
     surr = surrogate.from_solution(sol, index_set, bounds, seeds)
     surr.save(args.out)
@@ -178,6 +182,7 @@ def cmd_precompute(args) -> int:
         f"(pcg, {sol.iterations} {steps})"
     )
     print(f"max relative residual: {sol.residuals.max():.2e}")
+    print(f"peak resident memory after the solve: {peak_mib:.1f} MiB")
     print(f"wrote {args.out}")
     return 0
 

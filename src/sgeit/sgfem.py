@@ -27,11 +27,19 @@ only a dense factorization of the n_s x n_s matrix K_0, never one of K,
 and of the blocks between the classes only K_kj, since K is symmetric.
 CG on that Schur complement takes half the iterations of CG on all of K
 (Reid, SIAM J. Numer. Anal. 1972).
+
+Precompute holds little beyond K and what the surrogate keeps.
+``assemble_system`` converts K in slabs of spatial rows into arrays
+allocated once.  ``solve`` holds, besides K, the cross block K_kj, the CG
+blocks of the smaller class and one block of the larger one, to which it
+applies K_0^{-1} in place; it keeps beta and the block of the smaller
+class, from which ``SgfemSolution.alpha`` recovers the interior
+coefficients on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +47,11 @@ from scipy.linalg import lapack
 
 from .chaos import MomentMatrices
 from .fem import SpatialMatrices
+
+# spatial rows of K that ``assemble_system`` converts to CSR at a time
+_SLAB_ROWS = 32
+# columns of a block that ``_apply_inverse`` multiplies at a time
+_INVERSE_COLS = 1024
 
 
 @dataclass(frozen=True)
@@ -65,13 +78,41 @@ class SgfemSystem:
 
 @dataclass(frozen=True)
 class SgfemSolution:
-    """Chaos coefficients per current pattern, with solver diagnostics."""
+    """Electrode-voltage chaos coefficients per current pattern, with solver
+    diagnostics.
+
+    ``beta`` is (patterns, M-1, n_g), the coefficients the surrogate keeps.
+    The interior coefficients are not stored: the solution keeps the system
+    and ``kept_block``, the solved block of the kept parity class as a
+    (n_s, n_kept * n_patterns) view (see ``_schur_pcg``), from which
+    ``alpha`` recovers the rest on demand.
+    """
 
     patterns: np.ndarray
-    alpha: np.ndarray
     beta: np.ndarray
     residuals: np.ndarray
     iterations: int  # block CG iterations on the kept parity class
+    system: SgfemSystem = field(repr=False, compare=False)
+    kept_block: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Interior-potential chaos coefficients, (patterns, nodes, n_g).
+
+        Recomputed at every access from the kept-class block, by the same
+        operations as in ``solve``, so the values are those whose residual
+        ``solve`` checked; keep the result to read it more than once.
+        """
+        system, n_d, n_p = self.system, self.system.n_nodes, len(self.patterns)
+        blocks = _schur_blocks(system)
+        loads = _voltage_loads(system, self.patterns)
+        other = _other_class(system, blocks, loads, self.kept_block)
+        return _join(
+            system,
+            blocks[0],
+            _by_pattern(self.kept_block, n_p)[:, :n_d],
+            _by_pattern(other, n_p)[:, :n_d],
+        )
 
     def mean_voltages(self) -> np.ndarray:
         """Expected electrode voltages (the degree-0 chaos coefficients)."""
@@ -150,6 +191,13 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     differ in dimension k), so each entry is one product B_k[i, j]
     G_k[mu, nu], and every B_k and G_k is exactly symmetric.  The system
     records the parity of every chaos index for ``solve``.
+
+    K is built in slabs of ``_SLAB_ROWS`` spatial rows: the slab's rows of
+    every B_k, one CSR range each, are broadcast against G_k and converted
+    to CSR once, then written into index and value arrays allocated once
+    for nnz = sum_k nnz(B_k) nnz(G_k).  A slab's rows are whole rows of K,
+    sorted like those of one conversion of all terms, so K does not depend
+    on the slab height; besides K, assembly holds one slab's triplets.
     """
     n_pix, n_el = sm.n_pixels, sm.n_electrodes
     if mm.n_dims != n_pix + n_el:
@@ -159,26 +207,82 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
         )
 
     B0 = cem_matrix(sm.A0, sm.bounds.zeta_mid, sm.S, sm.g, sm.lengths)
-    triplets = [(B.row, B.col, B.data) for B in map(sp.coo_matrix, [B0, *sm.A])]
     units = _electrode_triplets(sm.S, sm.g, sm.lengths)
-    triplets += [(r, c, h * v) for h, (r, c, v) in zip(sm.bounds.zeta_half, units)]
-    # the COO triplets of every B_k (x) G_k by broadcasting, then one
-    # COO-to-CSR conversion for all terms
-    n_g = mm[0].shape[0]
-    shape = (B0.shape[0] * n_g, B0.shape[1] * n_g)
-    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    rows, cols, vals = [], [], []
-    for (r, c, v), G in zip(triplets, mm.G):
-        G = G.tocoo()
-        nz = v != 0.0
-        rows.append((r[nz].astype(index)[:, None] * n_g + G.row).ravel())
-        cols.append((c[nz].astype(index)[:, None] * n_g + G.col).ravel())
-        vals.append((v[nz][:, None] * G.data).ravel())
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
-    ).tocsr()
+    halves = (
+        sp.coo_matrix((h * v, (r, c)), shape=B0.shape)
+        for h, (r, c, v) in zip(sm.bounds.zeta_half, units)
+    )
+    blocks = []
+    for B in [B0, *sm.A, *halves]:
+        # every B_k as CSR of the shape of B_0 (A_l covers the nodes only)
+        B = sp.csr_matrix(B, copy=True)
+        B.resize(B0.shape)
+        B.eliminate_zeros()
+        blocks.append(B)
+    G = [G_k.tocoo() for G_k in mm.G]
+    n_s, n_g = B0.shape[0], mm[0].shape[0]
+    n = n_s * n_g
+    nnz = sum(B.nnz * len(G_k.data) for B, G_k in zip(blocks, G))
+    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    # the first row and the column in K of every stored entry of every B_k
+    first_rows = [
+        np.repeat(np.arange(0, n, n_g, dtype=index), np.diff(B.indptr)) for B in blocks
+    ]
+    columns = [B.indices.astype(index) * n_g for B in blocks]
+    indptr = np.zeros(n + 1, dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    end = 0
+    for r0 in range(0, n_s, _SLAB_ROWS):
+        r1 = min(r0 + _SLAB_ROWS, n_s)
+        size = sum(
+            (B.indptr[r1] - B.indptr[r0]) * len(G_k.data) for B, G_k in zip(blocks, G)
+        )
+        rows, cols = np.empty(size, dtype=index), np.empty(size, dtype=index)
+        vals = np.empty(size)
+        at = 0
+        for B, first, column, G_k in zip(blocks, first_rows, columns, G):
+            lo, hi = B.indptr[r0], B.indptr[r1]
+            shape = (hi - lo, len(G_k.data))
+            part = slice(at, at + shape[0] * shape[1])
+            at = part.stop
+            np.add(first[lo:hi, None] - r0 * n_g, G_k.row, out=rows[part].reshape(shape))
+            np.add(column[lo:hi, None], G_k.col, out=cols[part].reshape(shape))
+            np.multiply(B.data[lo:hi, None], G_k.data, out=vals[part].reshape(shape))
+        slab = sp.coo_matrix((vals, (rows, cols)), shape=((r1 - r0) * n_g, n)).tocsr()
+        del rows, cols, vals
+        start, end = end, end + slab.nnz
+        indices[start:end] = slab.indices
+        data[start:end] = slab.data
+        indptr[r0 * n_g + 1 : r1 * n_g + 1] = slab.indptr[1:] + start
+    K = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n))
     return SgfemSystem(K, sm.n_nodes, n_el, n_g, mm.parity)
+
+
+def _voltage_loads(system: SgfemSystem, patterns) -> np.ndarray:
+    """The nonzero entries of the load of every current pattern (mA), one
+    row per pattern: the degree-0 voltage coefficients (c_i)_0 = I_1 -
+    I_{i+1}, i = 1..M-1.  The one place a load is built.
+
+    Raises ValueError, naming the pattern, if its currents do not sum to
+    zero or if its load is zero (all currents equal), whose relative
+    residual would be undefined.
+    """
+    patterns = np.asarray(patterns, dtype=np.float64)
+    if patterns.ndim != 2 or patterns.shape[1] != system.n_electrodes:
+        raise ValueError("need one current per electrode")
+    for p, total in enumerate(patterns.sum(axis=1)):
+        # written so that a non-finite sum fails too
+        if not abs(total) <= 1e-12:
+            raise ValueError(f"pattern {p}: currents must sum to zero, got {total:g}")
+    loads = patterns[:, :1] - patterns[:, 1:]
+    zero = np.flatnonzero(~loads.any(axis=1))
+    if zero.size:
+        raise ValueError(
+            f"pattern {zero[0]} loads nothing: its currents are all equal, "
+            "so its relative residual is undefined"
+        )
+    return loads
 
 
 def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
@@ -187,11 +291,9 @@ def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
     currents = np.asarray(currents, dtype=np.float64)
     if currents.shape != (system.n_electrodes,):
         raise ValueError("need one current per electrode")
-    if abs(currents.sum()) > 1e-12:
-        raise ValueError(f"currents must sum to zero, got {currents.sum():g}")
     c = np.zeros(system.order)
     base = system.n_nodes * system.n_chaos
-    c[base :: system.n_chaos] = currents[0] - currents[1:]
+    c[base :: system.n_chaos] = _voltage_loads(system, currents[None])[0]
     return c
 
 
@@ -210,36 +312,46 @@ def solve(
     follows from one product with K_0^{-1} at the end.  It stops once every
     pattern's residual is at most ``tol`` times its load norm; ``tol`` must
     be positive and finite.  ``maxiter`` and the returned ``iterations``
-    count the reduced iterations.  Raises ValueError if K couples two
+    count the reduced iterations.  Raises ValueError if a pattern's
+    currents do not sum to zero or are all equal, or if K couples two
     distinct chaos indices of the same parity, and RuntimeError after
     ``maxiter`` iterations (default ten times the order), if K_0 is not
     positive definite, or if any relative residual on all of K stays above
     ``tol``.
+
+    The class loads are built from the M-1 nonzeros of each pattern, so
+    the dense load block is never formed.  Besides K the solve holds K_kj,
+    the dense K_0^{-1}, the CG blocks of the kept class and one block of
+    the other class with one chunk of it (``_apply_inverse``).  The
+    residual on all of K is checked one pattern at a time, and beta is
+    taken from the voltage rows of both classes: the solution of all of K
+    is never held, and ``SgfemSolution.alpha`` recovers it on demand.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
-    K = system.K
-    n_d, n_el, n_g = system.n_nodes, system.n_electrodes, system.n_chaos
-    # one column per pattern: spatial index outer, chaos inner, pattern last
-    C = np.column_stack([rhs_for_current(system, p) for p in patterns])
+    loads = _voltage_loads(system, patterns)
     if maxiter is None:
         maxiter = 10 * system.order
-    X, iterations = _schur_pcg(system, C, tol, maxiter)
+    blocks = _schur_blocks(system)
+    X, iterations = _schur_pcg(system, blocks, loads, tol, maxiter)
+    n_p = len(patterns)
+    kept = _by_pattern(X, n_p)
+    other = _by_pattern(_other_class(system, blocks, loads, X), n_p)
 
-    # one pattern at a time: the check adds vectors, not blocks, beside C and X
-    residuals = np.array(
-        [np.linalg.norm(c - K @ x) / np.linalg.norm(c) for c, x in zip(C.T, X.T)]
-    )
-    for p, rel in enumerate(residuals):
-        if rel > tol:
+    residuals = np.empty(len(patterns))
+    for p, pattern in enumerate(patterns):
+        c = rhs_for_current(system, pattern)
+        r = system.K @ _join(system, blocks[0], kept[p], other[p]).ravel()
+        residuals[p] = np.linalg.norm(np.subtract(c, r, out=r)) / np.linalg.norm(c)
+        # written so that a nan residual fails too
+        if not residuals[p] <= tol:
             raise RuntimeError(
-                f"pattern {p}: relative residual {rel:.3e} above {tol:g}"
+                f"pattern {p}: relative residual {residuals[p]:.3e} above {tol:g}"
             )
-    n_p = patterns.shape[0]
-    alpha = X[: n_d * n_g].T.reshape(n_p, n_d, n_g)
-    beta = X[n_d * n_g :].T.reshape(n_p, n_el - 1, n_g)
-    return SgfemSolution(patterns, alpha, beta, residuals, iterations)
+    n_d = system.n_nodes
+    beta = _join(system, blocks[0], kept[:, n_d:], other[:, n_d:])
+    return SgfemSolution(patterns, beta, residuals, iterations, system, X)
 
 
 def _parity_split(system: SgfemSystem):
@@ -276,43 +388,88 @@ def _parity_split(system: SgfemSystem):
     return classes, K_kj
 
 
-def _schur_pcg(system: SgfemSystem, C, tol, maxiter):
-    """Conjugate gradients on every column of C at once, on the Schur
-    complement of the kept parity class k, preconditioned by K_0^{-1} (x) I.
+def _schur_blocks(system: SgfemSystem):
+    """The parity classes and K_kj of ``_parity_split``, and the dense
+    inverse of the mean matrix K_0.
 
     K_0 = K[::n_g, ::n_g] is exactly B_0, since G_0 = I and G_k[0, 0] =
-    E[y_k] = 0 for k >= 1; it is also each same-parity block of K.  With
-    j the other class, the reduced system is
-
-        S_k x_k = (B_0 (x) I) x_k - K_kj (K_0^{-1} (x) I) K_jk x_k
-                = c_k - K_kj (K_0^{-1} (x) I) c_j,
-
-    and x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) afterwards.  K is symmetric,
-    so K_jk is the transpose of K_kj, and only K_kj is stored.  The residual
-    of the reduced system is that of all of K, whose j rows x_j solves
-    exactly.  Vectors are kept as (n_s, n_class * n_p) views of
-    (n_s * n_class, n_p) blocks: on them K_0^{-1} (x) I is one product with
-    the dense inverse of K_0.  Each column has its own step length and direction, and stops
-    moving once its residual norm is at most ``tol`` times its load norm.
-    Returns the solution block and the iteration count.
+    E[y_k] = 0 for k >= 1; it is also each same-parity block of K.  Its
+    Cholesky factor and the ``dpotri`` output are freed once the symmetric
+    inverse is formed.  Raises RuntimeError if K_0 is not positive definite.
     """
-    K, n_g, n_p = system.K, system.n_chaos, C.shape[1]
-    B0 = K[::n_g, ::n_g]
-    factor, info = lapack.dpotrf(B0.toarray(), lower=True)
+    n_g = system.n_chaos
+    factor, info = lapack.dpotrf(system.K[::n_g, ::n_g].toarray(), lower=True)
     if info != 0:
         raise RuntimeError(
             "factorization failed; system not positive definite "
             f"(dense Cholesky of K_0, info={info})"
         )
-    inv, _ = lapack.dpotri(factor, lower=True)
-    K0inv = np.tril(inv) + np.tril(inv, -1).T
-    (keep, other), K_kj = _parity_split(system)
+    inv, _ = lapack.dpotri(factor, lower=True, overwrite_c=True)
+    del factor
+    K0inv = np.tril(inv)
+    K0inv += np.tril(inv, -1).T
+    del inv
+    classes, K_kj = _parity_split(system)
+    return classes, K_kj, K0inv
+
+
+def _add_load(system: SgfemSystem, members, loads, V):
+    """Add the load of one parity class to its wide view V (see
+    ``_schur_pcg``) in place and return V.  The load is nonzero only at the
+    degree-0 voltage coefficients, so only if chaos index 0 is a member."""
+    n_p = len(loads)
+    V.reshape(V.shape[0], -1, n_p)[system.n_nodes :, members == 0] += loads.T[:, None]
+    return V
+
+
+def _apply_inverse(K0inv, V):
+    """V <- (K_0^{-1} (x) I) V in place for a wide view V; returns V.
+
+    Runs over chunks of ``_INVERSE_COLS`` columns, so only one chunk is
+    held beside V.  The chunking may change the last bit of a column: with
+    the Haswell kernels of OpenBLAS 0.3.31, chunks of 1024 columns give
+    the bits of one product over all columns on the 328 x 1,477 block of
+    the ``tank`` and the 336 x 64,185 block of the paper-scale setup, while
+    chunks of 700 columns differ by ~1e-13.
+    """
+    buf = np.empty((V.shape[0], min(_INVERSE_COLS, V.shape[1])))
+    for start in range(0, V.shape[1], _INVERSE_COLS):
+        chunk = V[:, start : start + _INVERSE_COLS]
+        out = buf[:, : chunk.shape[1]]
+        np.matmul(K0inv, chunk, out=out)
+        chunk[...] = out
+    return V
+
+
+def _product(A, V, n_p):
+    """Sparse block A times a wide view, as a wide view."""
+    return (A @ V.reshape(-1, n_p)).reshape(V.shape[0], -1)
+
+
+def _schur_pcg(system: SgfemSystem, blocks, loads, tol, maxiter):
+    """Conjugate gradients on every pattern at once, on the Schur complement
+    of the kept parity class k, preconditioned by K_0^{-1} (x) I.
+
+    With j the other class, the reduced system is
+
+        S_k x_k = (B_0 (x) I) x_k - K_kj (K_0^{-1} (x) I) K_jk x_k
+                = c_k - K_kj (K_0^{-1} (x) I) c_j,
+
+    and ``_other_class`` gives x_j afterwards.  K is symmetric, so K_jk is
+    the transpose of K_kj, and only K_kj is stored.  The residual of the
+    reduced system is that of all of K, whose j rows x_j solves exactly.
+    Vectors are kept as (n_s, n_class * n_p) views of (n_s * n_class, n_p)
+    blocks, spatial index outer, position in the class next and pattern
+    last: on them K_0^{-1} (x) I is one product with the dense inverse of
+    K_0.  Each pattern has its own step length and direction, and stops
+    moving once its residual norm is at most ``tol`` times its load norm.
+    Returns the kept-class block x_k and the iteration count.
+    """
+    (keep, other), K_kj, K0inv = blocks
+    n_g, n_p = system.n_chaos, len(loads)
+    B0 = system.K[::n_g, ::n_g]
     K_jk = K_kj.T
     n_s, n_k = B0.shape[0], len(keep)
-
-    def product(A, V):
-        """Sparse block A times a wide view, as a wide view."""
-        return (A @ V.reshape(-1, n_p)).reshape(n_s, -1)
 
     def column_dots(U, V):
         return np.einsum("ij,ij->j", U, V).reshape(n_k, n_p).sum(axis=0)
@@ -323,14 +480,13 @@ def _schur_pcg(system: SgfemSystem, C, tol, maxiter):
         ratio = np.divide(num, den, out=np.zeros_like(num), where=~done)
         return np.tile(ratio, n_k)
 
-    def load(members):
-        """The rows of C in one class, as a wide view."""
-        return np.take(C.reshape(n_s, n_g, n_p), members, axis=1).reshape(n_s, -1)
-
     # squared residual norms against squared thresholds
-    atol2 = tol**2 * np.einsum("ij,ij->j", C, C)
+    atol2 = tol**2 * np.einsum("ij,ij->i", loads, loads)
     X = np.zeros((n_s, n_k * n_p))
-    R = load(keep) - product(K_kj, K0inv @ load(other))
+    F = _add_load(system, other, loads, np.zeros((n_s, len(other) * n_p)))
+    R = _add_load(system, keep, loads, np.zeros((n_s, n_k * n_p)))
+    R -= _product(K_kj, _apply_inverse(K0inv, F), n_p)
+    del F
     done = column_dots(R, R) <= atol2
     iteration = 0
     if not done.all():
@@ -338,7 +494,10 @@ def _schur_pcg(system: SgfemSystem, C, tol, maxiter):
         D = Z.copy()
         rz = column_dots(R, Z)
         for iteration in range(1, maxiter + 1):
-            Q = B0 @ D - product(K_kj, K0inv @ product(K_jk, D))
+            W = _apply_inverse(K0inv, _product(K_jk, D, n_p))
+            Q = B0 @ D - _product(K_kj, W, n_p)
+            # freed before the next iteration allocates its own
+            del W
             step = active_ratio(rz, column_dots(D, Q), done)
             # Z is free until the next preconditioning
             X += np.multiply(D, step, out=Z)
@@ -354,13 +513,31 @@ def _schur_pcg(system: SgfemSystem, C, tol, maxiter):
             raise RuntimeError(
                 f"PCG did not reach tolerance {tol:g} in {maxiter} iterations"
             )
-    rest = load(other)
-    rest -= product(K_jk, X)
-    rest = K0inv @ rest
-    full = np.empty((n_s, n_g, n_p))
-    full[:, keep] = X.reshape(n_s, n_k, n_p)
-    full[:, other] = rest.reshape(n_s, -1, n_p)
-    return full.reshape(-1, n_p), iteration
+    return X, iteration
+
+
+def _other_class(system: SgfemSystem, blocks, loads, X):
+    """The other class x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) of the
+    kept-class block X, as a wide view.  It is formed in the block of
+    p = K_jk x_k itself: (0 - p) + c_j equals c_j - p in every bit."""
+    (_, other), K_kj, K0inv = blocks
+    rest = _product(K_kj.T, X, len(loads))
+    np.subtract(0.0, rest, out=rest)
+    return _apply_inverse(K0inv, _add_load(system, other, loads, rest))
+
+
+def _by_pattern(V, n_p):
+    """A wide view of one class as (n_p, n_s, n_class)."""
+    return np.moveaxis(V.reshape(V.shape[0], -1, n_p), 2, 0)
+
+
+def _join(system: SgfemSystem, classes, kept, other):
+    """Coefficients of the kept and the other class, chaos index last,
+    merged into one array over all chaos indices."""
+    out = np.empty(kept.shape[:-1] + (system.n_chaos,))
+    for members, part in zip(classes, (kept, other)):
+        out[..., members] = part
+    return out
 
 
 def standard_patterns(n_electrodes: int, amplitude: float = 1.0) -> np.ndarray:

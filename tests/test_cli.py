@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -54,6 +55,18 @@ def surrogate_and_data(workdir):
             rc = run(argv)
         results[name] = (rc, out.getvalue())
     return results
+
+
+def test_precompute_reports_its_peak_memory(surrogate_and_data):
+    rc, out = surrogate_and_data["precompute"]
+    assert rc == 0
+    lines = out.splitlines()
+    residual = next(i for i, line in enumerate(lines) if "max relative residual" in line)
+    peak = re.fullmatch(
+        r"peak resident memory after the solve: (\d+\.\d) MiB", lines[residual + 1]
+    )
+    assert peak is not None, lines
+    assert float(peak.group(1)) > 0.0
 
 
 def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -212,6 +213,27 @@ def test_system_with_collapsed_contacts_equals_the_kron_construction_bitwise(tin
         assert getattr(K, name).tobytes() == getattr(ref, name).tobytes()
 
 
+@pytest.mark.parametrize("slab_rows", [1, 7, None], ids=["1", "7", "all"])
+def test_system_is_the_same_for_any_slab_height(tiny, monkeypatch, slab_rows):
+    # K is converted in slabs of spatial rows; each slab's rows must come
+    # out as the one conversion of all terms gives them, last slab partial
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    sm = spatial(
+        mesh, part, 1.1, np.full(L, 0.6), np.full(M, 100.0), np.linspace(500, 1000, M)
+    )
+    mm = chaos.moment_matrices(chaos.iso_td(L + M, 2))
+    n_s = mesh.n_nodes + M - 1
+    assert n_s % 7 != 0
+    monkeypatch.setattr(sgfem, "_SLAB_ROWS", slab_rows or n_s)
+    K = sgfem.assemble_system(sm, mm).K
+    ref = kron_reference(sm, mm)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(K, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_system_positive_definite(tiny_sg):
     _, _, _, _, system, _, _ = tiny_sg
     w = np.linalg.eigvalsh(system.K.toarray())
@@ -266,6 +288,23 @@ def test_rhs_frozen_examples():
         sgfem.rhs_for_current(system, np.array([1.0, -1.0]))
 
 
+def test_solve_rejects_a_pattern_that_loads_nothing():
+    # equal currents give a zero load, whose relative residual is 0/0: a
+    # nan that no tolerance check would catch
+    mesh = sgeit.make_disk_fixture(2, 12, 4, 0.5)
+    part = sgeit.assign_pixels(mesh, np.array([[0.3, 0.0], [-0.3, 0.0]]))
+    sm = spatial(mesh, part, 1.1, np.full(2, 0.6), np.full(4, 100.0), np.full(4, 1000.0))
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(6, 2)))
+    first = sgfem.standard_patterns(4)[0]
+    with pytest.raises(ValueError, match="pattern 1 loads nothing"):
+        sgfem.solve(system, np.vstack([first, np.zeros(4)]))
+    with pytest.raises(ValueError, match="loads nothing"):
+        sgfem.rhs_for_current(system, np.zeros(4))
+    # a non-finite current fails the sum test instead of passing it
+    with pytest.raises(ValueError, match="pattern 0: currents must sum to zero"):
+        sgfem.solve(system, [np.nan, 1.0, -1.0, 0.0])
+
+
 def test_solve_direct_and_pcg_agree(tiny_sg):
     # moderate contact bounds keep the system well conditioned for CG
     mesh, part, _, idx, _, _, _ = tiny_sg
@@ -313,6 +352,20 @@ def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
             (sol.beta[p], single.beta[0]),
         ):
             npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_solve_is_the_same_for_any_inverse_chunk_width(tiny, monkeypatch, width):
+    # K_0^{-1} is applied in place over column chunks of the other class
+    # (87 columns here, so the last chunk is partial); the bits may differ
+    # with the width, the solution only by rounding
+    _, system = tiny_system(tiny, 2)
+    ref = sgfem.solve(system, MIXED_PATTERNS)
+    monkeypatch.setattr(sgfem, "_INVERSE_COLS", width)
+    sol = sgfem.solve(system, MIXED_PATTERNS)
+    assert sol.iterations == ref.iterations
+    for got, want in ((sol.beta, ref.beta), (sol.alpha, ref.alpha)):
+        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_solve_rejects_bad_options(tiny_sg):
@@ -455,3 +508,67 @@ def test_standard_patterns():
         [[2.0, -2.0, 0.0, 0.0], [2.0, 0.0, -2.0, 0.0], [2.0, 0.0, 0.0, -2.0]],
     )
     npt.assert_array_equal(pats.sum(axis=1), 0.0)
+
+
+@pytest.fixture(scope="module")
+def tank_sm_mm(disk_seeds):
+    """Spatial and moment matrices of the tank: 321 nodes, 8 electrodes,
+    the 12 two-ring pixels and Q=2 (231 chaos terms, order 75,768), with the
+    box of ``sgeit precompute``'s defaults."""
+    mesh = sgeit.make_disk_fixture(10, 32, 8, 0.5)
+    part = sgeit.assign_pixels(mesh, disk_seeds)
+    L, M = part.n_pixels, mesh.n_electrodes
+    sm = spatial(mesh, part, 1.1, np.full(L, 0.9), np.full(M, 10.0), np.full(M, 1000.0))
+    return sm, chaos.moment_matrices(chaos.iso_td(L + M, 2))
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(A):
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
+def test_assembly_holds_little_beside_K(tank_sm_mm):
+    # one conversion of all terms held their triplets, their concatenation
+    # and K at once: 3.6 x K traced; a slab of rows holds far less
+    system, peak = traced_peak(lambda: sgfem.assemble_system(*tank_sm_mm))
+    assert peak <= 1.5 * nbytes(system.K)
+
+
+def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
+    # the bound counts what the solve must hold beside K: K_kj, K_0^{-1}
+    # with its Cholesky temporaries, the CG blocks of the kept class, one
+    # block of the other class with one chunk of it, and a few vectors of
+    # the order for the residual check.  The dense load block and the full
+    # solution (one vector of the order per pattern each) or a second block
+    # of the other class do not fit in it.
+    system = sgfem.assemble_system(*tank_sm_mm)
+    patterns = sgfem.standard_patterns(system.n_electrodes)
+    sol, peak = traced_peak(lambda: sgfem.solve(system, patterns))
+    assert sol.iterations == 12
+    n_s, n_p = system.order // system.n_chaos, len(patterns)
+    n_kept = np.count_nonzero(system.parity == system.kept_parity)
+    n_other = system.n_chaos - n_kept
+    _, K_kj = sgfem._parity_split(system)
+    f8 = np.dtype(np.float64).itemsize
+    kept_block = n_s * n_kept * n_p * f8
+    other_block = n_s * n_other * n_p * f8
+    chunk = n_s * min(sgfem._INVERSE_COLS, n_other * n_p) * f8
+    bound = (
+        nbytes(K_kj)
+        + 2 * n_s * n_s * f8
+        + 6 * kept_block
+        + other_block
+        + chunk
+        + 3 * system.order * f8
+    )
+    assert other_block > 0.25 * bound
+    assert peak <= bound
