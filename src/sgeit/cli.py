@@ -147,6 +147,25 @@ def _load_phantom(path) -> det_cem.DeterministicSample:
     return det_cem.DeterministicSample(sigma, zeta)
 
 
+def _peak_rss_mib() -> float:
+    """Peak resident memory of this process so far, in MiB.
+
+    Reads VmHWM where /proc has it: on Linux ``ru_maxrss`` also keeps the
+    peak of the process image an exec replaced, so a command started by a
+    large process would report that process's peak.  Elsewhere reads
+    ``ru_maxrss``, which counts kilobytes, or bytes on macOS.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2**10
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def cmd_precompute(args) -> int:
     mesh = load_mesh(args.mesh)
     seeds = _load_seeds(args.seeds)
@@ -168,9 +187,7 @@ def cmd_precompute(args) -> int:
     t0 = time.perf_counter()
     sol = sgfem.solve(system, patterns, tol=args.tol)
     t_solve = time.perf_counter() - t0
-    # ru_maxrss counts kilobytes on Linux and bytes on macOS
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    peak_mib = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+    peak_mib = _peak_rss_mib()
 
     surr = surrogate.from_solution(sol, index_set, bounds, seeds)
     surr.save(args.out)

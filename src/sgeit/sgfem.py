@@ -289,8 +289,6 @@ def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
     """Load vector of one current pattern (mA), nonzero only at the
     degree-0 voltage coefficients: (c_i)_0 = I_1 - I_{i+1}."""
     currents = np.asarray(currents, dtype=np.float64)
-    if currents.shape != (system.n_electrodes,):
-        raise ValueError("need one current per electrode")
     c = np.zeros(system.order)
     base = system.n_nodes * system.n_chaos
     c[base :: system.n_chaos] = _voltage_loads(system, currents[None])[0]

@@ -430,3 +430,28 @@ def test_console_entry_point(workdir, tmp_path):
     )
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc"
+)
+def test_precompute_peak_memory_is_its_own(workdir, tmp_path):
+    # started by a process with 160 MiB resident, precompute on the small
+    # mesh must report its own peak, not its launcher's; Linux keeps the
+    # launcher's peak in ru_maxrss across exec
+    d = workdir
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    ballast = np.ones(160 * 2**20 // 8)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgeit.cli", "precompute",
+         "--mesh", str(d / "mesh.json"), "--seeds", str(d / "seeds.json"),
+         "--out", str(tmp_path / "surr.bin")],
+        capture_output=True, text=True, env=env,
+    )
+    del ballast
+    assert proc.returncode == 0
+    peak = re.search(r"peak resident memory after the solve: (\d+\.\d) MiB", proc.stdout)
+    assert peak is not None, proc.stdout
+    assert 0.0 < float(peak.group(1)) < 150.0
