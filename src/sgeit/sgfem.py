@@ -103,16 +103,11 @@ class SgfemSolution:
         operations as in ``solve``, so the values are those whose residual
         ``solve`` checked; keep the result to read it more than once.
         """
-        system, n_d, n_p = self.system, self.system.n_nodes, len(self.patterns)
+        system, n_d = self.system, self.system.n_nodes
         blocks = _schur_blocks(system)
         loads = _voltage_loads(system, self.patterns)
-        other = _other_class(system, blocks, loads, self.kept_block)
-        return _join(
-            system,
-            blocks[0],
-            _by_pattern(self.kept_block, n_p)[:, :n_d],
-            _by_pattern(other, n_p)[:, :n_d],
-        )
+        kept, other = _both_classes(system, blocks, loads, self.kept_block)
+        return _join(system, blocks[0], kept[:, :n_d], other[:, :n_d])
 
     def mean_voltages(self) -> np.ndarray:
         """Expected electrode voltages (the degree-0 chaos coefficients)."""
@@ -246,7 +241,9 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
             shape = (hi - lo, len(G_k.data))
             part = slice(at, at + shape[0] * shape[1])
             at = part.stop
-            np.add(first[lo:hi, None] - r0 * n_g, G_k.row, out=rows[part].reshape(shape))
+            np.add(
+                first[lo:hi, None] - r0 * n_g, G_k.row, out=rows[part].reshape(shape)
+            )
             np.add(column[lo:hi, None], G_k.col, out=cols[part].reshape(shape))
             np.multiply(B.data[lo:hi, None], G_k.data, out=vals[part].reshape(shape))
         slab = sp.coo_matrix((vals, (rows, cols)), shape=((r1 - r0) * n_g, n)).tocsr()
@@ -333,9 +330,7 @@ def solve(
         maxiter = 10 * system.order
     blocks = _schur_blocks(system)
     X, iterations = _schur_pcg(system, blocks, loads, tol, maxiter)
-    n_p = len(patterns)
-    kept = _by_pattern(X, n_p)
-    other = _by_pattern(_other_class(system, blocks, loads, X), n_p)
+    kept, other = _both_classes(system, blocks, loads, X)
 
     residuals = np.empty(len(patterns))
     for p, pattern in enumerate(patterns):
@@ -453,7 +448,7 @@ def _schur_pcg(system: SgfemSystem, blocks, loads, tol, maxiter):
         S_k x_k = (B_0 (x) I) x_k - K_kj (K_0^{-1} (x) I) K_jk x_k
                 = c_k - K_kj (K_0^{-1} (x) I) c_j,
 
-    and ``_other_class`` gives x_j afterwards.  K is symmetric, so K_jk is
+    and ``_both_classes`` gives x_j afterwards.  K is symmetric, so K_jk is
     the transpose of K_kj, and only K_kj is stored.  The residual of the
     reduced system is that of all of K, whose j rows x_j solves exactly.
     Vectors are kept as (n_s, n_class * n_p) views of (n_s * n_class, n_p)
@@ -514,19 +509,19 @@ def _schur_pcg(system: SgfemSystem, blocks, loads, tol, maxiter):
     return X, iteration
 
 
-def _other_class(system: SgfemSystem, blocks, loads, X):
-    """The other class x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) of the
-    kept-class block X, as a wide view.  It is formed in the block of
-    p = K_jk x_k itself: (0 - p) + c_j equals c_j - p in every bit."""
+def _both_classes(system: SgfemSystem, blocks, loads, X):
+    """The kept-class block X and the other class recovered from it,
+    x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k), each as (n_p, n_s, n_class).
+
+    x_j is formed in the block of p = K_jk x_k itself: (0 - p) + c_j
+    equals c_j - p in every bit.
+    """
     (_, other), K_kj, K0inv = blocks
-    rest = _product(K_kj.T, X, len(loads))
+    n_p = len(loads)
+    rest = _product(K_kj.T, X, n_p)
     np.subtract(0.0, rest, out=rest)
-    return _apply_inverse(K0inv, _add_load(system, other, loads, rest))
-
-
-def _by_pattern(V, n_p):
-    """A wide view of one class as (n_p, n_s, n_class)."""
-    return np.moveaxis(V.reshape(V.shape[0], -1, n_p), 2, 0)
+    _apply_inverse(K0inv, _add_load(system, other, loads, rest))
+    return tuple(np.moveaxis(V.reshape(V.shape[0], -1, n_p), 2, 0) for V in (X, rest))
 
 
 def _join(system: SgfemSystem, classes, kept, other):

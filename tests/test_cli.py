@@ -61,7 +61,9 @@ def test_precompute_reports_its_peak_memory(surrogate_and_data):
     rc, out = surrogate_and_data["precompute"]
     assert rc == 0
     lines = out.splitlines()
-    residual = next(i for i, line in enumerate(lines) if "max relative residual" in line)
+    residual = next(
+        i for i, line in enumerate(lines) if "max relative residual" in line
+    )
     peak = re.fullmatch(
         r"peak resident memory after the solve: (\d+\.\d) MiB", lines[residual + 1]
     )
@@ -452,6 +454,8 @@ def test_precompute_peak_memory_is_its_own(workdir, tmp_path):
     )
     del ballast
     assert proc.returncode == 0
-    peak = re.search(r"peak resident memory after the solve: (\d+\.\d) MiB", proc.stdout)
+    peak = re.search(
+        r"peak resident memory after the solve: (\d+\.\d) MiB", proc.stdout
+    )
     assert peak is not None, proc.stdout
     assert 0.0 < float(peak.group(1)) < 150.0

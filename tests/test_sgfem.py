@@ -293,7 +293,9 @@ def test_solve_rejects_a_pattern_that_loads_nothing():
     # nan that no tolerance check would catch
     mesh = sgeit.make_disk_fixture(2, 12, 4, 0.5)
     part = sgeit.assign_pixels(mesh, np.array([[0.3, 0.0], [-0.3, 0.0]]))
-    sm = spatial(mesh, part, 1.1, np.full(2, 0.6), np.full(4, 100.0), np.full(4, 1000.0))
+    sm = spatial(
+        mesh, part, 1.1, np.full(2, 0.6), np.full(4, 100.0), np.full(4, 1000.0)
+    )
     system = sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(6, 2)))
     first = sgfem.standard_patterns(4)[0]
     with pytest.raises(ValueError, match="pattern 1 loads nothing"):
