@@ -192,7 +192,7 @@ def cmd_precompute(args) -> int:
     surr = surrogate.from_solution(sol, index_set, bounds, seeds)
     surr.save(args.out)
     print(f"spatial dofs: {mesh.n_nodes}, chaos basis: {len(index_set)}")
-    print(f"system order: {system.order}, nonzeros: {system.K.nnz}")
+    print(f"system order: {system.order}, nonzeros: {system.nnz}")
     steps = "iteration" if sol.iterations == 1 else "iterations"
     print(
         f"assembly {t_asm:.2f} s, solve {t_solve:.2f} s "
@@ -258,6 +258,11 @@ def cmd_reconstruct(args) -> int:
     print(
         f"MAP objective {diag['map_objective']:.6g} "
         f"after {diag['map_iterations']} residual evaluations"
+    )
+    jitter = "added" if diag["prior_jitter"] else "not needed"
+    print(
+        f"prior covariance: condition number {diag['prior_condition']:.3g}, "
+        f"jitter {jitter}"
     )
     if config is not None:
         print(

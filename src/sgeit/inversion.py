@@ -80,13 +80,20 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SmoothnessPrior:
-    """Zero-mean Gaussian prior with squared-exponential seed covariance."""
+    """Zero-mean Gaussian prior with squared-exponential seed covariance.
+
+    ``jitter`` records whether ``build_prior_cov`` had to add its jitter to
+    factorize ``cov``; ``condition`` is the 2-norm condition number of
+    ``cov``, jitter included.
+    """
 
     cov: np.ndarray
     chol: np.ndarray
     whiten: np.ndarray
     corr_length: float
     eta: float
+    jitter: bool
+    condition: float
 
 
 def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
@@ -94,6 +101,7 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
 
     A tiny jitter (1e-10 eta^2) is added once if the Cholesky factorization
     fails; a second failure is reported (duplicate or near-duplicate seeds).
+    The prior records whether the jitter fired and the condition number.
     """
     for name, value in (("correlation length", corr_length), ("eta", eta)):
         if not 0.0 < value < math.inf:
@@ -103,9 +111,11 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
         raise ValueError("pixel seeds must be finite")
     d2 = ((seeds[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
     cov = eta**2 * np.exp(-d2 / (2.0 * corr_length**2))
+    jitter = False
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
+        jitter = True
         cov = cov + 1e-10 * eta**2 * np.eye(seeds.shape[0])
         try:
             chol = np.linalg.cholesky(cov)
@@ -115,7 +125,8 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
                 "check for duplicate pixel seeds"
             ) from exc
     whiten = np.linalg.inv(chol)
-    return SmoothnessPrior(cov, chol, whiten, corr_length, eta)
+    condition = float(np.linalg.cond(cov))
+    return SmoothnessPrior(cov, chol, whiten, corr_length, eta, jitter, condition)
 
 
 @dataclass
@@ -713,9 +724,11 @@ def reconstruct(
     """MAP estimate, optionally followed by a Metropolis chain for CM/SD.
 
     With ``config=None`` only the MAP is computed.  The chains start from
-    the MAP point.  ``rhat_max`` in the diagnostics is the largest
-    split-R-hat over the coordinates; above 1.01 (Vehtari et al. 2021)
-    the chains have not been shown to mix, and a warning names the remedy.
+    the MAP point.  The diagnostics carry the prior's jitter and condition
+    number (see ``SmoothnessPrior``) as ``prior_jitter`` and
+    ``prior_condition``.  ``rhat_max`` is the largest split-R-hat over the
+    coordinates; above 1.01 (Vehtari et al. 2021) the chains have not been
+    shown to mix, and a warning names the remedy.
     """
     bounds = posterior.surrogate.bounds
     map_res = map_estimate(posterior, start=start)
@@ -724,6 +737,8 @@ def reconstruct(
         "map_objective": map_res.objective,
         "map_iterations": map_res.iterations,
         "map_converged": map_res.converged,
+        "prior_jitter": posterior.prior.jitter,
+        "prior_condition": posterior.prior.condition,
     }
     kwargs = {}
     if config is not None:

@@ -18,23 +18,22 @@ electrode blocks E_m of ``_electrode_triplets``, the one place that lays
 out Upsilon and Pi.
 
 With a Legendre basis every G_k, k >= 1, couples only chaos indices of
-opposite total-degree parity, so K is 2-cyclic: its blocks between indices
-of one parity are B_0 (x) I (Ernst & Ullmann, SIAM J. Matrix Anal. Appl.
-2010).  ``solve`` eliminates the larger parity class and treats all current
-patterns as one block: conjugate gradients on the Schur complement of the
-smaller class, preconditioned by the mean matrix K_0 (x) I, which needs
-only a dense factorization of the n_s x n_s matrix K_0, never one of K,
-and of the blocks between the classes only K_kj, since K is symmetric.
-CG on that Schur complement takes half the iterations of CG on all of K
-(Reid, SIAM J. Numer. Anal. 1972).
+opposite total-degree parity, so K = sum_k B_k (x) G_k is 2-cyclic: its
+blocks between indices of one parity are B_0 (x) I (Ernst & Ullmann, SIAM
+J. Matrix Anal. Appl. 2010).  ``solve`` eliminates the larger parity class
+and treats all current patterns as one block: conjugate gradients on the
+Schur complement of the smaller class, preconditioned by the mean matrix
+K_0 (x) I, K_0 = B_0, which needs only a dense factorization of the
+n_s x n_s matrix B_0, and of the blocks between the classes only K_kj,
+since K is symmetric.  CG on that Schur complement takes half the
+iterations of CG on all of K (Reid, SIAM J. Numer. Anal. 1972).
 
-Precompute holds little beyond K and what the surrogate keeps.
-``assemble_system`` converts K in slabs of spatial rows into arrays
-allocated once.  ``solve`` holds, besides K, the cross block K_kj, the CG
-blocks of the smaller class and one block of the larger one, to which it
-applies K_0^{-1} in place; it keeps beta and the block of the smaller
-class, from which ``SgfemSolution.alpha`` recovers the interior
-coefficients on demand.
+K itself, n_g copies of B_0 and K_kj, is never formed (as in Powell &
+Elman, IMA J. Numer. Anal. 2009): ``assemble_system`` builds only B_0 and
+K_kj.  ``solve`` holds, besides them, the CG blocks of the smaller class
+and one block of the larger one, to which it applies K_0^{-1} in place; it
+keeps beta and the block of the smaller class, from which
+``SgfemSolution.alpha`` recovers the interior coefficients on demand.
 """
 
 from __future__ import annotations
@@ -48,18 +47,34 @@ from scipy.linalg import lapack
 from .chaos import MomentMatrices
 from .fem import SpatialMatrices
 
-# spatial rows of K that ``assemble_system`` converts to CSR at a time
-_SLAB_ROWS = 32
 # columns of a block that ``_apply_inverse`` multiplies at a time
 _INVERSE_COLS = 1024
 
 
+def _kept_parity(parity: np.ndarray) -> int:
+    """See ``SgfemSystem.kept_parity``."""
+    return int(2 * np.count_nonzero(parity) <= len(parity))
+
+
+def _parity_classes(parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chaos indices of the kept and of the other parity class."""
+    kept = parity == _kept_parity(parity)
+    return np.flatnonzero(kept), np.flatnonzero(~kept)
+
+
 @dataclass(frozen=True)
 class SgfemSystem:
-    """Assembled Galerkin matrix with its size bookkeeping and the
-    total-degree parity (0 even, 1 odd) of every chaos index."""
+    """The Galerkin matrix K = sum_k B_k (x) G_k as its two distinct blocks,
+    with its size bookkeeping and the total-degree parity (0 even, 1 odd)
+    of every chaos index: the mean matrix ``B0``, since every same-parity
+    block of K is B_0 (x) I, and ``K_kj``, K's block from the rows of the
+    kept parity class to the columns of the other, numbered spatial index
+    outer and position in the class inner.  K is symmetric, so its block
+    from the other class to the kept one is the transpose of K_kj.
+    """
 
-    K: sp.csr_matrix
+    B0: sp.csr_matrix
+    K_kj: sp.csr_matrix
     n_nodes: int
     n_electrodes: int
     n_chaos: int
@@ -70,10 +85,38 @@ class SgfemSystem:
         return (self.n_nodes + self.n_electrodes - 1) * self.n_chaos
 
     @property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chaos indices of the kept and the other parity class."""
+        return _parity_classes(self.parity)
+
+    @property
     def kept_parity(self) -> int:
         """The parity class ``solve`` iterates on: the one with fewer chaos
         indices, odd on a tie."""
-        return int(2 * np.count_nonzero(self.parity) <= self.n_chaos)
+        return _kept_parity(self.parity)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of K: n_g copies of B_0 and K_kj with its
+        transpose."""
+        return self.n_chaos * self.B0.nnz + 2 * self.K_kj.nnz
+
+    @property
+    def K(self) -> sp.csr_matrix:
+        """All of K as one CSR matrix, joined from the blocks at every access
+        by one COO-to-CSR conversion; for tests and tracing, since neither
+        assembly nor ``solve`` needs it."""
+        n_g, B, C = self.n_chaos, self.B0.tocoo(), self.K_kj.tocoo()
+        kept_rows, other_rows = (
+            (np.arange(B.shape[0])[:, None] * n_g + members).ravel()
+            for members in self.classes
+        )
+        r, c = kept_rows[C.row], other_rows[C.col]
+        same = np.arange(n_g)
+        rows = np.concatenate([(B.row[:, None] * n_g + same).ravel(), r, c])
+        cols = np.concatenate([(B.col[:, None] * n_g + same).ravel(), c, r])
+        vals = np.concatenate([np.repeat(B.data, n_g), C.data, C.data])
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.order,) * 2).tocsr()
 
 
 @dataclass(frozen=True)
@@ -104,10 +147,10 @@ class SgfemSolution:
         ``solve`` checked; keep the result to read it more than once.
         """
         system, n_d = self.system, self.system.n_nodes
-        blocks = _schur_blocks(system)
         loads = _voltage_loads(system, self.patterns)
-        kept, other = _both_classes(system, blocks, loads, self.kept_block)
-        return _join(system, blocks[0], kept[:, :n_d], other[:, :n_d])
+        K0inv = _mean_inverse(system)
+        kept, other = _both_classes(system, K0inv, loads, self.kept_block)
+        return _join(system, kept[:, :n_d], other[:, :n_d])
 
     def mean_voltages(self) -> np.ndarray:
         """Expected electrode voltages (the degree-0 chaos coefficients)."""
@@ -173,7 +216,8 @@ def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
 
 
 def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
-    """Assemble the coupled Galerkin matrix K = sum_k B_k (x) G_k.
+    """Assemble the two distinct blocks of K = sum_k B_k (x) G_k: B_0 and
+    the cross block K_kj.
 
     The electrode-model matrix is affine in y: B_0 is the model at the
     centre of the box ``sm.bounds`` (A0 and the contact centres (a+b)/2),
@@ -181,18 +225,14 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     of electrode m is the half-width (b_m-a_m)/2 times the unit block
     E_m of ``_electrode_triplets``, from which ``cem_matrix`` also builds
     B_0.  Every B_k keeps only its nonzero entries, as ``cem_matrix`` does.
-    K is exactly symmetric without a symmetrization step: the terms have
-    disjoint sparsity (G_0 is diagonal, G_k couples only indices that
-    differ in dimension k), so each entry is one product B_k[i, j]
-    G_k[mu, nu], and every B_k and G_k is exactly symmetric.  The system
-    records the parity of every chaos index for ``solve``.
 
-    K is built in slabs of ``_SLAB_ROWS`` spatial rows: the slab's rows of
-    every B_k, one CSR range each, are broadcast against G_k and converted
-    to CSR once, then written into index and value arrays allocated once
-    for nnz = sum_k nnz(B_k) nnz(G_k).  A slab's rows are whole rows of K,
-    sorted like those of one conversion of all terms, so K does not depend
-    on the slab height; besides K, assembly holds one slab's triplets.
+    G_0 = I, and K_kj = sum_{k >= 1} B_k (x) G_k[kept, other] is one
+    COO-to-CSR conversion of the triplets of every term.  The terms have
+    disjoint sparsity (G_k couples only indices that differ in dimension
+    k), so each entry is one product B_k[i, j] G_k[mu, nu], that of K; as
+    every B_k and G_k is exactly symmetric, so is K.  Raises ValueError,
+    naming the two chaos indices, if a G_k, k >= 1, couples indices of the
+    same parity: then K is not 2-cyclic, and ``solve`` does not apply.
     """
     n_pix, n_el = sm.n_pixels, sm.n_electrodes
     if mm.n_dims != n_pix + n_el:
@@ -200,6 +240,25 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
             f"moment matrices cover {mm.n_dims} dimensions, "
             f"spatial data implies {n_pix + n_el}"
         )
+    parity, kept = mm.parity, _kept_parity(mm.parity)
+    classes = _parity_classes(parity)
+    # the position of every chaos index in its class
+    position = np.empty(len(parity), dtype=np.int64)
+    for members in classes:
+        position[members] = np.arange(len(members))
+    # of every G_k, k >= 1, the entries in the rows of the kept class
+    couplings = []
+    for k, G_k in enumerate(mm.G[1:], 1):
+        G_k = G_k.tocoo()
+        same = np.flatnonzero(parity[G_k.row] == parity[G_k.col])
+        if same.size:
+            raise ValueError(
+                f"G_{k} couples chaos indices {G_k.row[same[0]]} and "
+                f"{G_k.col[same[0]]} of the same degree parity; the solver "
+                "needs the 2-cyclic structure of a Legendre basis"
+            )
+        at = parity[G_k.row] == kept
+        couplings.append((position[G_k.row[at]], position[G_k.col[at]], G_k.data[at]))
 
     B0 = cem_matrix(sm.A0, sm.bounds.zeta_mid, sm.S, sm.g, sm.lengths)
     units = _electrode_triplets(sm.S, sm.g, sm.lengths)
@@ -208,52 +267,26 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
         for h, (r, c, v) in zip(sm.bounds.zeta_half, units)
     )
     blocks = []
-    for B in [B0, *sm.A, *halves]:
-        # every B_k as CSR of the shape of B_0 (A_l covers the nodes only)
+    for B in [*sm.A, *halves]:
         B = sp.csr_matrix(B, copy=True)
-        B.resize(B0.shape)
         B.eliminate_zeros()
-        blocks.append(B)
-    G = [G_k.tocoo() for G_k in mm.G]
-    n_s, n_g = B0.shape[0], mm[0].shape[0]
-    n = n_s * n_g
-    nnz = sum(B.nnz * len(G_k.data) for B, G_k in zip(blocks, G))
-    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-    # the first row and the column in K of every stored entry of every B_k
-    first_rows = [
-        np.repeat(np.arange(0, n, n_g, dtype=index), np.diff(B.indptr)) for B in blocks
-    ]
-    columns = [B.indices.astype(index) * n_g for B in blocks]
-    indptr = np.zeros(n + 1, dtype=index)
-    indices = np.empty(nnz, dtype=index)
-    data = np.empty(nnz)
+        blocks.append(B.tocoo())
+    n_s, (n_kept, n_other) = B0.shape[0], (len(members) for members in classes)
+    nnz = sum(B.nnz * len(g) for B, (_, _, g) in zip(blocks, couplings))
+    index = np.int32 if max(n_s * len(parity), nnz) < 2**31 else np.int64
+    rows, cols = np.empty(nnz, dtype=index), np.empty(nnz, dtype=index)
+    vals = np.empty(nnz)
     end = 0
-    for r0 in range(0, n_s, _SLAB_ROWS):
-        r1 = min(r0 + _SLAB_ROWS, n_s)
-        size = sum(
-            (B.indptr[r1] - B.indptr[r0]) * len(G_k.data) for B, G_k in zip(blocks, G)
-        )
-        rows, cols = np.empty(size, dtype=index), np.empty(size, dtype=index)
-        vals = np.empty(size)
-        at = 0
-        for B, first, column, G_k in zip(blocks, first_rows, columns, G):
-            lo, hi = B.indptr[r0], B.indptr[r1]
-            shape = (hi - lo, len(G_k.data))
-            part = slice(at, at + shape[0] * shape[1])
-            at = part.stop
-            np.add(
-                first[lo:hi, None] - r0 * n_g, G_k.row, out=rows[part].reshape(shape)
-            )
-            np.add(column[lo:hi, None], G_k.col, out=cols[part].reshape(shape))
-            np.multiply(B.data[lo:hi, None], G_k.data, out=vals[part].reshape(shape))
-        slab = sp.coo_matrix((vals, (rows, cols)), shape=((r1 - r0) * n_g, n)).tocsr()
-        del rows, cols, vals
-        start, end = end, end + slab.nnz
-        indices[start:end] = slab.indices
-        data[start:end] = slab.data
-        indptr[r0 * n_g + 1 : r1 * n_g + 1] = slab.indptr[1:] + start
-    K = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n))
-    return SgfemSystem(K, sm.n_nodes, n_el, n_g, mm.parity)
+    for B, (mu, nu, g) in zip(blocks, couplings):
+        shape = (B.nnz, len(g))
+        part = slice(end, end + shape[0] * shape[1])
+        end = part.stop
+        i, j = (ij.astype(index)[:, None] for ij in (B.row, B.col))
+        np.add(i * n_kept, mu, out=rows[part].reshape(shape))
+        np.add(j * n_other, nu, out=cols[part].reshape(shape))
+        np.multiply(B.data[:, None], g, out=vals[part].reshape(shape))
+    K_kj = sp.coo_matrix((vals, (rows, cols)), shape=(n_s * n_kept, n_s * n_other))
+    return SgfemSystem(B0, K_kj.tocsr(), sm.n_nodes, n_el, len(parity), parity)
 
 
 def _voltage_loads(system: SgfemSystem, patterns) -> np.ndarray:
@@ -308,19 +341,19 @@ def solve(
     pattern's residual is at most ``tol`` times its load norm; ``tol`` must
     be positive and finite.  ``maxiter`` and the returned ``iterations``
     count the reduced iterations.  Raises ValueError if a pattern's
-    currents do not sum to zero or are all equal, or if K couples two
-    distinct chaos indices of the same parity, and RuntimeError after
+    currents do not sum to zero or are all equal, and RuntimeError after
     ``maxiter`` iterations (default ten times the order), if K_0 is not
     positive definite, or if any relative residual on all of K stays above
     ``tol``.
 
-    The class loads are built from the M-1 nonzeros of each pattern, so
-    the dense load block is never formed.  Besides K the solve holds K_kj,
-    the dense K_0^{-1}, the CG blocks of the kept class and one block of
-    the other class with one chunk of it (``_apply_inverse``).  The
-    residual on all of K is checked one pattern at a time, and beta is
-    taken from the voltage rows of both classes: the solution of all of K
-    is never held, and ``SgfemSolution.alpha`` recovers it on demand.
+    The solve reads only B_0 and K_kj of the system.  The class loads are
+    built from the M-1 nonzeros of each pattern, so the dense load block is
+    never formed.  Besides the system the solve holds the dense K_0^{-1},
+    the CG blocks of the kept class and one block of the other class with
+    one chunk of it (``_apply_inverse``).  The residual on every row of K
+    is checked one pattern at a time, from the blocks, and beta is taken
+    from the voltage rows of both classes: the solution of all of K is
+    never held, and ``SgfemSolution.alpha`` recovers it on demand.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
@@ -328,70 +361,38 @@ def solve(
     loads = _voltage_loads(system, patterns)
     if maxiter is None:
         maxiter = 10 * system.order
-    blocks = _schur_blocks(system)
-    X, iterations = _schur_pcg(system, blocks, loads, tol, maxiter)
-    kept, other = _both_classes(system, blocks, loads, X)
+    K0inv = _mean_inverse(system)
+    X, iterations = _schur_pcg(system, K0inv, loads, tol, maxiter)
+    kept, other = _both_classes(system, K0inv, loads, X)
 
+    classes, B0, K_kj = system.classes, system.B0, system.K_kj
     residuals = np.empty(len(patterns))
-    for p, pattern in enumerate(patterns):
-        c = rhs_for_current(system, pattern)
-        r = system.K @ _join(system, blocks[0], kept[p], other[p]).ravel()
-        residuals[p] = np.linalg.norm(np.subtract(c, r, out=r)) / np.linalg.norm(c)
+    for p, load in enumerate(loads):
+        # c - K x on the rows of each class, (B_0 (x) I) x_k + K_kj x_j and
+        # (B_0 (x) I) x_j + K_kj^T x_k, never on all of K at once
+        square = 0.0
+        for members, x, cross, y in zip(
+            classes, (kept[p], other[p]), (K_kj, K_kj.T), (other[p], kept[p])
+        ):
+            r = _add_load(system, members, load[None], -(B0 @ x))
+            r -= (cross @ y.ravel()).reshape(r.shape)
+            square += np.vdot(r, r)
+        residuals[p] = np.sqrt(square) / np.linalg.norm(load)
         # written so that a nan residual fails too
         if not residuals[p] <= tol:
             raise RuntimeError(
                 f"pattern {p}: relative residual {residuals[p]:.3e} above {tol:g}"
             )
     n_d = system.n_nodes
-    beta = _join(system, blocks[0], kept[:, n_d:], other[:, n_d:])
+    beta = _join(system, kept[:, n_d:], other[:, n_d:])
     return SgfemSolution(patterns, beta, residuals, iterations, system, X)
 
 
-def _parity_split(system: SgfemSystem):
-    """Chaos indices of the kept and the other parity class, and the
-    off-diagonal block K_kj of K from the kept rows to the other columns.
-
-    Block rows and columns are numbered spatial index outer, position in
-    the class inner, which keeps K's order.  When the same-parity blocks
-    of K are B_0 (x) I, K holds n_g nnz(B_0) + 2 nnz(K_kj) entries, since
-    K is symmetric; only if that count fails are the entries searched.
-    Raises ValueError if K couples two distinct chaos indices of the same
-    parity: then the Schur complement of ``_schur_pcg`` does not apply.
-    """
-    K, n_g, parity = system.K, system.n_chaos, system.parity
-    n_s = K.shape[0] // n_g
-    kept = parity == system.kept_parity
-    classes = (np.flatnonzero(kept), np.flatnonzero(~kept))
-    rows_kept, rows_other = (
-        (np.arange(n_s)[:, None] * n_g + members).ravel() for members in classes
-    )
-    K_kj = K[rows_kept][:, rows_other]
-    if K.nnz != n_g * K[::n_g, ::n_g].nnz + 2 * K_kj.nnz:
-        mu = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr)) % n_g
-        nu = K.indices % n_g
-        same = np.flatnonzero(
-            (mu != nu) & (parity[mu] == parity[nu]) & (K.data != 0.0)
-        )
-        if same.size:
-            raise ValueError(
-                f"K couples chaos indices {mu[same[0]]} and {nu[same[0]]} of the "
-                "same degree parity; the solver needs the 2-cyclic structure of "
-                "a Legendre basis"
-            )
-    return classes, K_kj
-
-
-def _schur_blocks(system: SgfemSystem):
-    """The parity classes and K_kj of ``_parity_split``, and the dense
-    inverse of the mean matrix K_0.
-
-    K_0 = K[::n_g, ::n_g] is exactly B_0, since G_0 = I and G_k[0, 0] =
-    E[y_k] = 0 for k >= 1; it is also each same-parity block of K.  Its
-    Cholesky factor and the ``dpotri`` output are freed once the symmetric
-    inverse is formed.  Raises RuntimeError if K_0 is not positive definite.
-    """
-    n_g = system.n_chaos
-    factor, info = lapack.dpotrf(system.K[::n_g, ::n_g].toarray(), lower=True)
+def _mean_inverse(system: SgfemSystem) -> np.ndarray:
+    """The dense inverse of the mean matrix K_0 = B_0.  Its Cholesky factor
+    is freed once the symmetric inverse is formed.  Raises RuntimeError if
+    K_0 is not positive definite."""
+    factor, info = lapack.dpotrf(system.B0.toarray(), lower=True)
     if info != 0:
         raise RuntimeError(
             "factorization failed; system not positive definite "
@@ -401,9 +402,7 @@ def _schur_blocks(system: SgfemSystem):
     del factor
     K0inv = np.tril(inv)
     K0inv += np.tril(inv, -1).T
-    del inv
-    classes, K_kj = _parity_split(system)
-    return classes, K_kj, K0inv
+    return K0inv
 
 
 def _add_load(system: SgfemSystem, members, loads, V):
@@ -439,7 +438,7 @@ def _product(A, V, n_p):
     return (A @ V.reshape(-1, n_p)).reshape(V.shape[0], -1)
 
 
-def _schur_pcg(system: SgfemSystem, blocks, loads, tol, maxiter):
+def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
     """Conjugate gradients on every pattern at once, on the Schur complement
     of the kept parity class k, preconditioned by K_0^{-1} (x) I.
 
@@ -458,11 +457,8 @@ def _schur_pcg(system: SgfemSystem, blocks, loads, tol, maxiter):
     moving once its residual norm is at most ``tol`` times its load norm.
     Returns the kept-class block x_k and the iteration count.
     """
-    (keep, other), K_kj, K0inv = blocks
-    n_g, n_p = system.n_chaos, len(loads)
-    B0 = system.K[::n_g, ::n_g]
-    K_jk = K_kj.T
-    n_s, n_k = B0.shape[0], len(keep)
+    (keep, other), B0, K_kj = system.classes, system.B0, system.K_kj
+    n_p, n_s, n_k, K_jk = len(loads), B0.shape[0], len(keep), K_kj.T
 
     def column_dots(U, V):
         return np.einsum("ij,ij->j", U, V).reshape(n_k, n_p).sum(axis=0)
@@ -509,26 +505,26 @@ def _schur_pcg(system: SgfemSystem, blocks, loads, tol, maxiter):
     return X, iteration
 
 
-def _both_classes(system: SgfemSystem, blocks, loads, X):
+def _both_classes(system: SgfemSystem, K0inv, loads, X):
     """The kept-class block X and the other class recovered from it,
     x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k), each as (n_p, n_s, n_class).
 
     x_j is formed in the block of p = K_jk x_k itself: (0 - p) + c_j
     equals c_j - p in every bit.
     """
-    (_, other), K_kj, K0inv = blocks
+    _, other = system.classes
     n_p = len(loads)
-    rest = _product(K_kj.T, X, n_p)
+    rest = _product(system.K_kj.T, X, n_p)
     np.subtract(0.0, rest, out=rest)
     _apply_inverse(K0inv, _add_load(system, other, loads, rest))
     return tuple(np.moveaxis(V.reshape(V.shape[0], -1, n_p), 2, 0) for V in (X, rest))
 
 
-def _join(system: SgfemSystem, classes, kept, other):
+def _join(system: SgfemSystem, kept, other):
     """Coefficients of the kept and the other class, chaos index last,
     merged into one array over all chaos indices."""
     out = np.empty(kept.shape[:-1] + (system.n_chaos,))
-    for members, part in zip(classes, (kept, other)):
+    for members, part in zip(system.classes, (kept, other)):
         out[..., members] = part
     return out
 

@@ -12,7 +12,8 @@ import pytest
 
 import sgeit
 from conftest import tamper
-from sgeit import cli, inversion
+from sgeit import cli, det_cem, fem, inversion, sgfem, surrogate
+from sgeit.chaos import iso_td, moment_matrices
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +33,30 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def mesh_and_pixels(d):
+    """The mesh and pixel partition of the files of ``workdir``."""
+    mesh = sgeit.load_mesh(d / "mesh.json")
+    seeds = np.array(json.loads((d / "seeds.json").read_text()))
+    return mesh, sgeit.assign_pixels(mesh, seeds)
+
+
+def precompute_argv(d, out, order=2):
+    """``sgeit precompute`` on the files of ``workdir`` at chaos degree
+    ``order``."""
+    return [
+        "precompute", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
+        "--order", order, "--sigma0", 1.1, "--dsigma", 0.6,
+        "--zeta-min", 100, "--zeta-max", 1000, "--out", out,
+    ]
+
+
 @pytest.fixture(scope="module")
 def surrogate_and_data(workdir):
     """Run precompute and simulate once into ``workdir`` (surr.bin and
     data.json); returns each command's exit code and standard output."""
     d = workdir
     argvs = {
-        "precompute": [
-            "precompute", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
-            "--order", 2, "--sigma0", 1.1, "--dsigma", 0.6,
-            "--zeta-min", 100, "--zeta-max", 1000, "--out", d / "surr.bin",
-        ],
+        "precompute": precompute_argv(d, d / "surr.bin"),
         "simulate": [
             "simulate", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
             "--phantom", d / "phantom.json", "--seed", 11, "--out", d / "data.json",
@@ -71,6 +85,48 @@ def test_precompute_reports_its_peak_memory(surrogate_and_data):
     assert float(peak.group(1)) > 0.0
 
 
+def test_precompute_never_forms_K(
+    workdir, surrogate_and_data, monkeypatch, tmp_path
+):
+    # SgfemSystem.K joins the whole Galerkin matrix for tests and tracing;
+    # assembly, the solve, its report and alpha work from B_0 and K_kj
+    def refuse(system):
+        raise AssertionError("the whole Galerkin matrix K was formed")
+
+    monkeypatch.setattr(sgfem.SgfemSystem, "K", property(refuse))
+    out = tmp_path / "surr.bin"
+    with redirect_stdout(io.StringIO()):
+        assert run(precompute_argv(workdir, out)) == 0
+    assert out.read_bytes() == (workdir / "surr.bin").read_bytes()
+    mesh, part = mesh_and_pixels(workdir)
+    bounds = fem.ParameterBounds(
+        1.1, np.full(3, 0.6), np.full(4, 100.0), np.full(4, 1000.0)
+    )
+    spatial = fem.assemble_spatial(mesh, part, bounds)
+    system = sgfem.assemble_system(spatial, moment_matrices(iso_td(7, 2)))
+    alpha = sgfem.solve(system, sgfem.standard_patterns(4)).alpha
+    assert alpha.shape == (3, mesh.n_nodes, system.n_chaos)
+    assert np.isfinite(alpha).all()
+
+
+def test_precompute_at_order_zero_with_an_empty_kept_class(workdir, tmp_path):
+    # Q=0 has no odd chaos index, so the kept class and K_kj have no rows;
+    # the surrogate is then the deterministic model at the box centre
+    out = tmp_path / "surr.bin"
+    with redirect_stdout(io.StringIO()):
+        assert run(precompute_argv(workdir, out, order=0)) == 0
+    surr = surrogate.load(out)
+    surr.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == out.read_bytes()
+    mesh, part = mesh_and_pixels(workdir)
+    y = np.zeros(surr.n_params)
+    exact = det_cem.solve_deterministic(
+        mesh, part, det_cem.params_from_y(y, surr.bounds), surr.patterns
+    ).voltages.ravel()
+    got = surr.eval_stacked(y)
+    assert np.abs(got - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
 def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
     d = workdir
     rc, out = surrogate_and_data["precompute"]
@@ -96,6 +152,10 @@ def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
 
     est = inversion.load_estimates(d / "est.json")
     assert est.diagnostics["map_converged"]
+    condition = est.diagnostics["prior_condition"]
+    assert not est.diagnostics["prior_jitter"]
+    line = f"prior covariance: condition number {condition:.3g}, jitter not needed"
+    assert line in out
     assert f"in support {est.diagnostics['in_support']:.3f}" in out
     assert f"proposal scale {est.diagnostics['proposal_scale']:.3g}," in out
     assert est.sigma_cm is not None

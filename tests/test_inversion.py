@@ -65,6 +65,19 @@ def test_prior_covariance_rejects():
     prior = inversion.build_prior_cov(dup, corr_length=1.0, eta=1.0)
     assert np.isfinite(prior.whiten).all()
     npt.assert_allclose(prior.chol @ prior.chol.T, prior.cov, atol=1e-12)
+    # the jitter fired, and the jittered covariance [[1, 1], [1, 1]] +
+    # 1e-10 I has the eigenvalues 2 + 1e-10 and 1e-10
+    assert prior.jitter
+    assert prior.condition == pytest.approx(2e10, rel=1e-4)
+
+
+def test_prior_of_the_tank_seeds_is_well_conditioned_at_half_the_radius(disk_seeds):
+    # at corr_length 0.5 the 12 two-ring pixels stay distinct: measured
+    # condition number 1.5e2, no jitter; the CLI's default of 5 gives 2.0e10
+    prior = inversion.build_prior_cov(disk_seeds, corr_length=0.5, eta=1.0)
+    assert not prior.jitter
+    assert 1.0e2 < prior.condition < 2.0e2
+    assert prior.condition == pytest.approx(np.linalg.cond(prior.cov), rel=1e-12)
 
 
 def test_objective_against_explicit_covariance(tiny_posterior):
@@ -762,6 +775,8 @@ def test_reconstruct_map_only(tiny_posterior):
     est = inversion.reconstruct(tiny_posterior)
     assert est.sigma_cm is None and est.zeta_sd is None
     assert est.diagnostics["map_converged"]
+    assert est.diagnostics["prior_jitter"] is tiny_posterior.prior.jitter
+    assert est.diagnostics["prior_condition"] == tiny_posterior.prior.condition
     bounds = det_cem.ParameterBounds(1.1, np.full(3, 0.6), np.full(4, 100.0),
                                      np.full(4, 1000.0))
     s = det_cem.params_from_y(est.y_map, bounds)

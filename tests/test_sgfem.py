@@ -213,27 +213,6 @@ def test_system_with_collapsed_contacts_equals_the_kron_construction_bitwise(tin
         assert getattr(K, name).tobytes() == getattr(ref, name).tobytes()
 
 
-@pytest.mark.parametrize("slab_rows", [1, 7, None], ids=["1", "7", "all"])
-def test_system_is_the_same_for_any_slab_height(tiny, monkeypatch, slab_rows):
-    # K is converted in slabs of spatial rows; each slab's rows must come
-    # out as the one conversion of all terms gives them, last slab partial
-    mesh, part, _ = tiny
-    L, M = part.n_pixels, mesh.n_electrodes
-    sm = spatial(
-        mesh, part, 1.1, np.full(L, 0.6), np.full(M, 100.0), np.linspace(500, 1000, M)
-    )
-    mm = chaos.moment_matrices(chaos.iso_td(L + M, 2))
-    n_s = mesh.n_nodes + M - 1
-    assert n_s % 7 != 0
-    monkeypatch.setattr(sgfem, "_SLAB_ROWS", slab_rows or n_s)
-    K = sgfem.assemble_system(sm, mm).K
-    ref = kron_reference(sm, mm)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(K, name), getattr(ref, name)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-
-
 def test_system_positive_definite(tiny_sg):
     _, _, _, _, system, _, _ = tiny_sg
     w = np.linalg.eigvalsh(system.K.toarray())
@@ -384,9 +363,9 @@ def test_solve_rejects_bad_options(tiny_sg):
 
 
 def test_solve_refuses_a_mean_matrix_that_is_not_positive_definite(tiny_sg):
-    # -K has the mean block -K_0, whose dense Cholesky fails at once
+    # the dense Cholesky of the negated mean matrix -K_0 fails at once
     system = tiny_sg[4]
-    negated = dataclasses.replace(system, K=-system.K)
+    negated = dataclasses.replace(system, B0=-system.B0)
     with pytest.raises(RuntimeError, match="not positive definite"):
         sgfem.solve(negated, sgfem.standard_patterns(2))
 
@@ -403,8 +382,10 @@ def tiny_system(tiny, degree):
 
 
 def assert_two_cyclic(sm, idx, system):
-    """Both same-parity blocks of K are exactly B_0 (x) I."""
+    """Both same-parity blocks of K are exactly B_0 (x) I, and the system
+    counts K's entries from B_0 and K_kj."""
     npt.assert_array_equal(system.parity, idx.indices.sum(axis=1) % 2)
+    assert system.nnz == system.K.nnz
     B0 = sgfem.cem_matrix(sm.A0, sm.bounds.zeta_mid, sm.S, sm.g, sm.lengths)
     n_s, n_g = B0.shape[0], system.n_chaos
     for parity in (0, 1):
@@ -437,18 +418,19 @@ def test_same_parity_blocks_of_a_set_that_is_not_total_degree(tiny_sg):
 
 @pytest.mark.parametrize("mu, nu, parity", [(0, 4, 0), (1, 3, 1)], ids=["even", "odd"])
 def test_solve_refuses_a_same_parity_coupling(tiny_sg, mu, nu, parity):
-    # one symmetric pair of entries between chaos indices mu and nu of one
-    # parity: of the eliminated even class, or of the kept odd class
-    system = tiny_sg[4]
-    n_g = system.n_chaos
-    assert system.parity[mu] == system.parity[nu] == parity
+    # one symmetric pair of entries of G_1 between chaos indices mu and nu
+    # of one parity: of the eliminated even class, or of the kept odd
+    # class; assembly refuses it, so no solve can start on such a system
+    _, _, sm, idx, system, _, _ = tiny_sg
+    mm = chaos.moment_matrices(idx)
+    assert mm.parity[mu] == mm.parity[nu] == parity
     assert system.kept_parity == 1
-    i, j = mu, n_g + nu
-    coupling = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=system.K.shape)
-    coupled = dataclasses.replace(system, K=system.K + coupling)
-    match = f"indices {mu} and {nu} of the same degree parity"
+    n_g = system.n_chaos
+    coupling = sp.csr_matrix(([1.0, 1.0], ([mu, nu], [nu, mu])), shape=(n_g, n_g))
+    coupled = dataclasses.replace(mm, G=(mm.G[0], mm.G[1] + coupling, *mm.G[2:]))
+    match = f"G_1 couples chaos indices {mu} and {nu} of the same degree parity"
     with pytest.raises(ValueError, match=match):
-        sgfem.solve(coupled, sgfem.standard_patterns(2))
+        sgfem.assemble_system(sm, coupled)
 
 
 @pytest.mark.parametrize(
@@ -539,19 +521,20 @@ def nbytes(A):
 
 
 def test_assembly_holds_little_beside_K(tank_sm_mm):
-    # one conversion of all terms held their triplets, their concatenation
-    # and K at once: 3.6 x K traced; a slab of rows holds far less
+    # assembly builds B_0 and K_kj, never K: 0.21 x K traced on the tank,
+    # against 1.35 x K for K built in slabs of rows and 3.6 x K for K
+    # from one conversion of all terms
     system, peak = traced_peak(lambda: sgfem.assemble_system(*tank_sm_mm))
-    assert peak <= 1.5 * nbytes(system.K)
+    assert peak <= 0.25 * nbytes(system.K)
 
 
 def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
-    # the bound counts what the solve must hold beside K: K_kj, K_0^{-1}
+    # the bound counts what the solve must hold beside the system: K_0^{-1}
     # with its Cholesky temporaries, the CG blocks of the kept class, one
     # block of the other class with one chunk of it, and a few vectors of
-    # the order for the residual check.  The dense load block and the full
-    # solution (one vector of the order per pattern each) or a second block
-    # of the other class do not fit in it.
+    # the order for the residual check; K_kj comes with the system.  The
+    # dense load block and the full solution (one vector of the order per
+    # pattern each) or a second block of the other class do not fit in it.
     system = sgfem.assemble_system(*tank_sm_mm)
     patterns = sgfem.standard_patterns(system.n_electrodes)
     sol, peak = traced_peak(lambda: sgfem.solve(system, patterns))
@@ -559,14 +542,12 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     n_s, n_p = system.order // system.n_chaos, len(patterns)
     n_kept = np.count_nonzero(system.parity == system.kept_parity)
     n_other = system.n_chaos - n_kept
-    _, K_kj = sgfem._parity_split(system)
     f8 = np.dtype(np.float64).itemsize
     kept_block = n_s * n_kept * n_p * f8
     other_block = n_s * n_other * n_p * f8
     chunk = n_s * min(sgfem._INVERSE_COLS, n_other * n_p) * f8
     bound = (
-        nbytes(K_kj)
-        + 2 * n_s * n_s * f8
+        2 * n_s * n_s * f8
         + 6 * kept_block
         + other_block
         + chunk
