@@ -30,9 +30,14 @@ iterations of CG on all of K (Reid, SIAM J. Numer. Anal. 1972).
 
 K itself, n_g copies of B_0 and K_kj, is never formed (as in Powell &
 Elman, IMA J. Numer. Anal. 2009): ``assemble_system`` builds only B_0 and
-K_kj.  ``solve`` holds, besides them, the CG blocks of the smaller class
-and one block of the larger one, to which it applies K_0^{-1} in place; it
-keeps beta and the block of the smaller class, from which
+K_kj.  Every B_k, k >= 1, is local, so column (., nu) of K_kj is nonzero
+only on a small set S_nu of spatial rows, and the Schur coupling
+K_kj (K_0^{-1} (x) I) K_jk needs K_0^{-1} only on the blocks
+K_0^{-1}[S_nu, S_nu] (``_local_coupling``).  ``solve`` holds, besides B_0
+and K_kj, those blocks, the CG blocks of the smaller class and two blocks
+of the larger one packed over the supports; the dense K_0^{-1} serves the
+preconditioner and the final recovery of the larger class, one pattern at
+a time.  It keeps beta and the block of the smaller class, from which
 ``SgfemSolution.alpha`` recovers the interior coefficients on demand.
 """
 
@@ -149,8 +154,10 @@ class SgfemSolution:
         system, n_d = self.system, self.system.n_nodes
         loads = _voltage_loads(system, self.patterns)
         K0inv = _mean_inverse(system)
-        kept, other = _both_classes(system, K0inv, loads, self.kept_block)
-        return _join(system, kept[:, :n_d], other[:, :n_d])
+        out = np.empty((len(loads), n_d, system.n_chaos))
+        for p, (x_k, x_j) in enumerate(_recover(system, K0inv, loads, self.kept_block)):
+            _join(system, x_k[:n_d], x_j[:n_d], out[p])
+        return out
 
     def mean_voltages(self) -> np.ndarray:
         """Expected electrode voltages (the degree-0 chaos coefficients)."""
@@ -337,23 +344,28 @@ def solve(
     and direction per pattern, on the Schur complement of the parity class
     ``system.kept_parity``, preconditioned by K_0^{-1} (x) I where K_0 = B_0
     is the electrode-model matrix at the parameter mean; the other class
-    follows from one product with K_0^{-1} at the end.  It stops once every
-    pattern's residual is at most ``tol`` times its load norm; ``tol`` must
-    be positive and finite.  ``maxiter`` and the returned ``iterations``
-    count the reduced iterations.  Raises ValueError if a pattern's
-    currents do not sum to zero or are all equal, and RuntimeError after
-    ``maxiter`` iterations (default ten times the order), if K_0 is not
-    positive definite, or if any relative residual on all of K stays above
-    ``tol``.
+    follows from one product with K_0^{-1} per pattern at the end.  It
+    stops once every pattern's residual is at most ``tol`` times its load
+    norm; ``tol`` must be positive and finite.  ``maxiter`` and the
+    returned ``iterations`` count the reduced iterations.  Raises
+    ValueError if a pattern's currents do not sum to zero or are all
+    equal, and RuntimeError after ``maxiter`` iterations (default ten times
+    the order), if K_0 is not positive definite, or if any relative
+    residual on all of K stays above ``tol``.
 
-    The solve reads only B_0 and K_kj of the system.  The class loads are
-    built from the M-1 nonzeros of each pattern, so the dense load block is
-    never formed.  Besides the system the solve holds the dense K_0^{-1},
-    the CG blocks of the kept class and one block of the other class with
-    one chunk of it (``_apply_inverse``).  The residual on every row of K
-    is checked one pattern at a time, from the blocks, and beta is taken
-    from the voltage rows of both classes: the solution of all of K is
-    never held, and ``SgfemSolution.alpha`` recovers it on demand.
+    The solve reads only B_0 and K_kj of the system, and derives the
+    supports S_nu of the other class from the columns of K_kj
+    (``_local_coupling``).  The class loads are built from the M-1 nonzeros
+    of each pattern, so the dense load block is never formed.  Besides the
+    system the solve holds the dense K_0^{-1}, during the CG the blocks
+    K_0^{-1}[S_nu, S_nu], the column indices of K_kj packed over the
+    supports, the CG blocks of the kept class and two (sum_nu |S_nu|, n_p)
+    blocks of the other class, and afterwards one pattern's (n_s, n_other)
+    block of the other class with one chunk of it (``_recover``,
+    ``_apply_inverse``).  The residual on every row of K is checked one
+    pattern at a time, from the blocks, and beta is taken from the voltage
+    rows of both classes: the solution of all of K is never held, and
+    ``SgfemSolution.alpha`` recovers it on demand.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
@@ -363,16 +375,17 @@ def solve(
         maxiter = 10 * system.order
     K0inv = _mean_inverse(system)
     X, iterations = _schur_pcg(system, K0inv, loads, tol, maxiter)
-    kept, other = _both_classes(system, K0inv, loads, X)
 
-    classes, B0, K_kj = system.classes, system.B0, system.K_kj
+    classes, B0, K_kj, n_d = system.classes, system.B0, system.K_kj, system.n_nodes
     residuals = np.empty(len(patterns))
-    for p, load in enumerate(loads):
+    beta = np.empty((len(patterns), system.n_electrodes - 1, system.n_chaos))
+    recovered = _recover(system, K0inv, loads, X)
+    for p, (load, (x_k, x_j)) in enumerate(zip(loads, recovered)):
         # c - K x on the rows of each class, (B_0 (x) I) x_k + K_kj x_j and
         # (B_0 (x) I) x_j + K_kj^T x_k, never on all of K at once
         square = 0.0
         for members, x, cross, y in zip(
-            classes, (kept[p], other[p]), (K_kj, K_kj.T), (other[p], kept[p])
+            classes, (x_k, x_j), (K_kj, K_kj.T), (x_j, x_k)
         ):
             r = _add_load(system, members, load[None], -(B0 @ x))
             r -= (cross @ y.ravel()).reshape(r.shape)
@@ -383,8 +396,7 @@ def solve(
             raise RuntimeError(
                 f"pattern {p}: relative residual {residuals[p]:.3e} above {tol:g}"
             )
-    n_d = system.n_nodes
-    beta = _join(system, kept[:, n_d:], other[:, n_d:])
+        _join(system, x_k[n_d:], x_j[n_d:], beta[p])
     return SgfemSolution(patterns, beta, residuals, iterations, system, X)
 
 
@@ -419,10 +431,11 @@ def _apply_inverse(K0inv, V):
 
     Runs over chunks of ``_INVERSE_COLS`` columns, so only one chunk is
     held beside V.  The chunking may change the last bit of a column: with
-    the Haswell kernels of OpenBLAS 0.3.31, chunks of 1024 columns give
+    the Haswell kernels of OpenBLAS 0.3.31, chunks of 1024 columns gave
     the bits of one product over all columns on the 328 x 1,477 block of
     the ``tank`` and the 336 x 64,185 block of the paper-scale setup, while
-    chunks of 700 columns differ by ~1e-13.
+    chunks of 700 columns differed by ~1e-13.  ``_recover`` applies it to
+    the (n_s, n_other) block of one pattern.
     """
     buf = np.empty((V.shape[0], min(_INVERSE_COLS, V.shape[1])))
     for start in range(0, V.shape[1], _INVERSE_COLS):
@@ -433,9 +446,52 @@ def _apply_inverse(K0inv, V):
     return V
 
 
-def _product(A, V, n_p):
-    """Sparse block A times a wide view, as a wide view."""
-    return (A @ V.reshape(-1, n_p)).reshape(V.shape[0], -1)
+def _local_coupling(system: SgfemSystem, K0inv):
+    """K_kj packed over the supports of the other class, and the blocks of
+    K_0^{-1} on them.
+
+    The support S_nu of other-class position nu is the set of spatial rows
+    j at which column (j, nu) of K_kj stores an entry; K_jk = K_kj^T fills
+    the other class only there, and K_kj reads it only there, so exactly
+
+        K_kj (K_0^{-1} (x) I) K_jk = K_kj blockdiag_nu(K_0^{-1}[S_nu, S_nu]) K_jk.
+
+    Every B_k, k >= 1, is local (A_l on pixel l, E_m on electrode m and
+    the voltage rows), so the supports are small.  Returns K_kj with its
+    columns renumbered nu-major over the supports, sharing the entries and
+    row pointers of ``system.K_kj``, and per position nu the slice of its
+    packed rows, S_nu and the dense block K_0^{-1}[S_nu, S_nu].
+    """
+    K_kj, n_s, n_other = system.K_kj, system.B0.shape[0], len(system.classes[1])
+    j, nu = np.divmod(K_kj.indices, n_other)
+    # column (j, nu) of K_kj goes to packed row rank[nu * n_s + j]: nu-major,
+    # the spatial index ascending inside each support
+    stored = np.zeros((n_other, n_s), dtype=bool)
+    stored[nu, j] = True
+    rank = np.cumsum(stored, dtype=K_kj.indices.dtype)
+    rank -= 1
+    indices = rank[nu * n_s + j]
+    del rank
+    K = sp.csr_matrix(
+        (K_kj.data, indices, K_kj.indptr), shape=(K_kj.shape[0], stored.sum())
+    )
+    parts, start = [], 0
+    for row in stored:
+        S = np.flatnonzero(row)
+        parts.append((slice(start, start + len(S)), S, K0inv[S][:, S]))
+        start += len(S)
+    return K, parts
+
+
+def _couple(K, parts, V, n_p):
+    """K_kj (K_0^{-1} (x) I) K_jk V for a wide view V of the kept class,
+    through the supports: sparse product, one small product per other-class
+    position on its contiguous packed rows, sparse product."""
+    W = K.T @ V.reshape(-1, n_p)
+    U = np.empty_like(W)
+    for rows, _, block in parts:
+        np.matmul(block, W[rows], out=U[rows])
+    return (K @ U).reshape(V.shape)
 
 
 def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
@@ -447,18 +503,22 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
         S_k x_k = (B_0 (x) I) x_k - K_kj (K_0^{-1} (x) I) K_jk x_k
                 = c_k - K_kj (K_0^{-1} (x) I) c_j,
 
-    and ``_both_classes`` gives x_j afterwards.  K is symmetric, so K_jk is
-    the transpose of K_kj, and only K_kj is stored.  The residual of the
+    and ``_recover`` gives x_j afterwards.  K is symmetric, so K_jk is the
+    transpose of K_kj, and only K_kj is stored.  The residual of the
     reduced system is that of all of K, whose j rows x_j solves exactly.
-    Vectors are kept as (n_s, n_class * n_p) views of (n_s * n_class, n_p)
-    blocks, spatial index outer, position in the class next and pattern
-    last: on them K_0^{-1} (x) I is one product with the dense inverse of
-    K_0.  Each pattern has its own step length and direction, and stops
-    moving once its residual norm is at most ``tol`` times its load norm.
-    Returns the kept-class block x_k and the iteration count.
+    Kept-class vectors are (n_s, n_kept * n_p) views of (n_s * n_kept,
+    n_p) blocks, spatial index outer, position in the class next and
+    pattern last: on them the preconditioner is one product with the dense
+    inverse of K_0.  The coupling through the other class runs on
+    (sum_nu |S_nu|, n_p) blocks packed over the supports
+    (``_local_coupling``), never on a whole block of that class.  Each
+    pattern has its own step length and direction, and stops moving once
+    its residual norm is at most ``tol`` times its load norm.  Returns the
+    kept-class block x_k and the iteration count.
     """
-    (keep, other), B0, K_kj = system.classes, system.B0, system.K_kj
-    n_p, n_s, n_k, K_jk = len(loads), B0.shape[0], len(keep), K_kj.T
+    (keep, other), B0 = system.classes, system.B0
+    n_p, n_s, n_k = len(loads), B0.shape[0], len(keep)
+    K, parts = _local_coupling(system, K0inv)
 
     def column_dots(U, V):
         return np.einsum("ij,ij->j", U, V).reshape(n_k, n_p).sum(axis=0)
@@ -472,10 +532,15 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
     # squared residual norms against squared thresholds
     atol2 = tol**2 * np.einsum("ij,ij->i", loads, loads)
     X = np.zeros((n_s, n_k * n_p))
-    F = _add_load(system, other, loads, np.zeros((n_s, len(other) * n_p)))
     R = _add_load(system, keep, loads, np.zeros((n_s, n_k * n_p)))
-    R -= _product(K_kj, _apply_inverse(K0inv, F), n_p)
-    del F
+    if other[0] == 0:
+        # c_j is the load on the voltage rows of chaos index 0, the first
+        # member of the other class; K_kj reads K_0^{-1} c_j only on S_0
+        U = np.zeros((K.shape[1], n_p))
+        rows, S, _ = parts[0]
+        U[rows] = K0inv[S, system.n_nodes :] @ loads.T
+        R -= (K @ U).reshape(R.shape)
+        del U
     done = column_dots(R, R) <= atol2
     iteration = 0
     if not done.all():
@@ -483,10 +548,8 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
         D = Z.copy()
         rz = column_dots(R, Z)
         for iteration in range(1, maxiter + 1):
-            W = _apply_inverse(K0inv, _product(K_jk, D, n_p))
-            Q = B0 @ D - _product(K_kj, W, n_p)
-            # freed before the next iteration allocates its own
-            del W
+            Q = B0 @ D
+            Q -= _couple(K, parts, D, n_p)
             step = active_ratio(rz, column_dots(D, Q), done)
             # Z is free until the next preconditioning
             X += np.multiply(D, step, out=Z)
@@ -505,28 +568,29 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
     return X, iteration
 
 
-def _both_classes(system: SgfemSystem, K0inv, loads, X):
-    """The kept-class block X and the other class recovered from it,
-    x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k), each as (n_p, n_s, n_class).
+def _recover(system: SgfemSystem, K0inv, loads, X):
+    """For every pattern in turn, its kept-class block from X and the other
+    class recovered from it, x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k), each
+    as (n_s, n_class): one pattern's block of the other class is held at a
+    time.
 
     x_j is formed in the block of p = K_jk x_k itself: (0 - p) + c_j
     equals c_j - p in every bit.
     """
     _, other = system.classes
-    n_p = len(loads)
-    rest = _product(system.K_kj.T, X, n_p)
-    np.subtract(0.0, rest, out=rest)
-    _apply_inverse(K0inv, _add_load(system, other, loads, rest))
-    return tuple(np.moveaxis(V.reshape(V.shape[0], -1, n_p), 2, 0) for V in (X, rest))
+    kept, K_jk = X.reshape(X.shape[0], -1, len(loads)), system.K_kj.T
+    for p, load in enumerate(loads):
+        x_k = kept[:, :, p]
+        rest = (K_jk @ x_k.ravel()).reshape(x_k.shape[0], -1)
+        np.subtract(0.0, rest, out=rest)
+        yield x_k, _apply_inverse(K0inv, _add_load(system, other, load[None], rest))
 
 
-def _join(system: SgfemSystem, kept, other):
-    """Coefficients of the kept and the other class, chaos index last,
-    merged into one array over all chaos indices."""
-    out = np.empty(kept.shape[:-1] + (system.n_chaos,))
+def _join(system: SgfemSystem, kept, other, out):
+    """Write the coefficients of the kept and the other class, chaos index
+    last, into ``out`` over all chaos indices."""
     for members, part in zip(system.classes, (kept, other)):
         out[..., members] = part
-    return out
 
 
 def standard_patterns(n_electrodes: int, amplitude: float = 1.0) -> np.ndarray:

@@ -349,6 +349,47 @@ def test_solve_is_the_same_for_any_inverse_chunk_width(tiny, monkeypatch, width)
         npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_schur_coupling_through_the_supports_is_exact(tiny, degree):
+    # K_kj (K_0^{-1} (x) I) K_jk through the blocks K_0^{-1}[S_nu, S_nu]
+    # against the same product with all of K_0^{-1} (x) I; the kept class
+    # is the even one at degrees 1 and 3, with chaos index 0 in it, and the
+    # odd one at degree 2
+    _, system = tiny_system(tiny, degree)
+    n_s, n_p = system.B0.shape[0], 3
+    kept, other = system.classes
+    K0inv = sgfem._mean_inverse(system)
+    K, parts = sgfem._local_coupling(system, K0inv)
+    sizes = [len(S) for _, S, _ in parts]
+    assert len(parts) == len(other) and 0 < sum(sizes) < n_s * len(other)
+    V = np.random.default_rng(degree).standard_normal((n_s, len(kept) * n_p))
+    dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
+    K_kj = system.K_kj
+    want = K_kj @ (dense @ (K_kj.T @ V.reshape(-1, n_p)))
+    got = sgfem._couple(K, parts, V, n_p)
+    assert got.shape == V.shape
+    npt.assert_allclose(
+        got.reshape(-1, n_p), want, rtol=0, atol=1e-13 * np.abs(want).max()
+    )
+
+
+def test_solve_with_empty_supports_matches_direct(tiny):
+    # collapsed contacts (a = b) make every electrode block B_{L+m} zero, so
+    # the even indices coupled only through electrode dimensions (2 e_m,
+    # e_m + e_m') reach no spatial row: their supports are empty
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    sm = spatial(mesh, part, 1.1, np.full(L, 0.6), np.full(M, 300.0), np.full(M, 300.0))
+    system = sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(L + M, 2)))
+    _, parts = sgfem._local_coupling(system, sgfem._mean_inverse(system))
+    assert any(len(S) == 0 for _, S, _ in parts)
+    sol = sgfem.solve(system, MIXED_PATTERNS)
+    assert sol.residuals.max() <= 1e-10
+    alpha, beta = lu_reference(system, MIXED_PATTERNS)
+    npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
+    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
+
+
 def test_solve_rejects_bad_options(tiny_sg):
     mesh, part, _, idx, _, _, _ = tiny_sg
     sm = spatial(mesh, part, 1.1, [0.6], np.array([1.0, 2.0]), np.array([5.0, 4.0]))
@@ -529,12 +570,14 @@ def test_assembly_holds_little_beside_K(tank_sm_mm):
 
 
 def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
-    # the bound counts what the solve must hold beside the system: K_0^{-1}
-    # with its Cholesky temporaries, the CG blocks of the kept class, one
-    # block of the other class with one chunk of it, and a few vectors of
-    # the order for the residual check; K_kj comes with the system.  The
-    # dense load block and the full solution (one vector of the order per
-    # pattern each) or a second block of the other class do not fit in it.
+    # the bound counts what the solve holds beside the system: K_0^{-1} with
+    # its Cholesky temporaries; the blocks K_0^{-1}[S_nu, S_nu] with the
+    # supports; the packed coupling, that is the column indices of K_kj
+    # renumbered over the supports and two packed blocks of the other
+    # class; the CG blocks of the kept class; and one pattern's block of
+    # the other class with one chunk of it.  The residual check runs after
+    # the CG has freed its blocks.  A block of the other class for all
+    # patterns does not fit in it.
     system = sgfem.assemble_system(*tank_sm_mm)
     patterns = sgfem.standard_patterns(system.n_electrodes)
     sol, peak = traced_peak(lambda: sgfem.solve(system, patterns))
@@ -543,15 +586,15 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     n_kept = np.count_nonzero(system.parity == system.kept_parity)
     n_other = system.n_chaos - n_kept
     f8 = np.dtype(np.float64).itemsize
+    # |S_nu|: the spatial rows j at which column (j, nu) of K_kj is stored
+    stored = np.zeros(n_s * n_other, dtype=bool)
+    stored[system.K_kj.indices] = True
+    sizes = stored.reshape(n_s, n_other).sum(axis=0)
+    local = (sizes @ sizes + sizes.sum()) * f8
+    packed = system.K_kj.indices.nbytes + 2 * sizes.sum() * n_p * f8
     kept_block = n_s * n_kept * n_p * f8
-    other_block = n_s * n_other * n_p * f8
-    chunk = n_s * min(sgfem._INVERSE_COLS, n_other * n_p) * f8
-    bound = (
-        2 * n_s * n_s * f8
-        + 6 * kept_block
-        + other_block
-        + chunk
-        + 3 * system.order * f8
-    )
+    pattern_block = n_s * n_other * f8
+    bound = 2 * n_s * n_s * f8 + local + packed + 6 * kept_block + 2 * pattern_block
+    other_block = pattern_block * n_p
     assert other_block > 0.25 * bound
     assert peak <= bound
