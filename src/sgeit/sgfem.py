@@ -33,12 +33,18 @@ Elman, IMA J. Numer. Anal. 2009): ``assemble_system`` builds only B_0 and
 K_kj.  Every B_k, k >= 1, is local, so column (., nu) of K_kj is nonzero
 only on a small set S_nu of spatial rows, and the Schur coupling
 K_kj (K_0^{-1} (x) I) K_jk needs K_0^{-1} only on the blocks
-K_0^{-1}[S_nu, S_nu] (``_local_coupling``).  ``solve`` holds, besides B_0
-and K_kj, those blocks, the CG blocks of the smaller class and two blocks
-of the larger one packed over the supports; the dense K_0^{-1} serves the
-preconditioner and the final recovery of the larger class, one pattern at
-a time.  It keeps beta and the block of the smaller class, from which
-``SgfemSolution.alpha`` recovers the interior coefficients on demand.
+K_0^{-1}[S_nu, S_nu] (``_local_coupling``).  The supports of many indices
+share a size, so the CG applies those blocks as one batched product per
+size, with no loop over indices.  The recovery of the larger class needs
+K_0^{-1} only on the columns of each support too: x_j[:, nu] =
+K_0^{-1}[:, S_nu] g[S_nu, nu] with g = c_j - K_jk x_k, plus the load term
+of chaos index 0.  It runs on all patterns at once in chunks of one size
+each (``_recover``), so it costs 2 n_s sum_nu |S_nu| n_p flops instead of
+2 n_s^2 n_other n_p.  ``solve`` holds, besides B_0 and K_kj, the dense
+K_0^{-1}, the blocks, the CG blocks of the smaller class and blocks of the
+larger one packed over the supports.  It keeps beta and the block of the
+smaller class, from which ``SgfemSolution.alpha`` recovers the interior
+coefficients on demand.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ from scipy.linalg import lapack
 from .chaos import MomentMatrices
 from .fem import SpatialMatrices
 
-# columns of a block that ``_apply_inverse`` multiplies at a time
-_INVERSE_COLS = 1024
+# at most this many vectors of n_s doubles in each of the two blocks of one
+# chunk of ``_recover``: the rows gathered from K_0^{-1} and its block of x_j
+_RECOVERY_VECTORS = 512
 
 
 def _kept_parity(parity: np.ndarray) -> int:
@@ -151,12 +158,15 @@ class SgfemSolution:
         operations as in ``solve``, so the values are those whose residual
         ``solve`` checked; keep the result to read it more than once.
         """
-        system, n_d = self.system, self.system.n_nodes
+        system, X = self.system, self.kept_block
+        (keep, other), n_d = system.classes, system.n_nodes
         loads = _voltage_loads(system, self.patterns)
         K0inv = _mean_inverse(system)
+        K, groups, _ = _local_coupling(system, K0inv)
         out = np.empty((len(loads), n_d, system.n_chaos))
-        for p, (x_k, x_j) in enumerate(_recover(system, K0inv, loads, self.kept_block)):
-            _join(system, x_k[:n_d], x_j[:n_d], out[p])
+        out[:, :, keep] = X.reshape(X.shape[0], -1, len(loads))[:n_d].transpose(2, 0, 1)
+        for positions, _, _, _, x in _recover(system, K0inv, loads, K, groups, X):
+            out[:, :, other[positions]] = x[:n_d].transpose(2, 0, 1)
         return out
 
     def mean_voltages(self) -> np.ndarray:
@@ -344,7 +354,7 @@ def solve(
     and direction per pattern, on the Schur complement of the parity class
     ``system.kept_parity``, preconditioned by K_0^{-1} (x) I where K_0 = B_0
     is the electrode-model matrix at the parameter mean; the other class
-    follows from one product with K_0^{-1} per pattern at the end.  It
+    follows from K_0^{-1} on the supports at the end (``_recover``).  It
     stops once every pattern's residual is at most ``tol`` times its load
     norm; ``tol`` must be positive and finite.  ``maxiter`` and the
     returned ``iterations`` count the reduced iterations.  Raises
@@ -357,14 +367,15 @@ def solve(
     supports S_nu of the other class from the columns of K_kj
     (``_local_coupling``).  The class loads are built from the M-1 nonzeros
     of each pattern, so the dense load block is never formed.  Besides the
-    system the solve holds the dense K_0^{-1}, during the CG the blocks
-    K_0^{-1}[S_nu, S_nu], the column indices of K_kj packed over the
-    supports, the CG blocks of the kept class and two (sum_nu |S_nu|, n_p)
-    blocks of the other class, and afterwards one pattern's (n_s, n_other)
-    block of the other class with one chunk of it (``_recover``,
-    ``_apply_inverse``).  The residual on every row of K is checked one
-    pattern at a time, from the blocks, and beta is taken from the voltage
-    rows of both classes: the solution of all of K is never held, and
+    system the solve holds the dense K_0^{-1}, the supports grouped by size,
+    the column indices of K_kj packed over the supports and the CG blocks of
+    the kept class.  During the CG it also holds the blocks K_0^{-1}[S_nu,
+    S_nu] and one (sum_nu |S_nu|, n_p) block of the other class packed over
+    the supports.  After the CG it frees the blocks and holds two packed
+    blocks (-K_jk x_k and x_j on the supports) with one chunk of the
+    recovery.  The residual on every row of K is summed chunk by chunk for
+    all patterns at once, and beta is filled from the same chunks and the
+    kept block: the solution of all of K is never held, and
     ``SgfemSolution.alpha`` recovers it on demand.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
@@ -374,29 +385,39 @@ def solve(
     if maxiter is None:
         maxiter = 10 * system.order
     K0inv = _mean_inverse(system)
-    X, iterations = _schur_pcg(system, K0inv, loads, tol, maxiter)
+    K, groups, blocks = _local_coupling(system, K0inv)
+    X, iterations = _schur_pcg(system, K0inv, K, groups, blocks, loads, tol, maxiter)
+    del blocks
 
-    classes, B0, K_kj, n_d = system.classes, system.B0, system.K_kj, system.n_nodes
-    residuals = np.empty(len(patterns))
-    beta = np.empty((len(patterns), system.n_electrodes - 1, system.n_chaos))
-    recovered = _recover(system, K0inv, loads, X)
-    for p, (load, (x_k, x_j)) in enumerate(zip(loads, recovered)):
-        # c - K x on the rows of each class, (B_0 (x) I) x_k + K_kj x_j and
-        # (B_0 (x) I) x_j + K_kj^T x_k, never on all of K at once
-        square = 0.0
-        for members, x, cross, y in zip(
-            classes, (x_k, x_j), (K_kj, K_kj.T), (x_j, x_k)
-        ):
-            r = _add_load(system, members, load[None], -(B0 @ x))
-            r -= (cross @ y.ravel()).reshape(r.shape)
-            square += np.vdot(r, r)
-        residuals[p] = np.sqrt(square) / np.linalg.norm(load)
+    (keep, other), B0, n_d = system.classes, system.B0, system.n_nodes
+    n_p, n_s = len(loads), B0.shape[0]
+    beta = np.empty((n_p, system.n_electrodes - 1, system.n_chaos))
+    beta[:, :, keep] = X.reshape(n_s, -1, n_p)[n_d:].transpose(2, 0, 1)
+    # K x - c, the negated residual, on the rows of each class: (B_0 (x) I)
+    # x_j + K_jk x_k per chunk, and (B_0 (x) I) x_k + K_kj x_j at the end,
+    # where K_kj reads x_j only on the supports; never on all of K at once
+    square = np.zeros(n_p)
+    on_supports = np.empty((K.shape[1], n_p))
+    for positions, rows, S, g, x in _recover(system, K0inv, loads, K, groups, X):
+        members = other[positions]
+        r = _add_load(system, members, -loads, B0 @ x.reshape(n_s, -1))
+        r = r.reshape(x.shape)
+        at = np.arange(len(positions))[:, None]
+        r[S, at] -= g
+        square += np.einsum("ijp,ijp->p", r, r)
+        on_supports[rows].reshape(g.shape)[...] = x[S, at]
+        beta[:, :, members] = x[n_d:].transpose(2, 0, 1)
+    r = _add_load(system, keep, -loads, B0 @ X)
+    r += (K @ on_supports).reshape(r.shape)
+    r = r.reshape(n_s, -1, n_p)
+    square += np.einsum("ijp,ijp->p", r, r)
+    residuals = np.sqrt(square) / np.linalg.norm(loads, axis=1)
+    for p, residual in enumerate(residuals):
         # written so that a nan residual fails too
-        if not residuals[p] <= tol:
+        if not residual <= tol:
             raise RuntimeError(
-                f"pattern {p}: relative residual {residuals[p]:.3e} above {tol:g}"
+                f"pattern {p}: relative residual {residual:.3e} above {tol:g}"
             )
-        _join(system, x_k[n_d:], x_j[n_d:], beta[p])
     return SgfemSolution(patterns, beta, residuals, iterations, system, X)
 
 
@@ -418,37 +439,20 @@ def _mean_inverse(system: SgfemSystem) -> np.ndarray:
 
 
 def _add_load(system: SgfemSystem, members, loads, V):
-    """Add the load of one parity class to its wide view V (see
-    ``_schur_pcg``) in place and return V.  The load is nonzero only at the
-    degree-0 voltage coefficients, so only if chaos index 0 is a member."""
-    n_p = len(loads)
-    V.reshape(V.shape[0], -1, n_p)[system.n_nodes :, members == 0] += loads.T[:, None]
-    return V
-
-
-def _apply_inverse(K0inv, V):
-    """V <- (K_0^{-1} (x) I) V in place for a wide view V; returns V.
-
-    Runs over chunks of ``_INVERSE_COLS`` columns, so only one chunk is
-    held beside V.  The chunking may change the last bit of a column: with
-    the Haswell kernels of OpenBLAS 0.3.31, chunks of 1024 columns gave
-    the bits of one product over all columns on the 328 x 1,477 block of
-    the ``tank`` and the 336 x 64,185 block of the paper-scale setup, while
-    chunks of 700 columns differed by ~1e-13.  ``_recover`` applies it to
-    the (n_s, n_other) block of one pattern.
-    """
-    buf = np.empty((V.shape[0], min(_INVERSE_COLS, V.shape[1])))
-    for start in range(0, V.shape[1], _INVERSE_COLS):
-        chunk = V[:, start : start + _INVERSE_COLS]
-        out = buf[:, : chunk.shape[1]]
-        np.matmul(K0inv, chunk, out=out)
-        chunk[...] = out
+    """Add the load of the chaos indices ``members`` to V in place and
+    return V, for V of shape (n_s, len(members) * n_p), or a view of that
+    layout (see ``_schur_pcg``).  The load is nonzero only at the degree-0
+    voltage coefficients, so only if chaos index 0 is a member."""
+    zero = members == 0
+    if zero.any():
+        n_p = len(loads)
+        V.reshape(V.shape[0], -1, n_p)[system.n_nodes :, zero] += loads.T[:, None]
     return V
 
 
 def _local_coupling(system: SgfemSystem, K0inv):
     """K_kj packed over the supports of the other class, and the blocks of
-    K_0^{-1} on them.
+    K_0^{-1} on them, grouped by support size.
 
     The support S_nu of other-class position nu is the set of spatial rows
     j at which column (j, nu) of K_kj stores an entry; K_jk = K_kj^T fills
@@ -457,44 +461,73 @@ def _local_coupling(system: SgfemSystem, K0inv):
         K_kj (K_0^{-1} (x) I) K_jk = K_kj blockdiag_nu(K_0^{-1}[S_nu, S_nu]) K_jk.
 
     Every B_k, k >= 1, is local (A_l on pixel l, E_m on electrode m and
-    the voltage rows), so the supports are small.  Returns K_kj with its
-    columns renumbered nu-major over the supports, sharing the entries and
-    row pointers of ``system.K_kj``, and per position nu the slice of its
-    packed rows, S_nu and the dense block K_0^{-1}[S_nu, S_nu].
+    the voltage rows), so the supports are small, and many share a size.
+    The positions are ordered by |S_nu| (a stable sort, so position 0 comes
+    first among those of its size), each support in ascending spatial
+    order, and the packed rows follow that order, so the positions of one
+    size fill contiguous rows.  Returns K_kj with its columns renumbered
+    over the supports, sharing the entries and row pointers of
+    ``system.K_kj``; per support size s the group (packed rows, positions,
+    S as a (count, s) array); and per group the blocks K_0^{-1}[S_nu, S_nu]
+    as a (count, s, s) array, which only the CG needs.  None of it takes a
+    loop over positions: the blocks of a group are one gather from
+    K_0^{-1}, and supports of all n_s rows share K_0^{-1} itself as a
+    read-only view (chaos index 0 at degree 2 on the tank and at paper
+    scale).  The gather
+    broadcasts two index arrays: a flat index array was faster to gather
+    with, but its temporaries left the peak RSS of ``sgeit precompute`` on
+    the tank 0.3-0.9 MB higher.
     """
     K_kj, n_s, n_other = system.K_kj, system.B0.shape[0], len(system.classes[1])
     j, nu = np.divmod(K_kj.indices, n_other)
-    # column (j, nu) of K_kj goes to packed row rank[nu * n_s + j]: nu-major,
-    # the spatial index ascending inside each support
     stored = np.zeros((n_other, n_s), dtype=bool)
     stored[nu, j] = True
+    sizes = stored.sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(n_other)
+    # column (j, nu) of K_kj goes to packed row rank[slot[nu] * n_s + j]
+    stored = stored[order]
     rank = np.cumsum(stored, dtype=K_kj.indices.dtype)
     rank -= 1
-    indices = rank[nu * n_s + j]
-    del rank
+    indices = rank[slot[nu] * n_s + j]
+    del rank, j, nu
+    sizes = sizes[order]
+    first = np.concatenate(([0], np.cumsum(sizes)))
     K = sp.csr_matrix(
-        (K_kj.data, indices, K_kj.indptr), shape=(K_kj.shape[0], stored.sum())
+        (K_kj.data, indices, K_kj.indptr), shape=(K_kj.shape[0], first[-1])
     )
-    parts, start = [], 0
-    for row in stored:
-        S = np.flatnonzero(row)
-        parts.append((slice(start, start + len(S)), S, K0inv[S][:, S]))
-        start += len(S)
-    return K, parts
+    supports = np.nonzero(stored)[1]
+    cuts = np.flatnonzero(np.diff(sizes)) + 1
+    groups, blocks = [], []
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, n_other]):
+        rows = slice(first[a], first[b])
+        S = supports[rows].reshape(b - a, sizes[a])
+        groups.append((rows, order[a:b], S))
+        if S.shape[1] == n_s:
+            blocks.append(np.broadcast_to(K0inv, (b - a, n_s, n_s)))
+        else:
+            blocks.append(K0inv[S[:, :, None], S[:, None, :]])
+    return K, groups, blocks
 
 
-def _couple(K, parts, V, n_p):
+def _couple(K, groups, blocks, V, n_p):
     """K_kj (K_0^{-1} (x) I) K_jk V for a wide view V of the kept class,
-    through the supports: sparse product, one small product per other-class
-    position on its contiguous packed rows, sparse product."""
+    through the supports: sparse product, one batched product per support
+    size group in place on its contiguous packed rows, sparse product.
+
+    The products run in place: a second packed block made a call about
+    twice as slow at paper scale (one BLAS thread), for the same bits.
+    """
     W = K.T @ V.reshape(-1, n_p)
-    U = np.empty_like(W)
-    for rows, _, block in parts:
-        np.matmul(block, W[rows], out=U[rows])
-    return (K @ U).reshape(V.shape)
+    for (rows, _, S), block in zip(groups, blocks):
+        group = W[rows].reshape(*S.shape, n_p)
+        # matmul reads an input that overlaps its output as if it did not
+        np.matmul(block, group, out=group)
+    return (K @ W).reshape(V.shape)
 
 
-def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
+def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxiter):
     """Conjugate gradients on every pattern at once, on the Schur complement
     of the kept parity class k, preconditioned by K_0^{-1} (x) I.
 
@@ -510,15 +543,15 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
     n_p) blocks, spatial index outer, position in the class next and
     pattern last: on them the preconditioner is one product with the dense
     inverse of K_0.  The coupling through the other class runs on
-    (sum_nu |S_nu|, n_p) blocks packed over the supports
-    (``_local_coupling``), never on a whole block of that class.  Each
-    pattern has its own step length and direction, and stops moving once
-    its residual norm is at most ``tol`` times its load norm.  Returns the
-    kept-class block x_k and the iteration count.
+    (sum_nu |S_nu|, n_p) blocks packed over the supports, with one batched
+    product per support size (``_local_coupling``, ``_couple``), never on a
+    whole block of that class.  Each pattern has its own step length and
+    direction, and stops moving once its residual norm is at most ``tol``
+    times its load norm.  Returns the kept-class block x_k and the
+    iteration count.
     """
     (keep, other), B0 = system.classes, system.B0
     n_p, n_s, n_k = len(loads), B0.shape[0], len(keep)
-    K, parts = _local_coupling(system, K0inv)
 
     def column_dots(U, V):
         return np.einsum("ij,ij->j", U, V).reshape(n_k, n_p).sum(axis=0)
@@ -534,11 +567,12 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
     X = np.zeros((n_s, n_k * n_p))
     R = _add_load(system, keep, loads, np.zeros((n_s, n_k * n_p)))
     if other[0] == 0:
-        # c_j is the load on the voltage rows of chaos index 0, the first
-        # member of the other class; K_kj reads K_0^{-1} c_j only on S_0
+        # c_j is the load on the voltage rows of chaos index 0, position 0
+        # of the other class and the first of its size group; K_kj reads
+        # K_0^{-1} c_j only on S_0
         U = np.zeros((K.shape[1], n_p))
-        rows, S, _ = parts[0]
-        U[rows] = K0inv[S, system.n_nodes :] @ loads.T
+        rows, S = next((rows, S[0]) for rows, nu, S in groups if nu[0] == 0)
+        U[rows.start : rows.start + len(S)] = K0inv[S, system.n_nodes :] @ loads.T
         R -= (K @ U).reshape(R.shape)
         del U
     done = column_dots(R, R) <= atol2
@@ -549,7 +583,7 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
         rz = column_dots(R, Z)
         for iteration in range(1, maxiter + 1):
             Q = B0 @ D
-            Q -= _couple(K, parts, D, n_p)
+            Q -= _couple(K, groups, blocks, D, n_p)
             step = active_ratio(rz, column_dots(D, Q), done)
             # Z is free until the next preconditioning
             X += np.multiply(D, step, out=Z)
@@ -568,29 +602,51 @@ def _schur_pcg(system: SgfemSystem, K0inv, loads, tol, maxiter):
     return X, iteration
 
 
-def _recover(system: SgfemSystem, K0inv, loads, X):
-    """For every pattern in turn, its kept-class block from X and the other
-    class recovered from it, x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k), each
-    as (n_s, n_class): one pattern's block of the other class is held at a
-    time.
+def _recover(system: SgfemSystem, K0inv, loads, K, groups, X):
+    """The other class x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) from the
+    kept-class block X (see ``_schur_pcg``), chunk by chunk of positions,
+    for all patterns at once.
 
-    x_j is formed in the block of p = K_jk x_k itself: (0 - p) + c_j
-    equals c_j - p in every bit.
+    g = -K_jk x_k is formed once, packed over the supports as -K^T X: it
+    is nonzero only there, and c_j only on the voltage rows of chaos index
+    0, so column nu of x_j is K_0^{-1}[:, S_nu] g[S_nu, nu], plus
+    K_0^{-1}[:, n_d:] times the load if nu is index 0.  A chunk takes
+    positions of one size group (``_local_coupling``), as many as keep
+    both its gather of the rows K_0^{-1}[S_nu, :] and its block of x_j
+    within ``_RECOVERY_VECTORS`` vectors of n_s doubles, and at least one;
+    both live in buffers that every chunk reuses, and each chunk is one
+    batched product.  Yields per chunk its positions, its packed rows, S
+    as (c, s), g on them as a (c, s, n_p) view, and x_j as an (n_s, c, n_p)
+    view that the next chunk overwrites.
     """
-    _, other = system.classes
-    kept, K_jk = X.reshape(X.shape[0], -1, len(loads)), system.K_kj.T
-    for p, load in enumerate(loads):
-        x_k = kept[:, :, p]
-        rest = (K_jk @ x_k.ravel()).reshape(x_k.shape[0], -1)
-        np.subtract(0.0, rest, out=rest)
-        yield x_k, _apply_inverse(K0inv, _add_load(system, other, load[None], rest))
-
-
-def _join(system: SgfemSystem, kept, other, out):
-    """Write the coefficients of the kept and the other class, chaos index
-    last, into ``out`` over all chaos indices."""
-    for members, part in zip(system.classes, (kept, other)):
-        out[..., members] = part
+    n_s, n_p, n_d = K0inv.shape[0], len(loads), system.n_nodes
+    other = system.classes[1]
+    g = K.T @ X.reshape(-1, n_p)
+    np.negative(g, out=g)
+    chunks = []
+    for rows, positions, S in groups:
+        count, s = S.shape
+        width = max(1, _RECOVERY_VECTORS // max(s, n_p))
+        for a in range(0, count, width):
+            b = min(a + width, count)
+            part = slice(rows.start + a * s, rows.start + b * s)
+            chunks.append((positions[a:b], part, S[a:b]))
+    gathered = np.empty(max(S.size for _, _, S in chunks) * n_s)
+    block = np.empty(max(len(nu) for nu, _, _ in chunks) * n_s * n_p)
+    load = K0inv[:, n_d:] @ loads.T
+    for positions, rows, S in chunks:
+        c, s = S.shape
+        rows_of_S = gathered[: c * s * n_s].reshape(c, s, n_s)
+        # S is in range; "clip" writes into out, "raise" through a copy
+        np.take(K0inv, S, axis=0, out=rows_of_S, mode="clip")
+        x = block[: n_s * c * n_p].reshape(n_s, c, n_p)
+        g_part = g[rows].reshape(c, s, n_p)
+        # K_0^{-1} is symmetric: K_0^{-1}[:, S_nu] is the transpose of the rows
+        np.matmul(rows_of_S.transpose(0, 2, 1), g_part, out=x.transpose(1, 0, 2))
+        zero = other[positions] == 0
+        if zero.any():
+            x[:, zero] += load[:, None]
+        yield positions, rows, S, g_part, x
 
 
 def standard_patterns(n_electrodes: int, amplitude: float = 1.0) -> np.ndarray:

@@ -335,38 +335,111 @@ def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
             npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("width", [1, 7, 64])
-def test_solve_is_the_same_for_any_inverse_chunk_width(tiny, monkeypatch, width):
-    # K_0^{-1} is applied in place over column chunks of the other class
-    # (87 columns here, so the last chunk is partial); the bits may differ
-    # with the width, the solution only by rounding
+def tiny_collapsed_system(tiny):
+    """Galerkin system of the tiny setup at degree 2 with collapsed contacts
+    (a = b): every electrode block B_{L+m} is zero, so the even indices
+    coupled only through electrode dimensions (2 e_m, e_m + e_m') reach no
+    spatial row, and their supports are empty."""
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    sm = spatial(mesh, part, 1.1, np.full(L, 0.6), np.full(M, 300.0), np.full(M, 300.0))
+    return sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(L + M, 2)))
+
+
+def assert_groups_cover_the_other_class(system, K, groups):
+    """Every other-class position lies in exactly one size group, whose
+    packed rows follow each other and hold its supports, in ascending size."""
+    n_other = len(system.classes[1])
+    positions = np.concatenate([nu for _, nu, _ in groups])
+    npt.assert_array_equal(np.sort(positions), np.arange(n_other))
+    sizes = [S.shape[1] for _, _, S in groups]
+    assert sizes == sorted(set(sizes))
+    end = 0
+    for rows, nu, S in groups:
+        assert S.shape[0] == len(nu) and rows.start == end
+        end = rows.stop
+        assert rows.stop - rows.start == S.size
+    assert end == K.shape[1]
+
+
+@pytest.mark.parametrize("width", [1, 7, 10**9], ids=["1", "7", "all"])
+def test_solve_is_the_same_for_any_recovery_chunk_width(tiny, monkeypatch, width):
+    # the recovery gathers K_0^{-1}[S_nu, :] over chunks of the positions
+    # of one size group: one position per chunk at width 1, and every
+    # position of a group in one chunk at the largest width; the bits may
+    # differ with the width, the solution only by rounding
     _, system = tiny_system(tiny, 2)
     ref = sgfem.solve(system, MIXED_PATTERNS)
-    monkeypatch.setattr(sgfem, "_INVERSE_COLS", width)
+    monkeypatch.setattr(sgfem, "_RECOVERY_VECTORS", width)
     sol = sgfem.solve(system, MIXED_PATTERNS)
     assert sol.iterations == ref.iterations
     for got, want in ((sol.beta, ref.beta), (sol.alpha, ref.alpha)):
         npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    K0inv = sgfem._mean_inverse(system)
+    K, groups, _ = sgfem._local_coupling(system, K0inv)
+    loads = sgfem._voltage_loads(system, MIXED_PATTERNS)
+    chunks = list(sgfem._recover(system, K0inv, loads, K, groups, sol.kept_block))
+    if width == 1:
+        assert len(chunks) == len(system.classes[1])
+    elif width == 10**9:
+        assert len(chunks) == len(groups)
+    else:
+        assert len(groups) < len(chunks) < len(system.classes[1])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, "collapsed"])
+def test_recovery_on_the_supports_equals_the_dense_one(tiny, degree):
+    # x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) for a random kept-class block,
+    # formed from all of K with sp.kron, against the chunks of ``_recover``;
+    # chaos index 0, and with it the load, is in the eliminated class at
+    # degree 2 and on the collapsed contacts, whose supports are partly empty
+    if degree == "collapsed":
+        system = tiny_collapsed_system(tiny)
+    else:
+        _, system = tiny_system(tiny, degree)
+    (kept, other), n_g = system.classes, system.n_chaos
+    assert (other[0] == 0) == (degree in (2, "collapsed"))
+    n_s, n_p = system.B0.shape[0], len(MIXED_PATTERNS)
+    K0inv = sgfem._mean_inverse(system)
+    K, groups, _ = sgfem._local_coupling(system, K0inv)
+    loads = sgfem._voltage_loads(system, MIXED_PATTERNS)
+    rng = np.random.default_rng(degree == "collapsed")
+    X = rng.standard_normal((n_s, len(kept) * n_p))
+    got = np.full((n_s, len(other), n_p), np.nan)
+    for positions, _, _, _, x in sgfem._recover(system, K0inv, loads, K, groups, X):
+        assert np.isnan(got[:, positions]).all()
+        got[:, positions] = x
+    # K's rows of each class, spatial index outer and position inner
+    kept_rows, other_rows = (
+        (np.arange(n_s)[:, None] * n_g + members).ravel() for members in (kept, other)
+    )
+    K_jk = system.K[other_rows][:, kept_rows]
+    C = np.column_stack([sgfem.rhs_for_current(system, p) for p in MIXED_PATTERNS])
+    dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
+    want = (dense @ (C[other_rows] - K_jk @ X.reshape(-1, n_p))).reshape(got.shape)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_schur_coupling_through_the_supports_is_exact(tiny, degree):
-    # K_kj (K_0^{-1} (x) I) K_jk through the blocks K_0^{-1}[S_nu, S_nu]
-    # against the same product with all of K_0^{-1} (x) I; the kept class
-    # is the even one at degrees 1 and 3, with chaos index 0 in it, and the
-    # odd one at degree 2
+    # K_kj (K_0^{-1} (x) I) K_jk through the blocks K_0^{-1}[S_nu, S_nu],
+    # one batched product per support size, against the same product with
+    # all of K_0^{-1} (x) I; the kept class is the even one at degrees 1
+    # and 3, with chaos index 0 in it, and the odd one at degree 2
     _, system = tiny_system(tiny, degree)
     n_s, n_p = system.B0.shape[0], 3
     kept, other = system.classes
     K0inv = sgfem._mean_inverse(system)
-    K, parts = sgfem._local_coupling(system, K0inv)
-    sizes = [len(S) for _, S, _ in parts]
-    assert len(parts) == len(other) and 0 < sum(sizes) < n_s * len(other)
+    K, groups, blocks = sgfem._local_coupling(system, K0inv)
+    assert_groups_cover_the_other_class(system, K, groups)
+    assert 0 < K.shape[1] < n_s * len(other)
+    for (_, _, S), block in zip(groups, blocks):
+        npt.assert_array_equal(block, K0inv[S[:, :, None], S[:, None, :]])
     V = np.random.default_rng(degree).standard_normal((n_s, len(kept) * n_p))
     dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
     K_kj = system.K_kj
     want = K_kj @ (dense @ (K_kj.T @ V.reshape(-1, n_p)))
-    got = sgfem._couple(K, parts, V, n_p)
+    got = sgfem._couple(K, groups, blocks, V, n_p)
     assert got.shape == V.shape
     npt.assert_allclose(
         got.reshape(-1, n_p), want, rtol=0, atol=1e-13 * np.abs(want).max()
@@ -374,15 +447,10 @@ def test_schur_coupling_through_the_supports_is_exact(tiny, degree):
 
 
 def test_solve_with_empty_supports_matches_direct(tiny):
-    # collapsed contacts (a = b) make every electrode block B_{L+m} zero, so
-    # the even indices coupled only through electrode dimensions (2 e_m,
-    # e_m + e_m') reach no spatial row: their supports are empty
-    mesh, part, _ = tiny
-    L, M = part.n_pixels, mesh.n_electrodes
-    sm = spatial(mesh, part, 1.1, np.full(L, 0.6), np.full(M, 300.0), np.full(M, 300.0))
-    system = sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(L + M, 2)))
-    _, parts = sgfem._local_coupling(system, sgfem._mean_inverse(system))
-    assert any(len(S) == 0 for _, S, _ in parts)
+    system = tiny_collapsed_system(tiny)
+    K, groups, _ = sgfem._local_coupling(system, sgfem._mean_inverse(system))
+    assert_groups_cover_the_other_class(system, K, groups)
+    assert groups[0][2].shape[1] == 0
     sol = sgfem.solve(system, MIXED_PATTERNS)
     assert sol.residuals.max() <= 1e-10
     alpha, beta = lu_reference(system, MIXED_PATTERNS)
@@ -570,14 +638,18 @@ def test_assembly_holds_little_beside_K(tank_sm_mm):
 
 
 def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
-    # the bound counts what the solve holds beside the system: K_0^{-1} with
-    # its Cholesky temporaries; the blocks K_0^{-1}[S_nu, S_nu] with the
-    # supports; the packed coupling, that is the column indices of K_kj
-    # renumbered over the supports and two packed blocks of the other
-    # class; the CG blocks of the kept class; and one pattern's block of
-    # the other class with one chunk of it.  The residual check runs after
-    # the CG has freed its blocks.  A block of the other class for all
-    # patterns does not fit in it.
+    # the bound counts what the solve holds beside the system during the
+    # CG, where its peak lies: K_0^{-1} with its Cholesky temporaries; the
+    # blocks K_0^{-1}[S_nu, S_nu] with the supports; the packed coupling,
+    # that is the column indices of K_kj renumbered over the supports and
+    # two packed blocks of the other class; and the CG blocks of the kept
+    # class.  The recovery and the residual check run after the CG has
+    # freed its blocks and the blocks K_0^{-1}[S_nu, S_nu]; they hold the
+    # kept block, two packed blocks of the other class (-K_jk x_k and x_j
+    # on the supports) and one chunk: the rows K_0^{-1}[S_nu, :] gathered
+    # for it and its block of x_j with the residual, the first two of at
+    # most ``_RECOVERY_VECTORS`` vectors of n_s doubles each.  A block of
+    # the other class for all patterns does not fit in the bound.
     system = sgfem.assemble_system(*tank_sm_mm)
     patterns = sgfem.standard_patterns(system.n_electrodes)
     sol, peak = traced_peak(lambda: sgfem.solve(system, patterns))
@@ -593,8 +665,7 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     local = (sizes @ sizes + sizes.sum()) * f8
     packed = system.K_kj.indices.nbytes + 2 * sizes.sum() * n_p * f8
     kept_block = n_s * n_kept * n_p * f8
-    pattern_block = n_s * n_other * f8
-    bound = 2 * n_s * n_s * f8 + local + packed + 6 * kept_block + 2 * pattern_block
-    other_block = pattern_block * n_p
+    bound = 2 * n_s * n_s * f8 + local + packed + 6 * kept_block
+    other_block = n_s * n_other * n_p * f8
     assert other_block > 0.25 * bound
     assert peak <= bound
