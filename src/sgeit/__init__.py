@@ -35,7 +35,7 @@ from .inversion import (
     mcmc_sample,
     reconstruct,
 )
-from .sgfem import SgfemSystem, assemble_system, rhs_for_current, solve, standard_patterns
+from .sgfem import SgfemSystem, assemble_system, solve, standard_patterns
 from .surrogate import SgfemSurrogate, from_solution, load
 
 __version__ = "0.1.0"

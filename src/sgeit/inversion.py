@@ -29,10 +29,13 @@ second half, as dual averaging freezes its averaged iterate (Hoffman &
 Gelman 2014).  The chain draws its random numbers in blocks from two
 child streams of its seed, the proposal increments from one and one
 uniform u per step from the other, and accepts a step when the log
-density rises by at least log u.  One step costs the fold of the contacts
-that left the cube, a cube test, and for a proposal inside the cube Q
-gathers of [1, y] that form m+(y), one product with A' and one dot
-product.
+density rises by at least log u.  One step (``Posterior.step``) writes the
+proposal into the posterior's kept point [1, y] and reads it back as
+Python floats once: a pixel outside the cube rejects it at that cost, the
+contacts that left the cube are folded back on the same floats, and a
+proposal inside the cube costs Q gathers of [1, y] that form m+(y), one
+product with A' and one dot product.  Each block of increments is checked
+once for non-finite entries, and a step with one is rejected unevaluated.
 
 ``mcmc_sample`` runs two such chains from the same start, each with its
 own child seed, burn-in and adaptation and half of the retained samples,
@@ -149,10 +152,13 @@ class Posterior:
     prior: SmoothnessPrior
     _whitened: np.ndarray = field(init=False, repr=False)
     _slots: list[np.ndarray] = field(init=False, repr=False)
-    # the extended point [1, y] that log_density fills in place, so
+    # the extended point [1, y] that log_density and step fill in place, so
     # threads must not share one posterior
     _ext: np.ndarray = field(init=False, repr=False)
     _shape: tuple[int] = field(init=False, repr=False)
+    _n_pixels: int = field(init=False, repr=False)
+    # the view ext[1:] that step writes the chain's proposal into
+    proposal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         surr = self.surrogate
@@ -178,6 +184,8 @@ class Posterior:
         self._slots = [np.concatenate(pair) for pair in zip(surr.slots, extra)]
         self._ext = np.ones(surr.n_params + 1)
         self._shape = (surr.n_params,)
+        self._n_pixels = L
+        self.proposal = self._ext[1:]
 
     @property
     def n_params(self) -> int:
@@ -204,10 +212,8 @@ class Posterior:
     def log_density(self, y: np.ndarray) -> float:
         """-F(y)/2 inside the cube, -inf outside (up to a constant).
 
-        The chain calls this once per step, so it is written out in one
-        frame: the cube test on Python floats, the gathers of
-        :func:`surrogate.monomials` into the kept point [1, y], then one
-        product with A'.
+        The cube test runs on Python floats; a point inside is copied into
+        the kept point [1, y] for :meth:`_kept_log_density`.
         """
         if y.shape != self._shape:
             raise ValueError(f"expected {self.n_params} parameters, got {y.shape}")
@@ -216,8 +222,40 @@ class Posterior:
         v = y.tolist()
         if not (max(v) <= 1.0 and min(v) >= -1.0 and math.isfinite(sum(v))):
             return -math.inf
+        self._ext[1:] = y
+        return self._kept_log_density()
+
+    def step(self, y: np.ndarray, inc: np.ndarray) -> float:
+        """Log density of the chain's proposal y + inc, left in ``proposal``.
+
+        The per-step evaluator of :func:`mcmc_sample`'s chains.  It writes
+        y + inc into the kept point [1, y] and turns it into Python floats
+        once.  A pixel outside [-1, 1] rejects the proposal (-inf) before
+        any other work; a contact outside is folded back on those floats as
+        :func:`random_walk_metropolis` folds a reflected coordinate.  Inside
+        the cube it costs what :meth:`log_density` costs there, with the
+        same bytes.  y must lie in the cube and inc must be finite (the
+        chain rejects a non-finite increment without this call), so the
+        proposal is finite.
+        """
+        point = self.proposal
+        np.add(y, inc, out=point)
+        v = point.tolist()
+        n_pixels = self._n_pixels
+        for p in v[:n_pixels]:
+            if not -1.0 <= p <= 1.0:
+                return -math.inf
+        for k in range(n_pixels, len(v)):
+            p = v[k]
+            if not -1.0 <= p <= 1.0:
+                point[k] = _fold(p)
+        return self._kept_log_density()
+
+    def _kept_log_density(self) -> float:
+        """-F/2 at the kept point [1, y], which lies in the cube: the gathers
+        of :func:`surrogate.monomials` that form m+, then one product with
+        A'."""
         ext = self._ext
-        ext[1:] = y
         first, *rest = self._slots
         mono = ext.take(first)
         for slot in rest:
@@ -478,8 +516,10 @@ def random_walk_metropolis(
     each of them is drawn independently of all others, so a ``factor``
     that couples one of them with another coordinate raises ValueError.
     Any other proposal outside the support (log density -inf) is rejected
-    without further evaluation; ``in_support`` is the share of all
-    proposals inside it, after the fold.
+    without further evaluation, and one with a non-finite increment without
+    a call of ``log_density``; ``in_support`` is the share of all proposals
+    inside it, after the fold.  ``log_density`` is called with one array
+    that every step overwrites.
 
     The scale starts at ``config.proposal_std``, or 2.38/sqrt(d) if that
     is None.  After every full window of ``_ADAPT_WINDOW`` burn-in steps it
@@ -499,11 +539,52 @@ def random_walk_metropolis(
     state after burn-in.  The acceptance rate is measured over the
     post-burn-in phase; a rate outside [0.05, 0.8] sets the warning flag.
     """
-    return _pooled([_metropolis(log_density, start, config, factor, reflect)])
+    target = _Folded(log_density, np.shape(start)[0], reflect)
+    return _pooled([_metropolis(target, start, config, factor, reflect)])
 
 
-def _metropolis(log_density, start, config, factor, reflect) -> _Chain:
-    """The chain of :func:`random_walk_metropolis`, before pooling."""
+def _fold(p: float) -> float:
+    """p folded back into [-1, 1]: 1 - |((p + 1) mod 4) - 2|."""
+    return 1.0 - abs((p + 1.0) % 4.0 - 2.0)
+
+
+class _Folded:
+    """A plain log density as a chain's per-step evaluator (see
+    :meth:`Posterior.step`): y + inc with the coordinates of ``reflect``
+    folded into [-1, 1], then the call.  The log density is called with
+    ``proposal``, one array that every step overwrites."""
+
+    def __init__(self, log_density, n_dim: int, reflect: slice):
+        self.log_density = log_density
+        self.proposal = np.empty(n_dim)
+        self._lo, self._hi, _ = reflect.indices(n_dim)
+
+    def step(self, y: np.ndarray, inc: np.ndarray) -> float:
+        prop = self.proposal
+        np.add(y, inc, out=prop)
+        lo = self._lo
+        for k, p in enumerate(prop[lo : self._hi].tolist(), lo):
+            if not -1.0 <= p <= 1.0:
+                prop[k] = _fold(p)
+        return self.log_density(prop)
+
+
+def _scaled(raw: np.ndarray, scale: float) -> tuple[np.ndarray, list[bool]]:
+    """A block of increments at one scale, and whether each row is finite."""
+    incs = raw * scale
+    return incs, np.isfinite(incs).all(axis=1).tolist()
+
+
+def _metropolis(target, start, config, factor, reflect) -> _Chain:
+    """The chain of :func:`random_walk_metropolis`, before pooling.
+
+    ``target`` has ``log_density(y)``, which evaluates the start, and the
+    per-step evaluator ``step(y, inc)``, which leaves the proposal in the
+    array ``target.proposal``; ``reflect`` is the slice that ``step``
+    folds, and is checked against the factor here.  The state y stays
+    finite, so a proposal is finite exactly where its increment is: a
+    non-finite increment is rejected without a call to ``step``.
+    """
     y = np.asarray(start, dtype=np.float64).copy()
     n_dim = y.shape[0]
     factor = np.eye(n_dim) if factor is None else np.asarray(factor, dtype=np.float64)
@@ -515,10 +596,10 @@ def _metropolis(log_density, start, config, factor, reflect) -> _Chain:
     coupling = factor - np.diag(np.diag(factor))
     if coupling[lo:hi].any() or coupling[:, lo:hi].any():
         raise ValueError("a reflected coordinate is drawn jointly with another one")
-    fold = lo < hi
-    lp = float(log_density(y))
+    lp = float(target.log_density(y))
     if not math.isfinite(lp):
         raise ValueError("chain start lies outside the posterior support")
+    step, proposal = target.step, target.proposal
     steps, uniforms = np.random.default_rng(config.seed).spawn(2)
     scale = config.proposal_std
     if scale is None:
@@ -537,22 +618,16 @@ def _metropolis(log_density, start, config, factor, reflect) -> _Chain:
     for t0 in range(0, total, _DRAW_BLOCK):
         n = min(_DRAW_BLOCK, total - t0)
         raw = correlated_increments(steps.standard_normal((n, n_dim)), factor)
-        incs = raw * scale
+        incs, finite = _scaled(raw, scale)
         log_us = np.log1p(-uniforms.random(n)).tolist()
         for i in range(n):
             t = t0 + i
-            prop = y + incs[i]
-            if fold:
-                k = lo
-                for v in prop[lo:hi].tolist():
-                    if not -1.0 <= v <= 1.0:
-                        prop[k] = 1.0 - abs((v + 1.0) % 4.0 - 2.0)
-                    k += 1
-            lp_new = log_density(prop)
+            lp_new = step(y, incs[i]) if finite[i] else -math.inf
             if lp_new > -math.inf:
                 inside += 1
                 if lp_new - lp >= log_us[i]:
-                    y, lp = prop, float(lp_new)
+                    y[:] = proposal
+                    lp = float(lp_new)
                     accepted += 1
             if t >= burn_in:
                 if (t - burn_in + 1) % thinning == 0:
@@ -565,13 +640,13 @@ def _metropolis(log_density, start, config, factor, reflect) -> _Chain:
                 if t >= late:
                     log_sum += math.log(scale)
                     n_late += 1
-                np.multiply(raw[i + 1 :], scale, out=incs[i + 1 :])
+                incs, finite = _scaled(raw, scale)
                 marked = accepted
             if t + 1 == burn_in:
                 marked = accepted
                 if n_late:
                     scale = math.exp(log_sum / n_late)
-                    np.multiply(raw[i + 1 :], scale, out=incs[i + 1 :])
+                    incs, finite = _scaled(raw, scale)
     return _Chain(samples, accepted - marked, inside, total, burn_in, scale)
 
 
@@ -601,7 +676,9 @@ def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcRes
 
     Both chains start at ``start`` with the proposal factor of
     :func:`laplace_proposal` there, and the contacts are the reflected
-    coordinates.  Chain c is seeded by child c of
+    coordinates.  Each step is one call of :meth:`Posterior.step`, and a
+    chain is byte for byte that of :func:`random_walk_metropolis` on
+    ``posterior.log_density`` with the same settings.  Chain c is seeded by child c of
     ``SeedSequence(config.seed).spawn(2)``, runs the full burn-in with its
     own adaptation, and keeps ceil(n/2) (chain 0) or floor(n/2) (chain 1)
     of the ``config.n_samples`` samples; with n = 1 only chain 0 runs.
@@ -629,7 +706,7 @@ def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcRes
     ]
 
     def run(cfg):
-        return _metropolis(posterior.log_density, y0, cfg, factor, reflect)
+        return _metropolis(posterior, y0, cfg, factor, reflect)
 
     if len(configs) == 1 or not _FORK:
         return _pooled([run(cfg) for cfg in configs])

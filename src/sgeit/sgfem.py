@@ -332,16 +332,6 @@ def _voltage_loads(system: SgfemSystem, patterns) -> np.ndarray:
     return loads
 
 
-def rhs_for_current(system: SgfemSystem, currents) -> np.ndarray:
-    """Load vector of one current pattern (mA), nonzero only at the
-    degree-0 voltage coefficients: (c_i)_0 = I_1 - I_{i+1}."""
-    currents = np.asarray(currents, dtype=np.float64)
-    c = np.zeros(system.order)
-    base = system.n_nodes * system.n_chaos
-    c[base :: system.n_chaos] = _voltage_loads(system, currents[None])[0]
-    return c
-
-
 def solve(
     system: SgfemSystem,
     patterns,

@@ -449,6 +449,32 @@ def test_exit_code_3_on_numerical_failure(workdir, capsys, tmp_path):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_factorization_failure_exits_3_and_bad_seeds_exit_2(
+    workdir, surrogate_and_data, capsys, tmp_path, monkeypatch
+):
+    # numpy's LinAlgError subclasses ValueError, the input-error class
+    d = workdir
+    out = tmp_path / "e.json"
+    argv = ["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+            "--samples", 50, "--burn-in", 10, "--out", out]
+
+    def not_positive_definite(*args):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(inversion, "laplace_proposal", not_positive_definite)
+    assert run(argv) == 3
+    assert ("numerical failure: Matrix is not positive definite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # a prior covariance that no jitter makes factorizable is reported as
+    # an input error, with the seeds named, although a LinAlgError caused it
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    assert run(argv) == 2
+    assert ("error: prior covariance not positive definite even with jitter; "
+            "check for duplicate pixel seeds" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_render_refuses_missing_field(workdir, surrogate_and_data, capsys, tmp_path):
     d = workdir
     run(["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",

@@ -525,26 +525,71 @@ def test_mcmc_chains_are_the_same_bytes_forked_or_in_process(tiny_posterior, mon
     assert multiprocessing.active_children() == []
 
 
-def test_mcmc_odd_sample_count_splits_ceil_then_floor(tiny_posterior):
+# at degree 1 the monomials take one gather and no product
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_mcmc_odd_sample_count_splits_ceil_then_floor(tiny_posteriors_by_degree, degree):
+    post = tiny_posteriors_by_degree[degree]
     cfg = inversion.McmcConfig(n_samples=401, burn_in=100, thinning=2, seed=43)
     start = np.zeros(7)
-    res = inversion.mcmc_sample(tiny_posterior, cfg)
+    res = inversion.mcmc_sample(post, cfg)
     configs = child_configs(cfg)
     assert [c.n_samples for c in configs] == [201, 200]
-    factor = inversion.laplace_proposal(tiny_posterior, start)
+    factor = inversion.laplace_proposal(post, start)
+    # the chains of mcmc_sample run on Posterior.step, these on log_density
     chains = [
         inversion.random_walk_metropolis(
-            tiny_posterior.log_density, start, c, factor, slice(3, None)
+            post.log_density, start, c, factor, slice(3, None)
         )
         for c in configs
     ]
     assert res.samples.shape == (401, 7)
     assert res.samples.tobytes() == np.concatenate([c.samples for c in chains]).tobytes()
+    assert res.in_support == pooled(
+        [c.in_support for c in chains], configs, post=False
+    ) < 1.0
     # one retained sample: only the first chain runs
-    one = inversion.mcmc_sample(tiny_posterior, dataclasses.replace(cfg, n_samples=1))
+    one = inversion.mcmc_sample(post, dataclasses.replace(cfg, n_samples=1))
     assert one.samples.shape == (1, 7) and len(one.chain_scales) == 1
     assert one.samples.tobytes() == chains[0].samples[:1].tobytes()
     assert np.isinf(one.rhat).all()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_mcmc_rejects_a_non_finite_increment_without_evaluating_it(
+    tiny_posterior, monkeypatch, bad
+):
+    # every increment of pixel 1 is non-finite; a NaN there is one that the
+    # max and min of the cube test would skip
+    start = np.zeros(7)
+    factor = inversion.laplace_proposal(tiny_posterior, start)
+    factor[1, 0] = bad
+    monkeypatch.setattr(inversion, "laplace_proposal", lambda post, y: factor)
+    cfg = inversion.McmcConfig(n_samples=40, burn_in=0, thinning=1, seed=47)
+    calls = []
+    plain = tiny_posterior.step
+
+    def step(y, inc):
+        calls.append(None)
+        return plain(y, inc)
+
+    # both chains in this process, where the calls are counted
+    monkeypatch.setattr(inversion, "_FORK", False)
+    monkeypatch.setattr(tiny_posterior, "step", step)
+    with pytest.warns(UserWarning, match="acceptance rate"):
+        res = inversion.mcmc_sample(tiny_posterior, cfg, start=start)
+    assert res.in_support == 0.0 and res.acceptance == 0.0
+    assert (res.samples == start).all() and calls == []
+
+    def log_density(y):
+        calls.append(None)
+        return tiny_posterior.log_density(y)
+
+    with pytest.warns(UserWarning, match="acceptance rate"):
+        res = inversion.random_walk_metropolis(
+            log_density, start, cfg, factor, slice(3, None)
+        )
+    # only the start is evaluated
+    assert res.in_support == 0.0 and len(calls) == 1
 
 
 def test_mcmc_error_in_the_child_reaches_the_caller(tiny_posterior, monkeypatch):
@@ -574,16 +619,17 @@ def test_mcmc_error_in_the_child_reaches_the_caller(tiny_posterior, monkeypatch)
 
 
 def test_mcmc_error_in_the_caller_stops_the_child(tiny_posterior, monkeypatch):
-    parent, plain = os.getpid(), tiny_posterior.log_density
+    # the chains call the per-step evaluator, not log_density, on each step
+    parent, plain = os.getpid(), tiny_posterior.step
     calls = []
 
-    def log_density(y):
+    def step(y, inc):
         calls.append(None)
         if os.getpid() == parent and len(calls) > 50:
             raise ValueError("log density failed in the first chain")
-        return plain(y)
+        return plain(y, inc)
 
-    monkeypatch.setattr(tiny_posterior, "log_density", log_density)
+    monkeypatch.setattr(tiny_posterior, "step", step)
     # long enough that the child is still running when the caller fails
     cfg = inversion.McmcConfig(n_samples=200_000, burn_in=100, thinning=5, seed=45)
     with pytest.raises(ValueError, match="failed in the first chain"):

@@ -28,10 +28,20 @@ def tiny_sg():
     return mesh, part, sm, idx, system, a, b
 
 
+def rhs_for_current(system, currents):
+    """Load vector of one current pattern (mA) on all of K, nonzero only at
+    the degree-0 voltage coefficients: (c_i)_0 = I_1 - I_{i+1}."""
+    currents = np.asarray(currents, dtype=np.float64)
+    c = np.zeros(system.order)
+    base = system.n_nodes * system.n_chaos
+    c[base :: system.n_chaos] = sgfem._voltage_loads(system, currents[None])[0]
+    return c
+
+
 def lu_reference(system, patterns):
     """alpha and beta of every pattern by scipy's sparse LU of all of K."""
     C = np.column_stack(
-        [sgfem.rhs_for_current(system, p) for p in np.atleast_2d(patterns)]
+        [rhs_for_current(system, p) for p in np.atleast_2d(patterns)]
     )
     X = spla.spsolve(system.K.tocsc(), C).reshape(C.shape)
     n_d, n_g, n_p = system.n_nodes, system.n_chaos, C.shape[1]
@@ -252,9 +262,9 @@ def test_rhs_frozen_examples():
     n_g = len(idx)
     base = mesh.n_nodes * n_g
 
-    c = sgfem.rhs_for_current(system, np.array([1.0, -1.0, 0.0]))
+    c = rhs_for_current(system, np.array([1.0, -1.0, 0.0]))
     assert c[base] == 2.0 and c[base + n_g] == 1.0
-    c = sgfem.rhs_for_current(system, np.array([1.0, 0.0, -1.0]))
+    c = rhs_for_current(system, np.array([1.0, 0.0, -1.0]))
     assert c[base] == 1.0 and c[base + n_g] == 2.0
     # only the degree-0 voltage coefficients are loaded
     mask = np.ones(system.order, dtype=bool)
@@ -262,9 +272,9 @@ def test_rhs_frozen_examples():
     assert np.all(c[mask] == 0.0)
 
     with pytest.raises(ValueError, match="sum to zero"):
-        sgfem.rhs_for_current(system, np.array([1.0, -0.5, 0.0]))
+        rhs_for_current(system, np.array([1.0, -0.5, 0.0]))
     with pytest.raises(ValueError, match="one current per electrode"):
-        sgfem.rhs_for_current(system, np.array([1.0, -1.0]))
+        rhs_for_current(system, np.array([1.0, -1.0]))
 
 
 def test_solve_rejects_a_pattern_that_loads_nothing():
@@ -280,7 +290,7 @@ def test_solve_rejects_a_pattern_that_loads_nothing():
     with pytest.raises(ValueError, match="pattern 1 loads nothing"):
         sgfem.solve(system, np.vstack([first, np.zeros(4)]))
     with pytest.raises(ValueError, match="loads nothing"):
-        sgfem.rhs_for_current(system, np.zeros(4))
+        rhs_for_current(system, np.zeros(4))
     # a non-finite current fails the sum test instead of passing it
     with pytest.raises(ValueError, match="pattern 0: currents must sum to zero"):
         sgfem.solve(system, [np.nan, 1.0, -1.0, 0.0])
@@ -414,7 +424,7 @@ def test_recovery_on_the_supports_equals_the_dense_one(tiny, degree):
         (np.arange(n_s)[:, None] * n_g + members).ravel() for members in (kept, other)
     )
     K_jk = system.K[other_rows][:, kept_rows]
-    C = np.column_stack([sgfem.rhs_for_current(system, p) for p in MIXED_PATTERNS])
+    C = np.column_stack([rhs_for_current(system, p) for p in MIXED_PATTERNS])
     dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
     want = (dense @ (C[other_rows] - K_jk @ X.reshape(-1, n_p))).reshape(got.shape)
     npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
