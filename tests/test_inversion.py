@@ -558,8 +558,7 @@ def test_mcmc_odd_sample_count_splits_ceil_then_floor(tiny_posteriors_by_degree,
 def test_mcmc_rejects_a_non_finite_increment_without_evaluating_it(
     tiny_posterior, monkeypatch, bad
 ):
-    # every increment of pixel 1 is non-finite; a NaN there is one that the
-    # max and min of the cube test would skip
+    # every increment of pixel 1 is non-finite
     start = np.zeros(7)
     factor = inversion.laplace_proposal(tiny_posterior, start)
     factor[1, 0] = bad
