@@ -5,7 +5,7 @@ pixelwise conductivity and uncertain contact conductances, plus Bayesian
 reconstruction (MAP, conditional mean and spread) on top of them.
 """
 
-from .chaos import ChaosBasis, MultiIndexSet, iso_td, legendre_eval, moment_matrices
+from .chaos import ChaosBasis, MultiIndexSet, iso_td, moment_matrices
 from .det_cem import (
     DeterministicSample,
     MeasurementSet,

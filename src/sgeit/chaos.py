@@ -1,15 +1,11 @@
 """Legendre chaos bases on the parameter cube [-1, 1]^P.
 
-Provides the orthonormal univariate Legendre family, isotropic
-total-degree multi-index sets, and the sparse moment matrices
-G_k[mu, mu'] = E[y_k Psi_mu Psi_mu'] that couple the stochastic dimensions
-in the Galerkin system.  ``legendre_eval`` normalizes against plain
-Lebesgue measure on [-1, 1] (constant polynomial 1/sqrt(2)); the
-multivariate basis used for evaluating surrogates is normalized against
-the uniform probability measure instead (constant polynomial 1), which is
-the scaling under which the Galerkin right-hand side carries the plain
-current pattern.  Both share the same recurrence, so the moment matrices
-are identical either way.
+Provides isotropic total-degree multi-index sets, the product Legendre
+basis Psi and the sparse moment matrices G_k[mu, mu'] = E[y_k Psi_mu
+Psi_mu'] that couple the stochastic dimensions in the Galerkin system.
+The basis is orthonormal under the uniform probability measure on the
+cube (constant polynomial 1), the scaling under which the Galerkin
+right-hand side carries the plain current pattern.
 
 For fast evaluation the basis also has a power form: a sparse change of
 basis T from the monomials y^mu of the same index set (Psi = T m), and a
@@ -37,21 +33,20 @@ def _recurrence_coeff(m):
     return m / np.sqrt(4.0 * m * m - 1.0)
 
 
-def _tables(max_degree: int, y: np.ndarray, const: float, derivatives: bool = True):
-    """Values and derivatives of the orthonormal family up to max_degree.
+def _tables(max_degree: int, y: np.ndarray, derivatives: bool = True):
+    """Values and derivatives of the univariate family up to max_degree,
+    orthonormal under the uniform probability measure on [-1, 1].
 
-    ``const`` is the value of the degree-0 polynomial (1/sqrt(2) for the
-    Lebesgue normalization, 1 for the uniform-probability normalization).
     ``derivatives=False`` skips the derivative table and returns None for it.
     """
     y = np.asarray(y, dtype=np.float64)
     vals = np.empty(y.shape + (max_degree + 1,))
     ders = np.zeros_like(vals) if derivatives else None
-    vals[..., 0] = const
+    vals[..., 0] = 1.0
     if max_degree >= 1:
-        vals[..., 1] = math.sqrt(3.0) * const * y
+        vals[..., 1] = math.sqrt(3.0) * y
         if derivatives:
-            ders[..., 1] = math.sqrt(3.0) * const
+            ders[..., 1] = math.sqrt(3.0)
     for m in range(1, max_degree):
         cm = _recurrence_coeff(m)
         cn = _recurrence_coeff(m + 1)
@@ -59,18 +54,6 @@ def _tables(max_degree: int, y: np.ndarray, const: float, derivatives: bool = Tr
         if derivatives:
             ders[..., m + 1] = (vals[..., m] + y * ders[..., m] - cm * ders[..., m - 1]) / cn
     return vals, ders
-
-
-def legendre_eval(max_degree: int, y) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the Legendre polynomials orthonormal on [-1, 1].
-
-    Returns ``(values, derivatives)`` with trailing axis over degrees
-    0..max_degree; the leading axes follow the shape of ``y``.  The family
-    satisfies int_{-1}^{1} L_k L_l dy = delta_{kl}, so L_0 = 1/sqrt(2).
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    return _tables(max_degree, y, 1.0 / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -305,12 +288,12 @@ class ChaosBasis:
 
     def eval(self, y: np.ndarray) -> np.ndarray:
         """Values of all basis polynomials at one parameter point."""
-        vals, _ = _tables(self.index_set.degree, y, 1.0, derivatives=False)
+        vals, _ = _tables(self.index_set.degree, y, derivatives=False)
         return self._product(vals.ravel())
 
     def eval_with_jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and per-dimension partial derivatives at one point."""
-        vals, ders = _tables(self.index_set.degree, y, 1.0)
+        vals, ders = _tables(self.index_set.degree, y)
         fv, fd = vals.ravel(), ders.ravel()
         slot_vals = [fv[flat] for flat, _ in self._slots]
         jac = np.zeros((len(self.index_set), self.n_dims))

@@ -21,7 +21,7 @@ from .fem import ParameterBounds, assemble_electrode_mass, stiffness_matrix
 from .geometry import (
     Mesh, PixelPartition, electrode_geometry, read_json, require_finite
 )
-from .sgfem import cem_matrix, expand_mean_free
+from .sgfem import _voltage_loads, cem_matrix, expand_mean_free
 
 
 @dataclass(frozen=True)
@@ -79,26 +79,24 @@ def solve_deterministic(
     """Electrode voltages for each current pattern at one sample.
 
     Assembles the electrode-model system in the mean-free voltage basis,
-    factorizes once, and solves all patterns against it.  The voltage
-    vector of every pattern sums to zero by construction.
+    factorizes once, and solves all patterns against it, with the loads and
+    pattern checks of the Galerkin solve; each voltage vector sums to zero.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     sigma = np.asarray(sample.sigma, dtype=np.float64)
     zeta = np.asarray(sample.zeta, dtype=np.float64)
     if sigma.shape[0] != partition.n_pixels:
         raise ValueError("sample has wrong number of pixel conductivities")
-    if (sigma <= 0.0).any():
+    # written so that a NaN fails too
+    if not (sigma > 0.0).all():
         raise ValueError("pixel conductivities must be positive")
-    if (zeta <= 0.0).any():
+    if not (zeta > 0.0).all():
         raise ValueError("contact conductances must be positive")
     eg = electrode_geometry(mesh)
     n_el = eg.n_electrodes
     if zeta.shape[0] != n_el:
         raise ValueError("sample has wrong number of contact conductances")
-    if patterns.shape[1] != n_el:
-        raise ValueError("pattern length does not match electrode count")
-    if np.abs(patterns.sum(axis=1)).max() > 1e-12:
-        raise ValueError("current patterns must sum to zero")
+    loads = _voltage_loads(patterns, n_el)
 
     S, g = assemble_electrode_mass(mesh, eg)
     A = stiffness_matrix(mesh, sigma[partition.triangle_pixel])
@@ -107,9 +105,9 @@ def solve_deterministic(
     n_d = mesh.n_nodes
     potentials = np.empty((patterns.shape[0], n_d))
     voltages = np.empty((patterns.shape[0], n_el))
-    for p, current in enumerate(patterns):
+    for p, load in enumerate(loads):
         rhs = np.zeros(n_d + n_el - 1)
-        rhs[n_d:] = current[0] - current[1:]
+        rhs[n_d:] = load
         x = lu.solve(rhs)
         potentials[p] = x[:n_d]
         voltages[p] = expand_mean_free(x[n_d:])

@@ -11,7 +11,7 @@ F(y)/2 with
 
 ``Posterior`` whitens both terms and the data into one matrix A' once, so
 that F(y) is the squared norm of one residual r(y) = -A' m+(y); its
-residual, Jacobian, objective and log density all evaluate that form.
+residual, Jacobian, log density and chain step all evaluate that form.
 
 Point estimates: affine-scaled Levenberg-Marquardt for the MAP, Metropolis
 for conditional-mean and spread estimates.  The chain's proposal is scaled
@@ -194,10 +194,6 @@ class Posterior:
     @property
     def n_pixels(self) -> int:
         return self.surrogate.n_pixels
-
-    def objective(self, y) -> float:
-        """F(y): squared data misfit plus squared prior norm, inf outside."""
-        return -2.0 * self.log_density(np.asarray(y, dtype=np.float64))
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         """Whitened residual r(y) = -A' m+(y), with F(y) = ||r(y)||^2."""
@@ -514,12 +510,13 @@ def random_walk_metropolis(
     Coordinates in the ``reflect`` slice are folded back into [-1, 1] by
     p -> 1 - |((p + 1) mod 4) - 2|; the folded kernel is symmetric only if
     each of them is drawn independently of all others, so a ``factor``
-    that couples one of them with another coordinate raises ValueError.
-    Any other proposal outside the support (log density -inf) is rejected
-    without further evaluation, and one with a non-finite increment without
-    a call of ``log_density``; ``in_support`` is the share of all proposals
-    inside it, after the fold.  ``log_density`` is called with one array
-    that every step overwrites.
+    that couples one of them with another coordinate raises ValueError, as
+    does one with a non-finite entry.  Any other proposal outside the
+    support (log density -inf) is rejected without further evaluation, and
+    one with a non-finite increment without a call of ``log_density``;
+    ``in_support`` is the share of all proposals inside it, after the
+    fold.  ``log_density`` is called with one array that every step
+    overwrites.
 
     The scale starts at ``config.proposal_std``, or 2.38/sqrt(d) if that
     is None.  After every full window of ``_ADAPT_WINDOW`` burn-in steps it
@@ -590,6 +587,8 @@ def _metropolis(target, start, config, factor, reflect) -> _Chain:
     factor = np.eye(n_dim) if factor is None else np.asarray(factor, dtype=np.float64)
     if factor.shape != (n_dim, n_dim):
         raise ValueError(f"proposal factor must be {n_dim} x {n_dim}")
+    if not np.isfinite(factor).all():
+        raise ValueError("proposal factor has a non-finite entry")
     lo, hi, stride = reflect.indices(n_dim)
     if stride != 1:
         raise ValueError("reflected coordinates must form a contiguous slice")
@@ -793,11 +792,7 @@ def cm_sd_estimates(
 _RHAT_LIMIT = 1.01
 
 
-def reconstruct(
-    posterior: Posterior,
-    config: McmcConfig | None = None,
-    start=None,
-) -> Estimates:
+def reconstruct(posterior: Posterior, config: McmcConfig | None = None) -> Estimates:
     """MAP estimate, optionally followed by a Metropolis chain for CM/SD.
 
     With ``config=None`` only the MAP is computed.  The chains start from
@@ -808,7 +803,7 @@ def reconstruct(
     shown to mix, and a warning names the remedy.
     """
     bounds = posterior.surrogate.bounds
-    map_res = map_estimate(posterior, start=start)
+    map_res = map_estimate(posterior)
     sample_map = params_from_y(map_res.y, bounds)
     diagnostics = {
         "map_objective": map_res.objective,

@@ -33,7 +33,7 @@ Elman, IMA J. Numer. Anal. 2009): ``assemble_system`` builds only B_0 and
 K_kj.  Every B_k, k >= 1, is local, so column (., nu) of K_kj is nonzero
 only on a small set S_nu of spatial rows, and the Schur coupling
 K_kj (K_0^{-1} (x) I) K_jk needs K_0^{-1} only on the blocks
-K_0^{-1}[S_nu, S_nu] (``_local_coupling``).  The supports of many indices
+K_0^{-1}[S_nu, S_nu] (``_support_blocks``).  The supports of many indices
 share a size, so the CG applies those blocks as one batched product per
 size, with no loop over indices.  The recovery of the larger class needs
 K_0^{-1} only on the columns of each support too: x_j[:, nu] =
@@ -64,7 +64,7 @@ _RECOVERY_VECTORS = 512
 
 
 def _kept_parity(parity: np.ndarray) -> int:
-    """See ``SgfemSystem.kept_parity``."""
+    """The parity ``solve`` iterates on: that of fewer indices, odd on a tie."""
     return int(2 * np.count_nonzero(parity) <= len(parity))
 
 
@@ -100,12 +100,6 @@ class SgfemSystem:
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Chaos indices of the kept and the other parity class."""
         return _parity_classes(self.parity)
-
-    @property
-    def kept_parity(self) -> int:
-        """The parity class ``solve`` iterates on: the one with fewer chaos
-        indices, odd on a tie."""
-        return _kept_parity(self.parity)
 
     @property
     def nnz(self) -> int:
@@ -160,18 +154,14 @@ class SgfemSolution:
         """
         system, X = self.system, self.kept_block
         (keep, other), n_d = system.classes, system.n_nodes
-        loads = _voltage_loads(system, self.patterns)
+        loads = _voltage_loads(self.patterns, system.n_electrodes)
         K0inv = _mean_inverse(system)
-        K, groups, _ = _local_coupling(system, K0inv)
+        K, groups = _local_coupling(system)
         out = np.empty((len(loads), n_d, system.n_chaos))
         out[:, :, keep] = X.reshape(X.shape[0], -1, len(loads))[:n_d].transpose(2, 0, 1)
         for positions, _, _, _, x in _recover(system, K0inv, loads, K, groups, X):
             out[:, :, other[positions]] = x[:n_d].transpose(2, 0, 1)
         return out
-
-    def mean_voltages(self) -> np.ndarray:
-        """Expected electrode voltages (the degree-0 chaos coefficients)."""
-        return expand_mean_free(self.beta[:, :, 0])
 
 
 def expand_mean_free(gamma: np.ndarray) -> np.ndarray:
@@ -306,30 +296,25 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     return SgfemSystem(B0, K_kj.tocsr(), sm.n_nodes, n_el, len(parity), parity)
 
 
-def _voltage_loads(system: SgfemSystem, patterns) -> np.ndarray:
+def _voltage_loads(patterns, n_electrodes: int) -> np.ndarray:
     """The nonzero entries of the load of every current pattern (mA), one
     row per pattern: the degree-0 voltage coefficients (c_i)_0 = I_1 -
-    I_{i+1}, i = 1..M-1.  The one place a load is built.
-
-    Raises ValueError, naming the pattern, if its currents do not sum to
-    zero or if its load is zero (all currents equal), whose relative
-    residual would be undefined.
+    I_{i+1}, i = 1..M-1, also the load of ``det_cem``.  The one place a
+    load is built and a pattern checked: raises ValueError unless the
+    patterns are 2-D with one current per electrode, and, naming the
+    pattern, if its currents do not sum to zero.
     """
     patterns = np.asarray(patterns, dtype=np.float64)
-    if patterns.ndim != 2 or patterns.shape[1] != system.n_electrodes:
-        raise ValueError("need one current per electrode")
+    if patterns.ndim != 2 or patterns.shape[1] != n_electrodes:
+        raise ValueError(
+            "pattern length does not match the electrode count: "
+            "need one current per electrode"
+        )
     for p, total in enumerate(patterns.sum(axis=1)):
         # written so that a non-finite sum fails too
         if not abs(total) <= 1e-12:
             raise ValueError(f"pattern {p}: currents must sum to zero, got {total:g}")
-    loads = patterns[:, :1] - patterns[:, 1:]
-    zero = np.flatnonzero(~loads.any(axis=1))
-    if zero.size:
-        raise ValueError(
-            f"pattern {zero[0]} loads nothing: its currents are all equal, "
-            "so its relative residual is undefined"
-        )
-    return loads
+    return patterns[:, :1] - patterns[:, 1:]
 
 
 def solve(
@@ -342,15 +327,16 @@ def solve(
 
     Runs conjugate gradients on all patterns at once, with a step length
     and direction per pattern, on the Schur complement of the parity class
-    ``system.kept_parity``, preconditioned by K_0^{-1} (x) I where K_0 = B_0
-    is the electrode-model matrix at the parameter mean; the other class
-    follows from K_0^{-1} on the supports at the end (``_recover``).  It
-    stops once every pattern's residual is at most ``tol`` times its load
-    norm; ``tol`` must be positive and finite.  ``maxiter`` and the
-    returned ``iterations`` count the reduced iterations.  Raises
-    ValueError if a pattern's currents do not sum to zero or are all
-    equal, and RuntimeError after ``maxiter`` iterations (default ten times
-    the order), if K_0 is not positive definite, or if any relative
+    of fewer chaos indices (odd on a tie), preconditioned by K_0^{-1} (x) I
+    where K_0 = B_0 is the electrode-model matrix at the parameter mean;
+    the other class follows from K_0^{-1} on the supports at the end
+    (``_recover``).  It stops once every pattern's residual is at most
+    ``tol`` times its load norm; ``tol`` must be positive and finite.
+    ``maxiter`` and the returned ``iterations`` count the reduced
+    iterations.  Raises ValueError if the patterns do not fit the
+    electrodes or a pattern's currents do not sum to zero or are all
+    equal, and RuntimeError after ``maxiter`` iterations (default ten
+    times the order), if K_0 is not positive definite, or if any relative
     residual on all of K stays above ``tol``.
 
     The solve reads only B_0 and K_kj of the system, and derives the
@@ -371,11 +357,18 @@ def solve(
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
-    loads = _voltage_loads(system, patterns)
+    loads = _voltage_loads(patterns, system.n_electrodes)
+    zero = np.flatnonzero(~loads.any(axis=1))
+    if zero.size:
+        raise ValueError(
+            f"pattern {zero[0]} loads nothing: its currents are all equal, "
+            "so its relative residual is undefined"
+        )
     if maxiter is None:
         maxiter = 10 * system.order
     K0inv = _mean_inverse(system)
-    K, groups, blocks = _local_coupling(system, K0inv)
+    K, groups = _local_coupling(system)
+    blocks = _support_blocks(K0inv, groups)
     X, iterations = _schur_pcg(system, K0inv, K, groups, blocks, loads, tol, maxiter)
     del blocks
 
@@ -440,9 +433,9 @@ def _add_load(system: SgfemSystem, members, loads, V):
     return V
 
 
-def _local_coupling(system: SgfemSystem, K0inv):
-    """K_kj packed over the supports of the other class, and the blocks of
-    K_0^{-1} on them, grouped by support size.
+def _local_coupling(system: SgfemSystem):
+    """K_kj packed over the supports of the other class, and the supports
+    grouped by size.
 
     The support S_nu of other-class position nu is the set of spatial rows
     j at which column (j, nu) of K_kj stores an entry; K_jk = K_kj^T fills
@@ -457,16 +450,8 @@ def _local_coupling(system: SgfemSystem, K0inv):
     order, and the packed rows follow that order, so the positions of one
     size fill contiguous rows.  Returns K_kj with its columns renumbered
     over the supports, sharing the entries and row pointers of
-    ``system.K_kj``; per support size s the group (packed rows, positions,
-    S as a (count, s) array); and per group the blocks K_0^{-1}[S_nu, S_nu]
-    as a (count, s, s) array, which only the CG needs.  None of it takes a
-    loop over positions: the blocks of a group are one gather from
-    K_0^{-1}, and supports of all n_s rows share K_0^{-1} itself as a
-    read-only view (chaos index 0 at degree 2 on the tank and at paper
-    scale).  The gather
-    broadcasts two index arrays: a flat index array was faster to gather
-    with, but its temporaries left the peak RSS of ``sgeit precompute`` on
-    the tank 0.3-0.9 MB higher.
+    ``system.K_kj``, and per support size s the group (packed rows,
+    positions, S as a (count, s) array), with no loop over positions.
     """
     K_kj, n_s, n_other = system.K_kj, system.B0.shape[0], len(system.classes[1])
     j, nu = np.divmod(K_kj.indices, n_other)
@@ -489,16 +474,29 @@ def _local_coupling(system: SgfemSystem, K0inv):
     )
     supports = np.nonzero(stored)[1]
     cuts = np.flatnonzero(np.diff(sizes)) + 1
-    groups, blocks = [], []
+    groups = []
     for a, b in zip(np.r_[0, cuts], np.r_[cuts, n_other]):
         rows = slice(first[a], first[b])
-        S = supports[rows].reshape(b - a, sizes[a])
-        groups.append((rows, order[a:b], S))
-        if S.shape[1] == n_s:
-            blocks.append(np.broadcast_to(K0inv, (b - a, n_s, n_s)))
-        else:
-            blocks.append(K0inv[S[:, :, None], S[:, None, :]])
-    return K, groups, blocks
+        groups.append((rows, order[a:b], supports[rows].reshape(b - a, sizes[a])))
+    return K, groups
+
+
+def _support_blocks(K0inv, groups):
+    """Per group of ``_local_coupling`` the blocks K_0^{-1}[S_nu, S_nu] as a
+    (count, s, s) array, which only the CG needs: one gather from K_0^{-1}
+    per group, and supports of all n_s rows share K_0^{-1} itself as a
+    read-only view (chaos index 0 at degree 2 on the tank and at paper
+    scale).  The gather broadcasts two index arrays: a flat index array was
+    faster to gather with, but its temporaries left the peak RSS of ``sgeit
+    precompute`` on the tank 0.3-0.9 MB higher.
+    """
+    n_s = K0inv.shape[0]
+    return [
+        np.broadcast_to(K0inv, (len(S), n_s, n_s))
+        if S.shape[1] == n_s
+        else K0inv[S[:, :, None], S[:, None, :]]
+        for _, _, S in groups
+    ]
 
 
 def _couple(K, groups, blocks, V, n_p):
@@ -639,9 +637,9 @@ def _recover(system: SgfemSystem, K0inv, loads, K, groups, X):
         yield positions, rows, S, g_part, x
 
 
-def standard_patterns(n_electrodes: int, amplitude: float = 1.0) -> np.ndarray:
-    """The M-1 patterns I^m = amplitude * (e_1 - e_{m+1}), m = 1..M-1."""
+def standard_patterns(n_electrodes: int) -> np.ndarray:
+    """The M-1 patterns I^m = e_1 - e_{m+1}, m = 1..M-1."""
     pats = np.zeros((n_electrodes - 1, n_electrodes))
-    pats[:, 0] = amplitude
-    pats[np.arange(n_electrodes - 1), np.arange(1, n_electrodes)] = -amplitude
+    pats[:, 0] = 1.0
+    pats[np.arange(n_electrodes - 1), np.arange(1, n_electrodes)] = -1.0
     return pats

@@ -98,10 +98,6 @@ class SgfemSurrogate:
         return self.bounds.n_pixels
 
     @property
-    def n_patterns(self) -> int:
-        return self.patterns.shape[0]
-
-    @property
     def n_params(self) -> int:
         return self.index_set.n_dims
 

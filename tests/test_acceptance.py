@@ -118,8 +118,10 @@ def synthetic_run(default_model):
 def test_legendre_orthonormality_and_couplings():
     t0 = time.perf_counter()
     nodes, wts = npleg.leggauss(32)
-    vals, _ = chaos.legendre_eval(10, nodes)
-    gram = vals.T @ (vals * wts[:, None])
+    basis = chaos.ChaosBasis(chaos.iso_td(1, 10))
+    vals = np.array([basis.eval(np.array([x])) for x in nodes])
+    # the uniform probability weight is half the Gauss weight
+    gram = vals.T @ (vals * (0.5 * wts)[:, None])
     npt.assert_allclose(gram, np.eye(11), atol=1e-12)
 
     idx = chaos.iso_td(5, 3)
@@ -176,7 +178,7 @@ def test_degree_zero_collapse_to_deterministic():
     det = det_cem.solve_deterministic(
         mesh, part, det_cem.DeterministicSample(np.full(L, 1.1), zeta), pats
     )
-    dv = np.linalg.norm(sol.mean_voltages() - det.voltages)
+    dv = np.linalg.norm(sgfem.expand_mean_free(sol.beta[:, :, 0]) - det.voltages)
     du = np.linalg.norm(sol.alpha[:, :, 0] - det.potentials)
     assert dv <= 1e-8 * np.linalg.norm(det.voltages)
     assert du <= 1e-8 * np.linalg.norm(det.potentials)
@@ -190,7 +192,7 @@ def test_system_structure_and_reciprocity(order_sweep):
     assert skew.nnz == 0 or np.abs(skew.data).max() == 0.0
     for q in (0, 1, 2):
         assert order_sweep[q][1].residuals.max() <= 1e-10
-    U = solution.mean_voltages()
+    U = sgfem.expand_mean_free(solution.beta[:, :, 0])
     overlaps = solution.patterns @ U.T
     npt.assert_allclose(overlaps, overlaps.T, rtol=1e-9, atol=1e-12)
     rng = np.random.default_rng(3)

@@ -16,41 +16,45 @@ def classical_legendre(k, y):
     return npleg.legval(y, c)
 
 
+def univariate(degree, y):
+    """Values and derivatives of the one-dimensional ``ChaosBasis`` at the
+    points y, one row per point and degrees 0..degree along the columns."""
+    basis = chaos.ChaosBasis(chaos.iso_td(1, degree))
+    pairs = [basis.eval_with_jacobian(np.array([t])) for t in y]
+    return np.array([v for v, _ in pairs]), np.array([d[:, 0] for _, d in pairs])
+
+
 def test_legendre_eval_frozen_values():
-    vals, _ = chaos.legendre_eval(1, np.array([0.5]))
-    npt.assert_allclose(vals[0, 0], 1.0 / math.sqrt(2.0), rtol=1e-15)
-    npt.assert_allclose(vals[0, 1], math.sqrt(1.5) * 0.5, rtol=1e-15)
+    vals, _ = univariate(1, np.array([0.5]))
+    npt.assert_allclose(vals[0, 0], 1.0, rtol=1e-15)
+    npt.assert_allclose(vals[0, 1], math.sqrt(3.0) * 0.5, rtol=1e-15)
 
 
 def test_legendre_eval_matches_scaled_classical():
     rng = np.random.default_rng(2)
     y = 2.0 * rng.random(7) - 1.0
-    vals, _ = chaos.legendre_eval(10, y)
+    vals, _ = univariate(10, y)
     for k in range(11):
-        expect = math.sqrt((2 * k + 1) / 2.0) * classical_legendre(k, y)
+        expect = math.sqrt(2 * k + 1) * classical_legendre(k, y)
         npt.assert_allclose(vals[:, k], expect, rtol=1e-12, atol=1e-13)
 
 
 def test_legendre_orthonormality_quadrature():
-    # 32-point Gauss rule integrates degree <= 63 exactly
+    # 32-point Gauss rule integrates degree <= 63 exactly; the uniform
+    # probability weight is half the Gauss weight
     x, w = npleg.leggauss(32)
-    vals, _ = chaos.legendre_eval(10, x)
-    gram = (vals * w[:, None]).T @ vals
+    vals, _ = univariate(10, x)
+    gram = (vals * (0.5 * w)[:, None]).T @ vals
     npt.assert_allclose(gram, np.eye(11), atol=1e-12)
 
 
 def test_legendre_derivatives_match_fd():
     y = np.linspace(-0.9, 0.9, 11)
     h = 1e-6
-    _, ders = chaos.legendre_eval(8, y)
-    vp, _ = chaos.legendre_eval(8, y + h)
-    vm, _ = chaos.legendre_eval(8, y - h)
+    _, ders = univariate(8, y)
+    vp, _ = univariate(8, y + h)
+    vm, _ = univariate(8, y - h)
     npt.assert_allclose(ders, (vp - vm) / (2 * h), rtol=2e-9, atol=1e-8)
-
-
-def test_legendre_eval_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        chaos.legendre_eval(-1, np.array([0.0]))
 
 
 def test_iso_td_frozen_ordering():

@@ -520,6 +520,36 @@ def test_console_entry_point(workdir, tmp_path):
     assert "wrote" in proc.stdout
 
 
+# what bench/run.py wraps for ``--trace 1`` and what the accuracy check
+# of bench/ops.py and the trace notes read of the library
+BENCH_PROBE = """
+import run, spans
+from sgeit import det_cem, sgfem, surrogate
+tracer = spans.Tracer()
+run.install_spans(tracer)
+tracer.restore()
+for owner, names in (
+    (surrogate.SgfemSurrogate, ("sigma0", "sigma", "a", "b")),
+    (det_cem, ("ParameterBounds", "params_from_y", "solve_deterministic")),
+    (sgfem, ("standard_patterns",)),
+    (sgfem.SgfemSystem, ("K", "order")),
+):
+    missing = [name for name in names if not hasattr(owner, name)]
+    assert not missing, f"{owner.__name__} lacks {missing}"
+"""
+
+
+def test_the_benchmark_finds_the_library_names_it_reads(tmp_path):
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [bench, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BENCH_PROBE],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.skipif(
     not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc"
 )

@@ -163,6 +163,17 @@ def test_solve_deterministic_rejects(small):
         det_cem.solve_deterministic(
             mesh, part, sample, np.array([[1.0, -0.5, 0.0]])
         )
+    # a NaN is refused as bad input, not met as a singular factorization
+    bad = det_cem.DeterministicSample(np.array([1.0, np.nan]), sample.zeta)
+    with pytest.raises(ValueError, match="conductivities must be positive"):
+        det_cem.solve_deterministic(mesh, part, bad, pats)
+    bad = det_cem.DeterministicSample(sample.sigma, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="conductances must be positive"):
+        det_cem.solve_deterministic(mesh, part, bad, pats)
+    with pytest.raises(ValueError, match="pattern 0: currents must sum to zero"):
+        det_cem.solve_deterministic(
+            mesh, part, sample, np.array([[np.nan, 1.0, -1.0]])
+        )
 
 
 def test_simulate_noise_percent_rule(small):

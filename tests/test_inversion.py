@@ -89,9 +89,11 @@ def test_objective_against_explicit_covariance(tiny_posterior):
         misfit = tiny_posterior.data - tiny_posterior.surrogate.eval_stacked(y)
         ys = y[: tiny_posterior.n_pixels]
         expected = misfit @ misfit / tiny_posterior.noise.std**2 + ys @ cov_inv @ ys
-        assert tiny_posterior.objective(y) == pytest.approx(expected, rel=1e-12)
+        assert -2 * tiny_posterior.log_density(y) == pytest.approx(expected, rel=1e-12)
         r = tiny_posterior.residual(y)
-        assert tiny_posterior.objective(y) == pytest.approx(float(r @ r), rel=1e-14)
+        assert -2 * tiny_posterior.log_density(y) == pytest.approx(
+            float(r @ r), rel=1e-14
+        )
         assert tiny_posterior.log_density(y) == pytest.approx(
             -0.5 * expected, rel=1e-12
         )
@@ -115,10 +117,10 @@ def test_log_density_matches_the_formula(tiny_posterior):
 def test_objective_sentinels_outside_cube(tiny_posterior):
     y = np.zeros(tiny_posterior.n_params)
     y[2] = 1.0 + 1e-9
-    assert tiny_posterior.objective(y) == math.inf
+    assert -2 * tiny_posterior.log_density(y) == math.inf
     assert tiny_posterior.log_density(y) == -math.inf
     y[2] = 1.0
-    assert math.isfinite(tiny_posterior.objective(y))
+    assert math.isfinite(-2 * tiny_posterior.log_density(y))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -135,7 +137,7 @@ def test_log_density_is_minus_inf_for_nan_in_any_position(tiny_posterior, positi
     y = np.full(tiny_posterior.n_params, 0.5)
     y[position] = np.nan
     assert tiny_posterior.log_density(y) == -math.inf
-    assert tiny_posterior.objective(y) == math.inf
+    assert -2 * tiny_posterior.log_density(y) == math.inf
 
 
 def test_residual_jacobian_matches_fd(tiny_posterior):
@@ -199,7 +201,7 @@ def test_whitened_form_matches_the_explicit_formula(tiny_posteriors_by_degree, d
         assert post.log_density(y) == pytest.approx(
             explicit_log_density(post, y), rel=1e-12
         )
-        assert post.objective(y) == pytest.approx(float(want @ want), rel=1e-12)
+        assert -2 * post.log_density(y) == pytest.approx(float(want @ want), rel=1e-12)
     # the Jacobian against central differences of the explicit residual
     y = rng.uniform(-0.5, 0.5, post.n_params)
     jac = post.residual_jacobian(y)
@@ -252,9 +254,9 @@ def test_map_beats_generating_point(tiny_posterior):
     res = inversion.map_estimate(tiny_posterior)
     assert res.converged
     assert np.abs(res.y).max() <= 1.0
-    assert res.objective <= tiny_posterior.objective(generating_point()) + 1e-8
+    assert res.objective <= -2 * tiny_posterior.log_density(generating_point()) + 1e-8
     assert res.objective == pytest.approx(
-        tiny_posterior.objective(res.y), rel=1e-14
+        -2 * tiny_posterior.log_density(res.y), rel=1e-14
     )
 
 
@@ -264,9 +266,9 @@ def test_map_is_locally_and_probe_optimal(tiny_posterior):
     for _ in range(100):
         delta = 1e-3 * rng.standard_normal(tiny_posterior.n_params)
         y = np.clip(res.y + delta, -1.0, 1.0)
-        assert res.objective <= tiny_posterior.objective(y) + 1e-8
+        assert res.objective <= -2 * tiny_posterior.log_density(y) + 1e-8
     probes = rng.uniform(-1.0, 1.0, (100, tiny_posterior.n_params))
-    best = min(tiny_posterior.objective(p) for p in probes)
+    best = min(-2 * tiny_posterior.log_density(p) for p in probes)
     assert res.objective <= best
 
 
@@ -558,11 +560,18 @@ def test_mcmc_odd_sample_count_splits_ceil_then_floor(tiny_posteriors_by_degree,
 def test_mcmc_rejects_a_non_finite_increment_without_evaluating_it(
     tiny_posterior, monkeypatch, bad
 ):
-    # every increment of pixel 1 is non-finite
+    # every increment of pixel 1 is non-finite; the factor must be finite,
+    # so the increments are spoilt after it is applied
     start = np.zeros(7)
     factor = inversion.laplace_proposal(tiny_posterior, start)
-    factor[1, 0] = bad
-    monkeypatch.setattr(inversion, "laplace_proposal", lambda post, y: factor)
+    plain_increments = inversion.correlated_increments
+
+    def increments(z, factor):
+        out = plain_increments(z, factor)
+        out[:, 1] = bad
+        return out
+
+    monkeypatch.setattr(inversion, "correlated_increments", increments)
     cfg = inversion.McmcConfig(n_samples=40, burn_in=0, thinning=1, seed=47)
     calls = []
     plain = tiny_posterior.step
@@ -721,6 +730,19 @@ def test_mcmc_refuses_to_fold_a_jointly_drawn_coordinate():
             )
     # without the fold a correlated proposal is fine
     inversion.random_walk_metropolis(box_log_density, np.zeros(2), cfg, joint)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_mcmc_refuses_a_non_finite_proposal_factor(bad):
+    # named before the test of the fold, where an inf would raise a
+    # RuntimeWarning and a nan would read as a coupled coordinate
+    factor = np.eye(3)
+    factor[2, 2] = bad
+    cfg = inversion.McmcConfig(10, 0, 1, proposal_std=1.0, seed=0)
+    with pytest.raises(ValueError, match="proposal factor has a non-finite entry"):
+        inversion.random_walk_metropolis(
+            lambda y: 0.0, np.zeros(3), cfg, factor, slice(2, 3)
+        )
 
 
 @pytest.mark.parametrize("start_scale", [0.05, 10.0])

@@ -34,7 +34,8 @@ def rhs_for_current(system, currents):
     currents = np.asarray(currents, dtype=np.float64)
     c = np.zeros(system.order)
     base = system.n_nodes * system.n_chaos
-    c[base :: system.n_chaos] = sgfem._voltage_loads(system, currents[None])[0]
+    loads = sgfem._voltage_loads(currents[None], system.n_electrodes)
+    c[base :: system.n_chaos] = loads[0]
     return c
 
 
@@ -289,8 +290,8 @@ def test_solve_rejects_a_pattern_that_loads_nothing():
     first = sgfem.standard_patterns(4)[0]
     with pytest.raises(ValueError, match="pattern 1 loads nothing"):
         sgfem.solve(system, np.vstack([first, np.zeros(4)]))
-    with pytest.raises(ValueError, match="loads nothing"):
-        rhs_for_current(system, np.zeros(4))
+    with pytest.raises(ValueError, match="pattern 0 loads nothing"):
+        sgfem.solve(system, np.zeros(4))
     # a non-finite current fails the sum test instead of passing it
     with pytest.raises(ValueError, match="pattern 0: currents must sum to zero"):
         sgfem.solve(system, [np.nan, 1.0, -1.0, 0.0])
@@ -386,8 +387,8 @@ def test_solve_is_the_same_for_any_recovery_chunk_width(tiny, monkeypatch, width
     for got, want in ((sol.beta, ref.beta), (sol.alpha, ref.alpha)):
         npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
     K0inv = sgfem._mean_inverse(system)
-    K, groups, _ = sgfem._local_coupling(system, K0inv)
-    loads = sgfem._voltage_loads(system, MIXED_PATTERNS)
+    K, groups = sgfem._local_coupling(system)
+    loads = sgfem._voltage_loads(MIXED_PATTERNS, system.n_electrodes)
     chunks = list(sgfem._recover(system, K0inv, loads, K, groups, sol.kept_block))
     if width == 1:
         assert len(chunks) == len(system.classes[1])
@@ -411,8 +412,8 @@ def test_recovery_on_the_supports_equals_the_dense_one(tiny, degree):
     assert (other[0] == 0) == (degree in (2, "collapsed"))
     n_s, n_p = system.B0.shape[0], len(MIXED_PATTERNS)
     K0inv = sgfem._mean_inverse(system)
-    K, groups, _ = sgfem._local_coupling(system, K0inv)
-    loads = sgfem._voltage_loads(system, MIXED_PATTERNS)
+    K, groups = sgfem._local_coupling(system)
+    loads = sgfem._voltage_loads(MIXED_PATTERNS, system.n_electrodes)
     rng = np.random.default_rng(degree == "collapsed")
     X = rng.standard_normal((n_s, len(kept) * n_p))
     got = np.full((n_s, len(other), n_p), np.nan)
@@ -440,7 +441,8 @@ def test_schur_coupling_through_the_supports_is_exact(tiny, degree):
     n_s, n_p = system.B0.shape[0], 3
     kept, other = system.classes
     K0inv = sgfem._mean_inverse(system)
-    K, groups, blocks = sgfem._local_coupling(system, K0inv)
+    K, groups = sgfem._local_coupling(system)
+    blocks = sgfem._support_blocks(K0inv, groups)
     assert_groups_cover_the_other_class(system, K, groups)
     assert 0 < K.shape[1] < n_s * len(other)
     for (_, _, S), block in zip(groups, blocks):
@@ -458,7 +460,7 @@ def test_schur_coupling_through_the_supports_is_exact(tiny, degree):
 
 def test_solve_with_empty_supports_matches_direct(tiny):
     system = tiny_collapsed_system(tiny)
-    K, groups, _ = sgfem._local_coupling(system, sgfem._mean_inverse(system))
+    K, groups = sgfem._local_coupling(system)
     assert_groups_cover_the_other_class(system, K, groups)
     assert groups[0][2].shape[1] == 0
     sol = sgfem.solve(system, MIXED_PATTERNS)
@@ -543,7 +545,7 @@ def test_solve_refuses_a_same_parity_coupling(tiny_sg, mu, nu, parity):
     _, _, sm, idx, system, _, _ = tiny_sg
     mm = chaos.moment_matrices(idx)
     assert mm.parity[mu] == mm.parity[nu] == parity
-    assert system.kept_parity == 1
+    assert system.parity[system.classes[0][0]] == 1
     n_g = system.n_chaos
     coupling = sp.csr_matrix(([1.0, 1.0], ([mu, nu], [nu, mu])), shape=(n_g, n_g))
     coupled = dataclasses.replace(mm, G=(mm.G[0], mm.G[1] + coupling, *mm.G[2:]))
@@ -560,7 +562,10 @@ def test_solve_on_one_parity_class_matches_direct(tiny, degree, kept, iterations
     # index against 7 odd ones, Q=2 7 odd against 29 even, Q=3 29 even
     # against 91 odd; the iteration counts are the measured ones
     _, system = tiny_system(tiny, degree)
-    assert system.kept_parity == kept
+    # the parity of the kept class; at Q=0 it is empty, and the other class
+    # holds index 0 alone
+    keep, other = system.classes
+    assert (system.parity[keep] == kept).all() and (system.parity[other] != kept).all()
     assert np.count_nonzero(system.parity == kept) <= system.n_chaos / 2
     sol = sgfem.solve(system, MIXED_PATTERNS)
     assert sol.iterations <= iterations
@@ -583,7 +588,8 @@ def test_degree_zero_equals_deterministic_midpoint(tiny_sg):
         det_cem.DeterministicSample(np.array([1.1]), 0.5 * (a + b)),
         pats,
     )
-    npt.assert_allclose(sol.mean_voltages(), det.voltages, rtol=1e-12)
+    U = sgfem.expand_mean_free(sol.beta[:, :, 0])
+    npt.assert_allclose(U, det.voltages, rtol=1e-12)
 
 
 def test_mean_reciprocity():
@@ -594,7 +600,7 @@ def test_mean_reciprocity():
     system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(3)
     sol = sgfem.solve(system, pats)
-    U = sol.mean_voltages()
+    U = sgfem.expand_mean_free(sol.beta[:, :, 0])
     npt.assert_allclose(pats[0] @ U[1], pats[1] @ U[0], rtol=1e-9)
 
 
@@ -605,7 +611,7 @@ def test_expand_mean_free():
 
 
 def test_standard_patterns():
-    pats = sgfem.standard_patterns(4, amplitude=2.0)
+    pats = 2.0 * sgfem.standard_patterns(4)
     npt.assert_array_equal(
         pats,
         [[2.0, -2.0, 0.0, 0.0], [2.0, 0.0, -2.0, 0.0], [2.0, 0.0, 0.0, -2.0]],
@@ -665,7 +671,7 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     sol, peak = traced_peak(lambda: sgfem.solve(system, patterns))
     assert sol.iterations == 12
     n_s, n_p = system.order // system.n_chaos, len(patterns)
-    n_kept = np.count_nonzero(system.parity == system.kept_parity)
+    n_kept = len(system.classes[0])
     n_other = system.n_chaos - n_kept
     f8 = np.dtype(np.float64).itemsize
     # |S_nu|: the spatial rows j at which column (j, nu) of K_kj is stored
@@ -679,3 +685,26 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     other_block = n_s * n_other * n_p * f8
     assert other_block > 0.25 * bound
     assert peak <= bound
+
+
+def test_alpha_holds_no_block_of_the_supports(tank_sm_mm):
+    # the recovery of the interior coefficients needs K_0^{-1} on the
+    # columns of each support, never the blocks K_0^{-1}[S_nu, S_nu] of the
+    # CG; the bound counts the result, K_0^{-1} with its Cholesky
+    # temporaries, the packed coupling with its block -K_jk x_k, the load
+    # term and the two buffers of a chunk.  The blocks (3.9 MiB on the
+    # tank, one support of all rows a view of K_0^{-1}) do not fit in it.
+    system = sgfem.assemble_system(*tank_sm_mm)
+    patterns = sgfem.standard_patterns(system.n_electrodes)
+    sol = sgfem.solve(system, patterns)
+    alpha, peak = traced_peak(lambda: sol.alpha)
+    n_s, n_p = system.B0.shape[0], len(patterns)
+    f8 = np.dtype(np.float64).itemsize
+    stored = np.zeros(n_s * len(system.classes[1]), dtype=bool)
+    stored[system.K_kj.indices] = True
+    sizes = stored.reshape(n_s, -1).sum(axis=0)
+    packed = system.K_kj.indices.nbytes + sizes.sum() * n_p * f8
+    chunk = 2 * max(sgfem._RECOVERY_VECTORS, n_s) * n_s * f8
+    bound = alpha.nbytes + 2 * n_s * n_s * f8 + packed + n_s * n_p * f8 + chunk
+    blocks = (sizes[sizes < n_s] ** 2).sum() * f8
+    assert peak <= bound < peak + blocks

@@ -35,9 +35,9 @@ def test_eval_matches_classical_legendre(tiny_surrogate):
     for _ in range(4):
         y = rng.uniform(-1.0, 1.0, tiny_surrogate.n_params)
         volts = tiny_surrogate.eval_stacked(y).reshape(
-            tiny_surrogate.n_patterns, tiny_surrogate.n_electrodes
+            tiny_surrogate.patterns.shape[0], tiny_surrogate.n_electrodes
         )
-        for p in range(1, tiny_surrogate.n_patterns + 1):
+        for p in range(1, tiny_surrogate.patterns.shape[0] + 1):
             npt.assert_allclose(
                 volts[p - 1],
                 classical_eval(tiny_surrogate, p, y),
