@@ -7,11 +7,11 @@ The basis is orthonormal under the uniform probability measure on the
 cube (constant polynomial 1), the scaling under which the Galerkin
 right-hand side carries the plain current pattern.
 
-For fast evaluation the basis also has a power form: a sparse change of
-basis T from the monomials y^mu of the same index set (Psi = T m), and a
-slot table that builds every monomial as a product of Q entries of the
-extended point [1, y].  ``ChaosBasis`` keeps the Legendre recurrence, the
-definition the power form is checked against.
+For fast evaluation the basis also has a power form: a change of basis T,
+given by its nonzeros, from the monomials y^mu of the same index set
+(Psi = T m), and a slot table that builds every monomial as a product of
+Q entries of the extended point [1, y].  ``ChaosBasis`` keeps the Legendre
+recurrence, the definition the power form is checked against.
 
 A slot row names its multi-index, so one exact, vectorised lookup of slot
 rows (``_find_rows``) finds the neighbours mu - e_k of the moment matrices
@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def _recurrence_coeff(m):
@@ -144,6 +147,8 @@ def moment_matrices(index_set: MultiIndexSet) -> MomentMatrices:
     nothing.  So every G_k, k >= 1, couples only indices of opposite
     total-degree parity.
     """
+    import scipy.sparse as sp
+
     n = len(index_set)
     dims, degs = _active(index_set)
     # lowering active slot s of row i by one degree gives mu - e_k
@@ -215,14 +220,18 @@ def monomial_slots(index_set: MultiIndexSet) -> np.ndarray:
     return _power_slots(*_active(index_set))
 
 
-def legendre_to_monomial(index_set: MultiIndexSet) -> sp.csr_matrix:
-    """Sparse change of basis T with Psi(y) = T m(y), m the monomials y^mu.
+def legendre_to_monomial(
+    index_set: MultiIndexSet,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Change of basis T with Psi(y) = T m(y), m the monomials y^mu, as the
+    COO triplets (rows, cols, vals) of its nonzeros, rows ascending.
 
     The orthonormal Legendre polynomial of degree d has the powers d, d-2,
     ... of its variable, so term mu expands to prod_k (mu_k // 2 + 1)
     monomials of the same, downward-closed, index set; columns follow the
-    rows of the set.  Built one active dimension at a time, without a
-    dense n_terms^2 array; one lookup of slot rows finds the columns.
+    rows of the set, and no (row, column) pair repeats.  Built one active
+    dimension at a time, without a dense n_terms^2 array; one lookup of
+    slot rows finds the columns.
     """
     q = index_set.degree
     n = len(index_set)
@@ -251,7 +260,7 @@ def legendre_to_monomial(index_set: MultiIndexSet) -> sp.csr_matrix:
     cols = _find_rows(_power_slots(dims, degs), _power_slots(dims[rows], reduced))
     if (cols < 0).any():
         raise ValueError("index set is not downward closed")
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return rows, cols, vals
 
 
 @dataclass

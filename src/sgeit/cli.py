@@ -273,6 +273,8 @@ def cmd_reconstruct(args) -> int:
             f"split R-hat {diag['rhat_max']:.4f}, "
             f"stabilization {diag['stabilization']:.3e}"
         )
+    # on standard output only: the estimates file stays deterministic
+    print(f"peak resident memory: {_peak_rss_mib():.1f} MiB")
     print(f"wrote {args.out}")
     return 0
 

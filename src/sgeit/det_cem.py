@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fem import ParameterBounds, assemble_electrode_mass, stiffness_matrix
 from .geometry import (
@@ -82,6 +81,8 @@ def solve_deterministic(
     factorizes once, and solves all patterns against it, with the loads and
     pattern checks of the Galerkin solve; each voltage vector sums to zero.
     """
+    import scipy.sparse.linalg as spla
+
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     sigma = np.asarray(sample.sigma, dtype=np.float64)
     zeta = np.asarray(sample.zeta, dtype=np.float64)

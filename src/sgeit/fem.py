@@ -12,11 +12,14 @@ terms.  Conductivity is in mS, contact conductance in mS/cm, lengths in cm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import ElectrodeGeometry, Mesh, PixelPartition, electrode_geometry
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,8 @@ def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
     opposite node i.  Structural zeros are kept so the sparsity pattern is
     exactly the node adjacency of the triangles with nonzero coefficient.
     """
+    import scipy.sparse as sp
+
     n = mesh.n_nodes
     tri = mesh.triangles
     keep = np.flatnonzero(coeff != 0.0)
@@ -171,6 +176,8 @@ def assemble_electrode_mass(
     local load is h/2 * [1, 1]; hence sum(g_m) = |E_m| and the total mass
     of S_m equals |E_m|.
     """
+    import scipy.sparse as sp
+
     n = mesh.n_nodes
     S, g = [], []
     for run in eg.edges:

@@ -50,13 +50,15 @@ coefficients on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .chaos import MomentMatrices
 from .fem import SpatialMatrices
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # at most this many vectors of n_s doubles in each of the two blocks of one
 # chunk of ``_recover``: the rows gathered from K_0^{-1} and its block of x_j
@@ -112,6 +114,8 @@ class SgfemSystem:
         """All of K as one CSR matrix, joined from the blocks at every access
         by one COO-to-CSR conversion; for tests and tracing, since neither
         assembly nor ``solve`` needs it."""
+        import scipy.sparse as sp
+
         n_g, B, C = self.n_chaos, self.B0.tocoo(), self.K_kj.tocoo()
         kept_rows, other_rows = (
             (np.arange(B.shape[0])[:, None] * n_g + members).ravel()
@@ -211,6 +215,8 @@ def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
     the diagonal.  The result is linear in the pair (A, zeta) and stores
     no zero.
     """
+    import scipy.sparse as sp
+
     A = sp.coo_matrix(A)
     n = A.shape[0] + len(S) - 1
     units = _electrode_triplets(S, g, lengths)
@@ -241,6 +247,8 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     naming the two chaos indices, if a G_k, k >= 1, couples indices of the
     same parity: then K is not 2-cyclic, and ``solve`` does not apply.
     """
+    import scipy.sparse as sp
+
     n_pix, n_el = sm.n_pixels, sm.n_electrodes
     if mm.n_dims != n_pix + n_el:
         raise ValueError(
@@ -408,6 +416,8 @@ def _mean_inverse(system: SgfemSystem) -> np.ndarray:
     """The dense inverse of the mean matrix K_0 = B_0.  Its Cholesky factor
     is freed once the symmetric inverse is formed.  Raises RuntimeError if
     K_0 is not positive definite."""
+    from scipy.linalg import lapack
+
     factor, info = lapack.dpotrf(system.B0.toarray(), lower=True)
     if info != 0:
         raise RuntimeError(
@@ -453,6 +463,8 @@ def _local_coupling(system: SgfemSystem):
     ``system.K_kj``, and per support size s the group (packed rows,
     positions, S as a (count, s) array), with no loop over positions.
     """
+    import scipy.sparse as sp
+
     K_kj, n_s, n_other = system.K_kj, system.B0.shape[0], len(system.classes[1])
     j, nu = np.divmod(K_kj.indices, n_other)
     stored = np.zeros((n_other, n_s), dtype=bool)

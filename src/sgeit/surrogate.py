@@ -9,8 +9,9 @@ cube, so the degree-0 coefficients are the expected voltages.  Evaluation
 uses the power form of that basis instead: with V the electrode voltage
 coefficients (beta expanded mean-free) and Psi = T m the change to the
 monomials m(y) = y^mu, the surrogate keeps M = V T (``power_coeffs``)
-once, and one evaluation is Q gathers of [1, y] that form m(y), then the
-product M m(y).  The Jacobian is M times the derivatives of the monomials.
+once, formed from the nonzeros of T with numpy alone (``_times_t``), and
+one evaluation is Q gathers of [1, y] that form m(y), then the product
+M m(y).  The Jacobian is M times the derivatives of the monomials.
 The gathers follow a slot table (``slots``); ``monomials`` and
 ``monomial_jacobian`` take any such table, so a caller may append rows of
 its own.
@@ -85,9 +86,7 @@ class SgfemSurrogate:
         # monomial basis: M = V T
         volts = expand_mean_free(self.beta.swapaxes(1, 2)).swapaxes(1, 2)
         volts = volts.reshape(-1, len(self.index_set))
-        self.power_coeffs = np.ascontiguousarray(
-            volts @ legendre_to_monomial(self.index_set)
-        )
+        self.power_coeffs = _times_t(volts, *legendre_to_monomial(self.index_set))
 
     @property
     def n_electrodes(self) -> int:
@@ -151,6 +150,27 @@ class SgfemSurrogate:
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             f.write(np.ascontiguousarray(self.beta, dtype="<f8").tobytes())
+
+
+def _times_t(volts, rows, cols, vals) -> np.ndarray:
+    """volts @ T for T given by its COO triplets, rows ascending and no
+    (row, column) pair repeated.
+
+    Every column of the product is summed into zeros in ascending row
+    order of T, the order in which scipy forms a dense times CSR product,
+    so the result has its bits: an entry whose terms are all -0.0 comes
+    out +0.0.
+    Round r adds the r-th term of every column that has one; the columns
+    of a round are distinct, so each is one gather and one scatter.
+    """
+    order = np.argsort(cols, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(cols)) - np.searchsorted(cols[order], cols[order])
+    out = np.zeros_like(volts)
+    for r in range(rank.max(initial=-1) + 1):
+        at = rank == r
+        out[:, cols[at]] += volts[:, rows[at]] * vals[at]
+    return out
 
 
 def monomials(y: np.ndarray, slots: list[np.ndarray]) -> np.ndarray:

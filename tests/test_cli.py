@@ -149,6 +149,11 @@ def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "MAP objective" in out and "chain: 400 samples" in out
+    # the peak goes to standard output only, never into the estimates
+    peak = re.search(r"^peak resident memory: (\d+\.\d) MiB$", out, re.M)
+    assert peak is not None, out
+    assert float(peak.group(1)) > 0.0
+    assert "resident" not in (d / "est.json").read_text()
 
     est = inversion.load_estimates(d / "est.json")
     assert est.diagnostics["map_converged"]
@@ -545,6 +550,58 @@ def test_the_benchmark_finds_the_library_names_it_reads(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [bench, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", BENCH_PROBE],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# a fresh interpreter that imports ``ops`` as bench/fresh_op.py does, which
+# loads every sgeit module, then runs reconstruct, render and precompute
+NUMPY_ONLY_PROBE = """
+import pathlib, sys, warnings
+from env import pin_blas_threads
+pin_blas_threads()
+import ops
+from sgeit import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+d, out = map(pathlib.Path, sys.argv[1:])
+modules = {"sgeit." + p.stem for p in (ops.SRC / "sgeit").glob("[!_]*.py")}
+assert modules <= sys.modules.keys(), modules - sys.modules.keys()
+assert not scipy_modules(), scipy_modules()
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    assert cli.main([
+        "reconstruct", "--surrogate", str(d / "surr.bin"),
+        "--data", str(d / "data.json"), "--noise-pct", "5",
+        "--corr-length", "0.5", "--samples", "400", "--burn-in", "200",
+        "--thin", "2", "--out", str(out / "est.json"),
+    ]) == 0
+assert any("split R-hat" in str(w.message) for w in caught), caught
+assert cli.main([
+    "render", "--estimates", str(out / "est.json"), "--mesh", str(d / "mesh.json"),
+    "--seeds", str(d / "seeds.json"), "--out", str(out / "field.svg"),
+]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli.main([
+    "precompute", "--mesh", str(d / "mesh.json"), "--seeds", str(d / "seeds.json"),
+    "--out", str(out / "surr.bin"),
+]) == 0
+assert "scipy.sparse" in sys.modules
+assert "scipy.sparse.linalg" not in sys.modules
+"""
+
+
+def test_reconstruct_and_render_run_without_scipy(
+    workdir, surrogate_and_data, tmp_path
+):
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [bench, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_PROBE, str(workdir), str(tmp_path)],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 
 import sgeit
@@ -103,6 +104,37 @@ def test_power_form_equals_the_legendre_expansion(tiny_surrogate, degree):
             # entries that cancel to near zero carry an absolute rounding
             # error, so the relative bound is taken against the largest one
             npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_power_coeffs_equal_the_sparse_product_bitwise(tiny_surrogate, degree):
+    # the numpy sum over the nonzeros of T against scipy's dense x CSR
+    # product: the column of T with the most nonzeros sums several random
+    # terms, and the last column only terms of -0.0 on the rows of
+    # electrodes 2..M, which must come out +0.0 as scipy's do
+    index_set = chaos.iso_td(tiny_surrogate.n_params, degree)
+    n = len(index_set)
+    rows, cols, vals = chaos.legendre_to_monomial(index_set)
+    T = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    many = np.argmax(np.bincount(cols))
+    if degree >= 2:
+        assert np.count_nonzero(cols == many) > 2
+    beta = np.random.default_rng(70 + degree).standard_normal((3, 3, n))
+    # those rows hold -beta, so the sign of T makes every term -0.0
+    feeds = rows[cols == n - 1]
+    signs = T[feeds, n - 1].toarray().ravel()
+    beta[:, :, feeds] = np.where(signs > 0.0, 0.0, -0.0)
+    surr = surrogate.SgfemSurrogate(
+        index_set, tiny_surrogate.patterns, beta, tiny_surrogate.bounds,
+        tiny_surrogate.seeds,
+    )
+    volts = sgfem.expand_mean_free(beta.swapaxes(1, 2)).swapaxes(1, 2)
+    volts = volts.reshape(-1, n)
+    assert surr.power_coeffs.tobytes() == (volts @ T).tobytes()
+    electrodes = np.arange(len(volts)) % tiny_surrogate.n_electrodes > 0
+    terms = volts[electrodes][:, feeds] * signs
+    assert (terms == 0.0).all() and np.signbit(terms).all()
+    assert not np.signbit(surr.power_coeffs[electrodes, n - 1]).any()
 
 
 def test_jacobian_matches_finite_differences(tiny_surrogate):
