@@ -10,12 +10,18 @@ prints the assembly and solve times, the iterations, the largest relative
 residual and the peak resident memory after the solve, and writes the
 surrogate next to the inputs.  Takes a few seconds and about 150 MiB.
 
-    python demos/paper_scale.py [DIR]
+    python demos/paper_scale.py [DIR] [--rings R --sectors S]
 
-DIR defaults to a temporary directory that is removed afterwards.  Extra
-``sgeit precompute`` options may follow DIR, e.g. ``--order 1``.
+``--rings`` and ``--sectors`` set the mesh, ``make_disk_fixture(R, S, 16,
+0.5)``, with the same seeds and electrodes: the defaults 10 and 32 give
+``paper``, 20 and 64 give ``paper-fine20`` (n_s = 1,296; about 5 s and
+300 MiB), and 30 and 96 give ``paper-fine30`` (n_s = 2,896; about 20 s and
+800 MiB).  DIR defaults to a temporary directory that is removed
+afterwards.  Other ``sgeit precompute`` options may follow, e.g.
+``--order 1``.
 """
 
+import argparse
 import json
 import os
 import pathlib
@@ -42,16 +48,20 @@ def paper_seeds() -> np.ndarray:
     return np.vstack(rings)
 
 
-def write_fixture(directory: pathlib.Path) -> tuple[pathlib.Path, pathlib.Path]:
+def write_fixture(
+    directory: pathlib.Path, rings: int = 10, sectors: int = 32
+) -> tuple[pathlib.Path, pathlib.Path]:
     """Write mesh.json and seeds.json into ``directory``; return their paths."""
     mesh_path, seeds_path = directory / "mesh.json", directory / "seeds.json"
-    sgeit.save_mesh(sgeit.make_disk_fixture(10, 32, 16, 0.5), mesh_path)
+    sgeit.save_mesh(sgeit.make_disk_fixture(rings, sectors, 16, 0.5), mesh_path)
     seeds_path.write_text(json.dumps(paper_seeds().tolist()))
     return mesh_path, seeds_path
 
 
-def precompute(directory: pathlib.Path, extra: list[str]) -> int:
-    mesh_path, seeds_path = write_fixture(directory)
+def precompute(
+    directory: pathlib.Path, rings: int, sectors: int, extra: list[str]
+) -> int:
+    mesh_path, seeds_path = write_fixture(directory, rings, sectors)
     command = [
         sys.executable, "-c",
         "import sys; from sgeit.cli import main; sys.exit(main())",
@@ -65,9 +75,14 @@ def precompute(directory: pathlib.Path, extra: list[str]) -> int:
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    if args and not args[0].startswith("-"):
-        directory = pathlib.Path(args.pop(0))
+    directory = args.pop(0) if args and not args[0].startswith("-") else None
+    parser = argparse.ArgumentParser(allow_abbrev=False)
+    parser.add_argument("--rings", type=int, default=10)
+    parser.add_argument("--sectors", type=int, default=32)
+    mesh, extra = parser.parse_known_args(args)
+    if directory is not None:
+        directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        sys.exit(precompute(directory, args))
+        sys.exit(precompute(directory, mesh.rings, mesh.sectors, extra))
     with tempfile.TemporaryDirectory() as tmp:
-        sys.exit(precompute(pathlib.Path(tmp), args))
+        sys.exit(precompute(pathlib.Path(tmp), mesh.rings, mesh.sectors, extra))

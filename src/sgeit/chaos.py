@@ -229,9 +229,11 @@ def legendre_to_monomial(
     The orthonormal Legendre polynomial of degree d has the powers d, d-2,
     ... of its variable, so term mu expands to prod_k (mu_k // 2 + 1)
     monomials of the same, downward-closed, index set; columns follow the
-    rows of the set, and no (row, column) pair repeats.  Built one active
-    dimension at a time, without a dense n_terms^2 array; one lookup of
-    slot rows finds the columns.
+    rows of the set, and no (row, column) pair repeats.  In a set of graded
+    order the first triplet of every column nu is its diagonal entry: the
+    rows mu with y^nu in Psi_mu are nu and indices of higher total degree,
+    which come later.  Built one active dimension at a time, without a
+    dense n_terms^2 array; one lookup of slot rows finds the columns.
     """
     q = index_set.degree
     n = len(index_set)

@@ -63,6 +63,9 @@ if TYPE_CHECKING:
 # at most this many vectors of n_s doubles in each of the two blocks of one
 # chunk of ``_recover``: the rows gathered from K_0^{-1} and its block of x_j
 _RECOVERY_VECTORS = 512
+# ``_lower_inverse`` inverts blocks of at most this many rows directly; from
+# 32 to 128 the dense inverse at 336-2,896 unknowns took about the same time
+_INVERSE_LEAF = 64
 
 
 def _kept_parity(parity: np.ndarray) -> int:
@@ -413,22 +416,42 @@ def solve(
 
 
 def _mean_inverse(system: SgfemSystem) -> np.ndarray:
-    """The dense inverse of the mean matrix K_0 = B_0.  Its Cholesky factor
-    is freed once the symmetric inverse is formed.  Raises RuntimeError if
-    K_0 is not positive definite."""
-    from scipy.linalg import lapack
-
-    factor, info = lapack.dpotrf(system.B0.toarray(), lower=True)
-    if info != 0:
+    """The dense inverse of the mean matrix K_0 = B_0 by LAPACK's route
+    (Du Croz & Higham, IMA J. Numer. Anal. 1992) on numpy alone: the
+    Cholesky factor L, its inverse in place (``_lower_inverse``), then
+    K_0^{-1} = L^{-T} L^{-1}.  numpy forms a product of a matrix's
+    transpose with the matrix itself as a symmetric rank-k update and
+    mirrors one triangle, so the result is exactly symmetric.  Raises
+    RuntimeError if K_0 is not positive definite."""
+    try:
+        factor = np.linalg.cholesky(system.B0.toarray())
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             "factorization failed; system not positive definite "
-            f"(dense Cholesky of K_0, info={info})"
-        )
-    inv, _ = lapack.dpotri(factor, lower=True, overwrite_c=True)
-    del factor
-    K0inv = np.tril(inv)
-    K0inv += np.tril(inv, -1).T
-    return K0inv
+            f"(dense Cholesky of K_0: {exc})"
+        ) from exc
+    inverse = _lower_inverse(factor)
+    return inverse.T @ inverse
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Invert the lower-triangular L in place and return it, by 2 x 2 block
+    recursion: with L = [[A, 0], [C, D]], L^{-1} = [[A^{-1}, 0],
+    [-D^{-1} C A^{-1}, D^{-1}]].  A block of at most ``_INVERSE_LEAF`` rows
+    is inverted by ``np.linalg.inv``, whose rounding above the diagonal is
+    cleared."""
+    n = L.shape[0]
+    if n <= _INVERSE_LEAF:
+        L[...] = np.tril(np.linalg.inv(L))
+        return L
+    h = n // 2
+    A, C, D = L[:h, :h], L[h:, :h], L[h:, h:]
+    _lower_inverse(A)
+    _lower_inverse(D)
+    CA = C @ A
+    np.negative(CA, out=CA)
+    np.matmul(D, CA, out=C)
+    return L
 
 
 def _add_load(system: SgfemSystem, members, loads, V):

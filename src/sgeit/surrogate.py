@@ -153,21 +153,31 @@ class SgfemSurrogate:
 
 
 def _times_t(volts, rows, cols, vals) -> np.ndarray:
-    """volts @ T for T given by its COO triplets, rows ascending and no
-    (row, column) pair repeated.
+    """volts @ T for T given by its COO triplets, rows ascending, no
+    (row, column) pair repeated, and the first triplet of every column its
+    diagonal entry (``legendre_to_monomial``).
 
     Every column of the product is summed into zeros in ascending row
     order of T, the order in which scipy forms a dense times CSR product,
     so the result has its bits: an entry whose terms are all -0.0 comes
     out +0.0.
-    Round r adds the r-th term of every column that has one; the columns
-    of a round are distinct, so each is one gather and one scatter.
+    Round r adds the r-th term of every column that has one.  Round 0
+    holds the diagonal, so it is one product, plus 0.0 for the sum into
+    zeros; the columns of every later round are distinct, so each is one
+    gather and one scatter.
     """
     order = np.argsort(cols, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(cols)) - np.searchsorted(cols[order], cols[order])
-    out = np.zeros_like(volts)
-    for r in range(rank.max(initial=-1) + 1):
+    first, diagonal = rank == 0, np.arange(volts.shape[1])
+    if not all(np.array_equal(ij[first], diagonal) for ij in (rows, cols)):
+        raise ValueError(
+            "the first term of every column of T must be its diagonal entry; "
+            "is the index set in graded order?"
+        )
+    out = volts * vals[first]
+    out += 0.0
+    for r in range(1, rank.max(initial=0) + 1):
         at = rank == r
         out[:, cols[at]] += volts[:, rows[at]] * vals[at]
     return out

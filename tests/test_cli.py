@@ -556,7 +556,8 @@ def test_the_benchmark_finds_the_library_names_it_reads(tmp_path):
 
 
 # a fresh interpreter that imports ``ops`` as bench/fresh_op.py does, which
-# loads every sgeit module, then runs reconstruct, render and precompute
+# loads every sgeit module, then runs reconstruct, render and precompute;
+# precompute loads scipy.sparse only, not its LAPACK wrappers in scipy.linalg
 NUMPY_ONLY_PROBE = """
 import pathlib, sys, warnings
 from env import pin_blas_threads
@@ -591,6 +592,7 @@ assert cli.main([
 ]) == 0
 assert "scipy.sparse" in sys.modules
 assert "scipy.sparse.linalg" not in sys.modules
+assert not [m for m in scipy_modules() if m.startswith("scipy.linalg")], scipy_modules()
 """
 
 

@@ -491,6 +491,47 @@ def test_solve_refuses_a_mean_matrix_that_is_not_positive_definite(tiny_sg):
         sgfem.solve(negated, sgfem.standard_patterns(2))
 
 
+LEAF = sgfem._INVERSE_LEAF
+
+
+def random_spd(n, seed):
+    """A well-conditioned symmetric positive definite n x n matrix."""
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return A @ A.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_mean_inverse_matches_the_dense_inverse(tiny, degree):
+    _, system = tiny_system(tiny, degree)
+    want = np.linalg.inv(system.B0.toarray())
+    got = sgfem._mean_inverse(system)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [None, 2 * LEAF + 3], ids=["tiny", "blocks"])
+def test_mean_inverse_is_exactly_symmetric(tiny, n):
+    # K_0^{-1} = L^{-T} L^{-1} is symmetric only if numpy forms a matrix's
+    # transpose times the matrix as a symmetric rank-k update, which mirrors
+    # one triangle; on the tiny B_0, and on a matrix large enough for the
+    # block recursion of the triangular inverse
+    _, system = tiny_system(tiny, 2)
+    if n is not None:
+        system = dataclasses.replace(system, B0=sp.csr_matrix(random_spd(n, n)))
+    K0inv = sgfem._mean_inverse(system)
+    assert np.array_equal(K0inv, K0inv.T)
+
+
+@pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 3 * LEAF + 5])
+def test_lower_inverse_matches_numpy_around_its_leaf_size(n):
+    # one leaf below and at the leaf size, one split above it, and deeper
+    # recursions with halves of unequal size
+    L = np.linalg.cholesky(random_spd(n, n))
+    want = np.linalg.inv(L)
+    got = sgfem._lower_inverse(L)
+    assert not np.triu(got, 1).any()
+    npt.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
 def tiny_system(tiny, degree):
     """Galerkin system of the tiny setup (7 dimensions) at one degree."""
     mesh, part, _ = tiny

@@ -137,6 +137,16 @@ def test_power_coeffs_equal_the_sparse_product_bitwise(tiny_surrogate, degree):
     assert not np.signbit(surr.power_coeffs[electrodes, n - 1]).any()
 
 
+def test_power_form_refuses_a_set_out_of_graded_order():
+    # _times_t takes the first term of every column of T for its diagonal;
+    # with the degree-2 index first, the first term of column 2, the
+    # constant, is on row 0
+    reversed_set = chaos.MultiIndexSet(1, 2, np.array([[2], [1], [0]]))
+    T = chaos.legendre_to_monomial(reversed_set)
+    with pytest.raises(ValueError, match="graded order"):
+        surrogate._times_t(np.ones((2, 3)), *T)
+
+
 def test_jacobian_matches_finite_differences(tiny_surrogate):
     rng = np.random.default_rng(3)
     y = rng.uniform(-0.6, 0.6, tiny_surrogate.n_params)
