@@ -10,7 +10,6 @@ currents mA.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .fem import ParameterBounds, assemble_electrode_mass, stiffness_matrix
 from .geometry import (
-    Mesh, PixelPartition, electrode_geometry, read_json, require_finite
+    Mesh, PixelPartition, electrode_geometry, read_json, require_finite, write_json
 )
 from .sgfem import _voltage_loads, cem_matrix, expand_mean_free
 
@@ -101,18 +100,18 @@ def solve_deterministic(
 
     S, g = assemble_electrode_mass(mesh, eg)
     A = stiffness_matrix(mesh, sigma[partition.triangle_pixel])
-    lu = spla.splu(cem_matrix(A, zeta, S, g, eg.lengths).tocsc())
+    B = cem_matrix(A, zeta, S, g, eg.lengths)
+    # B is exactly symmetric, so its transpose, which SciPy forms in CSC
+    # from the same arrays, is B in the format SuperLU factorizes
+    lu = spla.splu(B.T)
 
     n_d = mesh.n_nodes
-    potentials = np.empty((patterns.shape[0], n_d))
-    voltages = np.empty((patterns.shape[0], n_el))
-    for p, load in enumerate(loads):
-        rhs = np.zeros(n_d + n_el - 1)
-        rhs[n_d:] = load
-        x = lu.solve(rhs)
-        potentials[p] = x[:n_d]
-        voltages[p] = expand_mean_free(x[n_d:])
-    return DeterministicSolution(patterns, potentials, voltages)
+    rhs = np.zeros((patterns.shape[0], B.shape[0]))
+    rhs[:, n_d:] = loads
+    # one solve per pattern: on a block of patterns SuperLU runs other BLAS
+    # kernels, whose results can differ in the last bits
+    x = np.array([lu.solve(b) for b in rhs])
+    return DeterministicSolution(patterns, x[:, :n_d], expand_mean_free(x[:, n_d:]))
 
 
 def simulate_measurements(
@@ -159,8 +158,7 @@ def save_measurements(ms: MeasurementSet, path) -> None:
     }
     if ms.provenance:
         doc["provenance"] = ms.provenance
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    write_json(doc, path)
 
 
 def load_measurements(path) -> MeasurementSet:

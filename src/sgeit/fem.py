@@ -167,6 +167,24 @@ def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def summed_csr(rows, cols, vals, n_rows: int, n_cols: int):
+    """CSR arrays ``(data, indices, indptr)`` of COO triplets, with sorted
+    indices and each entry the sum of its duplicates in the order given.
+
+    SciPy's COO-to-CSR conversion sums duplicates after an index sort that
+    need not keep their order; that changes no bit of an entry of at most
+    two terms, as a + b = b + a.  No zero is dropped.
+    """
+    key = np.asarray(rows, dtype=np.int64) * n_cols + cols
+    unique, slot = np.unique(key, return_inverse=True)
+    data = np.bincount(slot, weights=vals, minlength=unique.size)
+    row, col = np.divmod(unique, n_cols)
+    indptr = np.searchsorted(row, np.arange(n_rows + 1))
+    # the index type SciPy picks, so that its constructors convert nothing
+    index = np.int32 if max(n_cols, unique.size) < 2**31 else np.int64
+    return data, col.astype(index), indptr.astype(index)
+
+
 def assemble_electrode_mass(
     mesh: Mesh, eg: ElectrodeGeometry
 ) -> tuple[tuple[sp.csr_matrix, ...], tuple[np.ndarray, ...]]:
@@ -174,24 +192,29 @@ def assemble_electrode_mass(
 
     On an edge of length h the local mass is h/6 * [[2, 1], [1, 2]] and the
     local load is h/2 * [1, 1]; hence sum(g_m) = |E_m| and the total mass
-    of S_m equals |E_m|.
+    of S_m equals |E_m|.  All electrodes are assembled in one pass, as rows
+    m n + i of one stacked matrix, so each S_m sums only its own edges.
     """
     import scipy.sparse as sp
 
-    n = mesh.n_nodes
-    S, g = [], []
-    for run in eg.edges:
-        ab = mesh.boundary_edges[run]
-        vec = mesh.nodes[ab[:, 1]] - mesh.nodes[ab[:, 0]]
-        h = np.hypot(vec[:, 0], vec[:, 1])
-        rows = np.repeat(ab, 2, axis=1).ravel()
-        cols = np.tile(ab, (1, 2)).ravel()
-        vals = (h[:, None] * np.array([2.0, 1.0, 1.0, 2.0]) / 6.0).ravel()
-        S.append(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
-        gm = np.zeros(n)
-        np.add.at(gm, ab.ravel(), np.repeat(h / 2.0, 2))
-        g.append(gm)
-    return tuple(S), tuple(g)
+    n, n_el = mesh.n_nodes, eg.n_electrodes
+    ab = mesh.boundary_edges[np.concatenate(eg.edges)]
+    vec = mesh.nodes[ab[:, 1]] - mesh.nodes[ab[:, 0]]
+    h = np.hypot(vec[:, 0], vec[:, 1])
+    # the nodes of every edge, moved to the rows of its electrode
+    electrode = np.repeat(np.arange(n_el), [len(run) for run in eg.edges])
+    at = ab + n * electrode[:, None]
+    rows = np.repeat(at, 2, axis=1).ravel()
+    cols = np.tile(ab, (1, 2)).ravel()
+    vals = (h[:, None] * np.array([2.0, 1.0, 1.0, 2.0]) / 6.0).ravel()
+    data, indices, indptr = summed_csr(rows, cols, vals, n_el * n, n)
+    S = []
+    for m in range(n_el):
+        ptr = indptr[m * n : (m + 1) * n + 1]
+        part = slice(ptr[0], ptr[-1])
+        S.append(sp.csr_matrix((data[part], indices[part], ptr - ptr[0]), (n, n)))
+    g = np.bincount(at.ravel(), weights=np.repeat(h / 2.0, 2), minlength=n_el * n)
+    return tuple(S), tuple(g.reshape(n_el, n))
 
 
 def assemble_spatial(

@@ -100,6 +100,17 @@ def read_json(path):
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def write_json(doc, path, **options) -> None:
+    """Write a JSON document in one piece, with the bytes of ``json.dump``.
+
+    ``json.dumps`` encodes with CPython's C encoder where ``json.dump`` runs
+    the pure-Python one; keyword ``options`` go to ``json.dumps``.
+    """
+    text = json.dumps(doc, **options)
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def require_finite(path, **fields) -> None:
     """Reject an input file whose named fields hold NaN or infinity."""
     for name, value in fields.items():
@@ -205,15 +216,11 @@ def save_mesh(mesh: Mesh, path) -> None:
         "nodes": mesh.nodes.tolist(),
         "triangles": mesh.triangles.tolist(),
         "boundary_edges": [
-            {
-                "nodes": [int(a), int(b)],
-                "electrode": int(t) if t > 0 else None,
-            }
-            for (a, b), t in zip(mesh.boundary_edges, mesh.edge_tags)
+            {"nodes": ab, "electrode": t if t > 0 else None}
+            for ab, t in zip(mesh.boundary_edges.tolist(), mesh.edge_tags.tolist())
         ],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    write_json(doc, path)
 
 
 def make_disk_fixture(
@@ -241,36 +248,27 @@ def make_disk_fixture(
 
     theta = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
     ring = np.column_stack([np.cos(theta), np.sin(theta)])
-    nodes = [np.zeros((1, 2))]
-    for k in range(1, n_rings + 1):
-        nodes.append(ring * (k / n_rings))
-    nodes = np.vstack(nodes)
+    radii = np.arange(1, n_rings + 1) / n_rings
+    nodes = np.vstack([np.zeros((1, 2)), (radii[:, None, None] * ring).reshape(-1, 2)])
 
-    def nid(k: int, j: int) -> int:
-        # node j on ring k (k >= 1), wrapping in the angular direction
-        return 1 + (k - 1) * n_sectors + (j % n_sectors)
+    # node j of ring k >= 1 is 1 + (k-1) n_sectors + j, wrapping in j
+    j = np.arange(n_sectors, dtype=np.int64)
+    nxt = (j + 1) % n_sectors
+    fan = np.column_stack([np.zeros_like(j), 1 + j, 1 + nxt])
+    inner = 1 + n_sectors * np.arange(n_rings - 1, dtype=np.int64)[:, None]
+    a, b = inner + j, inner + nxt
+    c, d = a + n_sectors, b + n_sectors
+    # two triangles per cell between rings k and k+1: (a, c, d) and (a, d, b)
+    quads = np.stack([a, c, d, a, d, b], axis=-1).reshape(-1, 3)
+    tris = np.vstack([fan, quads])
 
-    tris = []
-    for j in range(n_sectors):
-        tris.append([0, nid(1, j), nid(1, j + 1)])
-    for k in range(1, n_rings):
-        for j in range(n_sectors):
-            tris.append([nid(k, j), nid(k + 1, j), nid(k + 1, j + 1)])
-            tris.append([nid(k, j), nid(k + 1, j + 1), nid(k, j + 1)])
+    outer = 1 + (n_rings - 1) * n_sectors
+    edges = np.column_stack([outer + j, outer + nxt])
+    # electrode m + 1 covers edges offset .. offset + n_edge - 1 of sector m
+    sector, within = np.divmod(j - offset, sector_edges)
+    tags = np.where(within < n_edge, sector + 1, 0)
 
-    edges = [[nid(n_rings, j), nid(n_rings, j + 1)] for j in range(n_sectors)]
-    tags = np.zeros(n_sectors, dtype=np.int64)
-    for m in range(n_electrodes):
-        lo = m * sector_edges + offset
-        tags[lo : lo + n_edge] = m + 1
-
-    mesh = Mesh(
-        nodes,
-        np.asarray(tris, dtype=np.int64),
-        np.asarray(edges, dtype=np.int64),
-        tags,
-    )
-    return _validate(mesh)
+    return _validate(Mesh(nodes, tris, edges, tags))
 
 
 def assign_pixels(mesh: Mesh, seeds: np.ndarray) -> PixelPartition:

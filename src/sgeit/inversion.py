@@ -46,7 +46,6 @@ split-R-hat over the four half-chains (Vehtari, Gelman, Simpson, Carpenter
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import warnings
@@ -57,7 +56,7 @@ import numpy as np
 
 from .det_cem import MeasurementSet, params_from_y, percent_noise
 from .fem import ParameterBounds
-from .geometry import read_json, require_finite
+from .geometry import read_json, require_finite, write_json
 from .surrogate import SgfemSurrogate, monomial_jacobian, monomials
 
 
@@ -837,8 +836,18 @@ def reconstruct(posterior: Posterior, config: McmcConfig | None = None) -> Estim
     )
 
 
+# strict JSON (RFC 8259) has no NaN or infinity, so a non-finite diagnostic,
+# such as the split-R-hat of chains too short to split, is written as one of
+# these strings
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
 def save_estimates(est: Estimates, path) -> None:
-    """Write estimates to JSON; CM/SD fields appear only when present."""
+    """Write estimates to strict JSON; CM/SD fields appear only when present.
+
+    A non-finite diagnostic is written as the string "inf", "-inf" or "nan",
+    which :func:`load_estimates` turns back into the float.
+    """
     doc = {
         "y_map": est.y_map.tolist(),
         "sigma_map": est.sigma_map.tolist(),
@@ -848,9 +857,11 @@ def save_estimates(est: Estimates, path) -> None:
         value = getattr(est, name)
         if value is not None:
             doc[name] = np.asarray(value).tolist()
-    doc["diagnostics"] = est.diagnostics
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    doc["diagnostics"] = diagnostics = dict(est.diagnostics)
+    for name, value in diagnostics.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            diagnostics[name] = str(float(value))
+    write_json(doc, path, allow_nan=False)
 
 
 def load_estimates(path) -> Estimates:
@@ -866,7 +877,10 @@ def load_estimates(path) -> Estimates:
             name: np.asarray(raw[name], dtype=np.float64)
             for name in ("y_map", "sigma_map", "zeta_map")
         }
-        diagnostics = dict(raw.get("diagnostics", {}))
+        diagnostics = {
+            name: _NON_FINITE.get(value, value) if isinstance(value, str) else value
+            for name, value in dict(raw.get("diagnostics", {})).items()
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed estimates file ({exc})") from exc
     require_finite(path, **maps, **opt)

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chaos import MomentMatrices
-from .fem import SpatialMatrices
+from .fem import SpatialMatrices, summed_csr
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -180,30 +180,45 @@ def expand_mean_free(gamma: np.ndarray) -> np.ndarray:
     return out
 
 
+def _triplets(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of a CSR matrix, without a COO container."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return rows, M.indices, M.data
+
+
 def _electrode_triplets(S, g, lengths):
-    """COO triplets of the unit block E_m of every electrode m, the only
-    place that lays out Upsilon and Pi.
+    """COO triplets of the unit blocks E_m of all electrodes, with the
+    electrode m of each: the only place that lays out Upsilon and Pi.
 
     E_m holds S_m, and in Upsilon and Pi what zeta = e_m leaves of them:
     for m = 1, -g_1 in every column and |E_1| over all of Pi; for m > 1,
     g_m in column m-1 and |E_m| at diagonal entry m-1 of Pi.  Rows and
     columns count the mesh nodes first, then the M-1 mean-free voltages.
+    The triplets of one entry come in electrode order.
     """
     n_d, n_el = S[0].shape[0], len(S)
     voltage = n_d + np.arange(n_el - 1)
-    for m in range(n_el):
-        S_m = S[m].tocoo()
-        cols = voltage if m == 0 else voltage[m - 1 : m]
-        nodes = np.flatnonzero(g[m])
-        g_m = (-1.0 if m == 0 else 1.0) * g[m][nodes]
-        node, volt = np.repeat(nodes, len(cols)), np.tile(cols, len(nodes))
-        ups = np.repeat(g_m, len(cols))
-        pi_r, pi_c = np.repeat(cols, len(cols)), np.tile(cols, len(cols))
-        yield (
-            np.concatenate([S_m.row, node, volt, pi_r]),
-            np.concatenate([S_m.col, volt, node, pi_c]),
-            np.concatenate([S_m.data, ups, ups, np.full(len(pi_r), lengths[m])]),
-        )
+    s_row, s_col, s_val = (np.concatenate(part) for part in zip(*map(_triplets, S)))
+    s_el = np.repeat(np.arange(n_el), [len(S_m.data) for S_m in S])
+    # Upsilon: the nodes of electrode 1 fill every column, those of
+    # electrode m > 1 column m - 1
+    g = np.stack(g)
+    u_el, node = np.nonzero(g)  # electrode 1 first
+    first, width = np.count_nonzero(u_el == 0), np.where(u_el == 0, n_el - 1, 1)
+    u_val = np.repeat(np.where(u_el == 0, -1.0, 1.0) * g[u_el, node], width)
+    u_col = np.concatenate([np.tile(voltage, first), voltage[u_el[first:] - 1]])
+    u_row, u_el = np.repeat(node, width), np.repeat(u_el, width)
+    # Pi: all of it for electrode 1, diagonal entry m - 1 for m > 1
+    p_row = np.concatenate([np.repeat(voltage, n_el - 1), voltage])
+    p_col = np.concatenate([np.tile(voltage, n_el - 1), voltage])
+    p_val = np.concatenate([np.full((n_el - 1) ** 2, lengths[0]), lengths[1:]])
+    p_el = np.repeat(np.arange(n_el), [(n_el - 1) ** 2] + [1] * (n_el - 1))
+    return (
+        np.concatenate([s_row, u_row, u_col, p_row]),
+        np.concatenate([s_col, u_col, u_row, p_col]),
+        np.concatenate([s_val, u_val, u_val, p_val]),
+        np.concatenate([s_el, u_el, u_el, p_el]),
+    )
 
 
 def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
@@ -216,17 +231,20 @@ def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
     ``_electrode_triplets``.  Column i of Upsilon is zeta_{i+1} g_{i+1} -
     zeta_1 g_1; Pi is zeta_1 |E_1| everywhere plus zeta_{i+1} |E_{i+1}| on
     the diagonal.  The result is linear in the pair (A, zeta) and stores
-    no zero.
+    no zero.  Each entry sums A, then the electrodes in order
+    (``summed_csr``); zeta_m scales each entry of S_m after its edges were
+    summed.
+    With every S_m and a stiffness matrix of a conforming mesh, whose
+    off-diagonal entries hold at most two terms each, the result is
+    exactly symmetric.
     """
     import scipy.sparse as sp
 
-    A = sp.coo_matrix(A)
-    n = A.shape[0] + len(S) - 1
-    units = _electrode_triplets(S, g, lengths)
-    terms = [(A.row, A.col, A.data)]
-    terms += [(r, c, z * v) for z, (r, c, v) in zip(zeta, units)]
+    n, zeta = A.shape[0] + len(S) - 1, np.asarray(zeta)
+    rows, cols, vals, electrode = _electrode_triplets(S, g, lengths)
+    terms = [_triplets(sp.csr_matrix(A)), (rows, cols, zeta[electrode] * vals)]
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    B = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    B = sp.csr_matrix(summed_csr(rows, cols, vals, n, n), shape=(n, n))
     B.eliminate_zeros()
     return B
 
@@ -279,30 +297,27 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
         couplings.append((position[G_k.row[at]], position[G_k.col[at]], G_k.data[at]))
 
     B0 = cem_matrix(sm.A0, sm.bounds.zeta_mid, sm.S, sm.g, sm.lengths)
-    units = _electrode_triplets(sm.S, sm.g, sm.lengths)
-    halves = (
-        sp.coo_matrix((h * v, (r, c)), shape=B0.shape)
-        for h, (r, c, v) in zip(sm.bounds.zeta_half, units)
-    )
-    blocks = []
-    for B in [*sm.A, *halves]:
-        B = sp.csr_matrix(B, copy=True)
-        B.eliminate_zeros()
-        blocks.append(B.tocoo())
+    rows, cols, vals, electrode = _electrode_triplets(sm.S, sm.g, sm.lengths)
+    blocks = [_triplets(A_l) for A_l in sm.A]
+    for m, h in enumerate(sm.bounds.zeta_half):
+        at = electrode == m
+        blocks.append((rows[at], cols[at], h * vals[at]))
+    # every B_k keeps only its nonzero entries; none repeats an entry
+    blocks = [tuple(part[v != 0.0] for part in (r, c, v)) for r, c, v in blocks]
     n_s, (n_kept, n_other) = B0.shape[0], (len(members) for members in classes)
-    nnz = sum(B.nnz * len(g) for B, (_, _, g) in zip(blocks, couplings))
+    nnz = sum(len(v) * len(g) for (_, _, v), (_, _, g) in zip(blocks, couplings))
     index = np.int32 if max(n_s * len(parity), nnz) < 2**31 else np.int64
     rows, cols = np.empty(nnz, dtype=index), np.empty(nnz, dtype=index)
     vals = np.empty(nnz)
     end = 0
-    for B, (mu, nu, g) in zip(blocks, couplings):
-        shape = (B.nnz, len(g))
+    for (i, j, v), (mu, nu, g) in zip(blocks, couplings):
+        shape = (len(v), len(g))
         part = slice(end, end + shape[0] * shape[1])
         end = part.stop
-        i, j = (ij.astype(index)[:, None] for ij in (B.row, B.col))
+        i, j = (ij.astype(index)[:, None] for ij in (i, j))
         np.add(i * n_kept, mu, out=rows[part].reshape(shape))
         np.add(j * n_other, nu, out=cols[part].reshape(shape))
-        np.multiply(B.data[:, None], g, out=vals[part].reshape(shape))
+        np.multiply(v[:, None], g, out=vals[part].reshape(shape))
     K_kj = sp.coo_matrix((vals, (rows, cols)), shape=(n_s * n_kept, n_s * n_other))
     return SgfemSystem(B0, K_kj.tocsr(), sm.n_nodes, n_el, len(parity), parity)
 

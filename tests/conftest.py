@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 from pathlib import Path
@@ -16,6 +17,22 @@ def two_ring_layout():
     inner = 0.35 * np.column_stack([np.cos(inner_t), np.sin(inner_t)])
     outer = 0.75 * np.column_stack([np.cos(outer_t), np.sin(outer_t)])
     return np.vstack([inner, outer])
+
+
+def json_dump_text(doc) -> str:
+    """``doc`` as ``json.dump`` writes it, through the pure-Python encoder."""
+    out = io.StringIO()
+    json.dump(doc, out)
+    return out.getvalue()
+
+
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # the tiny_surrogate fixture as the version-1 writer saved it

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import sgeit
-from conftest import tamper
+from conftest import strict_json, tamper
 from sgeit import cli, det_cem, fem, inversion, sgfem, surrogate
 from sgeit.chaos import iso_td, moment_matrices
 
@@ -196,6 +197,24 @@ def test_reconstruct_prints_the_chains_and_their_split_rhat(
     est = inversion.load_estimates(d / "est-rhat.json")
     assert "chain: 4000 samples from 2 chains," in out
     assert f"split R-hat {est.diagnostics['rhat_max']:.4f}," in out
+
+
+def test_reconstruct_with_one_sample_writes_strict_json(
+    workdir, surrogate_and_data, capsys
+):
+    # one sample cannot be split into halves, so its R-hat is infinite
+    d = workdir
+    with pytest.warns(UserWarning, match="split R-hat inf"):
+        rc = run(
+            ["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+             "--samples", 1, "--out", d / "est-one.json"]
+        )
+    capsys.readouterr()
+    assert rc == 0
+    raw = strict_json((d / "est-one.json").read_text())
+    assert raw["diagnostics"]["rhat_max"] == "inf"
+    est = inversion.load_estimates(d / "est-one.json")
+    assert est.diagnostics["rhat_max"] == math.inf
 
 
 def test_simulate_default_noise_is_one_percent(workdir, capsys):

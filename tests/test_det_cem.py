@@ -3,10 +3,12 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse.linalg as spla
 
 import sgeit
-from sgeit import det_cem
-from sgeit.sgfem import standard_patterns
+from conftest import json_dump_text, two_ring_layout
+from sgeit import det_cem, fem
+from sgeit.sgfem import _voltage_loads, cem_matrix, expand_mean_free, standard_patterns
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,51 @@ def test_voltages_match_lagrange_grounded_oracle(small):
         u, U = lagrange_grounded_cem(mesh, tri_sigma, sample.zeta, current)
         npt.assert_allclose(sol.voltages[p], U, rtol=1e-10, atol=1e-13)
         npt.assert_allclose(sol.potentials[p], u, rtol=1e-9, atol=1e-12)
+
+
+def splu_route(mesh, part, sample, patterns):
+    """Potentials and voltages from SuperLU on ``tocsc()`` of the electrode
+    model, one solve per pattern, and the model matrix."""
+    eg = sgeit.electrode_geometry(mesh)
+    S, g = fem.assemble_electrode_mass(mesh, eg)
+    A = fem.stiffness_matrix(mesh, sample.sigma[part.triangle_pixel])
+    B = cem_matrix(A, sample.zeta, S, g, eg.lengths)
+    lu = spla.splu(B.tocsc())
+    n_d = mesh.n_nodes
+    potentials, voltages = [], []
+    for load in _voltage_loads(patterns, eg.n_electrodes):
+        rhs = np.zeros(B.shape[0])
+        rhs[n_d:] = load
+        x = lu.solve(rhs)
+        potentials.append(x[:n_d])
+        voltages.append(expand_mean_free(x[n_d:]))
+    return np.array(potentials), np.array(voltages), B
+
+
+@pytest.mark.parametrize("fixture", ["tiny", "tank"])
+def test_solve_is_bitwise_the_splu_route(tiny, fixture):
+    # solve_deterministic hands SuperLU the CSR arrays of the model as CSC,
+    # which is exact only while the model matrix is bitwise symmetric
+    if fixture == "tiny":
+        mesh, part, _ = tiny
+    else:
+        mesh = sgeit.make_disk_fixture(10, 32, 8, 0.5)
+        part = sgeit.assign_pixels(mesh, two_ring_layout())
+    # 3 patterns on tiny, 7 on the tank
+    patterns = standard_patterns(mesh.n_electrodes)
+    # on the tank, one of these samples tells a block solve of all patterns
+    # from the per-pattern solves in the last bits
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        sigma = rng.uniform(0.5, 2.0, part.n_pixels)
+        zeta = rng.uniform(10.0, 1000.0, mesh.n_electrodes)
+        sample = det_cem.DeterministicSample(sigma, zeta)
+        potentials, voltages, B = splu_route(mesh, part, sample, patterns)
+        dense = B.toarray()
+        assert dense.tobytes() == dense.T.copy().tobytes()
+        sol = det_cem.solve_deterministic(mesh, part, sample, patterns)
+        assert sol.potentials.tobytes() == potentials.tobytes()
+        assert sol.voltages.tobytes() == voltages.tobytes()
 
 
 def test_voltages_sum_to_zero(small):
@@ -254,6 +301,26 @@ def test_measurements_roundtrip(tmp_path, small):
     assert back.noise_std == ms.noise_std
     assert back.seed == ms.seed
     assert back.provenance == "unit test"
+
+
+@pytest.mark.parametrize("provenance", ["", "unit test"])
+def test_save_measurements_writes_the_bytes_of_json_dump(tmp_path, small, provenance):
+    mesh, part, sample = small
+    ms = det_cem.simulate_measurements(
+        mesh, part, sample, standard_patterns(3), noise_pct=1.0, seed=8,
+        provenance=provenance,
+    )
+    doc = {
+        "patterns": ms.patterns.tolist(),
+        "voltages": ms.voltages.tolist(),
+        "noise_std": float(ms.noise_std),
+        "seed": int(ms.seed),
+    }
+    if provenance:
+        doc["provenance"] = provenance
+    path = tmp_path / "ms.json"
+    det_cem.save_measurements(ms, path)
+    assert path.read_text() == json_dump_text(doc)
 
 
 def test_load_measurements_rejects(tmp_path):

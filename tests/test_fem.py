@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 import sgeit
 from sgeit import fem, geometry
@@ -90,6 +91,42 @@ def test_electrode_mass_totals_match_lengths():
     for m in range(4):
         npt.assert_allclose(sm.S[m].sum(), sm.lengths[m], rtol=1e-13)
         npt.assert_allclose(sm.g[m].sum(), sm.lengths[m], rtol=1e-13)
+
+
+def per_electrode_mass(mesh, eg):
+    """S_m and g_m one electrode at a time, through a COO-to-CSR conversion."""
+    n = mesh.n_nodes
+    S, g = [], []
+    for run in eg.edges:
+        ab = mesh.boundary_edges[run]
+        vec = mesh.nodes[ab[:, 1]] - mesh.nodes[ab[:, 0]]
+        h = np.hypot(vec[:, 0], vec[:, 1])
+        rows = np.repeat(ab, 2, axis=1).ravel()
+        cols = np.tile(ab, (1, 2)).ravel()
+        vals = (h[:, None] * np.array([2.0, 1.0, 1.0, 2.0]) / 6.0).ravel()
+        S.append(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
+        gm = np.zeros(n)
+        np.add.at(gm, ab.ravel(), np.repeat(h / 2.0, 2))
+        g.append(gm)
+    return S, g
+
+
+@pytest.mark.parametrize(
+    "args", [(1, 4, 2, 0.5), (3, 12, 4, 0.5), (10, 32, 8, 0.5), (10, 32, 16, 0.5)]
+)
+def test_electrode_mass_equals_the_per_electrode_reference(args):
+    # the stiffness, B_0, K_kj and the surrogate bytes rest on these arrays
+    mesh = sgeit.make_disk_fixture(*args)
+    eg = sgeit.electrode_geometry(mesh)
+    S, g = fem.assemble_electrode_mass(mesh, eg)
+    S_ref, g_ref = per_electrode_mass(mesh, eg)
+    assert len(S) == len(g) == eg.n_electrodes
+    for S_m, g_m, R_m, h_m in zip(S, g, S_ref, g_ref):
+        assert S_m.shape == R_m.shape and isinstance(S_m, sp.csr_matrix)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(S_m, name), getattr(R_m, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert g_m.tobytes() == h_m.tobytes()
 
 
 def test_pixel_stiffness_partitions_background(tiny):

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import sgeit
+from conftest import json_dump_text
 from sgeit import geometry
 
 
@@ -124,6 +125,64 @@ def test_mesh_roundtrip(tmp_path):
     npt.assert_array_equal(back.triangles, mesh.triangles)
     npt.assert_array_equal(back.boundary_edges, mesh.boundary_edges)
     npt.assert_array_equal(back.edge_tags, mesh.edge_tags)
+
+
+def test_save_mesh_writes_the_bytes_of_json_dump(tmp_path):
+    # half the boundary edges of this mesh carry no electrode (null)
+    mesh = sgeit.make_disk_fixture(3, 12, 4, 0.5)
+    assert (mesh.edge_tags == 0).any()
+    doc = {
+        "nodes": mesh.nodes.tolist(),
+        "triangles": mesh.triangles.tolist(),
+        "boundary_edges": [
+            {"nodes": [int(a), int(b)], "electrode": int(t) if t > 0 else None}
+            for (a, b), t in zip(mesh.boundary_edges, mesh.edge_tags)
+        ],
+    }
+    path = tmp_path / "mesh.json"
+    sgeit.save_mesh(mesh, path)
+    assert path.read_text() == json_dump_text(doc)
+
+
+def loop_disk_fixture(n_rings, n_sectors, n_electrodes, coverage):
+    """The arrays of ``make_disk_fixture``, built node by node and edge by edge."""
+    sector_edges = n_sectors // n_electrodes
+    n_edge = int(np.floor(coverage * sector_edges + 1e-9))
+    offset = (sector_edges - n_edge) // 2
+    theta = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    nodes = [np.zeros((1, 2))]
+    for k in range(1, n_rings + 1):
+        nodes.append(ring * (k / n_rings))
+
+    def nid(k, j):
+        return 1 + (k - 1) * n_sectors + (j % n_sectors)
+
+    tris = [[0, nid(1, j), nid(1, j + 1)] for j in range(n_sectors)]
+    for k in range(1, n_rings):
+        for j in range(n_sectors):
+            tris.append([nid(k, j), nid(k + 1, j), nid(k + 1, j + 1)])
+            tris.append([nid(k, j), nid(k + 1, j + 1), nid(k, j + 1)])
+    edges = [[nid(n_rings, j), nid(n_rings, j + 1)] for j in range(n_sectors)]
+    tags = np.zeros(n_sectors, dtype=np.int64)
+    for m in range(n_electrodes):
+        lo = m * sector_edges + offset
+        tags[lo : lo + n_edge] = m + 1
+    as_int = [np.asarray(x, dtype=np.int64) for x in (tris, edges)]
+    return np.vstack(nodes), *as_int, tags
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 3, 1, 0.5), (1, 4, 2, 0.5), (3, 12, 4, 0.5), (2, 9, 3, 0.34), (5, 30, 5, 0.2),
+     (10, 32, 8, 0.5), (10, 32, 16, 0.5), (20, 64, 8, 0.5)],
+)
+def test_disk_fixture_equals_the_loop_built_reference(args):
+    mesh = sgeit.make_disk_fixture(*args)
+    got = (mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.edge_tags)
+    for a, b in zip(got, loop_disk_fixture(*args)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_load_mesh_rejects_bad_json(tmp_path):

@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from conftest import build_tiny_surrogate
+from conftest import build_tiny_surrogate, json_dump_text, strict_json
 from sgeit import chaos, det_cem, inversion, sgfem
 
 
@@ -895,6 +895,43 @@ def test_estimates_roundtrip(tmp_path, tiny_posterior):
     path.write_text("[1, 2")
     with pytest.raises(ValueError, match="not valid JSON"):
         inversion.load_estimates(path)
+
+
+def test_save_estimates_writes_the_bytes_of_json_dump(tmp_path, tiny_posterior):
+    cfg = inversion.McmcConfig(200, 50, 1, seed=6)
+    with pytest.warns(UserWarning, match="split R-hat"):
+        est = inversion.reconstruct(tiny_posterior, cfg)
+    assert math.isfinite(est.diagnostics["rhat_max"])
+    path = tmp_path / "est.json"
+    for est in (est, inversion.reconstruct(tiny_posterior)):
+        doc = {
+            "y_map": est.y_map.tolist(),
+            "sigma_map": est.sigma_map.tolist(),
+            "zeta_map": est.zeta_map.tolist(),
+        }
+        for name in ("sigma_cm", "sigma_sd", "zeta_cm", "zeta_sd"):
+            if getattr(est, name) is not None:
+                doc[name] = getattr(est, name).tolist()
+        doc["diagnostics"] = est.diagnostics
+        inversion.save_estimates(est, path)
+        assert path.read_text() == json_dump_text(doc)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_diagnostics_survive_strict_json(tmp_path, tiny_posterior, value):
+    est = inversion.reconstruct(tiny_posterior)
+    est.diagnostics["prior_condition"] = np.float64(value)
+    path = tmp_path / "est.json"
+    inversion.save_estimates(est, path)
+    raw = strict_json(path.read_text())
+    assert raw["diagnostics"]["prior_condition"] == str(value)
+    back = inversion.load_estimates(path).diagnostics["prior_condition"]
+    assert type(back) is float
+    assert back == value or math.isnan(value) and math.isnan(back)
+    # a value the writer cannot spell is refused, not written
+    est.diagnostics["chain_scales"] = [value]
+    with pytest.raises(ValueError):
+        inversion.save_estimates(est, path)
     path.write_text('{"y_map": [0.0]}')
     with pytest.raises(ValueError, match="malformed estimates"):
         inversion.load_estimates(path)
