@@ -1,8 +1,9 @@
 """Legendre chaos bases on the parameter cube [-1, 1]^P.
 
 Provides isotropic total-degree multi-index sets, the product Legendre
-basis Psi and the sparse moment matrices G_k[mu, mu'] = E[y_k Psi_mu
-Psi_mu'] that couple the stochastic dimensions in the Galerkin system.
+basis Psi and the moment matrices G_k[mu, mu'] = E[y_k Psi_mu Psi_mu'],
+as one table of their nonzeros, that couple the stochastic dimensions in
+the Galerkin system.
 The basis is orthonormal under the uniform probability measure on the
 cube (constant polynomial 1), the scaling under which the Galerkin
 right-hand side carries the plain current pattern.
@@ -22,12 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 def _recurrence_coeff(m):
@@ -122,47 +119,47 @@ def iso_td(n_dims: int, degree: int, size_cap: int = 10_000_000) -> MultiIndexSe
 
 @dataclass(frozen=True)
 class MomentMatrices:
-    """Sparse moment matrices G_0 = I and G_k = E[y_k Psi Psi'], k = 1..P,
-    with the total-degree parity (0 even, 1 odd) of every index of the set.
+    """The moment matrices G_0 = I and G_k = E[y_k Psi Psi'], k = 1..P, as
+    one coupling table, with the total-degree parity (0 even, 1 odd) of
+    every index of the set.
+
+    Entry e of the table is G_k[row, col] = coeff with k = ``dim[e]``,
+    counted from 1; every nonzero of G_1..G_P is listed once, both of its
+    symmetric pair, and no (k, row, col) repeats.  G_0 = I is implied.
     """
 
-    G: tuple[sp.csr_matrix, ...]
+    n_dims: int
+    dim: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    coeff: np.ndarray
     parity: np.ndarray
-
-    @property
-    def n_dims(self) -> int:
-        return len(self.G) - 1
-
-    def __getitem__(self, k: int) -> sp.csr_matrix:
-        return self.G[k]
 
 
 def moment_matrices(index_set: MultiIndexSet) -> MomentMatrices:
-    """Assemble G_0..G_P for one multi-index set.
+    """The coupling table of G_1..G_P for one multi-index set.
 
     G_k couples indices differing by exactly one in dimension k; the entry
     between degrees m and m+1 is (m+1)/sqrt((2m+1)(2m+3)).  Every G_k is
-    symmetric with zero diagonal except G_0, the identity.  One lookup of
-    slot rows finds every neighbour mu - e_k; one outside the set couples
-    nothing.  So every G_k, k >= 1, couples only indices of opposite
-    total-degree parity.
+    symmetric with zero diagonal.  One lookup of slot rows finds every
+    neighbour mu - e_k; one outside the set couples nothing.  So every G_k,
+    k >= 1, couples only indices of opposite total-degree parity.  The
+    table lists the pairs (mu, mu - e_k) in the order of the lookup, then
+    their transposes.
     """
-    import scipy.sparse as sp
-
-    n = len(index_set)
     dims, degs = _active(index_set)
     # lowering active slot s of row i by one degree gives mu - e_k
     i, s = np.nonzero(degs)
     lowered = degs[i]
     lowered[np.arange(len(i)), s] -= 1
     j = _find_rows(_power_slots(dims, degs), _power_slots(dims[i], lowered))
-    k, c = dims[i, s], _recurrence_coeff(degs[i, s])
-    mats = [sp.identity(n, format="csr")]
-    for dim in range(index_set.n_dims):
-        at = (k == dim) & (j >= 0)
-        pairs = (np.r_[i[at], j[at]], np.r_[j[at], i[at]])
-        mats.append(sp.coo_matrix((np.tile(c[at], 2), pairs), shape=(n, n)).tocsr())
-    return MomentMatrices(tuple(mats), index_set.indices.sum(axis=1) % 2)
+    at = j >= 0
+    i, j, s = i[at], j[at], s[at]
+    k, c = dims[i, s] + 1, _recurrence_coeff(degs[i, s])
+    return MomentMatrices(
+        index_set.n_dims, np.r_[k, k], np.r_[i, j], np.r_[j, i], np.r_[c, c],
+        index_set.indices.sum(axis=1) % 2,
+    )
 
 
 def _active(index_set: MultiIndexSet) -> tuple[np.ndarray, np.ndarray]:

@@ -138,18 +138,20 @@ def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
 
     Entries are exact for linear elements: each triangle contributes
     coeff * (b_i . b_j) / (4 area), where b_i are the edge-normal vectors
-    opposite node i.  Structural zeros are kept so the sparsity pattern is
+    opposite node i.  Each entry sums its terms in triangle order
+    (``summed_csr``).  Structural zeros are kept so the sparsity pattern is
     exactly the node adjacency of the triangles with nonzero coefficient.
     """
-    import scipy.sparse as sp
+    (A,) = _stiffness_matrices(mesh, np.asarray(coeff, dtype=np.float64)[None])
+    return A
 
-    n = mesh.n_nodes
-    tri = mesh.triangles
-    keep = np.flatnonzero(coeff != 0.0)
-    if keep.size == 0:
-        return sp.csr_matrix((n, n))
-    tri = tri[keep]
-    c = coeff[keep]
+
+def _stiffness_matrices(mesh: Mesh, coeffs: np.ndarray) -> tuple[sp.csr_matrix, ...]:
+    """``stiffness_matrix`` of every row of the (B, n_triangles) array
+    ``coeffs``, in one pass: the element matrices are computed once, and
+    matrix r is assembled as rows r n + i of one stacked matrix, so each
+    sums only its own triangles."""
+    n, tri = mesh.n_nodes, mesh.triangles
     p = mesh.nodes[tri]
     b = np.empty((tri.shape[0], 3, 2))
     for i in range(3):
@@ -159,12 +161,16 @@ def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # b_i . b_j by elementwise ufuncs, which fuse no multiply-add
+    dots = b[:, :, None, 0] * b[:, None, :, 0] + b[:, :, None, 1] * b[:, None, :, 1]
+    # the terms of every matrix in triangle order; a zero coefficient adds none
+    r, t = np.nonzero(coeffs)
     # area2 is twice the signed area; positivity was validated on load
-    scale = c / (2.0 * area2)
-    vals = np.einsum("tid,tjd->tij", b, b) * scale[:, None, None]
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    vals = dots[t] * (coeffs[r, t] / (2.0 * area2[t]))[:, None, None]
+    at = tri[t] + n * r[:, None]
+    rows = np.repeat(at, 3, axis=1).ravel()
+    cols = np.tile(tri[t], (1, 3)).ravel()
+    return _split(summed_csr(rows, cols, vals.ravel(), len(coeffs) * n, n), n)
 
 
 def summed_csr(rows, cols, vals, n_rows: int, n_cols: int):
@@ -185,6 +191,20 @@ def summed_csr(rows, cols, vals, n_rows: int, n_cols: int):
     return data, col.astype(index), indptr.astype(index)
 
 
+def _split(csr, n: int) -> tuple[sp.csr_matrix, ...]:
+    """The n x n blocks of rows 0..n-1, n..2n-1, ... of the n-column matrix
+    given by the CSR arrays ``(data, indices, indptr)``."""
+    import scipy.sparse as sp
+
+    data, indices, indptr = csr
+    blocks = []
+    for start in range(0, len(indptr) - 1, n):
+        ptr = indptr[start : start + n + 1]
+        part = slice(ptr[0], ptr[-1])
+        blocks.append(sp.csr_matrix((data[part], indices[part], ptr - ptr[0]), (n, n)))
+    return tuple(blocks)
+
+
 def assemble_electrode_mass(
     mesh: Mesh, eg: ElectrodeGeometry
 ) -> tuple[tuple[sp.csr_matrix, ...], tuple[np.ndarray, ...]]:
@@ -195,8 +215,6 @@ def assemble_electrode_mass(
     of S_m equals |E_m|.  All electrodes are assembled in one pass, as rows
     m n + i of one stacked matrix, so each S_m sums only its own edges.
     """
-    import scipy.sparse as sp
-
     n, n_el = mesh.n_nodes, eg.n_electrodes
     ab = mesh.boundary_edges[np.concatenate(eg.edges)]
     vec = mesh.nodes[ab[:, 1]] - mesh.nodes[ab[:, 0]]
@@ -207,14 +225,9 @@ def assemble_electrode_mass(
     rows = np.repeat(at, 2, axis=1).ravel()
     cols = np.tile(ab, (1, 2)).ravel()
     vals = (h[:, None] * np.array([2.0, 1.0, 1.0, 2.0]) / 6.0).ravel()
-    data, indices, indptr = summed_csr(rows, cols, vals, n_el * n, n)
-    S = []
-    for m in range(n_el):
-        ptr = indptr[m * n : (m + 1) * n + 1]
-        part = slice(ptr[0], ptr[-1])
-        S.append(sp.csr_matrix((data[part], indices[part], ptr - ptr[0]), (n, n)))
+    S = _split(summed_csr(rows, cols, vals, n_el * n, n), n)
     g = np.bincount(at.ravel(), weights=np.repeat(h / 2.0, 2), minlength=n_el * n)
-    return tuple(S), tuple(g.reshape(n_el, n))
+    return S, tuple(g.reshape(n_el, n))
 
 
 def assemble_spatial(
@@ -231,11 +244,11 @@ def assemble_spatial(
         raise ValueError("sigma length does not match the pixel count")
     if bounds.n_electrodes != eg.n_electrodes:
         raise ValueError("need one contact bound pair per electrode")
-    owner = partition.triangle_pixel
-    A0 = stiffness_matrix(mesh, np.full(mesh.n_triangles, bounds.sigma0))
-    A = tuple(
-        stiffness_matrix(mesh, np.where(owner == l, bounds.sigma[l], 0.0))
-        for l in range(partition.n_pixels)
-    )
+    # row 0 the background on every triangle, row l + 1 pixel l on its own
+    owner, every = partition.triangle_pixel, np.arange(mesh.n_triangles)
+    coeffs = np.zeros((partition.n_pixels + 1, mesh.n_triangles))
+    coeffs[0] = bounds.sigma0
+    coeffs[owner + 1, every] = bounds.sigma[owner]
+    A0, *A = _stiffness_matrices(mesh, coeffs)
     S, g = assemble_electrode_mass(mesh, eg)
-    return SpatialMatrices(A0, A, S, g, eg.lengths.copy(), bounds)
+    return SpatialMatrices(A0, tuple(A), S, g, eg.lengths.copy(), bounds)

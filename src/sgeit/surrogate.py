@@ -135,8 +135,15 @@ class SgfemSurrogate:
         """Write the surrogate in format version 2.  The file names its
         index set by Q alone, so a set other than ``iso_td(L+M, Q)`` is
         refused."""
-        q = self.index_set.degree
-        if not np.array_equal(self.index_set.indices, iso_td(self.n_params, q).indices):
+        q, idx = self.index_set.degree, self.index_set.indices
+        # rows that strictly increase in the graded order (degree up, then
+        # descending lexicographic), binomial(L+M+Q, Q) of them, each of
+        # degree at most Q as MultiIndexSet enforces: iso_td(L+M, Q) exactly
+        step = np.diff(idx, axis=0)
+        lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+        rise = np.diff(idx.sum(axis=1))
+        graded = ((rise > 0) | ((rise == 0) & (lead < 0))).all()
+        if len(idx) != math.comb(self.n_params + q, q) or not graded:
             raise ValueError(
                 f"index set is not the total-degree set for L+M={self.n_params}, "
                 f"Q={q}; the surrogate file cannot store it"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgeit
 from sgeit import chaos, det_cem, fem, sgfem, surrogate
@@ -33,6 +34,16 @@ def strict_json(text):
         raise ValueError(f"{name} is not strict JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def moment_matrix(mm, k):
+    """G_k of the coupling table of ``chaos.moment_matrices`` as a CSR
+    matrix; G_0 is the identity."""
+    n = len(mm.parity)
+    if k == 0:
+        return sp.identity(n, format="csr")
+    at = mm.dim == k
+    return sp.csr_matrix((mm.coeff[at], (mm.row[at], mm.col[at])), shape=(n, n))
 
 
 # the tiny_surrogate fixture as the version-1 writer saved it

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 
+from conftest import moment_matrix
 from sgeit import chaos
 
 
@@ -99,9 +100,9 @@ def test_iso_td_rejects():
 def test_moment_matrices_identity_and_symmetry():
     mm = chaos.moment_matrices(chaos.iso_td(4, 2))
     n = len(chaos.iso_td(4, 2))
-    npt.assert_array_equal(mm[0].toarray(), np.eye(n))
+    npt.assert_array_equal(moment_matrix(mm, 0).toarray(), np.eye(n))
     for k in range(1, 5):
-        g = mm[k].toarray()
+        g = moment_matrix(mm, k).toarray()
         npt.assert_array_equal(g, g.T)
         npt.assert_array_equal(np.diag(g), 0.0)
 
@@ -118,7 +119,7 @@ def check_moments_against_quadrature(idx):
     psi = np.array([basis.eval(y) for y in Y])
     for k in range(1, 4):
         oracle = (psi * (W * Y[:, k - 1])[:, None]).T @ psi
-        npt.assert_allclose(mm[k].toarray(), oracle, atol=1e-12)
+        npt.assert_allclose(moment_matrix(mm, k).toarray(), oracle, atol=1e-12)
     # and orthonormality of the probability-normalized basis itself
     gram = (psi * W[:, None]).T @ psi
     npt.assert_allclose(gram, np.eye(len(idx)), atol=1e-12)
@@ -139,7 +140,7 @@ def test_moment_entries_of_a_non_isotropic_set_match_quadrature_oracle():
     idx = td_with_cubes()
     check_moments_against_quadrature(idx)
     # a cube couples only to its square
-    g = chaos.moment_matrices(idx)[1].tocoo()
+    g = moment_matrix(chaos.moment_matrices(idx), 1).tocoo()
     cube = len(idx) - 3
     assert g.col[g.row == cube].tolist() == [idx.indices.tolist().index([2, 0, 0])]
 
@@ -164,17 +165,23 @@ def moment_matrices_by_loop(index_set):
         chaos.iso_td(1, 4),
         chaos.iso_td(4, 0),
         chaos.iso_td(6, 3),
+        # the set of the tank: 12 pixels and 8 electrodes at degree 2
+        chaos.iso_td(20, 2),
         td_with_cubes(),
         # y_1^3 lacks y_1^2: its neighbour is missing and couples nothing
         chaos.MultiIndexSet(2, 3, np.array([[0, 0], [1, 0], [0, 1], [3, 0]])),
     ],
-    ids=["1x4", "4x0", "6x3", "cubes", "hole"],
+    ids=["1x4", "4x0", "6x3", "20x2", "cubes", "hole"],
 )
 def test_moment_matrices_equal_a_per_index_loop(index_set):
     mm = chaos.moment_matrices(index_set)
+    assert mm.n_dims == index_set.n_dims
     for k, want in enumerate(moment_matrices_by_loop(index_set), start=1):
-        npt.assert_array_equal(mm[k].toarray(), want)
-        assert np.all(mm[k].data != 0.0)
+        npt.assert_array_equal(moment_matrix(mm, k).toarray(), want)
+    assert np.all(mm.coeff != 0.0)
+    # the table lists every entry once: no (k, row, column) repeats
+    entries = np.column_stack([mm.dim, mm.row, mm.col])
+    assert len(np.unique(entries, axis=0)) == len(entries)
 
 
 def test_moment_sparsity_is_degree_one_coupling():
@@ -182,7 +189,7 @@ def test_moment_sparsity_is_degree_one_coupling():
     mm = chaos.moment_matrices(idx)
     rows = idx.indices
     for k in range(1, 5):
-        g = mm[k].toarray()
+        g = moment_matrix(mm, k).toarray()
         for i in range(len(idx)):
             for j in range(len(idx)):
                 mu, nu = rows[i], rows[j]

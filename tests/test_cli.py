@@ -575,14 +575,16 @@ def test_the_benchmark_finds_the_library_names_it_reads(tmp_path):
 
 
 # a fresh interpreter that imports ``ops`` as bench/fresh_op.py does, which
-# loads every sgeit module, then runs reconstruct, render and precompute;
-# precompute loads scipy.sparse only, not its LAPACK wrappers in scipy.linalg
+# loads every sgeit module, builds the chaos index set and coupling table of
+# the tank, then runs reconstruct, render and precompute; precompute loads
+# scipy.sparse only, not its LAPACK wrappers in scipy.linalg
 NUMPY_ONLY_PROBE = """
 import pathlib, sys, warnings
 from env import pin_blas_threads
 pin_blas_threads()
 import ops
 from sgeit import cli
+from sgeit.chaos import iso_td, moment_matrices
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -590,6 +592,8 @@ def scipy_modules():
 d, out = map(pathlib.Path, sys.argv[1:])
 modules = {"sgeit." + p.stem for p in (ops.SRC / "sgeit").glob("[!_]*.py")}
 assert modules <= sys.modules.keys(), modules - sys.modules.keys()
+assert not scipy_modules(), scipy_modules()
+assert len(moment_matrices(iso_td(20, 2)).coeff) == 840
 assert not scipy_modules(), scipy_modules()
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")

@@ -4,6 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 import sgeit
+from conftest import two_ring_layout
 from sgeit import fem, geometry
 
 
@@ -40,6 +41,63 @@ def test_stiffness_matches_elementwise_oracle():
         area = 0.5 * abs(np.linalg.det(V))
         oracle[np.ix_(tri, tri)] += coeff[t] * area * (G.T @ G)
     npt.assert_allclose(K, oracle, rtol=1e-12, atol=1e-14)
+
+
+def stiffness_in_triangle_order(mesh, coeff):
+    """Stiffness entries {(i, j): value}, each summed from 0.0 over its
+    triangles' terms in triangle order, by the formula of
+    ``stiffness_matrix`` on Python floats; a zero coefficient adds none."""
+    entries = {}
+    for tri, c in zip(mesh.triangles.tolist(), coeff.tolist()):
+        if c == 0.0:
+            continue
+        p = mesh.nodes[tri].tolist()
+        b = [
+            (p[(i + 1) % 3][1] - p[(i + 2) % 3][1], p[(i + 2) % 3][0] - p[(i + 1) % 3][0])
+            for i in range(3)
+        ]
+        d1 = (p[1][0] - p[0][0], p[1][1] - p[0][1])
+        d2 = (p[2][0] - p[0][0], p[2][1] - p[0][1])
+        scale = c / (2.0 * (d1[0] * d2[1] - d1[1] * d2[0]))
+        for i in range(3):
+            for j in range(3):
+                term = (b[i][0] * b[j][0] + b[i][1] * b[j][1]) * scale
+                key = (tri[i], tri[j])
+                entries[key] = entries.get(key, 0.0) + term
+    return entries
+
+
+def assert_bitwise_equal(A, entries):
+    keys = sorted(entries)
+    rows = [i for i, _ in keys]
+    assert A.indptr.tolist() == np.searchsorted(rows, np.arange(A.shape[0] + 1)).tolist()
+    assert A.indices.tolist() == [j for _, j in keys]
+    assert A.data.tobytes() == np.array([entries[k] for k in keys]).tobytes()
+
+
+def test_stiffness_sums_every_entry_in_triangle_order():
+    # SciPy's COO-to-CSR conversion sums an entry's terms in the order of its
+    # index sort, which on the tank mesh moves the last bits of some entries
+    mesh = sgeit.make_disk_fixture(10, 32, 8, 0.5)
+    part = sgeit.assign_pixels(mesh, two_ring_layout())
+    rng = np.random.default_rng(12)
+    # det_cem's stiffness: one coefficient per triangle, some of them zero
+    coeff = rng.uniform(0.5, 2.0, mesh.n_triangles)
+    coeff[rng.random(mesh.n_triangles) < 0.1] = 0.0
+    A = fem.stiffness_matrix(mesh, coeff)
+    assert_bitwise_equal(A, stiffness_in_triangle_order(mesh, coeff))
+    # the background and every pixel, with a pixel of zero magnitude
+    sigma = rng.uniform(0.0, 1.0, part.n_pixels)
+    sigma[5] = 0.0
+    bounds = fem.ParameterBounds(1.1, sigma, np.full(8, 100.0), np.full(8, 1000.0))
+    sm = fem.assemble_spatial(mesh, part, bounds)
+    background = np.full(mesh.n_triangles, 1.1)
+    assert_bitwise_equal(sm.A0, stiffness_in_triangle_order(mesh, background))
+    owner = part.triangle_pixel
+    for l, A_l in enumerate(sm.A):
+        coeff_l = np.where(owner == l, sigma[l], 0.0)
+        assert_bitwise_equal(A_l, stiffness_in_triangle_order(mesh, coeff_l))
+    assert sm.A[5].nnz == 0
 
 
 def test_stiffness_kernel_contains_constants():

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sgeit
+from conftest import moment_matrix
 from sgeit import chaos, det_cem, fem, sgfem
 
 
@@ -182,7 +183,8 @@ def kron_reference(sm, mm):
         sgfem.cem_matrix(zero, h * e_m, *electrodes)
         for h, e_m in zip(sm.bounds.zeta_half, np.eye(n_el))
     ]
-    terms = [sp.kron(B, G, format="coo") for B, G in zip(blocks, mm.G)]
+    G = [moment_matrix(mm, k) for k in range(mm.n_dims + 1)]
+    terms = [sp.kron(B, G_k, format="coo") for B, G_k in zip(blocks, G)]
     return sp.coo_matrix(
         (
             np.concatenate([t.data for t in terms]),
@@ -581,15 +583,20 @@ def test_same_parity_blocks_of_a_set_that_is_not_total_degree(tiny_sg):
 @pytest.mark.parametrize("mu, nu, parity", [(0, 4, 0), (1, 3, 1)], ids=["even", "odd"])
 def test_solve_refuses_a_same_parity_coupling(tiny_sg, mu, nu, parity):
     # one symmetric pair of entries of G_1 between chaos indices mu and nu
-    # of one parity: of the eliminated even class, or of the kept odd
-    # class; assembly refuses it, so no solve can start on such a system
+    # of one parity, appended to the coupling table: of the eliminated even
+    # class, or of the kept odd class; assembly refuses it, so no solve can
+    # start on such a system
     _, _, sm, idx, system, _, _ = tiny_sg
     mm = chaos.moment_matrices(idx)
     assert mm.parity[mu] == mm.parity[nu] == parity
     assert system.parity[system.classes[0][0]] == 1
-    n_g = system.n_chaos
-    coupling = sp.csr_matrix(([1.0, 1.0], ([mu, nu], [nu, mu])), shape=(n_g, n_g))
-    coupled = dataclasses.replace(mm, G=(mm.G[0], mm.G[1] + coupling, *mm.G[2:]))
+    coupled = dataclasses.replace(
+        mm,
+        dim=np.r_[mm.dim, 1, 1],
+        row=np.r_[mm.row, mu, nu],
+        col=np.r_[mm.col, nu, mu],
+        coeff=np.r_[mm.coeff, 1.0, 1.0],
+    )
     match = f"G_1 couples chaos indices {mu} and {nu} of the same degree parity"
     with pytest.raises(ValueError, match=match):
         sgfem.assemble_system(sm, coupled)
@@ -749,3 +756,21 @@ def test_alpha_holds_no_block_of_the_supports(tank_sm_mm):
     bound = alpha.nbytes + 2 * n_s * n_s * f8 + packed + n_s * n_p * f8 + chunk
     blocks = (sizes[sizes < n_s] ** 2).sum() * f8
     assert peak <= bound < peak + blocks
+
+
+def test_the_cross_block_repeats_no_triplet(tank_sm_mm, monkeypatch):
+    # K_kj stays on SciPy's COO-to-CSR conversion, which sums duplicates in
+    # the order of its own index sort: with no (row, column) pair repeated
+    # it sums nothing, so the bits of K_kj do not depend on that order
+    triplets = []
+
+    def recording(arg, shape):
+        triplets.append((arg[1], shape))
+        return coo_matrix(arg, shape=shape)
+
+    coo_matrix = sp.coo_matrix
+    monkeypatch.setattr(sp, "coo_matrix", recording)
+    system = sgfem.assemble_system(*tank_sm_mm)
+    [((rows, cols), shape)] = triplets
+    key = rows.astype(np.int64) * shape[1] + cols
+    assert len(key) == system.K_kj.nnz == len(np.unique(key)) == 55_986

@@ -365,6 +365,29 @@ def test_save_refuses_a_set_the_file_cannot_name(tmp_path, tiny_surrogate):
         surr.save(path)
 
 
+@pytest.mark.parametrize("edit, q", [("reordered", 2), ("cube", 3)])
+def test_save_refuses_a_set_of_the_size_of_iso_td_that_is_not_it(
+    tmp_path, tiny_surrogate, edit, q
+):
+    # save checks the size and the graded order, not the rows of iso_td(7, 2):
+    # its last two rows swapped, or its last row y_7^2 replaced by y_1^3, a
+    # downward-closed set of the same size and of degree 3
+    full = tiny_surrogate.index_set
+    rows = full.indices.copy()
+    if edit == "reordered":
+        rows[[-2, -1]] = rows[[-1, -2]]
+    else:
+        rows[-1] = 3 * np.eye(full.n_dims, dtype=np.int64)[0]
+    surr = surrogate.SgfemSurrogate(
+        chaos.MultiIndexSet(full.n_dims, q, rows), tiny_surrogate.patterns,
+        tiny_surrogate.beta, tiny_surrogate.bounds, tiny_surrogate.seeds,
+    )
+    path = tmp_path / "other.sgfem"
+    with pytest.raises(ValueError, match=f"not the total-degree set for L\\+M=7, Q={q}"):
+        surr.save(path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "field", ["sigma0", "sigma", "a", "b", "seeds", "patterns", "coefficients"]
 )
