@@ -8,7 +8,8 @@ BLAS thread.  The stages are those of ``cli.cmd_precompute``:
 - FEM: ``fem.assemble_spatial``, the stiffness and electrode matrices;
 - moment couplings: ``chaos.iso_td`` and ``chaos.moment_matrices``;
 - Galerkin assembly: ``sgfem.assemble_system``, B_0 and K_kj;
-- solve: ``sgfem.solve`` on the standard current patterns;
+- solve: ``sgfem.solve`` on the standard current patterns, printed with
+  the CG iterations and the largest relative residual of the last run;
 - save: ``surrogate.from_solution`` and ``SgfemSurrogate.save``.
 
 The fixture is the tank (default): ``make_disk_fixture(10, 32, 8, 0.5)``
@@ -46,9 +47,9 @@ from sgeit import chaos, cli, fem, sgfem, surrogate  # noqa: E402
 STAGES = ("FEM", "moment couplings", "Galerkin assembly", "solve", "save")
 
 
-def precompute(args) -> list[float]:
+def precompute(args) -> tuple[list[float], sgfem.SgfemSolution]:
     """One ``sgeit precompute`` of the parsed options; the wall time of
-    every stage in seconds."""
+    every stage in seconds, and the solution."""
     mesh = sgeit.load_mesh(args.mesh)
     seeds = np.array(json.loads(pathlib.Path(args.seeds).read_text()))
     partition = sgeit.assign_pixels(mesh, seeds)
@@ -69,7 +70,7 @@ def precompute(args) -> list[float]:
     times.append(time.perf_counter())
     surrogate.from_solution(sol, index_set, bounds, seeds).save(args.out)
     times.append(time.perf_counter())
-    return list(np.diff(times))
+    return list(np.diff(times)), sol
 
 
 def summary(runs: list[float]) -> str:
@@ -96,12 +97,20 @@ def main() -> None:
             "--out", str(directory / "surrogate.bin"),
         ])
         precompute(args)
-        stages = np.array([precompute(args) for _ in range(runs)])
+        stages = []
+        for _ in range(runs):
+            times, sol = precompute(args)
+            stages.append(times)
+    stages = np.array(stages)
     name = "paper" if options.paper else "tank"
     print(f"{name} precompute at the defaults of sgeit precompute; median of "
           f"{runs} runs after one warm-up, one BLAS thread")
     for stage, column in zip(STAGES, stages.T):
-        print(f"{stage + ':':19s}{summary(list(column))}")
+        text = f"{stage + ':':19s}{summary(list(column))}"
+        if stage == "solve":
+            text += (f", {sol.iterations} iterations, max relative residual "
+                     f"{sol.residuals.max():.4e}")
+        print(text)
     print(f"{'total:':19s}{summary(list(stages.sum(axis=1)))}")
 
 

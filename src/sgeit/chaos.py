@@ -21,6 +21,7 @@ and the monomials of the change of basis, for any downward-closed set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,25 +78,21 @@ class MultiIndexSet:
             raise ValueError("multi-indices must be nonnegative")
         if idx.size and idx.sum(axis=1).max() > self.degree:
             raise ValueError("multi-index exceeds the total degree bound")
+        # equal rows are equal bytes: one stable sort of the rows as bytes
+        row_bytes = np.dtype((np.void, idx.itemsize * self.n_dims))
+        rows = np.ascontiguousarray(idx).view(row_bytes).ravel()
+        order = np.argsort(rows, kind="stable")
+        ordered = rows[order]
+        repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if repeats.size:
+            i, j = order[repeats[0]], order[repeats[0] + 1]
+            raise ValueError(
+                f"multi-index {idx[j].tolist()} is repeated: rows {i} and {j}"
+            )
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-
-def _composition_blocks(degree: int, n_dims: int) -> list[np.ndarray]:
-    """Compositions of 0..degree into n_dims parts as one array per total.
-
-    Grown one dimension at a time; prepending the new head in decreasing
-    order keeps every block in descending lexicographic order.
-    """
-    blocks = [np.full((1, 1), d, dtype=np.int64) for d in range(degree + 1)]
-    for _ in range(1, n_dims):
-        # total d: heads d, d-1, ..., 0, each before the tails of total d - head
-        sizes = [len(b) for b in blocks]
-        heads = [np.repeat(range(d, -1, -1), sizes[: d + 1]) for d in range(degree + 1)]
-        blocks = [np.c_[h, np.vstack(blocks[: d + 1])] for d, h in enumerate(heads)]
-    return blocks
 
 
 def iso_td(n_dims: int, degree: int, size_cap: int = 10_000_000) -> MultiIndexSet:
@@ -113,8 +110,23 @@ def iso_td(n_dims: int, degree: int, size_cap: int = 10_000_000) -> MultiIndexSe
         raise ValueError(
             f"index set would hold {count} indices, above the cap {size_cap}"
         )
-    indices = np.vstack(_composition_blocks(degree, n_dims))
-    return MultiIndexSet(n_dims, degree, indices)
+    # the indices of total d in descending lexicographic order are the
+    # multisets of d dimensions in lexicographic order, each counted out
+    sizes = [math.comb(n_dims + d - 1, d) for d in range(degree + 1)]
+    starts = np.cumsum([0] + sizes[:-1])
+    flat = [
+        np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(n_dims), d)
+            ),
+            dtype=np.int64,
+            count=size * d,
+        ).reshape(size, d)
+        + (start + np.arange(size))[:, None] * n_dims
+        for d, (start, size) in enumerate(zip(starts, sizes))
+    ]
+    counts = np.bincount(np.concatenate(flat, axis=None), minlength=count * n_dims)
+    return MultiIndexSet(n_dims, degree, counts.reshape(count, n_dims))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ of an edge with direction (dx, dy) is (dy, -dx).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,11 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     edge_tags: np.ndarray
+    # the ordered edges of every electrode, from the walk that validated
+    # the mesh, for ``electrode_geometry``; None until then
+    _electrode_runs: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_nodes(self) -> int:
@@ -159,8 +164,8 @@ def _validate(mesh: Mesh) -> Mesh:
         missing = sorted(set(range(1, n_el + 1)) - set(present.tolist()))
         if missing:
             raise ValueError(f"electrode {missing[0]} has no boundary edges")
-        for m in range(1, n_el + 1):
-            _walk_electrode(mesh, m)
+        runs = tuple(_walk_electrode(mesh, m) for m in range(1, n_el + 1))
+        object.__setattr__(mesh, "_electrode_runs", runs)
     return mesh
 
 
@@ -291,17 +296,21 @@ def assign_pixels(mesh: Mesh, seeds: np.ndarray) -> PixelPartition:
 
 
 def electrode_geometry(mesh: Mesh) -> ElectrodeGeometry:
-    """Collect ordered edge runs and total lengths for all electrodes."""
+    """Collect ordered edge runs and total lengths for all electrodes.
+
+    A mesh from ``load_mesh`` or ``make_disk_fixture`` keeps the runs of
+    the walk that validated it, so its electrodes are not walked again.
+    """
     n_el = mesh.n_electrodes
     if n_el == 0:
         raise ValueError("mesh has no electrodes")
-    runs = []
+    runs = mesh._electrode_runs
+    if runs is None:
+        runs = tuple(_walk_electrode(mesh, m) for m in range(1, n_el + 1))
     lengths = np.zeros(n_el)
-    for m in range(1, n_el + 1):
-        run = _walk_electrode(mesh, m)
+    for m, run in enumerate(runs):
         vec = mesh.nodes[mesh.boundary_edges[run, 1]] - mesh.nodes[
             mesh.boundary_edges[run, 0]
         ]
-        lengths[m - 1] = np.hypot(vec[:, 0], vec[:, 1]).sum()
-        runs.append(run)
-    return ElectrodeGeometry(tuple(runs), lengths)
+        lengths[m] = np.hypot(vec[:, 0], vec[:, 1]).sum()
+    return ElectrodeGeometry(runs, lengths)

@@ -35,16 +35,18 @@ only on a small set S_nu of spatial rows, and the Schur coupling
 K_kj (K_0^{-1} (x) I) K_jk needs K_0^{-1} only on the blocks
 K_0^{-1}[S_nu, S_nu] (``_support_blocks``).  The supports of many indices
 share a size, so the CG applies those blocks as one batched product per
-size, with no loop over indices.  The recovery of the larger class needs
-K_0^{-1} only on the columns of each support too: x_j[:, nu] =
-K_0^{-1}[:, S_nu] g[S_nu, nu] with g = c_j - K_jk x_k, plus the load term
-of chaos index 0.  It runs on all patterns at once in chunks of one size
-each (``_recover``), so it costs 2 n_s sum_nu |S_nu| n_p flops instead of
-2 n_s^2 n_other n_p.  ``solve`` holds, besides B_0 and K_kj, the dense
-K_0^{-1}, the blocks, the CG blocks of the smaller class and blocks of the
-larger one packed over the supports.  It keeps beta and the block of the
-smaller class, from which ``SgfemSolution.alpha`` recovers the interior
-coefficients on demand.
+size, with no loop over indices.  Of the larger class the solve needs only
+the M-1 voltage rows, x_j[n_d:, nu] = K_0^{-1}[n_d:, S_nu] h[S_nu, nu]
+with h = c_j - K_jk x_k, plus the load term of chaos index 0
+(``_certified_voltages``).  Its residual, pure rounding of the computed
+K_0^{-1}, is bounded from the column norms of B_0 K_0^{-1} - I instead of
+computed, so the other spatial rows of that class are never formed.
+``solve`` holds, besides B_0 and K_kj, the dense K_0^{-1}, the blocks, the
+CG blocks of the smaller class and blocks of the larger one packed over
+the supports.  It keeps beta and the block of the smaller class, from
+which ``SgfemSolution.alpha`` recovers the interior coefficients on demand
+(``_recover``, for tests: 2 n_s sum_nu |S_nu| n_p flops in chunks of one
+support size each).
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ if TYPE_CHECKING:
 # at most this many vectors of n_s doubles in each of the two blocks of one
 # chunk of ``_recover``: the rows gathered from K_0^{-1} and its block of x_j
 _RECOVERY_VECTORS = 512
+# ``_inverse_defects`` forms B_0 K_0^{-1} - I this many columns at a time
+_DEFECT_COLUMNS = 64
 # ``_lower_inverse`` inverts blocks of at most this many rows directly; from
 # 32 to 128 the dense inverse at 336-2,896 unknowns took about the same time
 _INVERSE_LEAF = 64
@@ -138,6 +142,9 @@ class SgfemSolution:
     diagnostics.
 
     ``beta`` is (patterns, M-1, n_g), the coefficients the surrogate keeps.
+    ``residuals`` holds, per pattern, sqrt(r_k^2 + b^2) / ||c||: r_k is the
+    norm of the true residual on the rows of the kept parity class, b a
+    bound on that of the eliminated class (see ``solve``), and c the load.
     The interior coefficients are not stored: the solution keeps the system
     and ``kept_block``, the solved block of the kept parity class as a
     (n_s, n_kept * n_patterns) view (see ``_schur_pcg``), from which
@@ -155,9 +162,11 @@ class SgfemSolution:
     def alpha(self) -> np.ndarray:
         """Interior-potential chaos coefficients, (patterns, nodes, n_g).
 
-        Recomputed at every access from the kept-class block, by the same
-        operations as in ``solve``, so the values are those whose residual
-        ``solve`` checked; keep the result to read it more than once.
+        Recomputed at every access from the kept-class block by
+        ``_recover``, which ``solve`` does not run: on the kept class these
+        are the values whose residual ``solve`` computed, on the eliminated
+        class values whose residual it bounded.  Keep the result to read it
+        more than once.
         """
         system, X = self.system, self.kept_block
         (keep, other), n_d = system.classes, system.n_nodes
@@ -166,7 +175,7 @@ class SgfemSolution:
         K, groups = _local_coupling(system)
         out = np.empty((len(loads), n_d, system.n_chaos))
         out[:, :, keep] = X.reshape(X.shape[0], -1, len(loads))[:n_d].transpose(2, 0, 1)
-        for positions, _, _, _, x in _recover(system, K0inv, loads, K, groups, X):
+        for positions, x in _recover(system, K0inv, loads, K, groups, X):
             out[:, :, other[positions]] = x[:n_d].transpose(2, 0, 1)
         return out
 
@@ -361,30 +370,38 @@ def solve(
     and direction per pattern, on the Schur complement of the parity class
     of fewer chaos indices (odd on a tie), preconditioned by K_0^{-1} (x) I
     where K_0 = B_0 is the electrode-model matrix at the parameter mean;
-    the other class follows from K_0^{-1} on the supports at the end
-    (``_recover``).  It stops once every pattern's residual is at most
-    ``tol`` times its load norm; ``tol`` must be positive and finite.
-    ``maxiter`` and the returned ``iterations`` count the reduced
+    of the other class only the voltage rows are formed, at the end
+    (``_certified_voltages``).  It stops once every pattern's residual is
+    at most ``tol`` times its load norm; ``tol`` must be positive and
+    finite.  ``maxiter`` and the returned ``iterations`` count the reduced
     iterations.  Raises ValueError if the patterns do not fit the
     electrodes or a pattern's currents do not sum to zero or are all
     equal, and RuntimeError after ``maxiter`` iterations (default ten
-    times the order), if K_0 is not positive definite, or if any relative
-    residual on all of K stays above ``tol``.
+    times the order), if K_0 is not positive definite, or if any returned
+    residual stays above ``tol``.
+
+    The returned ``residuals`` are, per pattern, sqrt(r_k^2 + b^2) / ||c||
+    with c the load: r_k is the norm of the true residual on the rows of
+    the kept class, (B_0 (x) I) x_k + K_kj x_j - c_k, with x_j on the
+    supports from the blocks of the CG; b bounds the norm of the residual
+    on the rows of the eliminated class, where x_j = (K_0^{-1} (x) I) h
+    leaves (B_0 K_0^{-1} - I) h, pure rounding of the computed inverse:
+    b^2 = sum_nu ||(B_0 K_0^{-1} - I)[:, supp h_nu]||_F^2 ||h_nu||^2.  On
+    the tank r_k is ~1e-10 ||c|| and b ~2e-12 ||c||.
 
     The solve reads only B_0 and K_kj of the system, and derives the
     supports S_nu of the other class from the columns of K_kj
     (``_local_coupling``).  The class loads are built from the M-1 nonzeros
     of each pattern, so the dense load block is never formed.  Besides the
     system the solve holds the dense K_0^{-1}, the supports grouped by size,
-    the column indices of K_kj packed over the supports and the CG blocks of
-    the kept class.  During the CG it also holds the blocks K_0^{-1}[S_nu,
-    S_nu] and one (sum_nu |S_nu|, n_p) block of the other class packed over
-    the supports.  After the CG it frees the blocks and holds two packed
-    blocks (-K_jk x_k and x_j on the supports) with one chunk of the
-    recovery.  The residual on every row of K is summed chunk by chunk for
-    all patterns at once, and beta is filled from the same chunks and the
-    kept block: the solution of all of K is never held, and
-    ``SgfemSolution.alpha`` recovers it on demand.
+    the column indices of K_kj packed over the supports, the blocks
+    K_0^{-1}[S_nu, S_nu] and the CG blocks of the kept class, with one
+    (sum_nu |S_nu|, n_p) block of the other class packed over the supports.
+    After the CG it holds, instead of the CG blocks, the packed h, which
+    becomes x_j on the supports, two blocks of the kept class for its
+    residual and one chunk of ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1}:
+    the solution of all of K is never held, and ``SgfemSolution.alpha``
+    recovers it on demand.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
@@ -402,30 +419,7 @@ def solve(
     K, groups = _local_coupling(system)
     blocks = _support_blocks(K0inv, groups)
     X, iterations = _schur_pcg(system, K0inv, K, groups, blocks, loads, tol, maxiter)
-    del blocks
-
-    (keep, other), B0, n_d = system.classes, system.B0, system.n_nodes
-    n_p, n_s = len(loads), B0.shape[0]
-    beta = np.empty((n_p, system.n_electrodes - 1, system.n_chaos))
-    beta[:, :, keep] = X.reshape(n_s, -1, n_p)[n_d:].transpose(2, 0, 1)
-    # K x - c, the negated residual, on the rows of each class: (B_0 (x) I)
-    # x_j + K_jk x_k per chunk, and (B_0 (x) I) x_k + K_kj x_j at the end,
-    # where K_kj reads x_j only on the supports; never on all of K at once
-    square = np.zeros(n_p)
-    on_supports = np.empty((K.shape[1], n_p))
-    for positions, rows, S, g, x in _recover(system, K0inv, loads, K, groups, X):
-        members = other[positions]
-        r = _add_load(system, members, -loads, B0 @ x.reshape(n_s, -1))
-        r = r.reshape(x.shape)
-        at = np.arange(len(positions))[:, None]
-        r[S, at] -= g
-        square += np.einsum("ijp,ijp->p", r, r)
-        on_supports[rows].reshape(g.shape)[...] = x[S, at]
-        beta[:, :, members] = x[n_d:].transpose(2, 0, 1)
-    r = _add_load(system, keep, -loads, B0 @ X)
-    r += (K @ on_supports).reshape(r.shape)
-    r = r.reshape(n_s, -1, n_p)
-    square += np.einsum("ijp,ijp->p", r, r)
+    beta, square = _certified_voltages(system, K0inv, K, groups, blocks, loads, X)
     residuals = np.sqrt(square) / np.linalg.norm(loads, axis=1)
     for p, residual in enumerate(residuals):
         # written so that a nan residual fails too
@@ -580,9 +574,11 @@ def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxite
         S_k x_k = (B_0 (x) I) x_k - K_kj (K_0^{-1} (x) I) K_jk x_k
                 = c_k - K_kj (K_0^{-1} (x) I) c_j,
 
-    and ``_recover`` gives x_j afterwards.  K is symmetric, so K_jk is the
-    transpose of K_kj, and only K_kj is stored.  The residual of the
-    reduced system is that of all of K, whose j rows x_j solves exactly.
+    and x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) follows from x_k
+    (``_certified_voltages`` forms its voltage rows, ``_recover`` all of
+    it).  K is symmetric, so K_jk is the transpose of K_kj, and only K_kj
+    is stored.  The residual of the reduced system is that of all of K,
+    whose j rows x_j solves exactly.
     Kept-class vectors are (n_s, n_kept * n_p) views of (n_s * n_kept,
     n_p) blocks, spatial index outer, position in the class next and
     pattern last: on them the preconditioner is one product with the dense
@@ -646,10 +642,87 @@ def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxite
     return X, iteration
 
 
+def _inverse_defects(B0, K0inv) -> np.ndarray:
+    """The squared column norms e_j^2 of B_0 K_0^{-1} - I, for the computed
+    inverse, in chunks of ``_DEFECT_COLUMNS`` columns, so that no second
+    n_s x n_s array is held.  K_0^{-1} is exactly symmetric, so its
+    columns are read as rows."""
+    n_s = K0inv.shape[0]
+    out = np.empty(n_s)
+    for a in range(0, n_s, _DEFECT_COLUMNS):
+        b = min(a + _DEFECT_COLUMNS, n_s)
+        E = B0 @ K0inv[a:b].T
+        E[np.arange(a, b), np.arange(b - a)] -= 1.0
+        out[a:b] = np.einsum("ij,ij->j", E, E)
+    return out
+
+
+def _certified_voltages(system: SgfemSystem, K0inv, K, groups, blocks, loads, X):
+    """beta of both classes from the kept-class block X (see ``_schur_pcg``)
+    and, per pattern, the squared residual: that of the kept rows plus a
+    bound on that of the eliminated rows.  x_j is formed only on the
+    voltage rows and on the supports.
+
+    h = c_j - K_jk x_k is formed once, packed over the supports as -K^T X;
+    c_j, the load on the voltage rows of chaos index 0, enters where h_0
+    is used.  Per support size group, with ``_local_coupling``'s groups
+    and the CG's blocks K_0^{-1}[S_nu, S_nu]:
+
+    - beta of the eliminated class is K_0^{-1}[n_d:, S_nu] h_nu, one
+      batched product, plus K_0^{-1}[n_d:, n_d:] times the load for
+      index 0, added after the product as ``_recover`` adds it;
+    - x_j on the supports is K_0^{-1}[S_nu, S_nu] h_nu, in place of h, so
+      the kept rows' true residual (B_0 (x) I) x_k + K_kj x_j - c_k costs
+      one product with K_kj;
+    - the eliminated rows' residual B_0 x_j,nu - h_nu = (B_0 K_0^{-1} - I)
+      h_nu is pure rounding of the computed K_0^{-1}, and its norm is at
+      most ||(B_0 K_0^{-1} - I)[:, supp h_nu]||_F ||h_nu|| (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2002, ch. 14): the
+      squared Frobenius norm is the sum of e_j^2 over the support
+      (``_inverse_defects``), and the support of h_0 takes in the voltage
+      rows.
+    """
+    (keep, other), B0, n_d = system.classes, system.B0, system.n_nodes
+    n_p, n_s = len(loads), B0.shape[0]
+    beta = np.empty((n_p, system.n_electrodes - 1, system.n_chaos))
+    beta[:, :, keep] = X.reshape(n_s, -1, n_p)[n_d:].transpose(2, 0, 1)
+    h = K.T @ X.reshape(-1, n_p)
+    np.negative(h, out=h)
+    defects = _inverse_defects(B0, K0inv)
+    load = K0inv[:, n_d:] @ loads.T
+    bound = np.zeros(n_p)
+    for (rows, positions, S), block in zip(groups, blocks):
+        h_nu = h[rows].reshape(*S.shape, n_p)
+        # K_0^{-1} is symmetric: K_0^{-1}[n_d:, S_nu] is the transpose
+        v = np.matmul(K0inv[S, n_d:].transpose(0, 2, 1), h_nu)
+        weights = defects[S].sum(axis=1)
+        norms = np.einsum("csp,csp->cp", h_nu, h_nu)
+        index_0 = other[positions[0]] == 0
+        if index_0:
+            # the first of its size group; its load lies on the voltage rows
+            v[0] += load[n_d:]
+            h_0 = np.zeros((n_s, n_p))
+            h_0[S[0]] = h_nu[0]
+            h_0[n_d:] += loads.T
+            weights[0] = defects[np.union1d(S[0], np.arange(n_d, n_s))].sum()
+            norms[0] = np.einsum("ip,ip->p", h_0, h_0)
+        bound += weights @ norms
+        beta[:, :, other[positions]] = v.transpose(2, 1, 0)
+        # matmul reads an input that overlaps its output as if it did not
+        np.matmul(block, h_nu, out=h_nu)
+        if index_0:
+            h_nu[0] += load[S[0]]
+    r = _add_load(system, keep, -loads, B0 @ X)
+    r += (K @ h).reshape(r.shape)
+    r = r.reshape(n_s, -1, n_p)
+    return beta, np.einsum("ijp,ijp->p", r, r) + bound
+
+
 def _recover(system: SgfemSystem, K0inv, loads, K, groups, X):
     """The other class x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) from the
     kept-class block X (see ``_schur_pcg``), chunk by chunk of positions,
-    for all patterns at once.
+    for all patterns at once.  Only ``SgfemSolution.alpha``, which tests
+    read, runs it: ``solve`` forms x_j on the voltage rows alone.
 
     g = -K_jk x_k is formed once, packed over the supports as -K^T X: it
     is nonzero only there, and c_j only on the voltage rows of chaos index
@@ -659,9 +732,8 @@ def _recover(system: SgfemSystem, K0inv, loads, K, groups, X):
     both its gather of the rows K_0^{-1}[S_nu, :] and its block of x_j
     within ``_RECOVERY_VECTORS`` vectors of n_s doubles, and at least one;
     both live in buffers that every chunk reuses, and each chunk is one
-    batched product.  Yields per chunk its positions, its packed rows, S
-    as (c, s), g on them as a (c, s, n_p) view, and x_j as an (n_s, c, n_p)
-    view that the next chunk overwrites.
+    batched product.  Yields per chunk its positions and x_j as an (n_s,
+    c, n_p) view that the next chunk overwrites.
     """
     n_s, n_p, n_d = K0inv.shape[0], len(loads), system.n_nodes
     other = system.classes[1]
@@ -684,13 +756,16 @@ def _recover(system: SgfemSystem, K0inv, loads, K, groups, X):
         # S is in range; "clip" writes into out, "raise" through a copy
         np.take(K0inv, S, axis=0, out=rows_of_S, mode="clip")
         x = block[: n_s * c * n_p].reshape(n_s, c, n_p)
-        g_part = g[rows].reshape(c, s, n_p)
         # K_0^{-1} is symmetric: K_0^{-1}[:, S_nu] is the transpose of the rows
-        np.matmul(rows_of_S.transpose(0, 2, 1), g_part, out=x.transpose(1, 0, 2))
+        np.matmul(
+            rows_of_S.transpose(0, 2, 1),
+            g[rows].reshape(c, s, n_p),
+            out=x.transpose(1, 0, 2),
+        )
         zero = other[positions] == 0
         if zero.any():
             x[:, zero] += load[:, None]
-        yield positions, rows, S, g_part, x
+        yield positions, x
 
 
 def standard_patterns(n_electrodes: int) -> np.ndarray:

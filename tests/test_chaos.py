@@ -88,6 +88,44 @@ def test_iso_td_structure():
     assert len({tuple(r) for r in rows.tolist()}) == len(idx)
 
 
+def composition_blocks(degree, n_dims):
+    """The rows of iso_td(n_dims, degree) as the one-dimension-at-a-time
+    construction grew them, one block per total: prepending the new head
+    in decreasing order keeps every block in descending lexicographic
+    order."""
+    blocks = [np.full((1, 1), d, dtype=np.int64) for d in range(degree + 1)]
+    for _ in range(1, n_dims):
+        # total d: heads d, d-1, ..., 0, each before the tails of total d - head
+        sizes = [len(b) for b in blocks]
+        heads = [np.repeat(range(d, -1, -1), sizes[: d + 1]) for d in range(degree + 1)]
+        blocks = [np.c_[h, np.vstack(blocks[: d + 1])] for d, h in enumerate(heads)]
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize(
+    "n_dims, degree", [(1, 0), (7, 0), (20, 2), (20, 3), (92, 2), (12, 5)]
+)
+def test_iso_td_is_the_composition_construction(n_dims, degree):
+    got = chaos.iso_td(n_dims, degree).indices
+    want = composition_blocks(degree, n_dims)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    npt.assert_array_equal(got, want)
+
+
+def test_index_set_refuses_a_repeated_row():
+    # the tiny surrogate's set with its last row replaced by the one before
+    # it: the repeat is named where the set is built, not later as a fault
+    # of the graded order
+    rows = chaos.iso_td(7, 2).indices.copy()
+    rows[-1] = rows[-2]
+    repeat = r"multi-index \[0, 0, 0, 0, 0, 1, 1\] is repeated: rows 34 and 35"
+    with pytest.raises(ValueError, match=repeat):
+        chaos.MultiIndexSet(7, 2, rows)
+    # a reordered set of distinct rows is still a set
+    rows = chaos.iso_td(7, 2).indices[::-1]
+    assert len(chaos.MultiIndexSet(7, 2, rows)) == 36
+
+
 def test_iso_td_rejects():
     with pytest.raises(ValueError, match="cap"):
         chaos.iso_td(100, 5, size_cap=1000)

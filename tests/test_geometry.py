@@ -248,6 +248,34 @@ def test_electrode_geometry_walk_order():
         npt.assert_allclose(eg.lengths[m], length, rtol=1e-14)
 
 
+def test_a_set_up_walks_each_electrode_once(tmp_path, monkeypatch):
+    # validation walks every electrode; electrode_geometry reuses that walk
+    # on a validated mesh and walks a mesh built without validation itself,
+    # with the same runs and lengths
+    walked = []
+    walk = geometry._walk_electrode
+
+    def counting(mesh, tag):
+        walked.append(tag)
+        return walk(mesh, tag)
+
+    monkeypatch.setattr(geometry, "_walk_electrode", counting)
+    path = tmp_path / "mesh.json"
+    sgeit.save_mesh(sgeit.make_disk_fixture(3, 24, 4, 0.75), path)
+    walked.clear()
+    mesh = sgeit.load_mesh(path)
+    eg = sgeit.electrode_geometry(mesh)
+    assert walked == [1, 2, 3, 4]
+    bare = geometry.Mesh(
+        mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.edge_tags
+    )
+    again = sgeit.electrode_geometry(bare)
+    assert walked == [1, 2, 3, 4] * 2
+    for got, want in zip(again.edges, eg.edges):
+        npt.assert_array_equal(got, want)
+    npt.assert_array_equal(again.lengths, eg.lengths)
+
+
 def test_electrode_arcs_shared_across_refinements(disk_seeds):
     """Refining rings and sectors together keeps the electrode arcs fixed."""
     def arcs(mesh):

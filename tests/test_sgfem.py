@@ -419,7 +419,7 @@ def test_recovery_on_the_supports_equals_the_dense_one(tiny, degree):
     rng = np.random.default_rng(degree == "collapsed")
     X = rng.standard_normal((n_s, len(kept) * n_p))
     got = np.full((n_s, len(other), n_p), np.nan)
-    for positions, _, _, _, x in sgfem._recover(system, K0inv, loads, K, groups, X):
+    for positions, x in sgfem._recover(system, K0inv, loads, K, groups, X):
         assert np.isnan(got[:, positions]).all()
         got[:, positions] = x
     # K's rows of each class, spatial index outer and position inner
@@ -707,13 +707,13 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     # blocks K_0^{-1}[S_nu, S_nu] with the supports; the packed coupling,
     # that is the column indices of K_kj renumbered over the supports and
     # two packed blocks of the other class; and the CG blocks of the kept
-    # class.  The recovery and the residual check run after the CG has
-    # freed its blocks and the blocks K_0^{-1}[S_nu, S_nu]; they hold the
-    # kept block, two packed blocks of the other class (-K_jk x_k and x_j
-    # on the supports) and one chunk: the rows K_0^{-1}[S_nu, :] gathered
-    # for it and its block of x_j with the residual, the first two of at
-    # most ``_RECOVERY_VECTORS`` vectors of n_s doubles each.  A block of
-    # the other class for all patterns does not fit in the bound.
+    # class.  The voltages and residuals of ``_certified_voltages`` run
+    # after the CG has freed its blocks; they keep the blocks K_0^{-1}[S_nu,
+    # S_nu] and hold the kept block, two blocks of the kept class for its
+    # residual, one packed block of the other class (h, then x_j on the
+    # supports), the voltage rows of one size group and one chunk of
+    # ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1} - I.  A block of the
+    # other class for all patterns does not fit in the bound.
     system = sgfem.assemble_system(*tank_sm_mm)
     patterns = sgfem.standard_patterns(system.n_electrodes)
     sol, peak = traced_peak(lambda: sgfem.solve(system, patterns))
@@ -756,6 +756,85 @@ def test_alpha_holds_no_block_of_the_supports(tank_sm_mm):
     bound = alpha.nbytes + 2 * n_s * n_s * f8 + packed + n_s * n_p * f8 + chunk
     blocks = (sizes[sizes < n_s] ** 2).sum() * f8
     assert peak <= bound < peak + blocks
+
+
+def full_residuals(sol):
+    """Norms of K x - c per pattern on the rows of the kept and of the
+    eliminated class, relative to the load, with x joined from ``alpha``
+    and ``beta`` and K built whole by ``SgfemSystem.K``."""
+    system, n_p = sol.system, len(sol.patterns)
+    n_s, n_g = system.B0.shape[0], system.n_chaos
+    x = np.concatenate([sol.alpha.reshape(n_p, -1), sol.beta.reshape(n_p, -1)], 1).T
+    kept, other = system.classes
+    # the kept class of the solution is the CG's block
+    npt.assert_array_equal(
+        x.reshape(n_s, n_g, n_p)[:, kept].reshape(n_s, -1), sol.kept_block
+    )
+    C = np.column_stack([rhs_for_current(system, p) for p in sol.patterns])
+    R = (system.K @ x - C).reshape(n_s, n_g, n_p)
+    norms = np.linalg.norm(C, axis=0)
+    return tuple(np.linalg.norm(R[:, c], axis=(0, 1)) / norms for c in (kept, other))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "tank"])
+def test_residuals_are_the_full_residual_with_a_bound_on_the_eliminated_rows(
+    tiny, tank_sm_mm, monkeypatch, case
+):
+    # ``solve`` computes the residual on the rows of the kept class and
+    # bounds that on the rows of the eliminated class, which it never
+    # forms; the reference is the residual on all of K.  Chaos index 0 is
+    # in the eliminated class at degree 2 and on the tank, with a support
+    # of all rows there.
+    if case == "tank":
+        system = sgfem.assemble_system(*tank_sm_mm)
+        patterns = sgfem.standard_patterns(system.n_electrodes)
+    else:
+        _, system = tiny_system(tiny, case)
+        patterns = MIXED_PATTERNS
+    sol = sgfem.solve(system, patterns)
+    kept, eliminated = full_residuals(sol)
+    npt.assert_allclose(sol.residuals, np.hypot(kept, eliminated), rtol=0.01)
+    # the same solve with the columns of B_0 K_0^{-1} - I taken as zero
+    # leaves the kept rows' residual alone
+    monkeypatch.setattr(
+        sgfem, "_inverse_defects", lambda B0, K0inv: np.zeros(len(K0inv))
+    )
+    kept_only = sgfem.solve(system, patterns)
+    npt.assert_array_equal(kept_only.beta, sol.beta)
+    npt.assert_allclose(kept_only.residuals, kept, rtol=0.01)
+    bound = np.sqrt(sol.residuals**2 - kept_only.residuals**2)
+    assert (bound >= eliminated).all()
+
+
+@pytest.mark.parametrize("width", [1, 7, 10**9], ids=["1", "7", "all"])
+def test_inverse_defects_are_the_column_norms_at_any_chunk_width(
+    tiny, monkeypatch, width
+):
+    _, system = tiny_system(tiny, 2)
+    K0inv = sgfem._mean_inverse(system)
+    E = system.B0 @ K0inv - np.identity(len(K0inv))
+    monkeypatch.setattr(sgfem, "_DEFECT_COLUMNS", width)
+    got = sgfem._inverse_defects(system.B0, K0inv)
+    npt.assert_allclose(got, (E**2).sum(axis=0), rtol=1e-12, atol=0)
+    assert 0 < got.max() < 1e-24
+
+
+def test_solve_never_recovers_the_eliminated_class(tiny, monkeypatch):
+    # beta of the eliminated class comes from its voltage rows alone; only
+    # ``alpha`` runs the recovery.  At degree 2 chaos index 0, with the
+    # load, is in the eliminated class.
+    _, system = tiny_system(tiny, 2)
+    assert system.classes[1][0] == 0
+    alpha, beta = lu_reference(system, MIXED_PATTERNS)
+
+    def refuse(*args):
+        raise AssertionError("solve recovered the eliminated class")
+
+    monkeypatch.setattr(sgfem, "_recover", refuse)
+    sol = sgfem.solve(system, MIXED_PATTERNS)
+    npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
+    with pytest.raises(AssertionError, match="recovered the eliminated class"):
+        sol.alpha
 
 
 def test_the_cross_block_repeats_no_triplet(tank_sm_mm, monkeypatch):
