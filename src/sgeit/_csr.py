@@ -1,0 +1,226 @@
+"""Float64 CSR matrices on SciPy's compiled sparse kernels, without the SciPy
+packages.
+
+Precompute's sparse work is CSR products with B_0 and K_kj, COO-to-CSR
+conversion and a dense form.  ``import scipy.sparse`` would add about 15 MB
+resident and 0.1-0.2 s to the process, most of it SciPy's array-API layer,
+which walks numpy's namespace and so loads ``numpy.f2py``, ``numpy.testing``
+and more.  This module loads only SciPy's compiled kernel module
+``scipy/sparse/_sparsetools``, on first use: it finds the file without
+importing SciPy and loads it with an ``ExtensionFileLoader``, which runs
+neither ``scipy/__init__.py`` nor ``scipy/sparse/__init__.py`` and costs
+about 0.2 MB.  The load leaves nothing in ``sys.modules``, so a later
+``import scipy.sparse`` loads and binds its own copy as usual; if SciPy's
+module is already loaded, it is used.
+
+``_sparsetools`` is private SciPy API: its functions and their argument
+order are not documented and can change between releases.  This module was
+checked on SciPy 1.17.1, and ``tests/test_csr.py`` (Tier-1) checks every
+operation bit for bit against ``scipy.sparse``, so a SciPy release that
+changes them fails there.  A SciPy without the module or one of its
+functions raises ImportError naming ``scipy.sparse._sparsetools`` and the
+installed SciPy version.
+
+The kernels check no bounds.  ``CSRMatrix`` therefore checks its arrays
+once when it is made and makes them read-only, and checks every dense
+operand's dtype, C-contiguity and shape before a kernel runs; a bad one
+raises ValueError.  The operations are those of ``scipy.sparse`` on the
+same arrays, kernel for kernel, so their results have its bits.
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+import numpy as np
+
+_NAME = "scipy.sparse._sparsetools"
+# every kernel this module calls
+_USED = (
+    "coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices",
+    "csr_sort_indices", "csr_sum_duplicates", "csr_matvec", "csr_matvecs",
+    "csc_matvec", "csc_matvecs", "csr_todense",
+)
+_INDEX_TYPES = (np.dtype(np.int32), np.dtype(np.int64))
+_kernels = None
+
+
+def kernels():
+    """SciPy's compiled sparse kernel module, loaded on the first call."""
+    global _kernels
+    if _kernels is None:
+        module = sys.modules.get(_NAME) or _load()
+        missing = [name for name in _USED if not hasattr(module, name)]
+        if missing:
+            raise ImportError(
+                f"{_NAME} of SciPy {_scipy_version()} lacks {', '.join(missing)}",
+                name=_NAME,
+            )
+        _kernels = module
+    return _kernels
+
+
+def _load():
+    """Load the kernel module from SciPy's installed files, running no
+    SciPy package code and leaving ``sys.modules`` as it was."""
+    spec = importlib.util.find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_NAME, path)
+                found = importlib.util.spec_from_file_location(_NAME, path, loader=loader)
+                module = importlib.util.module_from_spec(found)
+                loader.exec_module(module)
+                # an extension of single-phase init registers itself
+                if sys.modules.get(_NAME) is module:
+                    del sys.modules[_NAME]
+                return module
+    raise ImportError(f"cannot find {_NAME} of SciPy {_scipy_version()}", name=_NAME)
+
+
+def _scipy_version() -> str:
+    from importlib import metadata
+
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return "(not installed)"
+
+
+class CSRMatrix:
+    """A float64 matrix in compressed sparse row form: ``data``,
+    ``indices`` and ``indptr`` as SciPy's ``csr_matrix`` holds them, with
+    ``shape`` and ``nnz``.
+
+    Made from its arrays, which must be one-dimensional and C-contiguous,
+    ``data`` float64 and the index arrays both int32 or both int64, and
+    form valid CSR arrays of ``shape``: ``indptr`` from 0, nondecreasing, to
+    ``nnz``, and every column index in range.  Duplicate or unsorted column
+    indices are allowed, as in SciPy.  The arrays are shared, not copied,
+    and made read-only.  Raises ValueError otherwise.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape):
+        n_rows, n_cols = (int(n) for n in shape)
+        arrays = {"data": data, "indices": indices, "indptr": indptr}
+        for name, a in arrays.items():
+            if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.flags.c_contiguous):
+                raise ValueError(f"{name} must be a one-dimensional C-contiguous array")
+        if data.dtype != np.float64:
+            raise ValueError(f"data must be float64, got {data.dtype}")
+        if indices.dtype != indptr.dtype or indptr.dtype not in _INDEX_TYPES:
+            raise ValueError(
+                f"indices and indptr must both be int32 or both int64, got "
+                f"{indices.dtype} and {indptr.dtype}"
+            )
+        if min(n_rows, n_cols) < 0 or np.iinfo(indptr.dtype).max < max(n_rows, n_cols):
+            raise ValueError(f"shape {(n_rows, n_cols)} does not fit {indptr.dtype}")
+        nnz = len(data)
+        if not (
+            len(indptr) == n_rows + 1
+            and indptr[0] == 0
+            and indptr[-1] == nnz == len(indices)
+            and (np.diff(indptr) >= 0).all()
+        ):
+            raise ValueError(
+                f"indptr must run from 0 to nnz = {nnz} in {n_rows} nondecreasing steps"
+            )
+        if nnz and not (0 <= indices.min() and indices.max() < n_cols):
+            raise ValueError(f"a column index is outside 0..{n_cols - 1}")
+        for a in arrays.values():
+            a.flags.writeable = False
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = (n_rows, n_cols)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def __repr__(self) -> str:
+        return f"<{self.shape[0]}x{self.shape[1]} CSRMatrix, {self.nnz} stored>"
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape) -> CSRMatrix:
+        """The matrix of COO triplets as ``coo_matrix((vals, (rows, cols)),
+        shape).tocsr()`` makes it, kernel for kernel: ``coo_tocsr``, which
+        keeps the triplets' order within a row, then, unless the result is
+        already canonical, ``csr_sort_indices`` (if a row is unsorted) and
+        ``csr_sum_duplicates``, which sums repeated entries in the order of
+        that sort.  ``vals`` must be float64 and the triplets of equal
+        length, with every row and column in range; raises ValueError
+        otherwise.
+        """
+        n_rows, n_cols = (int(n) for n in shape)
+        rows, cols, vals = (np.ascontiguousarray(a) for a in (rows, cols, vals))
+        if vals.dtype != np.float64:
+            raise ValueError(f"values must be float64, got {vals.dtype}")
+        nnz = len(vals)
+        if not rows.shape == cols.shape == vals.shape == (nnz,):
+            raise ValueError("rows, columns and values must be 1-D and of equal length")
+        for name, a, n in (("row", rows, n_rows), ("column", cols, n_cols)):
+            if a.dtype.kind not in "iu":
+                raise ValueError(f"{name} indices must be integers, got {a.dtype}")
+            if nnz and not (0 <= a.min() and a.max() < n):
+                raise ValueError(f"a {name} index is outside 0..{n - 1}")
+        # the index type SciPy picks
+        index = np.int64 if max(n_rows, n_cols, nnz) >= 2**31 else np.int32
+        rows, cols = (a.astype(index, copy=False) for a in (rows, cols))
+        k = kernels()
+        indptr = np.empty(n_rows + 1, dtype=index)
+        indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
+        k.coo_tocsr(n_rows, n_cols, nnz, rows, cols, vals, indptr, indices, data)
+        if not k.csr_has_canonical_format(n_rows, indptr, indices):
+            if not k.csr_has_sorted_indices(n_rows, indptr, indices):
+                k.csr_sort_indices(n_rows, indptr, indices, data)
+            k.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)
+            indices, data = indices[: indptr[-1]], data[: indptr[-1]]
+        return cls(data, indices, indptr, (n_rows, n_cols))
+
+    def __matmul__(self, V) -> np.ndarray:
+        """The product with a dense float64 vector or (n_cols, k) block,
+        as ``csr_matrix @ V`` forms it: ``csr_matvec`` for a vector or a
+        single column, ``csr_matvecs`` otherwise."""
+        return self._product(V, False)
+
+    def transpose_matmul(self, U) -> np.ndarray:
+        """The product of the transpose with a dense float64 vector or
+        (n_rows, k) block, as ``csr_matrix.T @ U`` forms it: the CSC kernels
+        ``csc_matvec`` or ``csc_matvecs`` on the same arrays."""
+        return self._product(U, True)
+
+    def _product(self, V, transpose: bool) -> np.ndarray:
+        n_rows, n_cols = self.shape
+        n_in, n_out = (n_rows, n_cols) if transpose else (n_cols, n_rows)
+        if not (
+            isinstance(V, np.ndarray)
+            and V.dtype == np.float64
+            and V.flags.c_contiguous
+            and V.ndim in (1, 2)
+            and V.shape[0] == n_in
+        ):
+            raise ValueError(
+                f"need a C-contiguous float64 vector or block of {n_in} rows, got "
+                f"{getattr(V, 'dtype', type(V))} of shape {getattr(V, 'shape', None)}"
+            )
+        out = np.zeros((n_out,) + V.shape[1:])
+        k, arrays = kernels(), (self.indptr, self.indices, self.data)
+        if V.ndim == 1 or V.shape[1] == 1:
+            matvec = k.csc_matvec if transpose else k.csr_matvec
+            matvec(n_out, n_in, *arrays, V.ravel(), out.ravel())
+        else:
+            matvecs = k.csc_matvecs if transpose else k.csr_matvecs
+            matvecs(n_out, n_in, V.shape[1], *arrays, V.ravel(), out.ravel())
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense form, by ``csr_todense`` into zeros as SciPy's
+        ``toarray`` forms it."""
+        out = np.zeros(self.shape)
+        kernels().csr_todense(*self.shape, self.indptr, self.indices, self.data, out)
+        return out

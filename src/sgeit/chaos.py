@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,15 @@ def _tables(max_degree: int, y: np.ndarray, derivatives: bool = True):
     return vals, ders
 
 
+def _row_weights(n_dims: int) -> np.ndarray:
+    """The weights w of the row keys idx @ w of ``MultiIndexSet``'s
+    repeated-row check, which wrap modulo 2^64: one fixed odd 63-bit
+    integer per dimension, drawn from a fixed seed, so that distinct rows
+    share a key only by chance."""
+    rng = random.Random(0x5EED)
+    return np.array([rng.getrandbits(62) << 1 | 1 for _ in range(n_dims)], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class MultiIndexSet:
     """Multi-indices over P stochastic dimensions, graded ordering.
@@ -78,17 +88,20 @@ class MultiIndexSet:
             raise ValueError("multi-indices must be nonnegative")
         if idx.size and idx.sum(axis=1).max() > self.degree:
             raise ValueError("multi-index exceeds the total degree bound")
-        # equal rows are equal bytes: one stable sort of the rows as bytes
-        row_bytes = np.dtype((np.void, idx.itemsize * self.n_dims))
-        rows = np.ascontiguousarray(idx).view(row_bytes).ravel()
-        order = np.argsort(rows, kind="stable")
-        ordered = rows[order]
-        repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
-        if repeats.size:
-            i, j = order[repeats[0]], order[repeats[0] + 1]
-            raise ValueError(
-                f"multi-index {idx[j].tolist()} is repeated: rows {i} and {j}"
-            )
+        # equal rows have equal 64-bit keys; only if two rows share a key are
+        # the rows compared in full, as bytes, by one stable sort
+        keys = (idx @ _row_weights(self.n_dims)).tolist()
+        if len(set(keys)) < len(keys):
+            row_bytes = np.dtype((np.void, idx.itemsize * self.n_dims))
+            rows = np.ascontiguousarray(idx).view(row_bytes).ravel()
+            order = np.argsort(rows, kind="stable")
+            ordered = rows[order]
+            repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+            if repeats.size:
+                i, j = order[repeats[0]], order[repeats[0] + 1]
+                raise ValueError(
+                    f"multi-index {idx[j].tolist()} is repeated: rows {i} and {j}"
+                )
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:

@@ -176,12 +176,6 @@ def cmd_precompute(args) -> int:
         np.full(n_el, args.zeta_min), np.full(n_el, args.zeta_max),
     )
 
-    # the assembly loads scipy.sparse on first use; loaded here, its import
-    # is timed apart from the stages
-    t0 = time.perf_counter()
-    import scipy.sparse  # noqa: F401
-    t_import = time.perf_counter() - t0
-
     t0 = time.perf_counter()
     sm = fem.assemble_spatial(mesh, partition, bounds)
     index_set = iso_td(n_pix + n_el, args.order)
@@ -201,7 +195,7 @@ def cmd_precompute(args) -> int:
     print(f"system order: {system.order}, nonzeros: {system.nnz}")
     steps = "iteration" if sol.iterations == 1 else "iterations"
     print(
-        f"import of scipy.sparse {t_import:.2f} s, assembly {t_asm:.2f} s, "
+        f"assembly {t_asm:.2f} s, "
         f"solve {t_solve:.2f} s (pcg, {sol.iterations} {steps})"
     )
     print(f"max relative residual: {sol.residuals.max():.2e}")

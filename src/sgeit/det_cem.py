@@ -80,6 +80,7 @@ def solve_deterministic(
     factorizes once, and solves all patterns against it, with the loads and
     pattern checks of the Galerkin solve; each voltage vector sums to zero.
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
@@ -101,9 +102,9 @@ def solve_deterministic(
     S, g = assemble_electrode_mass(mesh, eg)
     A = stiffness_matrix(mesh, sigma[partition.triangle_pixel])
     B = cem_matrix(A, zeta, S, g, eg.lengths)
-    # B is exactly symmetric, so its transpose, which SciPy forms in CSC
-    # from the same arrays, is B in the format SuperLU factorizes
-    lu = spla.splu(B.T)
+    # B is exactly symmetric, so the CSC matrix of its CSR arrays, its
+    # transpose, is B in the format SuperLU factorizes
+    lu = spla.splu(sp.csc_matrix((B.data, B.indices, B.indptr), shape=B.shape))
 
     n_d = mesh.n_nodes
     rhs = np.zeros((patterns.shape[0], B.shape[0]))

@@ -12,14 +12,11 @@ terms.  Conductivity is in mS, contact conductance in mS/cm, lengths in cm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._csr import CSRMatrix
 from .geometry import ElectrodeGeometry, Mesh, PixelPartition, electrode_geometry
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,11 @@ class ParameterBounds:
 class SpatialMatrices:
     """FEM building blocks of the electrode model on one mesh.
 
+    The matrices are ``_csr.CSRMatrix``: CSR arrays with products on
+    SciPy's compiled kernels, loaded without the SciPy packages.  Those
+    kernels (``scipy.sparse._sparsetools``) are private SciPy API, checked
+    on SciPy 1.17.1 and guarded by the Tier-1 test ``tests/test_csr.py``.
+
     Attributes
     ----------
     A0 : background stiffness, already scaled by sigma0.
@@ -113,9 +115,9 @@ class SpatialMatrices:
     bounds : the parameter box that A0 and A were scaled by.
     """
 
-    A0: sp.csr_matrix
-    A: tuple[sp.csr_matrix, ...]
-    S: tuple[sp.csr_matrix, ...]
+    A0: CSRMatrix
+    A: tuple[CSRMatrix, ...]
+    S: tuple[CSRMatrix, ...]
     g: tuple[np.ndarray, ...]
     lengths: np.ndarray
     bounds: ParameterBounds
@@ -133,7 +135,7 @@ class SpatialMatrices:
         return len(self.S)
 
 
-def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
+def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> CSRMatrix:
     """Assemble int coeff grad(phi_i).grad(phi_j) with per-triangle coeff.
 
     Entries are exact for linear elements: each triangle contributes
@@ -146,7 +148,7 @@ def stiffness_matrix(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
     return A
 
 
-def _stiffness_matrices(mesh: Mesh, coeffs: np.ndarray) -> tuple[sp.csr_matrix, ...]:
+def _stiffness_matrices(mesh: Mesh, coeffs: np.ndarray) -> tuple[CSRMatrix, ...]:
     """``stiffness_matrix`` of every row of the (B, n_triangles) array
     ``coeffs``, in one pass: the element matrices are computed once, and
     matrix r is assembled as rows r n + i of one stacked matrix, so each
@@ -191,23 +193,21 @@ def summed_csr(rows, cols, vals, n_rows: int, n_cols: int):
     return data, col.astype(index), indptr.astype(index)
 
 
-def _split(csr, n: int) -> tuple[sp.csr_matrix, ...]:
+def _split(csr, n: int) -> tuple[CSRMatrix, ...]:
     """The n x n blocks of rows 0..n-1, n..2n-1, ... of the n-column matrix
     given by the CSR arrays ``(data, indices, indptr)``."""
-    import scipy.sparse as sp
-
     data, indices, indptr = csr
     blocks = []
     for start in range(0, len(indptr) - 1, n):
         ptr = indptr[start : start + n + 1]
         part = slice(ptr[0], ptr[-1])
-        blocks.append(sp.csr_matrix((data[part], indices[part], ptr - ptr[0]), (n, n)))
+        blocks.append(CSRMatrix(data[part], indices[part], ptr - ptr[0], (n, n)))
     return tuple(blocks)
 
 
 def assemble_electrode_mass(
     mesh: Mesh, eg: ElectrodeGeometry
-) -> tuple[tuple[sp.csr_matrix, ...], tuple[np.ndarray, ...]]:
+) -> tuple[tuple[CSRMatrix, ...], tuple[np.ndarray, ...]]:
     """Boundary mass matrix S_m and load vector g_m for every electrode.
 
     On an edge of length h the local mass is h/6 * [[2, 1], [1, 2]] and the

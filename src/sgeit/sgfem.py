@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._csr import CSRMatrix
 from .chaos import MomentMatrices
 from .fem import SpatialMatrices, summed_csr
 
@@ -92,10 +93,17 @@ class SgfemSystem:
     kept parity class to the columns of the other, numbered spatial index
     outer and position in the class inner.  K is symmetric, so its block
     from the other class to the kept one is the transpose of K_kj.
+
+    Both blocks are ``_csr.CSRMatrix``, whose products run on SciPy's
+    compiled kernels without the SciPy packages, so neither assembly nor
+    ``solve`` imports ``scipy.sparse``.  Those kernels
+    (``scipy.sparse._sparsetools``) are private SciPy API, checked on SciPy
+    1.17.1 and guarded by the Tier-1 test ``tests/test_csr.py``.  Only
+    ``K``, which tests and tracing read, imports ``scipy.sparse``.
     """
 
-    B0: sp.csr_matrix
-    K_kj: sp.csr_matrix
+    B0: CSRMatrix
+    K_kj: CSRMatrix
     n_nodes: int
     n_electrodes: int
     n_chaos: int
@@ -118,21 +126,21 @@ class SgfemSystem:
 
     @property
     def K(self) -> sp.csr_matrix:
-        """All of K as one CSR matrix, joined from the blocks at every access
-        by one COO-to-CSR conversion; for tests and tracing, since neither
-        assembly nor ``solve`` needs it."""
+        """All of K as one SciPy CSR matrix, joined from the blocks at every
+        access by one COO-to-CSR conversion; for tests and tracing, since
+        neither assembly nor ``solve`` needs it.  Imports ``scipy.sparse``."""
         import scipy.sparse as sp
 
-        n_g, B, C = self.n_chaos, self.B0.tocoo(), self.K_kj.tocoo()
+        n_g, n_s = self.n_chaos, self.B0.shape[0]
+        (b_row, b_col, b_val), (c_row, c_col, c_val) = map(_triplets, (self.B0, self.K_kj))
         kept_rows, other_rows = (
-            (np.arange(B.shape[0])[:, None] * n_g + members).ravel()
-            for members in self.classes
+            (np.arange(n_s)[:, None] * n_g + members).ravel() for members in self.classes
         )
-        r, c = kept_rows[C.row], other_rows[C.col]
+        r, c = kept_rows[c_row], other_rows[c_col]
         same = np.arange(n_g)
-        rows = np.concatenate([(B.row[:, None] * n_g + same).ravel(), r, c])
-        cols = np.concatenate([(B.col[:, None] * n_g + same).ravel(), c, r])
-        vals = np.concatenate([np.repeat(B.data, n_g), C.data, C.data])
+        rows = np.concatenate([(b_row[:, None] * n_g + same).ravel(), r, c])
+        cols = np.concatenate([(b_col[:, None] * n_g + same).ravel(), c, r])
+        vals = np.concatenate([np.repeat(b_val, n_g), c_val, c_val])
         return sp.coo_matrix((vals, (rows, cols)), shape=(self.order,) * 2).tocsr()
 
 
@@ -230,11 +238,12 @@ def _electrode_triplets(S, g, lengths):
     )
 
 
-def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
+def cem_matrix(A, zeta, S, g, lengths) -> CSRMatrix:
     """Electrode-model block matrix in the mean-free voltage basis.
 
     Returns [[A + sum_m zeta_m S_m, Upsilon], [Upsilon^T, Pi]] for the
-    sparse stiffness ``A``, contact conductances ``zeta`` and the electrode
+    stiffness ``A``, given by its CSR arrays (a ``CSRMatrix``, or SciPy's
+    ``csr_matrix``), contact conductances ``zeta`` and the electrode
     mass matrices ``S``, load vectors ``g`` and lengths of one mesh: the
     sum [[A, 0], [0, 0]] + sum_m zeta_m E_m over the unit blocks E_m of
     ``_electrode_triplets``.  Column i of Upsilon is zeta_{i+1} g_{i+1} -
@@ -247,15 +256,15 @@ def cem_matrix(A, zeta, S, g, lengths) -> sp.csr_matrix:
     off-diagonal entries hold at most two terms each, the result is
     exactly symmetric.
     """
-    import scipy.sparse as sp
-
     n, zeta = A.shape[0] + len(S) - 1, np.asarray(zeta)
     rows, cols, vals, electrode = _electrode_triplets(S, g, lengths)
-    terms = [_triplets(sp.csr_matrix(A)), (rows, cols, zeta[electrode] * vals)]
+    terms = [_triplets(A), (rows, cols, zeta[electrode] * vals)]
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    B = sp.csr_matrix(summed_csr(rows, cols, vals, n, n), shape=(n, n))
-    B.eliminate_zeros()
-    return B
+    data, indices, indptr = summed_csr(rows, cols, vals, n, n)
+    # the entries that summed to zero leave, the others keep their order
+    kept = data != 0.0
+    stored = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(indptr.dtype)
+    return CSRMatrix(data[kept], indices[kept], stored, (n, n))
 
 
 def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
@@ -270,7 +279,8 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     B_0.  Every B_k keeps only its nonzero entries, as ``cem_matrix`` does.
 
     G_0 = I, and K_kj = sum_{k >= 1} B_k (x) G_k[kept, other] is one
-    COO-to-CSR conversion of the triplets of every term, with the G_k read
+    COO-to-CSR conversion of the triplets of every term
+    (``CSRMatrix.from_triplets``, SciPy's kernels), with the G_k read
     from the coupling table of ``mm`` grouped by k.  The terms have
     disjoint sparsity (G_k couples only indices that differ in dimension
     k), so each entry is one product B_k[i, j] G_k[mu, nu], that of K; as
@@ -282,8 +292,6 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     couples indices of the same parity: then K is not 2-cyclic, and
     ``solve`` does not apply.
     """
-    import scipy.sparse as sp
-
     n_pix, n_el = sm.n_pixels, sm.n_electrodes
     if mm.n_dims != n_pix + n_el:
         raise ValueError(
@@ -333,8 +341,8 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
         np.add(i * n_kept, mu, out=rows[part].reshape(shape))
         np.add(j * n_other, nu, out=cols[part].reshape(shape))
         np.multiply(v[:, None], g, out=vals[part].reshape(shape))
-    K_kj = sp.coo_matrix((vals, (rows, cols)), shape=(n_s * n_kept, n_s * n_other))
-    return SgfemSystem(B0, K_kj.tocsr(), sm.n_nodes, n_el, len(parity), parity)
+    K_kj = CSRMatrix.from_triplets(rows, cols, vals, (n_s * n_kept, n_s * n_other))
+    return SgfemSystem(B0, K_kj, sm.n_nodes, n_el, len(parity), parity)
 
 
 def _voltage_loads(patterns, n_electrodes: int) -> np.ndarray:
@@ -501,8 +509,6 @@ def _local_coupling(system: SgfemSystem):
     ``system.K_kj``, and per support size s the group (packed rows,
     positions, S as a (count, s) array), with no loop over positions.
     """
-    import scipy.sparse as sp
-
     K_kj, n_s, n_other = system.K_kj, system.B0.shape[0], len(system.classes[1])
     j, nu = np.divmod(K_kj.indices, n_other)
     stored = np.zeros((n_other, n_s), dtype=bool)
@@ -519,9 +525,7 @@ def _local_coupling(system: SgfemSystem):
     del rank, j, nu
     sizes = sizes[order]
     first = np.concatenate(([0], np.cumsum(sizes)))
-    K = sp.csr_matrix(
-        (K_kj.data, indices, K_kj.indptr), shape=(K_kj.shape[0], first[-1])
-    )
+    K = CSRMatrix(K_kj.data, indices, K_kj.indptr, (K_kj.shape[0], first[-1]))
     supports = np.nonzero(stored)[1]
     cuts = np.flatnonzero(np.diff(sizes)) + 1
     groups = []
@@ -557,7 +561,7 @@ def _couple(K, groups, blocks, V, n_p):
     The products run in place: a second packed block made a call about
     twice as slow at paper scale (one BLAS thread), for the same bits.
     """
-    W = K.T @ V.reshape(-1, n_p)
+    W = K.transpose_matmul(V.reshape(-1, n_p))
     for (rows, _, S), block in zip(groups, blocks):
         group = W[rows].reshape(*S.shape, n_p)
         # matmul reads an input that overlaps its output as if it did not
@@ -651,7 +655,7 @@ def _inverse_defects(B0, K0inv) -> np.ndarray:
     out = np.empty(n_s)
     for a in range(0, n_s, _DEFECT_COLUMNS):
         b = min(a + _DEFECT_COLUMNS, n_s)
-        E = B0 @ K0inv[a:b].T
+        E = B0 @ np.ascontiguousarray(K0inv[a:b].T)
         E[np.arange(a, b), np.arange(b - a)] -= 1.0
         out[a:b] = np.einsum("ij,ij->j", E, E)
     return out
@@ -686,7 +690,7 @@ def _certified_voltages(system: SgfemSystem, K0inv, K, groups, blocks, loads, X)
     n_p, n_s = len(loads), B0.shape[0]
     beta = np.empty((n_p, system.n_electrodes - 1, system.n_chaos))
     beta[:, :, keep] = X.reshape(n_s, -1, n_p)[n_d:].transpose(2, 0, 1)
-    h = K.T @ X.reshape(-1, n_p)
+    h = K.transpose_matmul(X.reshape(-1, n_p))
     np.negative(h, out=h)
     defects = _inverse_defects(B0, K0inv)
     load = K0inv[:, n_d:] @ loads.T
@@ -737,7 +741,7 @@ def _recover(system: SgfemSystem, K0inv, loads, K, groups, X):
     """
     n_s, n_p, n_d = K0inv.shape[0], len(loads), system.n_nodes
     other = system.classes[1]
-    g = K.T @ X.reshape(-1, n_p)
+    g = K.transpose_matmul(X.reshape(-1, n_p))
     np.negative(g, out=g)
     chunks = []
     for rows, positions, S in groups:

@@ -36,6 +36,13 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def as_scipy(M):
+    """A ``CSRMatrix`` of the library as SciPy's ``csr_matrix`` on the same
+    arrays, for the sparse arithmetic, indexing and SciPy references of the
+    tests; the one place the tests convert one."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
 def moment_matrix(mm, k):
     """G_k of the coupling table of ``chaos.moment_matrices`` as a CSR
     matrix; G_0 is the identity."""

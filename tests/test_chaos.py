@@ -126,6 +126,49 @@ def test_index_set_refuses_a_repeated_row():
     assert len(chaos.MultiIndexSet(7, 2, rows)) == 36
 
 
+def first_repeat_by_byte_sort(rows):
+    """The message for the first repeat that one stable sort of all rows as
+    bytes finds, or None: the reference for the keyed check."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(as_bytes, kind="stable")
+    repeats = np.flatnonzero(as_bytes[order][1:] == as_bytes[order][:-1])
+    if not repeats.size:
+        return None
+    i, j = order[repeats[0]], order[repeats[0] + 1]
+    return f"multi-index {rows[j].tolist()} is repeated: rows {i} and {j}"
+
+
+@pytest.mark.parametrize("weights", ["fixed", "all ones"])
+def test_index_set_compares_rows_of_equal_keys_in_full(monkeypatch, weights):
+    # with every weight 1 a row's key is its total degree, so every row of
+    # one degree shares its key: distinct rows must still be accepted, and a
+    # repeat named as the byte sort of all rows names it
+    if weights == "all ones":
+        monkeypatch.setattr(chaos, "_row_weights", lambda n: np.ones(n, dtype=np.int64))
+    full = chaos.iso_td(7, 2).indices
+    assert len(chaos.MultiIndexSet(7, 2, full[::-1])) == 36
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        rows = full[rng.integers(0, 36, 36)]
+        want = first_repeat_by_byte_sort(rows)
+        if want is None:
+            assert len(chaos.MultiIndexSet(7, 2, rows)) == 36
+        else:
+            with pytest.raises(ValueError) as raised:
+                chaos.MultiIndexSet(7, 2, rows)
+            assert str(raised.value) == want
+
+
+def test_row_weights_give_the_paper_set_distinct_keys():
+    # the fixed weights are odd and, on the 4,371 rows of the paper's set,
+    # leave no two rows one key, so no row is compared in full there
+    w = chaos._row_weights(92)
+    assert w.dtype == np.int64 and (w & 1).all() and len(np.unique(w)) == 92
+    idx = chaos.iso_td(92, 2).indices
+    assert len(np.unique(idx @ w)) == len(idx) == 4_371
+
+
 def test_iso_td_rejects():
     with pytest.raises(ValueError, match="cap"):
         chaos.iso_td(100, 5, size_cap=1000)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import sgeit
-from conftest import json_dump_text, two_ring_layout
+from conftest import as_scipy, json_dump_text, two_ring_layout
 from sgeit import det_cem, fem
 from sgeit.sgfem import _voltage_loads, cem_matrix, expand_mean_free, standard_patterns
 
@@ -79,7 +79,7 @@ def splu_route(mesh, part, sample, patterns):
     S, g = fem.assemble_electrode_mass(mesh, eg)
     A = fem.stiffness_matrix(mesh, sample.sigma[part.triangle_pixel])
     B = cem_matrix(A, sample.zeta, S, g, eg.lengths)
-    lu = spla.splu(B.tocsc())
+    lu = spla.splu(as_scipy(B).tocsc())
     n_d = mesh.n_nodes
     potentials, voltages = [], []
     for load in _voltage_loads(patterns, eg.n_electrodes):

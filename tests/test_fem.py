@@ -4,8 +4,9 @@ import pytest
 import scipy.sparse as sp
 
 import sgeit
-from conftest import two_ring_layout
+from conftest import as_scipy, two_ring_layout
 from sgeit import fem, geometry
+from sgeit._csr import CSRMatrix
 
 
 def one_triangle_mesh():
@@ -112,7 +113,7 @@ def test_stiffness_keeps_structural_zeros():
     mesh = sgeit.make_disk_fixture(2, 8, 4, 0.5)
     coeff = np.zeros(mesh.n_triangles)
     coeff[:8] = 1.0
-    K = fem.stiffness_matrix(mesh, coeff).tocoo()
+    K = as_scipy(fem.stiffness_matrix(mesh, coeff)).tocoo()
     got = set(zip(K.row.tolist(), K.col.tolist()))
     expect = set()
     for tri in mesh.triangles[:8]:
@@ -130,11 +131,12 @@ def test_electrode_mass_local_values():
         e = eg.edges[m][0]
         a, b = mesh.boundary_edges[e]
         h = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a])
-        block = S[m][np.ix_([a, b], [a, b])].toarray()
+        S_m = as_scipy(S[m])
+        block = S_m[np.ix_([a, b], [a, b])].toarray()
         npt.assert_allclose(block, h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]))
         npt.assert_allclose(g[m][[a, b]], h / 2.0 * np.ones(2))
         # nothing outside the electrode
-        assert S[m].sum() == pytest.approx(h)
+        assert S_m.sum() == pytest.approx(h)
         assert g[m].sum() == pytest.approx(h)
         assert g[m][np.setdiff1d(np.arange(mesh.n_nodes), [a, b])].sum() == 0.0
 
@@ -147,7 +149,7 @@ def test_electrode_mass_totals_match_lengths():
         fem.ParameterBounds(1.0, [0.0], np.full(4, 1.0), np.full(4, 10.0)),
     )
     for m in range(4):
-        npt.assert_allclose(sm.S[m].sum(), sm.lengths[m], rtol=1e-13)
+        npt.assert_allclose(as_scipy(sm.S[m]).sum(), sm.lengths[m], rtol=1e-13)
         npt.assert_allclose(sm.g[m].sum(), sm.lengths[m], rtol=1e-13)
 
 
@@ -180,7 +182,7 @@ def test_electrode_mass_equals_the_per_electrode_reference(args):
     S_ref, g_ref = per_electrode_mass(mesh, eg)
     assert len(S) == len(g) == eg.n_electrodes
     for S_m, g_m, R_m, h_m in zip(S, g, S_ref, g_ref):
-        assert S_m.shape == R_m.shape and isinstance(S_m, sp.csr_matrix)
+        assert S_m.shape == R_m.shape and isinstance(S_m, CSRMatrix)
         for name in ("data", "indices", "indptr"):
             got, want = getattr(S_m, name), getattr(R_m, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -192,8 +194,8 @@ def test_pixel_stiffness_partitions_background(tiny):
     sigma = np.array([0.3, 0.5, 0.7])
     bounds = fem.ParameterBounds(2.0, sigma, np.full(4, 1.0), np.full(4, 10.0))
     sm = fem.assemble_spatial(mesh, part, bounds)
-    total = sum((sm.A[l] / sigma[l]).toarray() for l in range(3))
-    npt.assert_allclose(total, (sm.A0 / 2.0).toarray(), rtol=1e-12, atol=1e-14)
+    total = sum((as_scipy(sm.A[l]) / sigma[l]).toarray() for l in range(3))
+    npt.assert_allclose(total, (as_scipy(sm.A0) / 2.0).toarray(), rtol=1e-12, atol=1e-14)
 
 
 def test_assemble_spatial_rejects():
@@ -220,6 +222,6 @@ def test_spatial_matrices_shape_properties(tiny):
     assert sm.n_nodes == mesh.n_nodes
     assert sm.n_pixels == 3
     assert sm.n_electrodes == 4
-    for mat in (sm.A0,) + sm.A + sm.S:
+    for mat in map(as_scipy, (sm.A0,) + sm.A + sm.S):
         assert mat.shape == (mesh.n_nodes, mesh.n_nodes)
         npt.assert_allclose((mat - mat.T).toarray(), 0.0, atol=1e-15)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sgeit
-from conftest import moment_matrix
+from conftest import as_scipy, moment_matrix
 from sgeit import chaos, det_cem, fem, sgfem
 
 
@@ -144,7 +144,7 @@ def test_degree_zero_slice_is_mean_block_matrix(tiny_sg):
     _, _, sm, idx, system, a, b = tiny_sg
     B0 = sgfem.cem_matrix(sm.A0, 0.5 * (a + b), sm.S, sm.g, sm.lengths)
     n_g = len(idx)
-    assert (system.K[::n_g, ::n_g] != B0).nnz == 0
+    assert (system.K[::n_g, ::n_g] != as_scipy(B0)).nnz == 0
 
 
 def test_cem_matrix_equals_the_dense_block_matrix(tiny):
@@ -157,7 +157,7 @@ def test_cem_matrix_equals_the_dense_block_matrix(tiny):
     sm = spatial(mesh, part, 1.1, np.full(L, 0.6), a, b)
     rng = np.random.default_rng(16)
     for y in rng.uniform(-1.0, 1.0, (4, L + M)):
-        A = sm.A0 + sum(y_l * A_l for y_l, A_l in zip(y, sm.A))
+        A = as_scipy(sm.A0) + sum(y_l * as_scipy(A_l) for y_l, A_l in zip(y, sm.A))
         zeta = sm.bounds.zeta_mid + sm.bounds.zeta_half * y[L:]
         B = sgfem.cem_matrix(A, zeta, sm.S, sm.g, sm.lengths)
         assert np.all(B.data != 0.0)
@@ -184,7 +184,7 @@ def kron_reference(sm, mm):
         for h, e_m in zip(sm.bounds.zeta_half, np.eye(n_el))
     ]
     G = [moment_matrix(mm, k) for k in range(mm.n_dims + 1)]
-    terms = [sp.kron(B, G_k, format="coo") for B, G_k in zip(blocks, G)]
+    terms = [sp.kron(as_scipy(B), G_k, format="coo") for B, G_k in zip(blocks, G)]
     return sp.coo_matrix(
         (
             np.concatenate([t.data for t in terms]),
@@ -451,7 +451,7 @@ def test_schur_coupling_through_the_supports_is_exact(tiny, degree):
         npt.assert_array_equal(block, K0inv[S[:, :, None], S[:, None, :]])
     V = np.random.default_rng(degree).standard_normal((n_s, len(kept) * n_p))
     dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
-    K_kj = system.K_kj
+    K_kj = as_scipy(system.K_kj)
     want = K_kj @ (dense @ (K_kj.T @ V.reshape(-1, n_p)))
     got = sgfem._couple(K, groups, blocks, V, n_p)
     assert got.shape == V.shape
@@ -488,7 +488,7 @@ def test_solve_rejects_bad_options(tiny_sg):
 def test_solve_refuses_a_mean_matrix_that_is_not_positive_definite(tiny_sg):
     # the dense Cholesky of the negated mean matrix -K_0 fails at once
     system = tiny_sg[4]
-    negated = dataclasses.replace(system, B0=-system.B0)
+    negated = dataclasses.replace(system, B0=-as_scipy(system.B0))
     with pytest.raises(RuntimeError, match="not positive definite"):
         sgfem.solve(negated, sgfem.standard_patterns(2))
 
@@ -557,7 +557,7 @@ def assert_two_cyclic(sm, idx, system):
         rows = (np.arange(n_s)[:, None] * n_g + members).ravel()
         same = system.K[rows][:, rows]
         assert same.shape == (n_s * len(members),) * 2
-        assert (same != sp.kron(B0, sp.identity(len(members)))).nnz == 0
+        assert (same != sp.kron(as_scipy(B0), sp.identity(len(members)))).nnz == 0
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -838,17 +838,18 @@ def test_solve_never_recovers_the_eliminated_class(tiny, monkeypatch):
 
 
 def test_the_cross_block_repeats_no_triplet(tank_sm_mm, monkeypatch):
-    # K_kj stays on SciPy's COO-to-CSR conversion, which sums duplicates in
-    # the order of its own index sort: with no (row, column) pair repeated
-    # it sums nothing, so the bits of K_kj do not depend on that order
+    # K_kj stays on SciPy's COO-to-CSR conversion (``CSRMatrix.from_triplets``
+    # on its kernels), which sums duplicates in the order of its own index
+    # sort: with no (row, column) pair repeated it sums nothing, so the bits
+    # of K_kj do not depend on that order
     triplets = []
 
-    def recording(arg, shape):
-        triplets.append((arg[1], shape))
-        return coo_matrix(arg, shape=shape)
+    def recording(rows, cols, vals, shape):
+        triplets.append(((rows, cols), shape))
+        return from_triplets(rows, cols, vals, shape)
 
-    coo_matrix = sp.coo_matrix
-    monkeypatch.setattr(sp, "coo_matrix", recording)
+    from_triplets = sgfem.CSRMatrix.from_triplets
+    monkeypatch.setattr(sgfem.CSRMatrix, "from_triplets", recording)
     system = sgfem.assemble_system(*tank_sm_mm)
     [((rows, cols), shape)] = triplets
     key = rows.astype(np.int64) * shape[1] + cols
