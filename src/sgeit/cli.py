@@ -233,6 +233,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     surr = surrogate.load(args.surrogate)
     ms = det_cem.load_measurements(args.data)
     posterior = inversion.build_posterior(

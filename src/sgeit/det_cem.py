@@ -130,14 +130,16 @@ def simulate_measurements(
     The noise level is either ``noise_std`` directly or, via
     ``noise_pct``, that percentage of the spread max(U) - min(U) of the
     noise-free voltages.  With neither given the data are noise-free.  A
-    negative, NaN or infinite noise level is refused by name before the
-    solve.
+    negative, NaN or infinite noise level and a negative seed are refused
+    by name before the solve.
     """
     if noise_std is not None and noise_pct is not None:
         raise ValueError("give either noise_std or noise_pct, not both")
     for name, value in (("noise_std", noise_std), ("noise_pct", noise_pct)):
         if value is not None and not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be nonnegative and finite, got {value:g}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     sol = solve_deterministic(mesh, partition, sample, patterns)
     clean = sol.voltages
     if noise_pct is not None:

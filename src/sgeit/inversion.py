@@ -273,13 +273,16 @@ def build_posterior(
 
     The noise level is ``noise_std`` if given, otherwise the percent rule
     on the data (default 1 percent of the voltage spread); the prior
-    spread is ``eta_factor`` times the noise level.  The measurement
-    patterns must match the surrogate's.
+    spread is ``eta_factor`` times the noise level, and ``eta_factor`` must
+    be positive and finite.  The measurement patterns must match the
+    surrogate's.
     """
     if measurements.patterns.shape != surr.patterns.shape or not np.allclose(
         measurements.patterns, surr.patterns, rtol=0.0, atol=1e-12
     ):
         raise ValueError("current patterns of data and surrogate differ")
+    if not 0.0 < eta_factor < math.inf:
+        raise ValueError(f"eta_factor must be positive and finite, got {eta_factor:g}")
     if noise_std is not None:
         noise = NoiseModel(noise_std)
     else:
@@ -369,7 +372,8 @@ class McmcConfig:
     ``proposal_std`` is the proposal scale at the chain start; None starts
     at 2.38/sqrt(d) for d parameters.  The scale adapts during burn-in.
     ``seed`` seeds numpy's ``default_rng``; :func:`mcmc_sample` gives each
-    of its chains a child ``SeedSequence`` of it.
+    of its chains a child ``SeedSequence`` of it.  An integer seed must be
+    nonnegative.
     """
 
     n_samples: int = 50_000
@@ -381,6 +385,8 @@ class McmcConfig:
     def __post_init__(self):
         if self.n_samples < 1 or self.burn_in < 0 or self.thinning < 1:
             raise ValueError("invalid chain lengths")
+        if not isinstance(self.seed, np.random.SeedSequence) and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.proposal_std is not None and not 0.0 < self.proposal_std < math.inf:
             raise ValueError(
                 f"proposal_std must be positive and finite, got {self.proposal_std:g}"

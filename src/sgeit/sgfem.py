@@ -43,15 +43,13 @@ K_0^{-1}, is bounded from the column norms of B_0 K_0^{-1} - I instead of
 computed, so the other spatial rows of that class are never formed.
 ``solve`` holds, besides B_0 and K_kj, the dense K_0^{-1}, the blocks, the
 CG blocks of the smaller class and blocks of the larger one packed over
-the supports.  It keeps beta and the block of the smaller class, from
-which ``SgfemSolution.alpha`` recovers the interior coefficients on demand
-(``_recover``, for tests: 2 n_s sum_nu |S_nu| n_p flops in chunks of one
-support size each).
+the supports.  It returns beta alone: the posterior reads the surrogate
+only through the electrode voltages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,9 +61,6 @@ from .fem import SpatialMatrices, summed_csr
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# at most this many vectors of n_s doubles in each of the two blocks of one
-# chunk of ``_recover``: the rows gathered from K_0^{-1} and its block of x_j
-_RECOVERY_VECTORS = 512
 # ``_inverse_defects`` forms B_0 K_0^{-1} - I this many columns at a time
 _DEFECT_COLUMNS = 64
 # ``_lower_inverse`` inverts blocks of at most this many rows directly; from
@@ -153,39 +148,12 @@ class SgfemSolution:
     ``residuals`` holds, per pattern, sqrt(r_k^2 + b^2) / ||c||: r_k is the
     norm of the true residual on the rows of the kept parity class, b a
     bound on that of the eliminated class (see ``solve``), and c the load.
-    The interior coefficients are not stored: the solution keeps the system
-    and ``kept_block``, the solved block of the kept parity class as a
-    (n_s, n_kept * n_patterns) view (see ``_schur_pcg``), from which
-    ``alpha`` recovers the rest on demand.
     """
 
     patterns: np.ndarray
     beta: np.ndarray
     residuals: np.ndarray
     iterations: int  # block CG iterations on the kept parity class
-    system: SgfemSystem = field(repr=False, compare=False)
-    kept_block: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Interior-potential chaos coefficients, (patterns, nodes, n_g).
-
-        Recomputed at every access from the kept-class block by
-        ``_recover``, which ``solve`` does not run: on the kept class these
-        are the values whose residual ``solve`` computed, on the eliminated
-        class values whose residual it bounded.  Keep the result to read it
-        more than once.
-        """
-        system, X = self.system, self.kept_block
-        (keep, other), n_d = system.classes, system.n_nodes
-        loads = _voltage_loads(self.patterns, system.n_electrodes)
-        K0inv = _mean_inverse(system)
-        K, groups = _local_coupling(system)
-        out = np.empty((len(loads), n_d, system.n_chaos))
-        out[:, :, keep] = X.reshape(X.shape[0], -1, len(loads))[:n_d].transpose(2, 0, 1)
-        for positions, x in _recover(system, K0inv, loads, K, groups, X):
-            out[:, :, other[positions]] = x[:n_d].transpose(2, 0, 1)
-        return out
 
 
 def expand_mean_free(gamma: np.ndarray) -> np.ndarray:
@@ -408,8 +376,7 @@ def solve(
     After the CG it holds, instead of the CG blocks, the packed h, which
     becomes x_j on the supports, two blocks of the kept class for its
     residual and one chunk of ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1}:
-    the solution of all of K is never held, and ``SgfemSolution.alpha``
-    recovers it on demand.
+    the solution of all of K is never held, and only beta is returned.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
@@ -435,7 +402,7 @@ def solve(
             raise RuntimeError(
                 f"pattern {p}: relative residual {residual:.3e} above {tol:g}"
             )
-    return SgfemSolution(patterns, beta, residuals, iterations, system, X)
+    return SgfemSolution(patterns, beta, residuals, iterations)
 
 
 def _mean_inverse(system: SgfemSystem) -> np.ndarray:
@@ -579,8 +546,7 @@ def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxite
                 = c_k - K_kj (K_0^{-1} (x) I) c_j,
 
     and x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) follows from x_k
-    (``_certified_voltages`` forms its voltage rows, ``_recover`` all of
-    it).  K is symmetric, so K_jk is the transpose of K_kj, and only K_kj
+    (``_certified_voltages`` forms its voltage rows).  K is symmetric, so K_jk is the transpose of K_kj, and only K_kj
     is stored.  The residual of the reduced system is that of all of K,
     whose j rows x_j solves exactly.
     Kept-class vectors are (n_s, n_kept * n_p) views of (n_s * n_kept,
@@ -674,7 +640,7 @@ def _certified_voltages(system: SgfemSystem, K0inv, K, groups, blocks, loads, X)
 
     - beta of the eliminated class is K_0^{-1}[n_d:, S_nu] h_nu, one
       batched product, plus K_0^{-1}[n_d:, n_d:] times the load for
-      index 0, added after the product as ``_recover`` adds it;
+      index 0, added after the product;
     - x_j on the supports is K_0^{-1}[S_nu, S_nu] h_nu, in place of h, so
       the kept rows' true residual (B_0 (x) I) x_k + K_kj x_j - c_k costs
       one product with K_kj;
@@ -720,56 +686,6 @@ def _certified_voltages(system: SgfemSystem, K0inv, K, groups, blocks, loads, X)
     r += (K @ h).reshape(r.shape)
     r = r.reshape(n_s, -1, n_p)
     return beta, np.einsum("ijp,ijp->p", r, r) + bound
-
-
-def _recover(system: SgfemSystem, K0inv, loads, K, groups, X):
-    """The other class x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) from the
-    kept-class block X (see ``_schur_pcg``), chunk by chunk of positions,
-    for all patterns at once.  Only ``SgfemSolution.alpha``, which tests
-    read, runs it: ``solve`` forms x_j on the voltage rows alone.
-
-    g = -K_jk x_k is formed once, packed over the supports as -K^T X: it
-    is nonzero only there, and c_j only on the voltage rows of chaos index
-    0, so column nu of x_j is K_0^{-1}[:, S_nu] g[S_nu, nu], plus
-    K_0^{-1}[:, n_d:] times the load if nu is index 0.  A chunk takes
-    positions of one size group (``_local_coupling``), as many as keep
-    both its gather of the rows K_0^{-1}[S_nu, :] and its block of x_j
-    within ``_RECOVERY_VECTORS`` vectors of n_s doubles, and at least one;
-    both live in buffers that every chunk reuses, and each chunk is one
-    batched product.  Yields per chunk its positions and x_j as an (n_s,
-    c, n_p) view that the next chunk overwrites.
-    """
-    n_s, n_p, n_d = K0inv.shape[0], len(loads), system.n_nodes
-    other = system.classes[1]
-    g = K.transpose_matmul(X.reshape(-1, n_p))
-    np.negative(g, out=g)
-    chunks = []
-    for rows, positions, S in groups:
-        count, s = S.shape
-        width = max(1, _RECOVERY_VECTORS // max(s, n_p))
-        for a in range(0, count, width):
-            b = min(a + width, count)
-            part = slice(rows.start + a * s, rows.start + b * s)
-            chunks.append((positions[a:b], part, S[a:b]))
-    gathered = np.empty(max(S.size for _, _, S in chunks) * n_s)
-    block = np.empty(max(len(nu) for nu, _, _ in chunks) * n_s * n_p)
-    load = K0inv[:, n_d:] @ loads.T
-    for positions, rows, S in chunks:
-        c, s = S.shape
-        rows_of_S = gathered[: c * s * n_s].reshape(c, s, n_s)
-        # S is in range; "clip" writes into out, "raise" through a copy
-        np.take(K0inv, S, axis=0, out=rows_of_S, mode="clip")
-        x = block[: n_s * c * n_p].reshape(n_s, c, n_p)
-        # K_0^{-1} is symmetric: K_0^{-1}[:, S_nu] is the transpose of the rows
-        np.matmul(
-            rows_of_S.transpose(0, 2, 1),
-            g[rows].reshape(c, s, n_p),
-            out=x.transpose(1, 0, 2),
-        )
-        zero = other[positions] == 0
-        if zero.any():
-            x[:, zero] += load[:, None]
-        yield positions, x
 
 
 def standard_patterns(n_electrodes: int) -> np.ndarray:

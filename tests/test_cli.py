@@ -90,7 +90,7 @@ def test_precompute_never_forms_K(
     workdir, surrogate_and_data, monkeypatch, tmp_path
 ):
     # SgfemSystem.K joins the whole Galerkin matrix for tests and tracing;
-    # assembly, the solve, its report and alpha work from B_0 and K_kj
+    # assembly, the solve and its report work from B_0 and K_kj
     def refuse(system):
         raise AssertionError("the whole Galerkin matrix K was formed")
 
@@ -105,9 +105,9 @@ def test_precompute_never_forms_K(
     )
     spatial = fem.assemble_spatial(mesh, part, bounds)
     system = sgfem.assemble_system(spatial, moment_matrices(iso_td(7, 2)))
-    alpha = sgfem.solve(system, sgfem.standard_patterns(4)).alpha
-    assert alpha.shape == (3, mesh.n_nodes, system.n_chaos)
-    assert np.isfinite(alpha).all()
+    beta = sgfem.solve(system, sgfem.standard_patterns(4)).beta
+    assert beta.shape == (3, 3, system.n_chaos)
+    assert np.isfinite(beta).all()
 
 
 def test_precompute_at_order_zero_with_an_empty_kept_class(workdir, tmp_path):
@@ -431,7 +431,9 @@ def test_reconstruct_rejects_an_inconsistent_box_before_the_map(
         ("--noise-std", "nan", "noise standard deviation must be positive"),
         ("--noise-pct", "nan", "(rule percent:nan)"),
         ("--corr-length", "nan", "correlation length must be positive"),
-        ("--eta-factor", "nan", "eta must be positive and finite"),
+        ("--eta-factor", "nan", "eta_factor must be positive and finite"),
+        ("--eta-factor", "-1", "eta_factor must be positive and finite"),
+        ("--samples", "-1", "--samples must be nonnegative"),
     ],
 )
 def test_non_finite_reconstruct_options_exit_2(
@@ -460,6 +462,31 @@ def test_non_finite_simulate_noise_exits_2(
               "--phantom", d / "phantom.json", option, value, "--out", out])
     assert rc == 2
     assert f"{named} must be nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_negative_seed_exits_2_before_any_solve(
+    workdir, surrogate_and_data, capsys, tmp_path, monkeypatch, command
+):
+    # numpy refuses a negative seed without naming it, and in reconstruct
+    # only once the chain starts, after the whole MAP search
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started with a negative seed")
+
+    monkeypatch.setattr(det_cem, "solve_deterministic", no_solve)
+    monkeypatch.setattr(inversion, "map_estimate", no_solve)
+    d = workdir
+    out = tmp_path / "out.json"
+    if command == "simulate":
+        argv = ["simulate", "--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
+                "--phantom", d / "phantom.json"]
+    else:
+        argv = ["reconstruct", "--surrogate", d / "surr.bin", "--data",
+                d / "data.json", "--samples", 50, "--burn-in", 10]
+    rc = run(argv + ["--seed", -1, "--out", out])
+    assert rc == 2
+    assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -41,15 +42,13 @@ def rhs_for_current(system, currents):
 
 
 def lu_reference(system, patterns):
-    """alpha and beta of every pattern by scipy's sparse LU of all of K."""
+    """beta of every pattern by scipy's sparse LU of all of K."""
     C = np.column_stack(
         [rhs_for_current(system, p) for p in np.atleast_2d(patterns)]
     )
     X = spla.spsolve(system.K.tocsc(), C).reshape(C.shape)
     n_d, n_g, n_p = system.n_nodes, system.n_chaos, C.shape[1]
-    alpha = X[: n_d * n_g].T.reshape(n_p, n_d, n_g)
-    beta = X[n_d * n_g :].T.reshape(n_p, -1, n_g)
-    return alpha, beta
+    return X[n_d * n_g :].T.reshape(n_p, -1, n_g)
 
 
 def dense_block_matrix(sm, a, b, y):
@@ -305,7 +304,7 @@ def test_solve_direct_and_pcg_agree(tiny_sg):
     sm = spatial(mesh, part, 1.1, [0.6], np.array([1.0, 2.0]), np.array([5.0, 4.0]))
     system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     pats = sgfem.standard_patterns(2)
-    _, beta = lu_reference(system, pats)
+    beta = lu_reference(system, pats)
     # CG on the Schur complement of one parity class needs 3 iterations
     # here, CG on all of K with the same preconditioner 7, Jacobi 34
     sol_p = sgfem.solve(system, pats, maxiter=20)
@@ -329,23 +328,19 @@ def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
     system = sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(7, 2)))
     pats = MIXED_PATTERNS
     sol = sgfem.solve(system, pats)
-    alpha, beta = lu_reference(system, pats)
+    beta = lu_reference(system, pats)
     # 9 iterations measured for every pattern (19 for CG on all of K)
     assert sol.iterations <= 9
     assert sol.residuals.max() <= 1e-10
     npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
-    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
     # each column follows its own CG iterates: pattern-wise step lengths
     # agree with one-pattern runs to rounding (~4e-15 measured), where
     # step lengths shared across the block differ by ~1e-12
     for p, pattern in enumerate(pats):
         single = sgfem.solve(system, pattern)
         assert single.iterations <= sol.iterations
-        for got, want in (
-            (sol.alpha[p], single.alpha[0]),
-            (sol.beta[p], single.beta[0]),
-        ):
-            npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        want = single.beta[0]
+        npt.assert_allclose(sol.beta[p], want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def tiny_collapsed_system(tiny):
@@ -373,64 +368,6 @@ def assert_groups_cover_the_other_class(system, K, groups):
         end = rows.stop
         assert rows.stop - rows.start == S.size
     assert end == K.shape[1]
-
-
-@pytest.mark.parametrize("width", [1, 7, 10**9], ids=["1", "7", "all"])
-def test_solve_is_the_same_for_any_recovery_chunk_width(tiny, monkeypatch, width):
-    # the recovery gathers K_0^{-1}[S_nu, :] over chunks of the positions
-    # of one size group: one position per chunk at width 1, and every
-    # position of a group in one chunk at the largest width; the bits may
-    # differ with the width, the solution only by rounding
-    _, system = tiny_system(tiny, 2)
-    ref = sgfem.solve(system, MIXED_PATTERNS)
-    monkeypatch.setattr(sgfem, "_RECOVERY_VECTORS", width)
-    sol = sgfem.solve(system, MIXED_PATTERNS)
-    assert sol.iterations == ref.iterations
-    for got, want in ((sol.beta, ref.beta), (sol.alpha, ref.alpha)):
-        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-    K0inv = sgfem._mean_inverse(system)
-    K, groups = sgfem._local_coupling(system)
-    loads = sgfem._voltage_loads(MIXED_PATTERNS, system.n_electrodes)
-    chunks = list(sgfem._recover(system, K0inv, loads, K, groups, sol.kept_block))
-    if width == 1:
-        assert len(chunks) == len(system.classes[1])
-    elif width == 10**9:
-        assert len(chunks) == len(groups)
-    else:
-        assert len(groups) < len(chunks) < len(system.classes[1])
-
-
-@pytest.mark.parametrize("degree", [1, 2, 3, "collapsed"])
-def test_recovery_on_the_supports_equals_the_dense_one(tiny, degree):
-    # x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) for a random kept-class block,
-    # formed from all of K with sp.kron, against the chunks of ``_recover``;
-    # chaos index 0, and with it the load, is in the eliminated class at
-    # degree 2 and on the collapsed contacts, whose supports are partly empty
-    if degree == "collapsed":
-        system = tiny_collapsed_system(tiny)
-    else:
-        _, system = tiny_system(tiny, degree)
-    (kept, other), n_g = system.classes, system.n_chaos
-    assert (other[0] == 0) == (degree in (2, "collapsed"))
-    n_s, n_p = system.B0.shape[0], len(MIXED_PATTERNS)
-    K0inv = sgfem._mean_inverse(system)
-    K, groups = sgfem._local_coupling(system)
-    loads = sgfem._voltage_loads(MIXED_PATTERNS, system.n_electrodes)
-    rng = np.random.default_rng(degree == "collapsed")
-    X = rng.standard_normal((n_s, len(kept) * n_p))
-    got = np.full((n_s, len(other), n_p), np.nan)
-    for positions, x in sgfem._recover(system, K0inv, loads, K, groups, X):
-        assert np.isnan(got[:, positions]).all()
-        got[:, positions] = x
-    # K's rows of each class, spatial index outer and position inner
-    kept_rows, other_rows = (
-        (np.arange(n_s)[:, None] * n_g + members).ravel() for members in (kept, other)
-    )
-    K_jk = system.K[other_rows][:, kept_rows]
-    C = np.column_stack([rhs_for_current(system, p) for p in MIXED_PATTERNS])
-    dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
-    want = (dense @ (C[other_rows] - K_jk @ X.reshape(-1, n_p))).reshape(got.shape)
-    npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -467,9 +404,8 @@ def test_solve_with_empty_supports_matches_direct(tiny):
     assert groups[0][2].shape[1] == 0
     sol = sgfem.solve(system, MIXED_PATTERNS)
     assert sol.residuals.max() <= 1e-10
-    alpha, beta = lu_reference(system, MIXED_PATTERNS)
+    beta = lu_reference(system, MIXED_PATTERNS)
     npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
-    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
 
 
 def test_solve_rejects_bad_options(tiny_sg):
@@ -574,10 +510,9 @@ def test_same_parity_blocks_of_a_set_that_is_not_total_degree(tiny_sg):
     assert idx.indices[-1].sum() == 3
     system = sgfem.assemble_system(sm, chaos.moment_matrices(idx))
     assert_two_cyclic(sm, idx, system)
-    alpha, beta = lu_reference(system, sgfem.standard_patterns(2))
+    beta = lu_reference(system, sgfem.standard_patterns(2))
     sol = sgfem.solve(system, sgfem.standard_patterns(2))
     npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
-    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
 
 
 @pytest.mark.parametrize("mu, nu, parity", [(0, 4, 0), (1, 3, 1)], ids=["even", "odd"])
@@ -618,9 +553,8 @@ def test_solve_on_one_parity_class_matches_direct(tiny, degree, kept, iterations
     sol = sgfem.solve(system, MIXED_PATTERNS)
     assert sol.iterations <= iterations
     assert sol.residuals.max() <= 1e-10
-    alpha, beta = lu_reference(system, MIXED_PATTERNS)
+    beta = lu_reference(system, MIXED_PATTERNS)
     npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
-    npt.assert_allclose(sol.alpha, alpha, rtol=1e-7, atol=1e-9)
 
 
 def test_degree_zero_equals_deterministic_midpoint(tiny_sg):
@@ -735,43 +669,42 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     assert peak <= bound
 
 
-def test_alpha_holds_no_block_of_the_supports(tank_sm_mm):
-    # the recovery of the interior coefficients needs K_0^{-1} on the
-    # columns of each support, never the blocks K_0^{-1}[S_nu, S_nu] of the
-    # CG; the bound counts the result, K_0^{-1} with its Cholesky
-    # temporaries, the packed coupling with its block -K_jk x_k, the load
-    # term and the two buffers of a chunk.  The blocks (3.9 MiB on the
-    # tank, one support of all rows a view of K_0^{-1}) do not fit in it.
-    system = sgfem.assemble_system(*tank_sm_mm)
-    patterns = sgfem.standard_patterns(system.n_electrodes)
-    sol = sgfem.solve(system, patterns)
-    alpha, peak = traced_peak(lambda: sol.alpha)
-    n_s, n_p = system.B0.shape[0], len(patterns)
-    f8 = np.dtype(np.float64).itemsize
-    stored = np.zeros(n_s * len(system.classes[1]), dtype=bool)
-    stored[system.K_kj.indices] = True
-    sizes = stored.reshape(n_s, -1).sum(axis=0)
-    packed = system.K_kj.indices.nbytes + sizes.sum() * n_p * f8
-    chunk = 2 * max(sgfem._RECOVERY_VECTORS, n_s) * n_s * f8
-    bound = alpha.nbytes + 2 * n_s * n_s * f8 + packed + n_s * n_p * f8 + chunk
-    blocks = (sizes[sizes < n_s] ** 2).sum() * f8
-    assert peak <= bound < peak + blocks
-
-
-def full_residuals(sol):
+def full_residuals(system, sol):
     """Norms of K x - c per pattern on the rows of the kept and of the
-    eliminated class, relative to the load, with x joined from ``alpha``
-    and ``beta`` and K built whole by ``SgfemSystem.K``."""
-    system, n_p = sol.system, len(sol.patterns)
+    eliminated class, relative to the load, with K built whole by
+    ``SgfemSystem.K``.  x_k is the block of ``_schur_pcg`` run on the pieces
+    ``solve`` uses, x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) is formed densely,
+    on every spatial row, and the voltage rows of x are the solution's beta."""
+    n_p, n_d = len(sol.patterns), system.n_nodes
     n_s, n_g = system.B0.shape[0], system.n_chaos
-    x = np.concatenate([sol.alpha.reshape(n_p, -1), sol.beta.reshape(n_p, -1)], 1).T
     kept, other = system.classes
-    # the kept class of the solution is the CG's block
-    npt.assert_array_equal(
-        x.reshape(n_s, n_g, n_p)[:, kept].reshape(n_s, -1), sol.kept_block
+    K0inv = sgfem._mean_inverse(system)
+    K, groups = sgfem._local_coupling(system)
+    blocks = sgfem._support_blocks(K0inv, groups)
+    loads = sgfem._voltage_loads(sol.patterns, system.n_electrodes)
+    X, iterations = sgfem._schur_pcg(
+        system, K0inv, K, groups, blocks, loads, 1e-10, 10 * system.order
     )
+    assert iterations == sol.iterations
+    # beta of the kept class is the voltage rows of the CG's block
+    npt.assert_array_equal(
+        sol.beta[:, :, kept], X.reshape(n_s, -1, n_p)[n_d:].transpose(2, 0, 1)
+    )
+    # K's rows of each class, spatial index outer and position inner
+    kept_rows, other_rows = (
+        (np.arange(n_s)[:, None] * n_g + members).ravel() for members in (kept, other)
+    )
+    A = system.K
     C = np.column_stack([rhs_for_current(system, p) for p in sol.patterns])
-    R = (system.K @ x - C).reshape(n_s, n_g, n_p)
+    x = np.empty_like(C)
+    x[kept_rows] = X.reshape(-1, n_p)
+    h = C[other_rows] - A[other_rows][:, kept_rows] @ x[kept_rows]
+    # K_0^{-1} (x) I on this numbering is K_0^{-1} on an (n_s, n_other * n_p)
+    # view: sp.kron(K0inv, I) holds 23M entries on the tank
+    x[other_rows] = (K0inv @ h.reshape(n_s, -1)).reshape(h.shape)
+    x = x.reshape(n_s, n_g, n_p)
+    x[n_d:] = sol.beta.transpose(1, 2, 0)
+    R = (A @ x.reshape(-1, n_p) - C).reshape(n_s, n_g, n_p)
     norms = np.linalg.norm(C, axis=0)
     return tuple(np.linalg.norm(R[:, c], axis=(0, 1)) / norms for c in (kept, other))
 
@@ -792,7 +725,7 @@ def test_residuals_are_the_full_residual_with_a_bound_on_the_eliminated_rows(
         _, system = tiny_system(tiny, case)
         patterns = MIXED_PATTERNS
     sol = sgfem.solve(system, patterns)
-    kept, eliminated = full_residuals(sol)
+    kept, eliminated = full_residuals(system, sol)
     npt.assert_allclose(sol.residuals, np.hypot(kept, eliminated), rtol=0.01)
     # the same solve with the columns of B_0 K_0^{-1} - I taken as zero
     # leaves the kept rows' residual alone
@@ -806,6 +739,17 @@ def test_residuals_are_the_full_residual_with_a_bound_on_the_eliminated_rows(
     assert (bound >= eliminated).all()
 
 
+def test_the_solution_keeps_no_reference_to_its_system(tiny):
+    # the solution carries beta and its diagnostics only, so the Galerkin
+    # system, B_0 and K_kj, can be freed once the solve returns
+    _, system = tiny_system(tiny, 2)
+    sol = sgfem.solve(system, MIXED_PATTERNS)
+    ref = weakref.ref(system)
+    del system
+    assert ref() is None
+    assert sol.beta.shape == (len(MIXED_PATTERNS), 3, len(chaos.iso_td(7, 2)))
+
+
 @pytest.mark.parametrize("width", [1, 7, 10**9], ids=["1", "7", "all"])
 def test_inverse_defects_are_the_column_norms_at_any_chunk_width(
     tiny, monkeypatch, width
@@ -817,24 +761,6 @@ def test_inverse_defects_are_the_column_norms_at_any_chunk_width(
     got = sgfem._inverse_defects(system.B0, K0inv)
     npt.assert_allclose(got, (E**2).sum(axis=0), rtol=1e-12, atol=0)
     assert 0 < got.max() < 1e-24
-
-
-def test_solve_never_recovers_the_eliminated_class(tiny, monkeypatch):
-    # beta of the eliminated class comes from its voltage rows alone; only
-    # ``alpha`` runs the recovery.  At degree 2 chaos index 0, with the
-    # load, is in the eliminated class.
-    _, system = tiny_system(tiny, 2)
-    assert system.classes[1][0] == 0
-    alpha, beta = lu_reference(system, MIXED_PATTERNS)
-
-    def refuse(*args):
-        raise AssertionError("solve recovered the eliminated class")
-
-    monkeypatch.setattr(sgfem, "_recover", refuse)
-    sol = sgfem.solve(system, MIXED_PATTERNS)
-    npt.assert_allclose(sol.beta, beta, rtol=1e-7, atol=1e-9)
-    with pytest.raises(AssertionError, match="recovered the eliminated class"):
-        sol.alpha
 
 
 def test_the_cross_block_repeats_no_triplet(tank_sm_mm, monkeypatch):
