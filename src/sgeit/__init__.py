@@ -27,7 +27,6 @@ from .geometry import (
 from .inversion import (
     Estimates,
     McmcConfig,
-    NoiseModel,
     Posterior,
     build_posterior,
     build_prior_cov,

@@ -272,8 +272,7 @@ def cmd_reconstruct(args) -> int:
             f"acceptance {diag['acceptance']:.3f}, "
             f"in support {diag['in_support']:.3f}, "
             f"proposal scale {diag['proposal_scale']:.3g}, "
-            f"split R-hat {diag['rhat_max']:.4f}, "
-            f"stabilization {diag['stabilization']:.3e}"
+            f"split R-hat {diag['rhat_max']:.4f}"
         )
     # on standard output only: the estimates file stays deterministic
     print(f"peak resident memory: {_peak_rss_mib():.1f} MiB")
@@ -295,6 +294,14 @@ def cmd_render(args) -> int:
         f.write(svg)
     print(f"wrote {args.out}")
     return 0
+
+
+def _add_noise_options(p) -> None:
+    """The two noise settings of ``det_cem.noise_level``, which exclude each other."""
+    p.add_argument("--noise-pct", type=float,
+                   help="noise as percent of spread (default 1; excludes --noise-std)")
+    p.add_argument("--noise-std", type=float,
+                   help="noise std in mV (excludes --noise-pct)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,12 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--phantom", required=True, help='JSON {"sigma": [...], "zeta": [...]}'
     )
-    p.add_argument(
-        "--noise-pct", type=float, default=None, help="noise as percent of spread"
-    )
-    p.add_argument(
-        "--noise-std", type=float, default=None, help="noise std in mV"
-    )
+    _add_noise_options(p)
     p.add_argument("--seed", type=int, default=0, help="noise RNG seed")
     p.add_argument("--out", required=True, help="output measurement file")
     p.set_defaults(func=cmd_simulate)
@@ -341,13 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="MAP and posterior-sampling estimates")
     p.add_argument("--surrogate", required=True, help="surrogate file")
     p.add_argument("--data", required=True, help="measurement JSON file")
-    p.add_argument(
-        "--noise-pct",
-        type=float,
-        default=None,
-        help="likelihood noise as percent of spread (default 1)",
-    )
-    p.add_argument("--noise-std", type=float, default=None, help="noise std in mV")
+    _add_noise_options(p)
     p.add_argument(
         "--corr-length", type=float, default=5.0, help="prior correlation length cm"
     )

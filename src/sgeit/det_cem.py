@@ -4,8 +4,9 @@ Solves the electrode model at a single conductivity/contact sample on the
 same FEM building blocks as the Galerkin system, which makes it the exact
 degenerate case of the stochastic solver (chaos degree 0, collapsed
 contact bounds).  Also generates synthetic measurement sets with additive
-Gaussian noise.  Units: conductivity mS, contact conductance mS/cm,
-currents mA.
+Gaussian noise; :func:`noise_level` is the one noise-level rule, of the
+data and of the likelihood.  Units: conductivity mS, contact conductance
+mS/cm, currents mA.
 """
 
 from __future__ import annotations
@@ -63,9 +64,18 @@ def params_from_y(y, bounds: ParameterBounds) -> DeterministicSample:
     return DeterministicSample(sigma, zeta)
 
 
-def percent_noise(voltages, pct: float) -> float:
-    """Noise level of ``pct`` percent of the voltage spread max - min."""
-    return (pct / 100.0) * (np.max(voltages) - np.min(voltages))
+def noise_level(voltages, noise_std=None, noise_pct=None) -> float:
+    """``noise_std``, or ``noise_pct`` percent of the spread max - min of
+    ``voltages``, or 0 with neither.  Both together, and a negative, NaN or
+    infinite value, are refused by name."""
+    if noise_std is not None and noise_pct is not None:
+        raise ValueError("give either noise_std or noise_pct, not both")
+    for name, value in (("noise_std", noise_std), ("noise_pct", noise_pct)):
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value:g}")
+    if noise_pct is not None:
+        return float((noise_pct / 100.0) * (np.max(voltages) - np.min(voltages)))
+    return 0.0 if noise_std is None else float(noise_std)
 
 
 def solve_deterministic(
@@ -127,25 +137,16 @@ def simulate_measurements(
 ) -> MeasurementSet:
     """Solve the electrode model and add white Gaussian noise.
 
-    The noise level is either ``noise_std`` directly or, via
-    ``noise_pct``, that percentage of the spread max(U) - min(U) of the
-    noise-free voltages.  With neither given the data are noise-free.  A
-    negative, NaN or infinite noise level and a negative seed are refused
-    by name before the solve.
+    The noise level is :func:`noise_level` of the noise-free voltages;
+    with neither setting the data are noise-free.  A bad noise setting and
+    a negative seed are refused by name before the solve.
     """
-    if noise_std is not None and noise_pct is not None:
-        raise ValueError("give either noise_std or noise_pct, not both")
-    for name, value in (("noise_std", noise_std), ("noise_pct", noise_pct)):
-        if value is not None and not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be nonnegative and finite, got {value:g}")
+    noise_level(0.0, noise_std, noise_pct)  # checks the settings, not the data
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     sol = solve_deterministic(mesh, partition, sample, patterns)
     clean = sol.voltages
-    if noise_pct is not None:
-        xi = percent_noise(clean, noise_pct)
-    else:
-        xi = float(noise_std) if noise_std is not None else 0.0
+    xi = noise_level(clean, noise_std, noise_pct)
     rng = np.random.default_rng(seed)
     noisy = clean + xi * rng.standard_normal(clean.shape) if xi else clean.copy()
     return MeasurementSet(sol.patterns, noisy, xi, seed, provenance)

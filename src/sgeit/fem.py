@@ -185,7 +185,8 @@ def summed_csr(rows, cols, vals, n_rows: int, n_cols: int):
     """
     key = np.asarray(rows, dtype=np.int64) * n_cols + cols
     unique, slot = np.unique(key, return_inverse=True)
-    data = np.bincount(slot, weights=vals, minlength=unique.size)
+    # with no triplet at all bincount counts in int64
+    data = np.bincount(slot, vals, unique.size).astype(np.float64, copy=False)
     row, col = np.divmod(unique, n_cols)
     indptr = np.searchsorted(row, np.arange(n_rows + 1))
     # the index type SciPy picks, so that its constructors convert nothing

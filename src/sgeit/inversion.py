@@ -41,7 +41,8 @@ once for non-finite entries, and a step with one is rejected unevaluated.
 own child seed, burn-in and adaptation and half of the retained samples,
 the second in a forked child process at the same time as the first.  Their
 split-R-hat over the four half-chains (Vehtari, Gelman, Simpson, Carpenter
-& Buerkner 2021) tells ``reconstruct`` whether they mixed.
+& Buerkner 2021) is the only verdict on whether they mixed, and so on
+whether their conditional mean and spread can be trusted.
 """
 
 from __future__ import annotations
@@ -54,30 +55,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .det_cem import MeasurementSet, params_from_y, percent_noise
+from .det_cem import MeasurementSet, noise_level, params_from_y
 from .fem import ParameterBounds
 from .geometry import read_json, require_finite, write_json
 from .surrogate import SgfemSurrogate, monomial_jacobian, monomials
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """White measurement noise with standard deviation ``std`` (mV)."""
-
-    std: float
-    rule: str = "explicit"
-
-    def __post_init__(self):
-        if not 0.0 < self.std < math.inf:
-            raise ValueError(
-                "noise standard deviation must be positive and finite, "
-                f"got {self.std:g} (rule {self.rule})"
-            )
-
-    @classmethod
-    def percent_rule(cls, voltages, pct: float = 1.0) -> "NoiseModel":
-        """pct percent of the voltage spread max(v) - min(v)."""
-        return cls(percent_noise(voltages, pct), rule=f"percent:{pct:g}")
 
 
 @dataclass(frozen=True)
@@ -142,12 +123,12 @@ class Posterior:
     prior whitening factor and A = [[M / xi, 0], [0, -W]], the residual
     d~ - A m+(y) with target d~ = [v / xi, 0] is the same: the constant
     monomial is the first entry of m+ and always 1, so A' is A with d~
-    subtracted from its first column.
+    subtracted from its first column.  ``noise_std`` is xi (mV), positive and finite.
     """
 
     surrogate: SgfemSurrogate
     data: np.ndarray
-    noise: NoiseModel
+    noise_std: float
     prior: SmoothnessPrior
     _whitened: np.ndarray = field(init=False, repr=False)
     _slots: list[np.ndarray] = field(init=False, repr=False)
@@ -170,7 +151,10 @@ class Posterior:
         L = surr.n_pixels
         if self.prior.cov.shape[0] != L:
             raise ValueError("prior covers the wrong number of pixels")
-        inv_std = 1.0 / self.noise.std
+        xi = self.noise_std
+        if not 0.0 < xi < math.inf:
+            raise ValueError(f"noise_std must be positive and finite, got {xi:g}")
+        inv_std = 1.0 / xi
         self._whitened = np.zeros((n_data + L, n_terms + L))
         coeffs = surr.power_coeffs.copy()
         # the index set starts with the zero multi-index, whose monomial is 1
@@ -271,11 +255,11 @@ def build_posterior(
 ) -> Posterior:
     """Wire surrogate and data into a posterior with standard defaults.
 
-    The noise level is ``noise_std`` if given, otherwise the percent rule
-    on the data (default 1 percent of the voltage spread); the prior
-    spread is ``eta_factor`` times the noise level, and ``eta_factor`` must
-    be positive and finite.  The measurement patterns must match the
-    surrogate's.
+    The noise level xi is ``det_cem.noise_level`` of the data (``noise_pct``
+    1 if neither setting is given) and must be positive, or is refused by
+    its setting; the prior spread is ``eta_factor`` times xi, and
+    ``eta_factor`` must be positive and finite.  The measurement patterns
+    must match the surrogate's.
     """
     if measurements.patterns.shape != surr.patterns.shape or not np.allclose(
         measurements.patterns, surr.patterns, rtol=0.0, atol=1e-12
@@ -283,14 +267,14 @@ def build_posterior(
         raise ValueError("current patterns of data and surrogate differ")
     if not 0.0 < eta_factor < math.inf:
         raise ValueError(f"eta_factor must be positive and finite, got {eta_factor:g}")
-    if noise_std is not None:
-        noise = NoiseModel(noise_std)
-    else:
-        noise = NoiseModel.percent_rule(
-            measurements.voltages, 1.0 if noise_pct is None else noise_pct
-        )
-    prior = build_prior_cov(surr.seeds, corr_length, eta_factor * noise.std)
-    return Posterior(surr, measurements.voltages.ravel(), noise, prior)
+    if noise_std is None and noise_pct is None:
+        noise_pct = 1.0
+    level = noise_level(measurements.voltages, noise_std, noise_pct)
+    if not 0.0 < level < math.inf:
+        setting = "noise_std" if noise_pct is None else f"noise_pct {noise_pct:g}"
+        raise ValueError(f"noise level from {setting} must be positive, got {level:g}")
+    prior = build_prior_cov(surr.seeds, corr_length, eta_factor * level)
+    return Posterior(surr, measurements.voltages.ravel(), level, prior)
 
 
 @dataclass(frozen=True)
@@ -383,8 +367,10 @@ class McmcConfig:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.burn_in < 0 or self.thinning < 1:
-            raise ValueError("invalid chain lengths")
+        for name, least in (("n_samples", 1), ("burn_in", 0), ("thinning", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if not isinstance(self.seed, np.random.SeedSequence) and self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.proposal_std is not None and not 0.0 < self.proposal_std < math.inf:
@@ -405,17 +391,16 @@ class McmcResult:
     """Thinned samples of one or more chains, with their diagnostics.
 
     ``samples`` holds the chains one after another.  ``acceptance`` is
-    pooled over the chains' post-burn-in steps and ``in_support`` over all
-    their steps; ``warning`` is set when the pooled acceptance lies outside
-    [0.05, 0.8].  ``chain_scales`` is the frozen proposal scale of each
+    pooled over the chains' post-burn-in steps, where a rate outside
+    [0.05, 0.8] warns, and ``in_support`` over all their steps.
+    ``chain_scales`` is the frozen proposal scale of each
     chain and ``proposal_scale`` their geometric mean (for one chain, its
     scale).  ``rhat`` is the split-R-hat of every coordinate over the
-    chains' halves (:func:`split_rhat`).
+    chains' halves (:func:`split_rhat`), the verdict on their mixing.
     """
 
     samples: np.ndarray
     acceptance: float
-    warning: bool
     in_support: float
     proposal_scale: float
     chain_scales: tuple[float, ...]
@@ -472,14 +457,12 @@ def _pooled(chains: list[_Chain]) -> McmcResult:
     """One result from the chains, with the acceptance warning of the pool."""
     post = sum(c.steps - c.burn_in for c in chains)
     rate = sum(c.accepted for c in chains) / post
-    warn = not 0.05 <= rate <= 0.8
-    if warn:
+    if not 0.05 <= rate <= 0.8:
         warnings.warn(f"MCMC acceptance rate {rate:.3f} outside [0.05, 0.8]")
     scales = tuple(c.scale for c in chains)
     return McmcResult(
         np.concatenate([c.samples for c in chains]),
         rate,
-        warn,
         sum(c.inside for c in chains) / sum(c.steps for c in chains),
         math.prod(scales) ** (1.0 / len(scales)),
         scales,
@@ -539,7 +522,7 @@ def random_walk_metropolis(
     row alone, so the chain does not depend on the block size.  Runs
     burn_in + n_samples * thinning iterations and keeps every thinning-th
     state after burn-in.  The acceptance rate is measured over the
-    post-burn-in phase; a rate outside [0.05, 0.8] sets the warning flag.
+    post-burn-in phase; a rate outside [0.05, 0.8] warns.
     """
     target = _Folded(log_density, np.shape(start)[0], reflect)
     return _pooled([_metropolis(target, start, config, factor, reflect)])
@@ -766,31 +749,23 @@ class Estimates:
     zeta_sd: np.ndarray | None = None
 
 
-def cm_sd_estimates(
-    chain: np.ndarray, bounds: ParameterBounds
-) -> tuple[dict, float]:
+def cm_sd_estimates(chain: np.ndarray, bounds: ParameterBounds) -> dict:
     """Sample means and spreads of the chain, mapped to physical units.
 
-    Returns the conditional-mean/spread arrays and the stabilization
-    metric: the largest relative change of any conditional-mean component
-    between the first half of the chain and the full chain (below 0.01
-    counts as stabilized).
+    Returns the conditional-mean/spread arrays ``sigma_cm``, ``sigma_sd``,
+    ``zeta_cm`` and ``zeta_sd``.  They are trustworthy only when the chains
+    mixed, which their split-R-hat (:func:`split_rhat`) tells.
     """
     chain = np.asarray(chain, dtype=np.float64)
     L = bounds.n_pixels
-    full = params_from_y(chain.mean(axis=0), bounds)
-    first = params_from_y(chain[: max(1, chain.shape[0] // 2)].mean(axis=0), bounds)
+    cm = params_from_y(chain.mean(axis=0), bounds)
     std = chain.std(axis=0)
-    cm = {
-        "sigma_cm": full.sigma,
+    return {
+        "sigma_cm": cm.sigma,
         "sigma_sd": bounds.sigma * std[:L],
-        "zeta_cm": full.zeta,
+        "zeta_cm": cm.zeta,
         "zeta_sd": bounds.zeta_half * std[L:],
     }
-    full_cm = np.concatenate([full.sigma, full.zeta])
-    half_cm = np.concatenate([first.sigma, first.zeta])
-    stabilization = float(np.max(np.abs(full_cm - half_cm) / np.abs(full_cm)))
-    return cm, stabilization
 
 
 # largest split-R-hat that counts as mixed (Vehtari et al. 2021)
@@ -820,8 +795,7 @@ def reconstruct(posterior: Posterior, config: McmcConfig | None = None) -> Estim
     kwargs = {}
     if config is not None:
         chain = mcmc_sample(posterior, config, start=map_res.y)
-        cm, stabilization = cm_sd_estimates(chain.samples, bounds)
-        kwargs = cm
+        kwargs = cm_sd_estimates(chain.samples, bounds)
         diagnostics.update(
             acceptance=chain.acceptance,
             in_support=chain.in_support,
@@ -829,7 +803,6 @@ def reconstruct(posterior: Posterior, config: McmcConfig | None = None) -> Estim
             chain_scales=list(chain.chain_scales),
             n=chain.samples.shape[0],
             rhat_max=float(chain.rhat.max()),
-            stabilization=stabilization,
         )
         if not diagnostics["rhat_max"] <= _RHAT_LIMIT:
             warnings.warn(

@@ -196,7 +196,7 @@ def test_reconstruct_prints_the_chains_and_their_split_rhat(
     assert rc == 0
     est = inversion.load_estimates(d / "est-rhat.json")
     assert "chain: 4000 samples from 2 chains," in out
-    assert f"split R-hat {est.diagnostics['rhat_max']:.4f}," in out
+    assert f"split R-hat {est.diagnostics['rhat_max']:.4f}\n" in out
 
 
 def test_reconstruct_with_one_sample_writes_strict_json(
@@ -427,9 +427,13 @@ def test_reconstruct_rejects_an_inconsistent_box_before_the_map(
     "option, value, named",
     [
         ("--proposal-std", "nan", "proposal_std must be positive and finite"),
-        ("--noise-std", "inf", "noise standard deviation must be positive"),
-        ("--noise-std", "nan", "noise standard deviation must be positive"),
-        ("--noise-pct", "nan", "(rule percent:nan)"),
+        ("--noise-std", "inf", "noise_std must be nonnegative and finite"),
+        ("--noise-std", "nan", "noise_std must be nonnegative and finite"),
+        ("--noise-pct", "nan", "noise_pct must be nonnegative and finite"),
+        ("--noise-std", "0", "noise level from noise_std must be positive"),
+        ("--noise-pct", "0", "noise level from noise_pct 0 must be positive"),
+        ("--thin", "0", "thinning must be at least 1, got 0"),
+        ("--burn-in", "-5", "burn_in must be at least 0, got -5"),
         ("--corr-length", "nan", "correlation length must be positive"),
         ("--eta-factor", "nan", "eta_factor must be positive and finite"),
         ("--eta-factor", "-1", "eta_factor must be positive and finite"),
@@ -445,6 +449,25 @@ def test_non_finite_reconstruct_options_exit_2(
               "--samples", 50, "--burn-in", 10, option, value, "--out", out])
     assert rc == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_both_noise_settings_exit_2(workdir, surrogate_and_data, capsys, tmp_path,
+                                    command):
+    d = workdir
+    out = tmp_path / "out.json"
+    inputs = {
+        "simulate": ["--mesh", d / "mesh.json", "--seeds", d / "seeds.json",
+                     "--phantom", d / "phantom.json"],
+        "reconstruct": ["--surrogate", d / "surr.bin", "--data", d / "data.json",
+                        "--samples", 0],
+    }[command]
+    rc = run([command, *inputs, "--noise-std", 0.01, "--noise-pct", 5,
+              "--out", out])
+    assert rc == 2
+    assert ("error: give either noise_std or noise_pct, not both"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

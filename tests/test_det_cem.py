@@ -223,6 +223,35 @@ def test_solve_deterministic_rejects(small):
         )
 
 
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        ({"noise_std": 0.25}, 0.25),
+        ({"noise_std": 0.0}, 0.0),
+        ({"noise_pct": 2.5}, 0.025 * 4.0),
+        ({}, 0.0),
+        ({"noise_std": 0.25, "noise_pct": 2.5}, "give either noise_std or noise_pct"),
+        ({"noise_std": -0.25}, "noise_std must be nonnegative and finite, got -0.25"),
+        ({"noise_std": np.nan}, "noise_std must be nonnegative and finite, got nan"),
+        ({"noise_std": np.inf}, "noise_std must be nonnegative and finite, got inf"),
+        ({"noise_pct": -1.0}, "noise_pct must be nonnegative and finite, got -1"),
+        ({"noise_pct": np.nan}, "noise_pct must be nonnegative and finite, got nan"),
+        ({"noise_pct": np.inf}, "noise_pct must be nonnegative and finite, got inf"),
+    ],
+    ids=["std", "std-zero", "pct", "neither", "both", "std-negative", "std-nan",
+         "std-inf", "pct-negative", "pct-nan", "pct-inf"],
+)
+def test_noise_level(settings, expected):
+    # spread max - min = 4
+    voltages = np.array([[-1.5, 0.5], [2.5, 0.0]])
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            det_cem.noise_level(voltages, **settings)
+    else:
+        level = det_cem.noise_level(voltages, **settings)
+        assert type(level) is float and level == pytest.approx(expected, rel=1e-15)
+
+
 def test_simulate_noise_percent_rule(small):
     mesh, part, sample = small
     pats = standard_patterns(3)

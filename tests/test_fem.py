@@ -107,6 +107,15 @@ def test_stiffness_kernel_contains_constants():
     npt.assert_allclose(K @ np.ones(mesh.n_nodes), 0.0, atol=1e-13)
 
 
+def test_stiffness_of_a_zero_coefficient_is_the_zero_matrix():
+    # no triangle adds a term, so no entry is stored
+    mesh = sgeit.make_disk_fixture(2, 8, 4, 0.5)
+    K = fem.stiffness_matrix(mesh, np.zeros(mesh.n_triangles))
+    assert K.shape == (mesh.n_nodes, mesh.n_nodes)
+    assert K.nnz == 0 and K.data.dtype == np.float64
+    npt.assert_array_equal(K @ np.ones(mesh.n_nodes), 0.0)
+
+
 def test_stiffness_keeps_structural_zeros():
     # pattern must be the node adjacency of the contributing triangles,
     # even where entries cancel to zero
