@@ -25,7 +25,9 @@ The kernels check no bounds.  ``CSRMatrix`` therefore checks its arrays
 once when it is made and makes them read-only, and checks every dense
 operand's dtype, C-contiguity and shape before a kernel runs; a bad one
 raises ValueError.  The operations are those of ``scipy.sparse`` on the
-same arrays, kernel for kernel, so their results have its bits.
+same arrays, kernel for kernel, so their results have its bits; only a
+product with a vector runs the block kernel on one column, which forms
+the same sums in the same order as SciPy's vector kernel.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ _NAME = "scipy.sparse._sparsetools"
 # every kernel this module calls
 _USED = (
     "coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices",
-    "csr_sort_indices", "csr_sum_duplicates", "csr_matvec", "csr_matvecs",
-    "csc_matvec", "csc_matvecs", "csr_todense",
+    "csr_sort_indices", "csr_sum_duplicates", "csr_matvecs", "csc_matvecs",
+    "csr_todense",
 )
 _INDEX_TYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _kernels = None
@@ -184,14 +186,14 @@ class CSRMatrix:
 
     def __matmul__(self, V) -> np.ndarray:
         """The product with a dense float64 vector or (n_cols, k) block,
-        as ``csr_matrix @ V`` forms it: ``csr_matvec`` for a vector or a
-        single column, ``csr_matvecs`` otherwise."""
+        with the bits of ``csr_matrix @ V``: ``csr_matvecs``, on one column
+        for a vector."""
         return self._product(V, False)
 
     def transpose_matmul(self, U) -> np.ndarray:
         """The product of the transpose with a dense float64 vector or
-        (n_rows, k) block, as ``csr_matrix.T @ U`` forms it: the CSC kernels
-        ``csc_matvec`` or ``csc_matvecs`` on the same arrays."""
+        (n_rows, k) block, with the bits of ``csr_matrix.T @ U``: the CSC
+        kernel ``csc_matvecs`` on the same arrays."""
         return self._product(U, True)
 
     def _product(self, V, transpose: bool) -> np.ndarray:
@@ -210,12 +212,11 @@ class CSRMatrix:
             )
         out = np.zeros((n_out,) + V.shape[1:])
         k, arrays = kernels(), (self.indptr, self.indices, self.data)
-        if V.ndim == 1 or V.shape[1] == 1:
-            matvec = k.csc_matvec if transpose else k.csr_matvec
-            matvec(n_out, n_in, *arrays, V.ravel(), out.ravel())
-        else:
-            matvecs = k.csc_matvecs if transpose else k.csr_matvecs
-            matvecs(n_out, n_in, V.shape[1], *arrays, V.ravel(), out.ravel())
+        # each entry is summed in the order of the stored entries, one
+        # column as in SciPy's vector kernels csr_matvec and csc_matvec
+        matvecs = k.csc_matvecs if transpose else k.csr_matvecs
+        n_vecs = V.shape[1] if V.ndim == 2 else 1
+        matvecs(n_out, n_in, n_vecs, *arrays, V.ravel(), out.ravel())
         return out
 
     def toarray(self) -> np.ndarray:

@@ -235,6 +235,14 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    # the chain options are checked even when no chain runs (--samples 0)
+    config = inversion.McmcConfig(
+        n_samples=max(args.samples, 1),
+        burn_in=args.burn_in,
+        thinning=args.thin,
+        proposal_std=args.proposal_std,
+        seed=args.seed,
+    )
     surr = surrogate.load(args.surrogate)
     ms = det_cem.load_measurements(args.data)
     posterior = inversion.build_posterior(
@@ -245,16 +253,7 @@ def cmd_reconstruct(args) -> int:
         corr_length=args.corr_length,
         eta_factor=args.eta_factor,
     )
-    config = None
-    if args.samples > 0:
-        config = inversion.McmcConfig(
-            n_samples=args.samples,
-            burn_in=args.burn_in,
-            thinning=args.thin,
-            proposal_std=args.proposal_std,
-            seed=args.seed,
-        )
-    est = inversion.reconstruct(posterior, config)
+    est = inversion.reconstruct(posterior, config if args.samples else None)
     inversion.save_estimates(est, args.out)
     diag = est.diagnostics
     print(
@@ -266,7 +265,7 @@ def cmd_reconstruct(args) -> int:
         f"prior covariance: condition number {diag['prior_condition']:.3g}, "
         f"jitter {jitter}"
     )
-    if config is not None:
+    if args.samples:
         print(
             f"chain: {diag['n']} samples from {len(diag['chain_scales'])} chains, "
             f"acceptance {diag['acceptance']:.3f}, "

@@ -33,10 +33,9 @@ class DeterministicSample:
 
 @dataclass(frozen=True)
 class DeterministicSolution:
-    """Interior potentials and electrode voltages per current pattern."""
+    """Electrode voltages per current pattern."""
 
     patterns: np.ndarray
-    potentials: np.ndarray
     voltages: np.ndarray
 
 
@@ -122,7 +121,7 @@ def solve_deterministic(
     # one solve per pattern: on a block of patterns SuperLU runs other BLAS
     # kernels, whose results can differ in the last bits
     x = np.array([lu.solve(b) for b in rhs])
-    return DeterministicSolution(patterns, x[:, :n_d], expand_mean_free(x[:, n_d:]))
+    return DeterministicSolution(patterns, expand_mean_free(x[:, n_d:]))
 
 
 def simulate_measurements(

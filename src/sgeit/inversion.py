@@ -20,21 +20,22 @@ by the Laplace covariance C = (J^T J + I/4)^{-1} at its start (the MAP in
 contacts independently with the standard deviations sqrt(diag C)_CC and
 are reflected into [-1, 1].  A reflected Gaussian kernel is symmetric only
 in coordinates drawn independently of all others, which is why the
-contacts are diagonal and the pixels are not reflected: a pixel proposal
-outside the cube is rejected.  The common scale starts at 2.38/sqrt(d)
-(Roberts, Gelman & Gilks 1997), adapts toward an acceptance of 0.25 in
-fixed windows of the burn-in (Haario, Saksman & Tamminen 2001), and is
-frozen after it at the geometric mean of its values over the burn-in's
-second half, as dual averaging freezes its averaged iterate (Hoffman &
-Gelman 2014).  The chain draws its random numbers in blocks from two
-child streams of its seed, the proposal increments from one and one
-uniform u per step from the other, and accepts a step when the log
-density rises by at least log u.  One step (``Posterior.step``) writes the
-proposal into the posterior's kept point [1, y] and reads it back as
-Python floats once: a pixel outside the cube rejects it at that cost, the
-contacts that left the cube are folded back on the same floats, and a
-proposal inside the cube costs Q gathers of [1, y] that form m+(y), one
-product with A' and one dot product.  Each block of increments is checked
+factor of ``laplace_proposal`` is diagonal in the contacts and the
+pixels are not reflected: a pixel proposal outside the cube is rejected.
+The common scale starts at 2.38/sqrt(d) (Roberts, Gelman & Gilks 1997),
+adapts toward an acceptance of 0.25 in fixed windows of the burn-in
+(Haario, Saksman & Tamminen 2001), and is frozen after it at the
+geometric mean of its values over the burn-in's second half, as dual
+averaging freezes its averaged iterate (Hoffman & Gelman 2014).  The
+chain draws its random numbers in blocks from two child streams of its
+seed, the proposal increments from one and one uniform u per step from
+the other, and accepts a step when the log density rises by at least
+log u.  One step (``Posterior.step``) writes the proposal into the
+posterior's kept point [1, y] and reads it back as Python floats once: a
+pixel outside the cube rejects it at that cost, the contacts that left
+the cube are folded back on the same floats, and a proposal inside the
+cube costs Q gathers of [1, y] that form m+(y), one product with A' and
+one dot product.  Each block of increments is checked
 once for non-finite entries, and a step with one is rejected unevaluated.
 
 ``mcmc_sample`` runs two such chains from the same start, each with its
@@ -48,7 +49,7 @@ whether their conditional mean and spread can be trusted.
 from __future__ import annotations
 
 import math
-import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -65,16 +66,15 @@ from .surrogate import SgfemSurrogate, monomial_jacobian, monomials
 class SmoothnessPrior:
     """Zero-mean Gaussian prior with squared-exponential seed covariance.
 
-    ``jitter`` records whether ``build_prior_cov`` had to add its jitter to
-    factorize ``cov``; ``condition`` is the 2-norm condition number of
-    ``cov``, jitter included.
+    ``whiten`` is the inverse of the Cholesky factor of ``cov``, so that
+    y^T cov^{-1} y = |whiten y|^2.  ``jitter`` records whether
+    ``build_prior_cov`` had to add its jitter to factorize ``cov``;
+    ``condition`` is the 2-norm condition number of ``cov``, jitter
+    included.
     """
 
     cov: np.ndarray
-    chol: np.ndarray
     whiten: np.ndarray
-    corr_length: float
-    eta: float
     jitter: bool
     condition: float
 
@@ -107,9 +107,8 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
                 "prior covariance not positive definite even with jitter; "
                 "check for duplicate pixel seeds"
             ) from exc
-    whiten = np.linalg.inv(chol)
     condition = float(np.linalg.cond(cov))
-    return SmoothnessPrior(cov, chol, whiten, corr_length, eta, jitter, condition)
+    return SmoothnessPrior(cov, np.linalg.inv(chol), jitter, condition)
 
 
 @dataclass
@@ -210,12 +209,11 @@ class Posterior:
         The per-step evaluator of :func:`mcmc_sample`'s chains.  It writes
         y + inc into the kept point [1, y] and turns it into Python floats
         once.  A pixel outside [-1, 1] rejects the proposal (-inf) before
-        any other work; a contact outside is folded back on those floats as
-        :func:`random_walk_metropolis` folds a reflected coordinate.  Inside
-        the cube it costs what :meth:`log_density` costs there, with the
-        same bytes.  y must lie in the cube and inc must be finite (the
-        chain rejects a non-finite increment without this call), so the
-        proposal is finite.
+        any other work; a contact outside is folded back on those floats
+        by :func:`_fold`.  Inside the cube it costs what
+        :meth:`log_density` costs there, with the same bytes.  y must lie
+        in the cube and inc must be finite (the chain rejects a non-finite
+        increment without this call), so the proposal is finite.
         """
         point = self.proposal
         np.add(y, inc, out=point)
@@ -489,69 +487,9 @@ def correlated_increments(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def random_walk_metropolis(
-    log_density, start, config: McmcConfig, factor=None, reflect: slice = slice(0)
-) -> McmcResult:
-    """Metropolis sampling with a Gaussian proposal of covariance s^2 F F^T.
-
-    F is ``factor`` (the identity by default) and s the proposal scale.
-    Coordinates in the ``reflect`` slice are folded back into [-1, 1] by
-    p -> 1 - |((p + 1) mod 4) - 2|; the folded kernel is symmetric only if
-    each of them is drawn independently of all others, so a ``factor``
-    that couples one of them with another coordinate raises ValueError, as
-    does one with a non-finite entry.  Any other proposal outside the
-    support (log density -inf) is rejected without further evaluation, and
-    one with a non-finite increment without a call of ``log_density``;
-    ``in_support`` is the share of all proposals inside it, after the
-    fold.  ``log_density`` is called with one array that every step
-    overwrites.
-
-    The scale starts at ``config.proposal_std``, or 2.38/sqrt(d) if that
-    is None.  After every full window of ``_ADAPT_WINDOW`` burn-in steps it
-    is multiplied by exp(2 (a - 0.25)), with a the window's acceptance
-    rate.  At the end of burn-in it is set to the geometric mean of the
-    scales set after the windows of the burn-in's second half (windows
-    k > K // 2 of K full windows), so that the acceptance noise of the
-    last window alone does not decide it; it then stays fixed and is
-    returned as ``proposal_scale``.  Random numbers come in blocks from
-    two child streams spawned from ``config.seed``: one gives the
-    increments F z, the other one uniform u per step (1 - U for a draw U
-    in [0, 1), so log u is finite), and a step accepts when the change of
-    the log density is at least log u.  Numpy fills a block exactly as it draws
-    one value after another, and :func:`correlated_increments` maps each
-    row alone, so the chain does not depend on the block size.  Runs
-    burn_in + n_samples * thinning iterations and keeps every thinning-th
-    state after burn-in.  The acceptance rate is measured over the
-    post-burn-in phase; a rate outside [0.05, 0.8] warns.
-    """
-    target = _Folded(log_density, np.shape(start)[0], reflect)
-    return _pooled([_metropolis(target, start, config, factor, reflect)])
-
-
 def _fold(p: float) -> float:
     """p folded back into [-1, 1]: 1 - |((p + 1) mod 4) - 2|."""
     return 1.0 - abs((p + 1.0) % 4.0 - 2.0)
-
-
-class _Folded:
-    """A plain log density as a chain's per-step evaluator (see
-    :meth:`Posterior.step`): y + inc with the coordinates of ``reflect``
-    folded into [-1, 1], then the call.  The log density is called with
-    ``proposal``, one array that every step overwrites."""
-
-    def __init__(self, log_density, n_dim: int, reflect: slice):
-        self.log_density = log_density
-        self.proposal = np.empty(n_dim)
-        self._lo, self._hi, _ = reflect.indices(n_dim)
-
-    def step(self, y: np.ndarray, inc: np.ndarray) -> float:
-        prop = self.proposal
-        np.add(y, inc, out=prop)
-        lo = self._lo
-        for k, p in enumerate(prop[lo : self._hi].tolist(), lo):
-            if not -1.0 <= p <= 1.0:
-                prop[k] = _fold(p)
-        return self.log_density(prop)
 
 
 def _scaled(raw: np.ndarray, scale: float) -> tuple[np.ndarray, list[bool]]:
@@ -560,29 +498,37 @@ def _scaled(raw: np.ndarray, scale: float) -> tuple[np.ndarray, list[bool]]:
     return incs, np.isfinite(incs).all(axis=1).tolist()
 
 
-def _metropolis(target, start, config, factor, reflect) -> _Chain:
-    """The chain of :func:`random_walk_metropolis`, before pooling.
+def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain:
+    """One Metropolis chain with a Gaussian proposal of covariance s^2 F F^T.
 
-    ``target`` has ``log_density(y)``, which evaluates the start, and the
-    per-step evaluator ``step(y, inc)``, which leaves the proposal in the
-    array ``target.proposal``; ``reflect`` is the slice that ``step``
-    folds, and is checked against the factor here.  The state y stays
-    finite, so a proposal is finite exactly where its increment is: a
-    non-finite increment is rejected without a call to ``step``.
+    F is ``factor`` and s the proposal scale.  ``target`` has
+    ``log_density(y)``, which evaluates the start, and the per-step
+    evaluator ``step(y, inc)``, which returns the log density of y + inc
+    (-inf outside the support) and leaves that proposal, with any
+    coordinates it folds, in the array ``target.proposal``.  The state y
+    stays finite, so a proposal is finite exactly where its increment is:
+    a non-finite increment is rejected without a call to ``step``.
+
+    The scale starts at ``config.proposal_std``, or 2.38/sqrt(d) if that
+    is None.  After every full window of ``_ADAPT_WINDOW`` burn-in steps it
+    is multiplied by exp(2 (a - 0.25)), with a the window's acceptance
+    rate.  At the end of burn-in it is set to the geometric mean of the
+    scales set after the windows of the burn-in's second half (windows
+    k > K // 2 of K full windows), so that the acceptance noise of the
+    last window alone does not decide it; it then stays fixed.  Random
+    numbers come in blocks from two child streams spawned from
+    ``config.seed``: one gives the increments F z, the other one uniform
+    u per step (1 - U for a draw U in [0, 1), so log u is finite), and a
+    step accepts when the change of the log density is at least log u.
+    Numpy fills a block exactly as it draws one value after another, and
+    :func:`correlated_increments` maps each row alone, so the chain does
+    not depend on the block size.  Runs burn_in + n_samples * thinning
+    iterations and keeps every thinning-th state after burn-in; the
+    acceptances are counted after burn-in, the proposals inside the
+    support over all steps.
     """
     y = np.asarray(start, dtype=np.float64).copy()
     n_dim = y.shape[0]
-    factor = np.eye(n_dim) if factor is None else np.asarray(factor, dtype=np.float64)
-    if factor.shape != (n_dim, n_dim):
-        raise ValueError(f"proposal factor must be {n_dim} x {n_dim}")
-    if not np.isfinite(factor).all():
-        raise ValueError("proposal factor has a non-finite entry")
-    lo, hi, stride = reflect.indices(n_dim)
-    if stride != 1:
-        raise ValueError("reflected coordinates must form a contiguous slice")
-    coupling = factor - np.diag(np.diag(factor))
-    if coupling[lo:hi].any() or coupling[:, lo:hi].any():
-        raise ValueError("a reflected coordinate is drawn jointly with another one")
     lp = float(target.log_density(y))
     if not math.isfinite(lp):
         raise ValueError("chain start lies outside the posterior support")
@@ -655,17 +601,16 @@ def laplace_proposal(posterior: Posterior, y: np.ndarray) -> np.ndarray:
 
 
 # whether chain 1 can run in a forked child; otherwise it runs after chain 0
-_FORK = "fork" in multiprocessing.get_all_start_methods()
+_FORK = hasattr(os, "fork")
 
 
 def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcResult:
     """Two Laplace-scaled chains on a posterior (start defaults to 0).
 
     Both chains start at ``start`` with the proposal factor of
-    :func:`laplace_proposal` there, and the contacts are the reflected
-    coordinates.  Each step is one call of :meth:`Posterior.step`, and a
-    chain is byte for byte that of :func:`random_walk_metropolis` on
-    ``posterior.log_density`` with the same settings.  Chain c is seeded by child c of
+    :func:`laplace_proposal` there, which draws each contact alone, and
+    run :func:`_metropolis` with one call of :meth:`Posterior.step` per
+    step, which folds the contacts.  Chain c is seeded by child c of
     ``SeedSequence(config.seed).spawn(2)``, runs the full burn-in with its
     own adaptation, and keeps ceil(n/2) (chain 0) or floor(n/2) (chain 1)
     of the ``config.n_samples`` samples; with n = 1 only chain 0 runs.
@@ -683,7 +628,6 @@ def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcRes
     if not math.isfinite(posterior.log_density(y0)):
         raise ValueError("chain start lies outside the posterior support")
     factor = laplace_proposal(posterior, y0)
-    reflect = slice(posterior.n_pixels, None)
     n = config.n_samples
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     configs = [
@@ -693,10 +637,13 @@ def mcmc_sample(posterior: Posterior, config: McmcConfig, start=None) -> McmcRes
     ]
 
     def run(cfg):
-        return _metropolis(posterior, y0, cfg, factor, reflect)
+        return _metropolis(posterior, y0, cfg, factor)
 
     if len(configs) == 1 or not _FORK:
         return _pooled([run(cfg) for cfg in configs])
+    # imported only here: nothing else in the package needs it
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_chain, args=(run, configs[1], sender))

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import sgeit
-from sgeit import chaos, det_cem, fem, sgfem, surrogate
+from sgeit import chaos, det_cem, fem, inversion, sgfem, surrogate
 
 
 def two_ring_layout():
@@ -75,6 +75,33 @@ def tamper(path, out, header_edit=None, payload_edit=None):
         payload = payload_edit(payload)
     blob = json.dumps(header, separators=(",", ":")).encode()
     out.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+class FoldedTarget:
+    """A plain log density as a chain target of ``inversion._metropolis``:
+    ``step`` proposes y + inc, folds the coordinates from ``fold_from`` on
+    into [-1, 1] as ``Posterior.step`` folds the contacts, and evaluates
+    ``log_density`` on ``proposal``, one array that every step overwrites."""
+
+    def __init__(self, log_density, n_dim, fold_from=None):
+        self.log_density, self.proposal = log_density, np.empty(n_dim)
+        self.fold_from = n_dim if fold_from is None else fold_from
+
+    def step(self, y, inc):
+        prop = np.add(y, inc, out=self.proposal)
+        for k, p in enumerate(prop[self.fold_from :].tolist(), self.fold_from):
+            if not -1.0 <= p <= 1.0:
+                prop[k] = inversion._fold(p)
+        return self.log_density(prop)
+
+
+def metropolis(log_density, start, cfg, factor=None, fold_from=None):
+    """One chain of ``inversion._metropolis`` on a ``FoldedTarget``, pooled
+    into an ``McmcResult``; the proposal factor defaults to the identity."""
+    n = len(start)
+    factor = np.eye(n) if factor is None else factor
+    target = FoldedTarget(log_density, n, fold_from)
+    return inversion._pooled([inversion._metropolis(target, start, cfg, factor)])
 
 
 @pytest.fixture(scope="session")

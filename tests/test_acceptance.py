@@ -19,7 +19,7 @@ from scipy import stats
 from scipy.stats import qmc
 
 import sgeit
-from conftest import moment_matrix, two_ring_layout
+from conftest import metropolis, moment_matrix, two_ring_layout
 from sgeit import chaos, cli, det_cem, fem, inversion, sgfem, surrogate
 
 L, M = 12, 8
@@ -245,7 +245,7 @@ def test_mcmc_sampler_and_posterior_acceptance(default_model):
         return -0.5 * y[0] * y[0] if abs(y[0]) <= 1.0 else -np.inf
 
     cfg = inversion.McmcConfig(100_000, 5_000, 10, proposal_std=0.8, seed=0)
-    chain = inversion.random_walk_metropolis(logd, np.zeros(1), cfg)
+    chain = metropolis(logd, np.zeros(1), cfg)
     edges = np.linspace(-1.0, 1.0, 21)
     counts, _ = np.histogram(chain.samples[:, 0], bins=edges)
     probs = np.diff(stats.truncnorm.cdf(edges, -1.0, 1.0))

@@ -452,6 +452,28 @@ def test_non_finite_reconstruct_options_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--proposal-std", "-1", "proposal_std must be positive and finite"),
+        ("--thin", "0", "thinning must be at least 1, got 0"),
+        ("--burn-in", "-5", "burn_in must be at least 0, got -5"),
+        ("--seed", "-2", "seed must be nonnegative, got -2"),
+    ],
+)
+def test_chain_options_are_checked_without_a_chain(
+    workdir, surrogate_and_data, capsys, tmp_path, option, value, named
+):
+    # --samples 0 runs the MAP only, but a bad chain option is still refused
+    d = workdir
+    out = tmp_path / "e.json"
+    rc = run(["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+              "--samples", 0, option, value, "--out", out])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
 def test_both_noise_settings_exit_2(workdir, surrogate_and_data, capsys, tmp_path,
                                     command):
@@ -625,14 +647,16 @@ def test_the_benchmark_finds_the_library_names_it_reads(tmp_path):
 
 
 # a fresh interpreter that imports ``ops`` as bench/fresh_op.py does, which
-# loads every sgeit module, builds the chaos index set and coupling table of
-# the tank, then runs reconstruct, render and precompute; precompute runs on
-# SciPy's compiled sparse kernels and loads no SciPy package module
+# loads every sgeit module but not multiprocessing, builds the chaos index
+# set and coupling table of the tank, then runs reconstruct, render and
+# precompute; precompute runs on SciPy's compiled sparse kernels and loads
+# no SciPy package module
 NUMPY_ONLY_PROBE = """
 import pathlib, sys, warnings
 from env import pin_blas_threads
 pin_blas_threads()
 import ops
+assert "multiprocessing" not in sys.modules
 from sgeit import cli
 from sgeit.chaos import iso_td, moment_matrices
 

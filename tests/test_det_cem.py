@@ -26,7 +26,8 @@ def lagrange_grounded_cem(mesh, tri_sigma, zeta, current):
 
     Assembled from scratch (barycentric gradients, explicit edge
     integrals) in the full voltage basis, so it shares no reduction or
-    bookkeeping with the package implementation.
+    bookkeeping with the package implementation.  Returns the electrode
+    voltages.
     """
     n_d = mesh.n_nodes
     n_el = len(zeta)
@@ -57,8 +58,7 @@ def lagrange_grounded_cem(mesh, tri_sigma, zeta, current):
     K[-1, n_d : n_d + n_el] = 1.0
     rhs = np.zeros(n)
     rhs[n_d : n_d + n_el] = current
-    x = np.linalg.solve(K, rhs)
-    return x[:n_d], x[n_d : n_d + n_el]
+    return np.linalg.solve(K, rhs)[n_d : n_d + n_el]
 
 
 def test_voltages_match_lagrange_grounded_oracle(small):
@@ -67,28 +67,25 @@ def test_voltages_match_lagrange_grounded_oracle(small):
     sol = det_cem.solve_deterministic(mesh, part, sample, pats)
     tri_sigma = sample.sigma[part.triangle_pixel]
     for p, current in enumerate(pats):
-        u, U = lagrange_grounded_cem(mesh, tri_sigma, sample.zeta, current)
+        U = lagrange_grounded_cem(mesh, tri_sigma, sample.zeta, current)
         npt.assert_allclose(sol.voltages[p], U, rtol=1e-10, atol=1e-13)
-        npt.assert_allclose(sol.potentials[p], u, rtol=1e-9, atol=1e-12)
 
 
 def splu_route(mesh, part, sample, patterns):
-    """Potentials and voltages from SuperLU on ``tocsc()`` of the electrode
-    model, one solve per pattern, and the model matrix."""
+    """Voltages from SuperLU on ``tocsc()`` of the electrode model, one
+    solve per pattern, and the model matrix."""
     eg = sgeit.electrode_geometry(mesh)
     S, g = fem.assemble_electrode_mass(mesh, eg)
     A = fem.stiffness_matrix(mesh, sample.sigma[part.triangle_pixel])
     B = cem_matrix(A, sample.zeta, S, g, eg.lengths)
     lu = spla.splu(as_scipy(B).tocsc())
     n_d = mesh.n_nodes
-    potentials, voltages = [], []
+    voltages = []
     for load in _voltage_loads(patterns, eg.n_electrodes):
         rhs = np.zeros(B.shape[0])
         rhs[n_d:] = load
-        x = lu.solve(rhs)
-        potentials.append(x[:n_d])
-        voltages.append(expand_mean_free(x[n_d:]))
-    return np.array(potentials), np.array(voltages), B
+        voltages.append(expand_mean_free(lu.solve(rhs)[n_d:]))
+    return np.array(voltages), B
 
 
 @pytest.mark.parametrize("fixture", ["tiny", "tank"])
@@ -109,11 +106,10 @@ def test_solve_is_bitwise_the_splu_route(tiny, fixture):
         sigma = rng.uniform(0.5, 2.0, part.n_pixels)
         zeta = rng.uniform(10.0, 1000.0, mesh.n_electrodes)
         sample = det_cem.DeterministicSample(sigma, zeta)
-        potentials, voltages, B = splu_route(mesh, part, sample, patterns)
+        voltages, B = splu_route(mesh, part, sample, patterns)
         dense = B.toarray()
         assert dense.tobytes() == dense.T.copy().tobytes()
         sol = det_cem.solve_deterministic(mesh, part, sample, patterns)
-        assert sol.potentials.tobytes() == potentials.tobytes()
         assert sol.voltages.tobytes() == voltages.tobytes()
 
 

@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from conftest import build_tiny_surrogate, json_dump_text, strict_json
+from conftest import build_tiny_surrogate, json_dump_text, metropolis, strict_json
 from sgeit import chaos, det_cem, inversion, sgfem
 
 
@@ -36,8 +36,10 @@ def test_prior_covariance_frozen_entries():
     assert prior.cov[0, 1] == pytest.approx(4.0 * math.exp(-0.5))
     assert prior.cov[0, 2] == pytest.approx(4.0 * math.exp(-1.0))
     assert prior.cov[1, 2] == pytest.approx(4.0 * math.exp(-0.5))
-    npt.assert_allclose(prior.chol @ prior.chol.T, prior.cov, atol=1e-14)
-    npt.assert_allclose(prior.whiten @ prior.chol, np.eye(3), atol=1e-13)
+    # the inverse of the Cholesky factor: lower triangular, W C W^T = I
+    assert not np.triu(prior.whiten, 1).any()
+    whitened = prior.whiten @ prior.cov @ prior.whiten.T
+    npt.assert_allclose(whitened, np.eye(3), atol=1e-13)
 
 
 def test_prior_covariance_rejects():
@@ -55,7 +57,8 @@ def test_prior_covariance_rejects():
     dup = np.array([[0.2, 0.1], [0.2, 0.1]])
     prior = inversion.build_prior_cov(dup, corr_length=1.0, eta=1.0)
     assert np.isfinite(prior.whiten).all()
-    npt.assert_allclose(prior.chol @ prior.chol.T, prior.cov, atol=1e-12)
+    chol = np.linalg.inv(prior.whiten)
+    npt.assert_allclose(chol @ chol.T, prior.cov, atol=1e-12)
     # the jitter fired, and the jittered covariance [[1, 1], [1, 1]] +
     # 1e-10 I has the eigenvalues 2 + 1e-10 and 1e-10
     assert prior.jitter
@@ -226,12 +229,13 @@ def test_build_posterior_wiring(tiny_surrogate, tiny_measurements):
     post = inversion.build_posterior(tiny_surrogate, tiny_measurements)
     v = tiny_measurements.voltages
     assert post.noise_std == pytest.approx(0.01 * (v.max() - v.min()))
-    assert post.prior.eta == pytest.approx(10.0 * post.noise_std)
+    # the prior variance of every pixel is eta^2, eta = eta_factor * xi
+    npt.assert_allclose(np.diag(post.prior.cov), (10.0 * post.noise_std) ** 2)
     post = inversion.build_posterior(
         tiny_surrogate, tiny_measurements, noise_std=0.125, eta_factor=2.0
     )
     assert post.noise_std == 0.125
-    assert post.prior.eta == pytest.approx(0.25)
+    npt.assert_allclose(np.diag(post.prior.cov), 0.25**2)
     post = inversion.build_posterior(tiny_surrogate, tiny_measurements, noise_pct=5.0)
     assert post.noise_std == det_cem.noise_level(v, noise_pct=5.0)
 
@@ -352,30 +356,36 @@ def test_laplace_proposal_follows_its_definition(tiny_posterior):
     assert (np.sqrt((factor**2).sum(axis=1)) <= 2.0).all()
 
 
-def test_mcmc_in_support_share_counts_proposals_inside_the_cube(tiny_posterior):
+def test_mcmc_in_support_share_counts_proposals_inside_the_cube(
+    tiny_posterior, monkeypatch
+):
     cfg = inversion.McmcConfig(
         n_samples=300, burn_in=100, thinning=2, proposal_std=2.0, seed=23
     )
     values = []
+    step = tiny_posterior.step
 
-    def log_density(y):
-        values.append(tiny_posterior.log_density(y))
+    def counted_step(y, inc):
+        values.append(step(y, inc))
         return values[-1]
 
+    # both chains in this process, where the steps are counted
+    monkeypatch.setattr(inversion, "_FORK", False)
+    monkeypatch.setattr(tiny_posterior, "step", counted_step)
+    res = inversion.mcmc_sample(tiny_posterior, cfg)
+    monkeypatch.undo()
+    # two chains of 100 + 150 * 2 steps, one call per step; the folded
+    # contacts never leave the cube, so only pixel proposals can miss it
+    inside = sum(math.isfinite(v) for v in values)
+    assert len(values) == 800
+    assert res.in_support == inside / 800
+    assert 0.0 < res.in_support < 1.0
+    # counting draws no random numbers: the plain sampler gives the same
+    # chains, and they are the reference chains of its two child seeds
     start = np.zeros(7)
     factor = inversion.laplace_proposal(tiny_posterior, start)
-    res = inversion.random_walk_metropolis(
-        log_density, start, cfg, factor, slice(3, None)
-    )
-    # the first call evaluates the start point; reflected contacts never
-    # leave the cube, so only pixel proposals can miss it
-    inside = sum(math.isfinite(v) for v in values[1:])
-    assert len(values) == 1 + 700
-    assert res.in_support == inside / 700
-    assert 0.0 < res.in_support < 1.0
-    # counting draws no random numbers: the two chains of the plain sampler
-    # are the reference chains of its two child seeds
     plain = inversion.mcmc_sample(tiny_posterior, cfg)
+    assert plain.samples.tobytes() == res.samples.tobytes()
     configs = child_configs(cfg)
     chains = [
         reference_chain(tiny_posterior.log_density, start, c, factor, range(3, 7))
@@ -471,23 +481,24 @@ def test_mcmc_equals_a_per_step_loop_for_any_block_size(
     # four adaptations in the burn-in, the last at its final step; the
     # last two are averaged into the frozen scale
     monkeypatch.setattr(inversion, "_ADAPT_WINDOW", 50)
-    # 2,300 steps: several blocks of 1000, the last one partial
+    # 1,250 steps per chain: two blocks of 1000, the second one partial
     cfg = inversion.McmcConfig(
         n_samples=700, burn_in=200, thinning=3, proposal_std=0.6, seed=31
     )
     start = np.zeros(tiny_posterior.n_params)
+    res = inversion.mcmc_sample(tiny_posterior, cfg)
     factor = inversion.laplace_proposal(tiny_posterior, start)
-    res = inversion.random_walk_metropolis(
-        tiny_posterior.log_density, start, cfg, factor, slice(3, None)
-    )
-    samples, acceptance, in_support, scale = reference_chain(
-        tiny_posterior.log_density, start, cfg, factor, range(3, 7)
-    )
-    assert res.samples.tobytes() == samples.tobytes()
-    assert res.acceptance == acceptance
-    assert res.in_support == in_support
-    assert res.proposal_scale == scale != 0.6
-    assert 0.0 < in_support < 1.0
+    configs = child_configs(cfg)
+    chains = [
+        reference_chain(tiny_posterior.log_density, start, c, factor, range(3, 7))
+        for c in configs
+    ]
+    samples, acceptance, in_support, scales = zip(*chains)
+    assert res.samples.tobytes() == np.concatenate(samples).tobytes()
+    assert res.acceptance == pooled(acceptance, configs, post=True)
+    assert res.in_support == pooled(in_support, configs, post=False)
+    assert res.chain_scales == scales and 0.6 not in scales
+    assert all(0.0 < share < 1.0 for share in in_support)
 
 
 def test_mcmc_equals_the_reference_chain_on_the_explicit_formula(
@@ -545,20 +556,17 @@ def test_mcmc_odd_sample_count_splits_ceil_then_floor(tiny_posteriors_by_degree,
     factor = inversion.laplace_proposal(post, start)
     # the chains of mcmc_sample run on Posterior.step, these on log_density
     chains = [
-        inversion.random_walk_metropolis(
-            post.log_density, start, c, factor, slice(3, None)
-        )
+        reference_chain(post.log_density, start, c, factor, range(3, 7))
         for c in configs
     ]
+    samples, _, in_support, _ = zip(*chains)
     assert res.samples.shape == (401, 7)
-    assert res.samples.tobytes() == np.concatenate([c.samples for c in chains]).tobytes()
-    assert res.in_support == pooled(
-        [c.in_support for c in chains], configs, post=False
-    ) < 1.0
+    assert res.samples.tobytes() == np.concatenate(samples).tobytes()
+    assert res.in_support == pooled(in_support, configs, post=False) < 1.0
     # one retained sample: only the first chain runs
     one = inversion.mcmc_sample(post, dataclasses.replace(cfg, n_samples=1))
     assert one.samples.shape == (1, 7) and len(one.chain_scales) == 1
-    assert one.samples.tobytes() == chains[0].samples[:1].tobytes()
+    assert one.samples.tobytes() == samples[0][:1].tobytes()
     assert np.isinf(one.rhat).all()
 
 
@@ -566,10 +574,9 @@ def test_mcmc_odd_sample_count_splits_ceil_then_floor(tiny_posteriors_by_degree,
 def test_mcmc_rejects_a_non_finite_increment_without_evaluating_it(
     tiny_posterior, monkeypatch, bad
 ):
-    # every increment of pixel 1 is non-finite; the factor must be finite,
-    # so the increments are spoilt after it is applied
+    # every increment of pixel 1 is non-finite; the factor is finite, so
+    # the increments are spoilt after it is applied
     start = np.zeros(7)
-    factor = inversion.laplace_proposal(tiny_posterior, start)
     plain_increments = inversion.correlated_increments
 
     def increments(z, factor):
@@ -593,17 +600,6 @@ def test_mcmc_rejects_a_non_finite_increment_without_evaluating_it(
         res = inversion.mcmc_sample(tiny_posterior, cfg, start=start)
     assert res.in_support == 0.0 and res.acceptance == 0.0
     assert (res.samples == start).all() and calls == []
-
-    def log_density(y):
-        calls.append(None)
-        return tiny_posterior.log_density(y)
-
-    with pytest.warns(UserWarning, match="acceptance rate"):
-        res = inversion.random_walk_metropolis(
-            log_density, start, cfg, factor, slice(3, None)
-        )
-    # only the start is evaluated
-    assert res.in_support == 0.0 and len(calls) == 1
 
 
 def test_mcmc_error_in_the_child_reaches_the_caller(tiny_posterior, monkeypatch):
@@ -718,37 +714,9 @@ def test_mcmc_reflected_coordinate_keeps_the_target(monkeypatch):
     # a proposal that draws b jointly with a (correlation 0.9) and folds it
     # moves E[a] and E[ab] by 0.03-0.08
     cfg = inversion.McmcConfig(100_000, 2_000, 2, proposal_std=1.0, seed=0)
-    res = inversion.random_walk_metropolis(
-        box_log_density, np.zeros(2), cfg, np.diag([0.9, 1.2]), slice(1, 2)
-    )
+    res = metropolis(box_log_density, np.zeros(2), cfg, np.diag([0.9, 1.2]), 1)
     assert np.abs(res.samples).max() <= 1.0
     npt.assert_allclose(box_moments(res.samples), exact, rtol=0.0, atol=0.015)
-
-
-def test_mcmc_refuses_to_fold_a_jointly_drawn_coordinate():
-    joint = np.linalg.cholesky(np.array([[0.81, 0.972], [0.972, 1.44]]))
-    cfg = inversion.McmcConfig(100, 0, 1, proposal_std=1.0, seed=0)
-    for factor, reflect in ((joint, slice(1, 2)), (joint, slice(0, 1)),
-                            (joint.T, slice(1, 2))):
-        with pytest.raises(ValueError, match="reflected coordinate"):
-            inversion.random_walk_metropolis(
-                box_log_density, np.zeros(2), cfg, factor, reflect
-            )
-    # without the fold a correlated proposal is fine
-    inversion.random_walk_metropolis(box_log_density, np.zeros(2), cfg, joint)
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_mcmc_refuses_a_non_finite_proposal_factor(bad):
-    # named before the test of the fold, where an inf would raise a
-    # RuntimeWarning and a nan would read as a coupled coordinate
-    factor = np.eye(3)
-    factor[2, 2] = bad
-    cfg = inversion.McmcConfig(10, 0, 1, proposal_std=1.0, seed=0)
-    with pytest.raises(ValueError, match="proposal factor has a non-finite entry"):
-        inversion.random_walk_metropolis(
-            lambda y: 0.0, np.zeros(3), cfg, factor, slice(2, 3)
-        )
 
 
 @pytest.mark.parametrize("start_scale", [0.05, 10.0])
@@ -757,16 +725,14 @@ def test_mcmc_scale_adapts_during_burn_in_only(start_scale):
         return -0.5 * float(y @ y)
 
     cfg = inversion.McmcConfig(5_000, 6_000, 1, proposal_std=start_scale, seed=4)
-    res = inversion.random_walk_metropolis(gaussian, np.zeros(4), cfg)
+    res = metropolis(gaussian, np.zeros(4), cfg)
     assert 0.15 <= res.acceptance <= 0.35
     assert 0.5 <= res.proposal_scale <= 2.0
     # no full window of burn-in: the scale stays where it started
     short = inversion.McmcConfig(100, 499, 1, proposal_std=start_scale, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        assert inversion.random_walk_metropolis(
-            gaussian, np.zeros(4), short
-        ).proposal_scale == start_scale
+        assert metropolis(gaussian, np.zeros(4), short).proposal_scale == start_scale
 
 
 def test_mcmc_frozen_scale_is_steady_across_seeds():
@@ -779,7 +745,7 @@ def test_mcmc_frozen_scale_is_steady_across_seeds():
     logs = []
     for seed in range(20):
         cfg = inversion.McmcConfig(100, 10_000, 1, seed=seed)
-        res = inversion.random_walk_metropolis(gaussian, np.zeros(12), cfg)
+        res = metropolis(gaussian, np.zeros(12), cfg)
         logs.append(math.log(res.proposal_scale))
     assert np.std(logs, ddof=1) < 0.025
 
@@ -794,7 +760,7 @@ def test_mcmc_truncated_normal_moments():
     cfg = inversion.McmcConfig(
         n_samples=20_000, burn_in=2_000, thinning=2, proposal_std=0.8, seed=3
     )
-    res = inversion.random_walk_metropolis(logd, np.zeros(1), cfg)
+    res = metropolis(logd, np.zeros(1), cfg)
     tn = stats.truncnorm(-1.0, 1.0)
     x = res.samples[:, 0]
     assert abs(x.mean() - 0.0) < 0.02
@@ -808,7 +774,7 @@ def test_mcmc_warning_flag_semantics():
 
     cfg = inversion.McmcConfig(500, 100, 1, proposal_std=0.01, seed=0)
     with pytest.warns(UserWarning, match="acceptance rate"):
-        res = inversion.random_walk_metropolis(flat, np.zeros(2), cfg)
+        res = metropolis(flat, np.zeros(2), cfg)
     assert res.acceptance > 0.8
 
 
@@ -821,10 +787,6 @@ def test_mcmc_rejects_bad_input(tiny_posterior):
         inversion.McmcConfig(burn_in=-1)
     with pytest.raises(ValueError, match="proposal_std"):
         inversion.McmcConfig(proposal_std=0.0)
-    with pytest.raises(ValueError, match="proposal factor must be 2 x 2"):
-        inversion.random_walk_metropolis(
-            lambda y: 0.0, np.zeros(2), inversion.McmcConfig(10, 0, 1), np.eye(3)
-        )
     cfg = inversion.McmcConfig(10, 0, 1)
     with pytest.raises(ValueError, match="outside the posterior support"):
         inversion.mcmc_sample(tiny_posterior, cfg, start=np.full(7, 3.0))
