@@ -69,7 +69,8 @@ estimates = inversion.reconstruct(posterior, inversion.McmcConfig())
 print(f"reconstruction: {time.perf_counter() - t0:.1f} s, "
       f"acceptance {estimates.diagnostics['acceptance']:.3f}, "
       f"proposals inside the cube {estimates.diagnostics['in_support']:.3f}, "
-      f"proposal scale {estimates.diagnostics['proposal_scale']:.3g}")
+      "proposal scales "
+      + ", ".join(f"{s:.3g}" for s in estimates.diagnostics["chain_scales"]))
 
 print("\npixel   true sigma   MAP     CM      SD")
 for l in range(n_pixels):

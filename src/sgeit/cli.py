@@ -240,7 +240,6 @@ def cmd_reconstruct(args) -> int:
         n_samples=max(args.samples, 1),
         burn_in=args.burn_in,
         thinning=args.thin,
-        proposal_std=args.proposal_std,
         seed=args.seed,
     )
     surr = surrogate.load(args.surrogate)
@@ -266,11 +265,12 @@ def cmd_reconstruct(args) -> int:
         f"jitter {jitter}"
     )
     if args.samples:
+        scales = ", ".join(f"{s:.3g}" for s in diag["chain_scales"])
         print(
-            f"chain: {diag['n']} samples from {len(diag['chain_scales'])} chains, "
+            f"chain: {diag['n']} samples from {len(diag['chain_scales'])} chains "
+            f"(proposal scales {scales}), "
             f"acceptance {diag['acceptance']:.3f}, "
             f"in support {diag['in_support']:.3f}, "
-            f"proposal scale {diag['proposal_scale']:.3g}, "
             f"split R-hat {diag['rhat_max']:.4f}"
         )
     # on standard output only: the estimates file stays deterministic
@@ -364,16 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10_000,
         help="steps of each chain before its first sample; the proposal scale "
-        "adapts only during these (default 10000)",
+        "starts at 2.38/sqrt(number of parameters) in units of the Laplace "
+        f"covariance at the MAP and moves only after each full window of "
+        f"{inversion._ADAPT_WINDOW} of these steps (default 10000)",
     )
     p.add_argument("--thin", type=int, default=5)
-    p.add_argument(
-        "--proposal-std",
-        type=float,
-        default=None,
-        help="proposal scale at the chain start, in units of the Laplace "
-        "covariance at the MAP (default 2.38/sqrt(number of parameters))",
-    )
     p.add_argument("--seed", type=int, default=0, help="RNG seed of the chains")
     p.add_argument("--out", required=True, help="output estimates JSON")
     p.set_defaults(func=cmd_reconstruct)

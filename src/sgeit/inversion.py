@@ -22,21 +22,23 @@ are reflected into [-1, 1].  A reflected Gaussian kernel is symmetric only
 in coordinates drawn independently of all others, which is why the
 factor of ``laplace_proposal`` is diagonal in the contacts and the
 pixels are not reflected: a pixel proposal outside the cube is rejected.
-The common scale starts at 2.38/sqrt(d) (Roberts, Gelman & Gilks 1997),
-adapts toward an acceptance of 0.25 in fixed windows of the burn-in
-(Haario, Saksman & Tamminen 2001), and is frozen after it at the
-geometric mean of its values over the burn-in's second half, as dual
-averaging freezes its averaged iterate (Hoffman & Gelman 2014).  The
-chain draws its random numbers in blocks from two child streams of its
-seed, the proposal increments from one and one uniform u per step from
-the other, and accepts a step when the log density rises by at least
-log u.  One step (``Posterior.step``) writes the proposal into the
-posterior's kept point [1, y] and reads it back as Python floats once: a
-pixel outside the cube rejects it at that cost, the contacts that left
-the cube are folded back on the same floats, and a proposal inside the
-cube costs Q gathers of [1, y] that form m+(y), one product with A' and
-one dot product.  Each block of increments is checked
-once for non-finite entries, and a step with one is rejected unevaluated.
+The chain sets the common scale itself: it starts at 2.38/sqrt(d)
+(Roberts, Gelman & Gilks 1997) and moves only after each full window of
+the burn-in, toward an acceptance of 0.25 (Haario, Saksman & Tamminen
+2001), so the start decides only how many windows that takes.  After the
+burn-in it is frozen at the geometric mean of its values over the
+burn-in's second half, as dual averaging freezes its averaged iterate
+(Hoffman & Gelman 2014).  The chain draws its random numbers in blocks
+from two child streams of its seed, the proposal increments from one and
+one uniform u per step from the other, and accepts a step when the log
+density rises by at least log u.  One step (``Posterior.step``) writes
+the proposal into the posterior's kept point [1, y] and reads it back as
+Python floats once: a pixel outside the cube rejects it at that cost,
+the contacts that left the cube are folded back on the same floats, and
+a proposal inside the cube costs Q gathers of [1, y] that form m+(y),
+one product with A' and one dot product.  Each block of increments is
+checked once for non-finite entries, and a step with one is rejected
+unevaluated.
 
 ``mcmc_sample`` runs two such chains from the same start, each with its
 own child seed, burn-in and adaptation and half of the retained samples,
@@ -351,17 +353,16 @@ def map_estimate(posterior: Posterior, start=None, max_iter: int = 500) -> MapRe
 class McmcConfig:
     """Metropolis settings (defaults sized for tank data).
 
-    ``proposal_std`` is the proposal scale at the chain start; None starts
-    at 2.38/sqrt(d) for d parameters.  The scale adapts during burn-in.
-    ``seed`` seeds numpy's ``default_rng``; :func:`mcmc_sample` gives each
-    of its chains a child ``SeedSequence`` of it.  An integer seed must be
-    nonnegative.
+    The chain sets its own proposal scale: it starts at 2.38/sqrt(d) for d
+    parameters and moves only after each full window of the ``burn_in``
+    steps (:func:`_metropolis`).  ``seed`` seeds numpy's ``default_rng``;
+    :func:`mcmc_sample` gives each of its chains a child ``SeedSequence``
+    of it.  An integer seed must be nonnegative.
     """
 
     n_samples: int = 50_000
     burn_in: int = 10_000
     thinning: int = 5
-    proposal_std: float | None = None
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
@@ -369,12 +370,12 @@ class McmcConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not isinstance(self.seed, np.random.SeedSequence) and self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.proposal_std is not None and not 0.0 < self.proposal_std < math.inf:
-            raise ValueError(
-                f"proposal_std must be positive and finite, got {self.proposal_std:g}"
-            )
+        # an integer is told apart first, so a MAP-only run, which checks
+        # the config but draws nothing, never loads numpy.random
+        seed = self.seed
+        is_int = isinstance(seed, (int, np.integer))
+        if (is_int or not isinstance(seed, np.random.SeedSequence)) and seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 # steps per block of random draws; the chain does not depend on it
@@ -391,16 +392,16 @@ class McmcResult:
     ``samples`` holds the chains one after another.  ``acceptance`` is
     pooled over the chains' post-burn-in steps, where a rate outside
     [0.05, 0.8] warns, and ``in_support`` over all their steps.
-    ``chain_scales`` is the frozen proposal scale of each
-    chain and ``proposal_scale`` their geometric mean (for one chain, its
-    scale).  ``rhat`` is the split-R-hat of every coordinate over the
-    chains' halves (:func:`split_rhat`), the verdict on their mixing.
+    ``chain_scales`` is the proposal scale each chain froze at the end of
+    its burn-in, in units of the proposal factor; a chain whose burn-in
+    holds no full adaptation window keeps its start, 2.38/sqrt(d).
+    ``rhat`` is the split-R-hat of every coordinate over the chains'
+    halves (:func:`split_rhat`), the verdict on their mixing.
     """
 
     samples: np.ndarray
     acceptance: float
     in_support: float
-    proposal_scale: float
     chain_scales: tuple[float, ...]
     rhat: np.ndarray
 
@@ -457,13 +458,11 @@ def _pooled(chains: list[_Chain]) -> McmcResult:
     rate = sum(c.accepted for c in chains) / post
     if not 0.05 <= rate <= 0.8:
         warnings.warn(f"MCMC acceptance rate {rate:.3f} outside [0.05, 0.8]")
-    scales = tuple(c.scale for c in chains)
     return McmcResult(
         np.concatenate([c.samples for c in chains]),
         rate,
         sum(c.inside for c in chains) / sum(c.steps for c in chains),
-        math.prod(scales) ** (1.0 / len(scales)),
-        scales,
+        tuple(c.scale for c in chains),
         split_rhat([c.samples for c in chains]),
     )
 
@@ -509,8 +508,8 @@ def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain
     stays finite, so a proposal is finite exactly where its increment is:
     a non-finite increment is rejected without a call to ``step``.
 
-    The scale starts at ``config.proposal_std``, or 2.38/sqrt(d) if that
-    is None.  After every full window of ``_ADAPT_WINDOW`` burn-in steps it
+    The scale starts at 2.38/sqrt(d); a caller that wants another start
+    scales F.  After every full window of ``_ADAPT_WINDOW`` burn-in steps it
     is multiplied by exp(2 (a - 0.25)), with a the window's acceptance
     rate.  At the end of burn-in it is set to the geometric mean of the
     scales set after the windows of the burn-in's second half (windows
@@ -534,9 +533,7 @@ def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain
         raise ValueError("chain start lies outside the posterior support")
     step, proposal = target.step, target.proposal
     steps, uniforms = np.random.default_rng(config.seed).spawn(2)
-    scale = config.proposal_std
-    if scale is None:
-        scale = 2.38 / math.sqrt(n_dim)
+    scale = 2.38 / math.sqrt(n_dim)
     burn_in, thinning = config.burn_in, config.thinning
     total = burn_in + config.n_samples * thinning
     samples = np.empty((config.n_samples, n_dim))
@@ -586,17 +583,25 @@ def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain
 def laplace_proposal(posterior: Posterior, y: np.ndarray) -> np.ndarray:
     """Proposal factor of the chain from the Laplace covariance at y.
 
-    C = (J^T J + I/4)^{-1}, with J the residual Jacobian at y; the I/4
-    bounds every proposal standard deviation by 2, one cube width, so C
-    exists even where a contact leaves the data unchanged.  The factor is
-    the Cholesky factor of the pixel block C_PP beside the diagonal
-    sqrt(diag C)_CC of the contacts, which the chain reflects.
+    C = P^{-1} with the precision P = J^T J + I/4, J the residual Jacobian
+    at y; the I/4 bounds every proposal standard deviation by 2, one cube
+    width, so C exists even where a contact leaves the data unchanged.
+    The factor is the lower Cholesky factor of the pixel block C_PP beside
+    the diagonal sqrt(diag C)_CC of the contacts, which the chain reflects.
+    Both come from the Cholesky factor R of P with the contacts first and
+    the pixels reversed, without forming C, which can be too ill
+    conditioned to factor: in that order C = R^{-T} R^{-1}, so the pixels'
+    trailing block of the upper triangular R^{-T}, back in pixel order,
+    factors C_PP, and the column norms of R^{-1} are sqrt(diag C).
     """
     jac = posterior.residual_jacobian(y)
-    cov = np.linalg.inv(jac.T @ jac + 0.25 * np.eye(posterior.n_params))
-    L = posterior.n_pixels
-    factor = np.diag(np.sqrt(np.diag(cov)))
-    factor[:L, :L] = np.linalg.cholesky(cov[:L, :L])
+    L, n = posterior.n_pixels, posterior.n_params
+    jac = np.concatenate([jac[:, L:], jac[:, :L][:, ::-1]], axis=1)
+    inv = np.linalg.inv(np.linalg.cholesky(jac.T @ jac + 0.25 * np.eye(n)))
+    sd = np.sqrt(np.einsum("ij,ij->j", inv, inv))
+    factor = np.diag(np.r_[np.zeros(L), sd[: n - L]])
+    # tril clears the rounding above the diagonal of inv, lower triangular
+    factor[:L, :L] = np.tril(inv[n - L :, n - L :].T[::-1, ::-1])
     return factor
 
 
@@ -746,7 +751,6 @@ def reconstruct(posterior: Posterior, config: McmcConfig | None = None) -> Estim
         diagnostics.update(
             acceptance=chain.acceptance,
             in_support=chain.in_support,
-            proposal_scale=chain.proposal_scale,
             chain_scales=list(chain.chain_scales),
             n=chain.samples.shape[0],
             rhat_max=float(chain.rhat.max()),

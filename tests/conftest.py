@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import struct
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import sgeit
-from sgeit import chaos, det_cem, fem, inversion, sgfem, surrogate
+from sgeit import chaos, cli, det_cem, fem, inversion, sgfem, surrogate
 
 
 def two_ring_layout():
@@ -95,11 +97,24 @@ class FoldedTarget:
         return self.log_density(prop)
 
 
-def metropolis(log_density, start, cfg, factor=None, fold_from=None):
+def start_scaled(factor, scale):
+    """``factor`` times the number that makes a chain of
+    ``inversion._metropolis``, whose proposal scale starts at 2.38/sqrt(d),
+    start at ``scale`` times ``factor``."""
+    factor = np.asarray(factor, dtype=np.float64)
+    return factor * (scale / (2.38 / math.sqrt(factor.shape[1])))
+
+
+def metropolis(log_density, start, cfg, factor=None, fold_from=None, start_scale=None):
     """One chain of ``inversion._metropolis`` on a ``FoldedTarget``, pooled
-    into an ``McmcResult``; the proposal factor defaults to the identity."""
+    into an ``McmcResult``; the proposal factor defaults to the identity.
+    With ``start_scale`` the proposal starts at that multiple of the factor
+    (:func:`start_scaled`), and the result's ``chain_scales`` are in units
+    of the scaled factor."""
     n = len(start)
     factor = np.eye(n) if factor is None else factor
+    if start_scale is not None:
+        factor = start_scaled(factor, start_scale)
     target = FoldedTarget(log_density, n, fold_from)
     return inversion._pooled([inversion._metropolis(target, start, cfg, factor)])
 
@@ -149,3 +164,39 @@ def tiny_measurements(tiny):
     return det_cem.simulate_measurements(
         mesh, part, sample, patterns, noise_pct=1.0, seed=11
     )
+
+
+@pytest.fixture(scope="session")
+def tank22(tmp_path_factory):
+    """The ``tank-22`` files: the tank mesh with the first three rings of
+    the paper-scale seeds (1, 7 and 14 seeds at r = 0, 0.2 and 0.4, angles
+    2 pi i / n), 22 pixels and 8 electrodes.  Same-mesh data with pixel 3
+    at 0.25, the other pixels at 1.1 and contacts at 300, the default 1 %
+    noise rule and seed 7, and the surrogate of ``sgeit precompute`` at its
+    defaults.  Returns the directory of mesh.json, seeds.json, data.json
+    and surr.bin."""
+    d = tmp_path_factory.mktemp("tank22")
+    mesh = sgeit.make_disk_fixture(10, 32, 8, 0.5)
+    rings = []
+    for n, r in ((1, 0.0), (7, 0.2), (14, 0.4)):
+        angles = 2.0 * np.pi * np.arange(n) / n
+        rings.append(r * np.column_stack([np.cos(angles), np.sin(angles)]))
+    seeds = np.vstack(rings)
+    sgeit.save_mesh(mesh, d / "mesh.json")
+    (d / "seeds.json").write_text(json.dumps(seeds.tolist()))
+    sigma = np.full(len(seeds), 1.1)
+    sigma[3] = 0.25
+    data = det_cem.simulate_measurements(
+        mesh,
+        sgeit.assign_pixels(mesh, seeds),
+        det_cem.DeterministicSample(sigma, np.full(mesh.n_electrodes, 300.0)),
+        sgfem.standard_patterns(mesh.n_electrodes),
+        noise_pct=1.0,
+        seed=7,
+    )
+    det_cem.save_measurements(data, d / "data.json")
+    with redirect_stdout(io.StringIO()):
+        rc = cli.main(["precompute", "--mesh", str(d / "mesh.json"),
+                       "--seeds", str(d / "seeds.json"), "--out", str(d / "surr.bin")])
+    assert rc == 0
+    return d

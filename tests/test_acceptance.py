@@ -244,8 +244,8 @@ def test_mcmc_sampler_and_posterior_acceptance(default_model):
     def logd(y):
         return -0.5 * y[0] * y[0] if abs(y[0]) <= 1.0 else -np.inf
 
-    cfg = inversion.McmcConfig(100_000, 5_000, 10, proposal_std=0.8, seed=0)
-    chain = metropolis(logd, np.zeros(1), cfg)
+    cfg = inversion.McmcConfig(100_000, 5_000, 10, seed=0)
+    chain = metropolis(logd, np.zeros(1), cfg, start_scale=0.8)
     edges = np.linspace(-1.0, 1.0, 21)
     counts, _ = np.histogram(chain.samples[:, 0], bins=edges)
     probs = np.diff(stats.truncnorm.cdf(edges, -1.0, 1.0))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -163,7 +165,9 @@ def test_pipeline_end_to_end(workdir, surrogate_and_data, capsys):
     line = f"prior covariance: condition number {condition:.3g}, jitter not needed"
     assert line in out
     assert f"in support {est.diagnostics['in_support']:.3f}" in out
-    assert f"proposal scale {est.diagnostics['proposal_scale']:.3g}," in out
+    scales = ", ".join(f"{s:.3g}" for s in est.diagnostics["chain_scales"])
+    assert f"from 2 chains (proposal scales {scales})," in out
+    assert "proposal_scale" not in est.diagnostics
     assert est.sigma_cm is not None
     # the phantom's low-contrast pixel should come out lowest
     assert est.sigma_map.argmin() == 1
@@ -195,7 +199,7 @@ def test_reconstruct_prints_the_chains_and_their_split_rhat(
     out = capsys.readouterr().out
     assert rc == 0
     est = inversion.load_estimates(d / "est-rhat.json")
-    assert "chain: 4000 samples from 2 chains," in out
+    assert "chain: 4000 samples from 2 chains (proposal scales " in out
     assert f"split R-hat {est.diagnostics['rhat_max']:.4f}\n" in out
 
 
@@ -426,7 +430,6 @@ def test_reconstruct_rejects_an_inconsistent_box_before_the_map(
 @pytest.mark.parametrize(
     "option, value, named",
     [
-        ("--proposal-std", "nan", "proposal_std must be positive and finite"),
         ("--noise-std", "inf", "noise_std must be nonnegative and finite"),
         ("--noise-std", "nan", "noise_std must be nonnegative and finite"),
         ("--noise-pct", "nan", "noise_pct must be nonnegative and finite"),
@@ -455,7 +458,6 @@ def test_non_finite_reconstruct_options_exit_2(
 @pytest.mark.parametrize(
     "option, value, named",
     [
-        ("--proposal-std", "-1", "proposal_std must be positive and finite"),
         ("--thin", "0", "thinning must be at least 1, got 0"),
         ("--burn-in", "-5", "burn_in must be at least 0, got -5"),
         ("--seed", "-2", "seed must be nonnegative, got -2"),
@@ -472,6 +474,47 @@ def test_chain_options_are_checked_without_a_chain(
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reconstruct_has_no_proposal_scale_option(
+    workdir, surrogate_and_data, capsys, tmp_path
+):
+    # the chain sets its proposal scale itself, from its burn-in
+    d = workdir
+    out = tmp_path / "e.json"
+    with pytest.raises(SystemExit) as exit_:
+        run(["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+             "--proposal-std", 1, "--out", out])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --proposal-std 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a MAP-only reconstruct in a fresh interpreter: it checks the chain
+# settings, seed included, but draws nothing, so numpy.random stays unloaded
+MAP_ONLY_PROBE = """
+import sys
+from sgeit import cli
+assert cli.main(["reconstruct", "--surrogate", sys.argv[1], "--data", sys.argv[2],
+                 "--samples", "0", "--seed", "3", "--out", sys.argv[3]]) == 0
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_map_only_reconstruct_does_not_load_numpy_random(
+    workdir, surrogate_and_data, tmp_path
+):
+    d = workdir
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAP_ONLY_PROBE, str(d / "surr.bin"),
+         str(d / "data.json"), str(tmp_path / "e.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert inversion.load_estimates(tmp_path / "e.json").sigma_cm is None
 
 
 @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
@@ -571,6 +614,24 @@ def test_factorization_failure_exits_3_and_bad_seeds_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", [[], ["--noise-pct", 5]], ids=["default", "5pct"])
+def test_reconstruct_on_tank22_at_the_default_corr_length(tank22, tmp_path, capsys, noise):
+    # at --noise-pct 5 the pixel block C_PP of the Laplace covariance, once
+    # formed, is not positive definite in floating point; the proposal
+    # factor must not need it
+    d = tank22
+    out = tmp_path / "est.json"
+    with warnings.catch_warnings():
+        # chains this short are not shown to mix, which warns by design
+        warnings.filterwarnings("ignore", "split R-hat", UserWarning)
+        rc = run(["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
+                  *noise, "--samples", 400, "--burn-in", 200, "--thin", 2,
+                  "--out", out])
+    assert rc == 0, capsys.readouterr().err
+    est = inversion.load_estimates(out)
+    assert est.sigma_cm.shape == (22,) and np.isfinite(est.sigma_sd).all()
+
+
 def test_render_refuses_missing_field(workdir, surrogate_and_data, capsys, tmp_path):
     d = workdir
     run(["reconstruct", "--surrogate", d / "surr.bin", "--data", d / "data.json",
@@ -598,6 +659,22 @@ def test_render_constant_field_single_color(workdir, tmp_path, capsys):
     fills = {line.split('fill="')[1][:7] for line in svg.splitlines()
              if line.startswith("<path")}
     assert len(fills) == 1
+
+
+# flags of the demo scripts, which README gives beside those of sgeit
+DEMO_FLAGS = {"--rings", "--sectors", "--paper"}
+
+
+def test_readme_gives_only_options_of_the_sgeit_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # inline code spans and fenced blocks alike
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    flags = {f for span in code for f in re.findall(r"(?<![\w-])--[a-z][\w-]*", span)}
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for sub in commands.choices.values() for o in sub._option_string_actions}
+    assert {"--samples", "--burn-in", "--noise-pct"} <= flags
+    assert flags - DEMO_FLAGS <= options, sorted(flags - DEMO_FLAGS - options)
 
 
 def test_console_entry_point(workdir, tmp_path):

@@ -10,7 +10,9 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from conftest import build_tiny_surrogate, json_dump_text, metropolis, strict_json
+from conftest import (
+    build_tiny_surrogate, json_dump_text, metropolis, start_scaled, strict_json
+)
 from sgeit import chaos, det_cem, inversion, sgfem
 
 
@@ -330,16 +332,23 @@ def test_mcmc_reproducible_and_in_support(tiny_posterior):
 
 
 def laplace_factor(post, y):
-    """The proposal factor of the chain, built from its definition: the
-    Cholesky factor of the pixel block of C = (J^T J + I/4)^{-1} beside
-    the square roots of the contacts' diagonal entries."""
-    jac = post.residual_jacobian(y)
-    cov = np.linalg.inv(jac.T @ jac + 0.25 * np.eye(post.n_params))
-    L = post.n_pixels
-    factor = np.zeros_like(cov)
-    factor[:L, :L] = np.linalg.cholesky(cov[:L, :L])
-    for k in range(L, post.n_params):
-        factor[k, k] = math.sqrt(cov[k, k])
+    """The proposal factor of the chain, built from its definition: R is
+    the Cholesky factor of the precision P = J^T J + I/4 with the contacts
+    first and then the pixels in reverse, so that P^{-1} = R^{-T} R^{-1}
+    in that order.  The pixel block of the upper triangular R^{-T}, back
+    in the pixel order, is the lower Cholesky factor of C_PP; beside it
+    stand the column norms of R^{-1} at the contacts, sqrt(diag C)_CC."""
+    n, L = post.n_params, post.n_pixels
+    order = [*range(L, n), *range(L - 1, -1, -1)]
+    jac = post.residual_jacobian(y)[:, order]
+    inv = np.linalg.inv(np.linalg.cholesky(jac.T @ jac + 0.25 * np.eye(n)))
+    factor = np.zeros((n, n))
+    for i, p in enumerate(order):
+        for j, q in enumerate(order):
+            if q <= p < L:
+                factor[p, q] = inv.T[i, j]
+            elif p == q >= L:
+                factor[p, q] = math.sqrt(float(np.sum(inv[:, i] ** 2)))
     return factor
 
 
@@ -351,17 +360,30 @@ def test_laplace_proposal_follows_its_definition(tiny_posterior):
     jac = post.residual_jacobian(y)
     cov = np.linalg.inv(jac.T @ jac + 0.25 * np.eye(post.n_params))
     npt.assert_allclose((factor @ factor.T)[:3, :3], cov[:3, :3], rtol=1e-12)
+    npt.assert_allclose(np.diag(factor)[3:] ** 2, np.diag(cov)[3:], rtol=1e-12)
+    assert not np.triu(factor, 1).any() and (np.diag(factor) > 0.0).all()
     # the contacts are drawn alone, and no standard deviation exceeds 2
     assert np.count_nonzero(factor[3:]) == 4 and np.count_nonzero(factor[:, 3:]) == 4
     assert (np.sqrt((factor**2).sum(axis=1)) <= 2.0).all()
 
 
+def laplace_started_at(monkeypatch, scale):
+    """Make the chains of ``mcmc_sample`` start their proposal at ``scale``
+    times the Laplace factor, by scaling the factor it is given."""
+    plain = inversion.laplace_proposal
+    monkeypatch.setattr(
+        inversion,
+        "laplace_proposal",
+        lambda post, y: start_scaled(plain(post, y), scale),
+    )
+
+
 def test_mcmc_in_support_share_counts_proposals_inside_the_cube(
     tiny_posterior, monkeypatch
 ):
-    cfg = inversion.McmcConfig(
-        n_samples=300, burn_in=100, thinning=2, proposal_std=2.0, seed=23
-    )
+    cfg = inversion.McmcConfig(n_samples=300, burn_in=100, thinning=2, seed=23)
+    # twice the Laplace scale, so that some pixel proposals leave the cube
+    laplace_started_at(monkeypatch, 2.0)
     values = []
     step = tiny_posterior.step
 
@@ -370,10 +392,10 @@ def test_mcmc_in_support_share_counts_proposals_inside_the_cube(
         return values[-1]
 
     # both chains in this process, where the steps are counted
-    monkeypatch.setattr(inversion, "_FORK", False)
-    monkeypatch.setattr(tiny_posterior, "step", counted_step)
-    res = inversion.mcmc_sample(tiny_posterior, cfg)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(inversion, "_FORK", False)
+        m.setattr(tiny_posterior, "step", counted_step)
+        res = inversion.mcmc_sample(tiny_posterior, cfg)
     # two chains of 100 + 150 * 2 steps, one call per step; the folded
     # contacts never leave the cube, so only pixel proposals can miss it
     inside = sum(math.isfinite(v) for v in values)
@@ -430,9 +452,7 @@ def reference_chain(log_density, start, cfg, factor, reflect):
     d = y.size
     rows = np.asarray(factor).tolist()
     lp = log_density(y)
-    scale = cfg.proposal_std
-    if scale is None:
-        scale = 2.38 / math.sqrt(d)
+    scale = 2.38 / math.sqrt(d)
     window = inversion._ADAPT_WINDOW
     n_windows = cfg.burn_in // window
     late_scales = []
@@ -482,9 +502,8 @@ def test_mcmc_equals_a_per_step_loop_for_any_block_size(
     # last two are averaged into the frozen scale
     monkeypatch.setattr(inversion, "_ADAPT_WINDOW", 50)
     # 1,250 steps per chain: two blocks of 1000, the second one partial
-    cfg = inversion.McmcConfig(
-        n_samples=700, burn_in=200, thinning=3, proposal_std=0.6, seed=31
-    )
+    cfg = inversion.McmcConfig(n_samples=700, burn_in=200, thinning=3, seed=31)
+    laplace_started_at(monkeypatch, 0.6)
     start = np.zeros(tiny_posterior.n_params)
     res = inversion.mcmc_sample(tiny_posterior, cfg)
     factor = inversion.laplace_proposal(tiny_posterior, start)
@@ -497,7 +516,7 @@ def test_mcmc_equals_a_per_step_loop_for_any_block_size(
     assert res.samples.tobytes() == np.concatenate(samples).tobytes()
     assert res.acceptance == pooled(acceptance, configs, post=True)
     assert res.in_support == pooled(in_support, configs, post=False)
-    assert res.chain_scales == scales and 0.6 not in scales
+    assert res.chain_scales == scales and 2.38 / math.sqrt(7) not in scales
     assert all(0.0 < share < 1.0 for share in in_support)
 
 
@@ -540,7 +559,6 @@ def test_mcmc_chains_are_the_same_bytes_forked_or_in_process(tiny_posterior, mon
         here.acceptance, here.in_support, here.chain_scales
     )
     assert len(forked.chain_scales) == 2
-    assert forked.proposal_scale == math.sqrt(math.prod(forked.chain_scales))
     assert multiprocessing.active_children() == []
 
 
@@ -647,9 +665,10 @@ def test_mcmc_error_in_the_caller_stops_the_child(tiny_posterior, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_mcmc_pooled_acceptance_warns_once_in_the_caller(tiny_posterior):
+def test_mcmc_pooled_acceptance_warns_once_in_the_caller(tiny_posterior, monkeypatch):
     # a tiny scale that never adapts accepts nearly every step
-    cfg = inversion.McmcConfig(300, 0, 1, proposal_std=1e-4, seed=46)
+    laplace_started_at(monkeypatch, 1e-4)
+    cfg = inversion.McmcConfig(300, 0, 1, seed=46)
     with pytest.warns(UserWarning, match="acceptance rate") as record:
         res = inversion.mcmc_sample(tiny_posterior, cfg)
     assert sum("acceptance rate" in str(w.message) for w in record) == 1
@@ -713,8 +732,10 @@ def test_mcmc_reflected_coordinate_keeps_the_target(monkeypatch):
     # a drawn alone and rejected outside the box, b drawn alone and folded;
     # a proposal that draws b jointly with a (correlation 0.9) and folds it
     # moves E[a] and E[ab] by 0.03-0.08
-    cfg = inversion.McmcConfig(100_000, 2_000, 2, proposal_std=1.0, seed=0)
-    res = metropolis(box_log_density, np.zeros(2), cfg, np.diag([0.9, 1.2]), 1)
+    cfg = inversion.McmcConfig(100_000, 2_000, 2, seed=0)
+    res = metropolis(
+        box_log_density, np.zeros(2), cfg, np.diag([0.9, 1.2]), 1, start_scale=1.0
+    )
     assert np.abs(res.samples).max() <= 1.0
     npt.assert_allclose(box_moments(res.samples), exact, rtol=0.0, atol=0.015)
 
@@ -724,15 +745,19 @@ def test_mcmc_scale_adapts_during_burn_in_only(start_scale):
     def gaussian(y):
         return -0.5 * float(y @ y)
 
-    cfg = inversion.McmcConfig(5_000, 6_000, 1, proposal_std=start_scale, seed=4)
-    res = metropolis(gaussian, np.zeros(4), cfg)
+    # the chain starts at start_scale times the identity; its scales are
+    # in units of the factor start_scaled gives it
+    cfg = inversion.McmcConfig(5_000, 6_000, 1, seed=4)
+    res = metropolis(gaussian, np.zeros(4), cfg, start_scale=start_scale)
     assert 0.15 <= res.acceptance <= 0.35
-    assert 0.5 <= res.proposal_scale <= 2.0
+    (scale,) = res.chain_scales
+    assert 0.5 <= scale * start_scale / (2.38 / math.sqrt(4)) <= 2.0
     # no full window of burn-in: the scale stays where it started
-    short = inversion.McmcConfig(100, 499, 1, proposal_std=start_scale, seed=4)
+    short = inversion.McmcConfig(100, 499, 1, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        assert metropolis(gaussian, np.zeros(4), short).proposal_scale == start_scale
+        res = metropolis(gaussian, np.zeros(4), short, start_scale=start_scale)
+    assert res.chain_scales == (2.38 / math.sqrt(4),)
 
 
 def test_mcmc_frozen_scale_is_steady_across_seeds():
@@ -746,7 +771,7 @@ def test_mcmc_frozen_scale_is_steady_across_seeds():
     for seed in range(20):
         cfg = inversion.McmcConfig(100, 10_000, 1, seed=seed)
         res = metropolis(gaussian, np.zeros(12), cfg)
-        logs.append(math.log(res.proposal_scale))
+        logs.append(math.log(res.chain_scales[0]))
     assert np.std(logs, ddof=1) < 0.025
 
 
@@ -757,10 +782,8 @@ def test_mcmc_truncated_normal_moments():
             return -math.inf
         return -0.5 * y[0] ** 2
 
-    cfg = inversion.McmcConfig(
-        n_samples=20_000, burn_in=2_000, thinning=2, proposal_std=0.8, seed=3
-    )
-    res = metropolis(logd, np.zeros(1), cfg)
+    cfg = inversion.McmcConfig(n_samples=20_000, burn_in=2_000, thinning=2, seed=3)
+    res = metropolis(logd, np.zeros(1), cfg, start_scale=0.8)
     tn = stats.truncnorm(-1.0, 1.0)
     x = res.samples[:, 0]
     assert abs(x.mean() - 0.0) < 0.02
@@ -772,9 +795,9 @@ def test_mcmc_warning_flag_semantics():
     def flat(y):
         return 0.0 if np.abs(y).max() <= 1.0 else -math.inf
 
-    cfg = inversion.McmcConfig(500, 100, 1, proposal_std=0.01, seed=0)
+    cfg = inversion.McmcConfig(500, 100, 1, seed=0)
     with pytest.warns(UserWarning, match="acceptance rate"):
-        res = metropolis(flat, np.zeros(2), cfg)
+        res = metropolis(flat, np.zeros(2), cfg, start_scale=0.01)
     assert res.acceptance > 0.8
 
 
@@ -785,8 +808,9 @@ def test_mcmc_rejects_bad_input(tiny_posterior):
         inversion.McmcConfig(thinning=0)
     with pytest.raises(ValueError, match="burn_in must be at least 0, got -1"):
         inversion.McmcConfig(burn_in=-1)
-    with pytest.raises(ValueError, match="proposal_std"):
-        inversion.McmcConfig(proposal_std=0.0)
+    # the chain sets its own proposal scale; there is no setting for it
+    with pytest.raises(TypeError, match="proposal_std"):
+        inversion.McmcConfig(proposal_std=1.0)
     cfg = inversion.McmcConfig(10, 0, 1)
     with pytest.raises(ValueError, match="outside the posterior support"):
         inversion.mcmc_sample(tiny_posterior, cfg, start=np.full(7, 3.0))
@@ -823,8 +847,9 @@ def test_reconstruct_with_chain(tiny_posterior):
     assert est.sigma_cm.shape == (3,) and est.zeta_cm.shape == (4,)
     assert (est.sigma_sd > 0.0).all() and (est.zeta_sd > 0.0).all()
     assert set(est.diagnostics) >= {
-        "acceptance", "in_support", "n", "proposal_scale", "rhat_max"
+        "acceptance", "in_support", "n", "chain_scales", "rhat_max"
     }
+    assert "proposal_scale" not in est.diagnostics
     assert "stabilization" not in est.diagnostics
     assert est.diagnostics["n"] == 300
     # the chain runs from the MAP point with the stated seed
@@ -836,7 +861,7 @@ def test_reconstruct_with_chain(tiny_posterior):
     npt.assert_allclose(est.sigma_cm, cm["sigma_cm"])
     npt.assert_allclose(est.zeta_sd, cm["zeta_sd"])
     assert est.diagnostics["in_support"] == chain.in_support
-    assert est.diagnostics["proposal_scale"] == chain.proposal_scale
+    assert est.diagnostics["chain_scales"] == list(chain.chain_scales)
 
 
 def test_estimates_roundtrip(tmp_path, tiny_posterior):
