@@ -12,9 +12,9 @@ BLAS thread.
   ``corr_length`` 0.5.
 - ``--paper`` builds the ``paper`` posterior of ROADMAP.md on the fixture
   of ``paper_scale.py``: same-mesh data with pixel 3 at 0.25 mS, contacts
-  at 300 mS/cm, 1 % noise and data seed 7, at the 5 % rule (at the 1 % rule
-  the chain's proposal factor fails) and ``corr_length`` 0.5.  The
-  precompute takes a few seconds and about 150 MiB.
+  at 300 mS/cm, 1 % noise and data seed 7, at the 5 % rule and
+  ``corr_length`` 0.5.  The precompute takes a few seconds and about
+  150 MiB.
 
 Both surrogates come from ``sgeit precompute`` at its defaults, run in this
 process.  The chain starts at the MAP with the proposal factor of

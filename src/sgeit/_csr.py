@@ -50,6 +50,11 @@ _INDEX_TYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _kernels = None
 
 
+def index_type(*extents: int) -> type:
+    """int32 if every extent fits, else int64: SciPy's pick, so it converts nothing."""
+    return np.int32 if max(extents) < 2**31 else np.int64
+
+
 def kernels():
     """SciPy's compiled sparse kernel module, loaded on the first call."""
     global _kernels
@@ -170,8 +175,7 @@ class CSRMatrix:
                 raise ValueError(f"{name} indices must be integers, got {a.dtype}")
             if nnz and not (0 <= a.min() and a.max() < n):
                 raise ValueError(f"a {name} index is outside 0..{n - 1}")
-        # the index type SciPy picks
-        index = np.int64 if max(n_rows, n_cols, nnz) >= 2**31 else np.int32
+        index = index_type(n_rows, n_cols, nnz)
         rows, cols = (a.astype(index, copy=False) for a in (rows, cols))
         k = kernels()
         indptr = np.empty(n_rows + 1, dtype=index)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csr import CSRMatrix
+from ._csr import CSRMatrix, index_type
 from .geometry import ElectrodeGeometry, Mesh, PixelPartition, electrode_geometry
 
 
@@ -189,8 +189,7 @@ def summed_csr(rows, cols, vals, n_rows: int, n_cols: int):
     data = np.bincount(slot, vals, unique.size).astype(np.float64, copy=False)
     row, col = np.divmod(unique, n_cols)
     indptr = np.searchsorted(row, np.arange(n_rows + 1))
-    # the index type SciPy picks, so that its constructors convert nothing
-    index = np.int32 if max(n_cols, unique.size) < 2**31 else np.int64
+    index = index_type(n_cols, unique.size)
     return data, col.astype(index), indptr.astype(index)
 
 

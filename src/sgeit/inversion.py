@@ -68,11 +68,10 @@ from .surrogate import SgfemSurrogate, monomial_jacobian, monomials
 class SmoothnessPrior:
     """Zero-mean Gaussian prior with squared-exponential seed covariance.
 
-    ``whiten`` is the inverse of the Cholesky factor of ``cov``, so that
-    y^T cov^{-1} y = |whiten y|^2.  ``jitter`` records whether
-    ``build_prior_cov`` had to add its jitter to factorize ``cov``;
-    ``condition`` is the 2-norm condition number of ``cov``, jitter
-    included.
+    ``whiten`` is W = Lambda^{-1/2} V^T from the eigenpairs of ``cov``, so
+    that y^T cov^{-1} y = |W y|^2.  ``jitter`` records whether
+    ``build_prior_cov`` added its jitter; ``condition`` is the 2-norm
+    condition number of ``cov``, jitter included.
     """
 
     cov: np.ndarray
@@ -84,9 +83,11 @@ class SmoothnessPrior:
 def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
     """Covariance eta^2 exp(-|r_l - r_l'|^2 / (2 s^2)) over pixel seeds.
 
-    A tiny jitter (1e-10 eta^2) is added once if the Cholesky factorization
-    fails; a second failure is reported (duplicate or near-duplicate seeds).
-    The prior records whether the jitter fired and the condition number.
+    One eigendecomposition of the kernel exp(...) gives the whitening, the
+    condition number and the jitter: 1e-10 eta^2 is added to every
+    eigenvalue when the kernel is rank-deficient by numpy's ``matrix_rank``
+    tolerance, which eta does not change.  A spectrum still not positive
+    is reported (duplicate or near-duplicate seeds).
     """
     for name, value in (("correlation length", corr_length), ("eta", eta)):
         if not 0.0 < value < math.inf:
@@ -95,22 +96,16 @@ def build_prior_cov(seeds, corr_length: float, eta: float) -> SmoothnessPrior:
     if not np.isfinite(seeds).all():
         raise ValueError("pixel seeds must be finite")
     d2 = ((seeds[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
-    cov = eta**2 * np.exp(-d2 / (2.0 * corr_length**2))
-    jitter = False
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = True
-        cov = cov + 1e-10 * eta**2 * np.eye(seeds.shape[0])
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "prior covariance not positive definite even with jitter; "
-                "check for duplicate pixel seeds"
-            ) from exc
-    condition = float(np.linalg.cond(cov))
-    return SmoothnessPrior(cov, np.linalg.inv(chol), jitter, condition)
+    kernel = np.exp(-d2 / (2.0 * corr_length**2))
+    lam, vecs = np.linalg.eigh(kernel)
+    jitter = bool(lam[0] <= lam.size * np.finfo(np.float64).eps * lam[-1])
+    lam += jitter * 1e-10
+    if not lam[0] > 0.0:
+        raise ValueError("prior covariance not positive definite even with jitter; "
+                         "check for duplicate pixel seeds")
+    cov = eta**2 * kernel + jitter * 1e-10 * eta**2 * np.eye(lam.size)
+    whiten = vecs.T / (eta * np.sqrt(lam))[:, None]
+    return SmoothnessPrior(cov, whiten, jitter, float(lam[-1] / lam[0]))
 
 
 @dataclass

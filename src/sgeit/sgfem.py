@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._csr import CSRMatrix
+from ._csr import CSRMatrix, index_type
 from .chaos import MomentMatrices
 from .fem import SpatialMatrices, summed_csr
 
@@ -297,7 +297,7 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     blocks = [tuple(part[v != 0.0] for part in (r, c, v)) for r, c, v in blocks]
     n_s, (n_kept, n_other) = B0.shape[0], (len(members) for members in classes)
     nnz = sum(len(v) * len(g) for (_, _, v), (_, _, g) in zip(blocks, couplings))
-    index = np.int32 if max(n_s * len(parity), nnz) < 2**31 else np.int64
+    index = index_type(n_s * len(parity), nnz)
     rows, cols = np.empty(nnz, dtype=index), np.empty(nnz, dtype=index)
     vals = np.empty(nnz)
     end = 0
