@@ -1,25 +1,27 @@
-"""Float64 CSR matrices on SciPy's compiled sparse kernels, without the SciPy
-packages.
+"""Float64 CSR matrices on SciPy's compiled sparse kernels, and SuperLU's
+factor of one, without the SciPy packages.
 
 Precompute's sparse work is CSR products with B_0 and K_kj, COO-to-CSR
-conversion and a dense form.  ``import scipy.sparse`` would add about 15 MB
+conversion and a dense form; simulate's is one SuperLU factor of the
+electrode-model matrix.  ``import scipy.sparse`` would add about 15 MB
 resident and 0.1-0.2 s to the process, most of it SciPy's array-API layer,
 which walks numpy's namespace and so loads ``numpy.f2py``, ``numpy.testing``
-and more.  This module loads only SciPy's compiled kernel module
-``scipy/sparse/_sparsetools``, on first use: it finds the file without
-importing SciPy and loads it with an ``ExtensionFileLoader``, which runs
-neither ``scipy/__init__.py`` nor ``scipy/sparse/__init__.py`` and costs
-about 0.2 MB.  The load leaves nothing in ``sys.modules``, so a later
-``import scipy.sparse`` loads and binds its own copy as usual; if SciPy's
-module is already loaded, it is used.
+and more; ``scipy.sparse.linalg`` loads 153 SciPy modules in all.  This
+module loads only SciPy's compiled modules ``scipy/sparse/_sparsetools``
+and ``scipy/sparse/linalg/_dsolve/_superlu``, each on first use: it finds
+the file without importing SciPy and loads it with an
+``ExtensionFileLoader``, which runs no SciPy package's ``__init__.py``.
+The load leaves nothing in ``sys.modules``, so a later ``import
+scipy.sparse`` loads and binds its own copy as usual; if SciPy's module is
+already loaded, it is used.
 
-``_sparsetools`` is private SciPy API: its functions and their argument
-order are not documented and can change between releases.  This module was
+Both modules are private SciPy API: their functions and argument order
+are not documented and can change between releases.  This module was
 checked on SciPy 1.17.1, and ``tests/test_csr.py`` (Tier-1) checks every
-operation bit for bit against ``scipy.sparse``, so a SciPy release that
-changes them fails there.  A SciPy without the module or one of its
-functions raises ImportError naming ``scipy.sparse._sparsetools`` and the
-installed SciPy version.
+operation bit for bit against ``scipy.sparse`` and ``splu``, so a SciPy
+release that changes them fails there.  A SciPy without a module or one of
+its functions raises ImportError naming the module and the installed SciPy
+version.
 
 The kernels check no bounds.  ``CSRMatrix`` therefore checks its arrays
 once when it is made and makes them read-only, and checks every dense
@@ -46,8 +48,10 @@ _USED = (
     "csr_sort_indices", "csr_sum_duplicates", "csr_matvecs", "csc_matvecs",
     "csr_todense",
 )
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 _INDEX_TYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _kernels = None
+_superlu = None
 
 
 def index_type(*extents: int) -> type:
@@ -59,34 +63,70 @@ def kernels():
     """SciPy's compiled sparse kernel module, loaded on the first call."""
     global _kernels
     if _kernels is None:
-        module = sys.modules.get(_NAME) or _load()
-        missing = [name for name in _USED if not hasattr(module, name)]
-        if missing:
-            raise ImportError(
-                f"{_NAME} of SciPy {_scipy_version()} lacks {', '.join(missing)}",
-                name=_NAME,
-            )
-        _kernels = module
+        _kernels = _module(_NAME, _USED)
     return _kernels
 
 
-def _load():
-    """Load the kernel module from SciPy's installed files, running no
-    SciPy package code and leaving ``sys.modules`` as it was."""
+def _module(name: str, used):
+    """SciPy's compiled module ``name``, the loaded one if any, checked to
+    have the functions ``used``."""
+    module = sys.modules.get(name) or _load(name)
+    missing = [function for function in used if not hasattr(module, function)]
+    if missing:
+        raise ImportError(
+            f"{name} of SciPy {_scipy_version()} lacks {', '.join(missing)}", name=name
+        )
+    return module
+
+
+def _load(name: str):
+    """Load SciPy's compiled module ``name`` from its installed files,
+    running no SciPy package code and leaving ``sys.modules`` as it was."""
     spec = importlib.util.find_spec("scipy")
+    *package, stem = name.split(".")[1:]
     for directory in (spec and spec.submodule_search_locations) or ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "sparse", "_sparsetools" + suffix)
+            path = os.path.join(directory, *package, stem + suffix)
             if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(_NAME, path)
-                found = importlib.util.spec_from_file_location(_NAME, path, loader=loader)
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                found = importlib.util.spec_from_file_location(name, path, loader=loader)
                 module = importlib.util.module_from_spec(found)
                 loader.exec_module(module)
                 # an extension of single-phase init registers itself
-                if sys.modules.get(_NAME) is module:
-                    del sys.modules[_NAME]
+                if sys.modules.get(name) is module:
+                    del sys.modules[name]
                 return module
-    raise ImportError(f"cannot find {_NAME} of SciPy {_scipy_version()}", name=_NAME)
+    raise ImportError(f"cannot find {name} of SciPy {_scipy_version()}", name=name)
+
+
+def superlu(M: CSRMatrix):
+    """SuperLU's factor of the square, symmetric ``M``, with a ``solve``
+    method: what ``scipy.sparse.linalg.splu`` makes of ``csc_matrix`` on
+    M's arrays, M's transpose and so M itself, at its defaults, by the same
+    call of SciPy's compiled ``gstrf``.  ``splu`` first sums duplicate
+    entries; M must have none, as every matrix of ``sgfem.cem_matrix``.
+    The factor's ``L`` and ``U``, which ``gstrf`` builds only when read,
+    are ``scipy.sparse.csc_array``, imported then.
+    """
+    global _superlu
+    if _superlu is None:
+        _superlu = _module(_SUPERLU, ("gstrf",))
+    n = M.shape[0]
+    if M.shape != (n, n) or np.iinfo(np.intc).max < max(n, M.nnz):
+        raise ValueError(f"need a square matrix with int32 indices, got {M!r}")
+    indices, indptr = (a.astype(np.intc, copy=False) for a in (M.indices, M.indptr))
+    options = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
+    return _superlu.gstrf(
+        n, M.nnz, M.data, indices, indptr,
+        csc_construct_func=_csc_array, ilu=False, options=options,
+    )
+
+
+def _csc_array(*args):
+    """``scipy.sparse.csc_array``, for the triangles of a SuperLU factor."""
+    from scipy.sparse import csc_array
+
+    return csc_array(*args)
 
 
 def _scipy_version() -> str:
@@ -194,13 +234,15 @@ class CSRMatrix:
         for a vector."""
         return self._product(V, False)
 
-    def transpose_matmul(self, U) -> np.ndarray:
+    def transpose_matmul(self, U, out=None) -> np.ndarray:
         """The product of the transpose with a dense float64 vector or
         (n_rows, k) block, with the bits of ``csr_matrix.T @ U``: the CSC
-        kernel ``csc_matvecs`` on the same arrays."""
-        return self._product(U, True)
+        kernel ``csc_matvecs`` on the same arrays.  ``out``, if given, is
+        a C-contiguous float64 array of the product's shape apart from
+        ``U``, which receives the product and is returned."""
+        return self._product(U, True, out)
 
-    def _product(self, V, transpose: bool) -> np.ndarray:
+    def _product(self, V, transpose: bool, out=None) -> np.ndarray:
         n_rows, n_cols = self.shape
         n_in, n_out = (n_rows, n_cols) if transpose else (n_cols, n_rows)
         if not (
@@ -214,7 +256,23 @@ class CSRMatrix:
                 f"need a C-contiguous float64 vector or block of {n_in} rows, got "
                 f"{getattr(V, 'dtype', type(V))} of shape {getattr(V, 'shape', None)}"
             )
-        out = np.zeros((n_out,) + V.shape[1:])
+        shape = (n_out,) + V.shape[1:]
+        if out is None:
+            out = np.zeros(shape)
+        elif (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.flags.c_contiguous
+            and out.shape == shape
+            and not np.may_share_memory(out, V)
+        ):
+            out[...] = 0.0
+        else:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {shape} apart "
+                f"from the operand, got {getattr(out, 'dtype', type(out))} of shape "
+                f"{getattr(out, 'shape', None)}"
+            )
         k, arrays = kernels(), (self.indptr, self.indices, self.data)
         # each entry is summed in the order of the stored entries, one
         # column as in SciPy's vector kernels csr_matvec and csc_matvec

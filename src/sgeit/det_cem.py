@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csr import superlu
 from .fem import ParameterBounds, assemble_electrode_mass, stiffness_matrix
 from .geometry import (
     Mesh, PixelPartition, electrode_geometry, read_json, require_finite, write_json
@@ -89,9 +90,6 @@ def solve_deterministic(
     factorizes once, and solves all patterns against it, with the loads and
     pattern checks of the Galerkin solve; each voltage vector sums to zero.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     sigma = np.asarray(sample.sigma, dtype=np.float64)
     zeta = np.asarray(sample.zeta, dtype=np.float64)
@@ -113,7 +111,7 @@ def solve_deterministic(
     B = cem_matrix(A, zeta, S, g, eg.lengths)
     # B is exactly symmetric, so the CSC matrix of its CSR arrays, its
     # transpose, is B in the format SuperLU factorizes
-    lu = spla.splu(sp.csc_matrix((B.data, B.indices, B.indptr), shape=B.shape))
+    lu = superlu(B)
 
     n_d = mesh.n_nodes
     rhs = np.zeros((patterns.shape[0], B.shape[0]))

@@ -30,21 +30,26 @@ iterations of CG on all of K (Reid, SIAM J. Numer. Anal. 1972).
 
 K itself, n_g copies of B_0 and K_kj, is never formed (as in Powell &
 Elman, IMA J. Numer. Anal. 2009): ``assemble_system`` builds only B_0 and
-K_kj.  Every B_k, k >= 1, is local, so column (., nu) of K_kj is nonzero
-only on a small set S_nu of spatial rows, and the Schur coupling
-K_kj (K_0^{-1} (x) I) K_jk needs K_0^{-1} only on the blocks
-K_0^{-1}[S_nu, S_nu] (``_support_blocks``).  The supports of many indices
-share a size, so the CG applies those blocks as one batched product per
-size, with no loop over indices.  Of the larger class the solve needs only
-the M-1 voltage rows, x_j[n_d:, nu] = K_0^{-1}[n_d:, S_nu] h[S_nu, nu]
-with h = c_j - K_jk x_k, plus the load term of chaos index 0
-(``_certified_voltages``).  Its residual, pure rounding of the computed
-K_0^{-1}, is bounded from the column norms of B_0 K_0^{-1} - I instead of
-computed, so the other spatial rows of that class are never formed.
-``solve`` holds, besides B_0 and K_kj, the dense K_0^{-1}, the blocks, the
-CG blocks of the smaller class and blocks of the larger one packed over
-the supports.  It returns beta alone: the posterior reads the surrogate
-only through the electrode voltages.
+K_kj.  Every B_k, k >= 1, is local: it is nonzero only on a small set S_k
+of spatial rows and columns.  So by the Kronecker mixed-product rule the
+Schur coupling K_kj (K_0^{-1} (x) I) K_jk is the sum over pairs of
+dimensions of (B_m K_0^{-1} B_m') (x) (G_m G_m'^T), which needs K_0^{-1}
+only on the pair blocks K_0^{-1}[S_m, S_m'], held once for m <= m' and
+shared by every chaos index: at most ((sum_m |S_m|)^2 + sum_m |S_m|^2) / 2
+entries, whatever the chaos degree (``_pair_coupling``).  Chaos index 0,
+which every dimension reaches, goes through all of K_0^{-1} instead.  The
+pairs of one support size share a batched product, with no loop over
+indices.  Of the larger class the solve needs only the M-1 voltage rows,
+x_j[n_d:, nu] = K_0^{-1}[n_d:, S_nu] h[S_nu, nu] on the rows S_nu at which
+column (., nu) of K_kj is nonzero, with h = c_j - K_jk x_k, plus the load
+term of chaos index 0 (``_certified_voltages``).  Its residual, pure
+rounding of the computed K_0^{-1}, is bounded from the column norms of
+B_0 K_0^{-1} - I instead of computed, so the other spatial rows of that
+class are never formed.  ``solve`` holds, besides B_0 and K_kj, the dense
+K_0^{-1}, the pair blocks, the CG blocks of the smaller class and one
+block of the larger one packed over the dimensions' supports.  It returns
+beta alone: the posterior reads the surrogate only through the electrode
+voltages.
 """
 
 from __future__ import annotations
@@ -88,6 +93,10 @@ class SgfemSystem:
     kept parity class to the columns of the other, numbered spatial index
     outer and position in the class inner.  K is symmetric, so its block
     from the other class to the kept one is the transpose of K_kj.
+    ``G_kj`` lists the nonzeros of the chaos blocks G_k[kept, other], k >=
+    1, from which K_kj was built, as (k, row position, column position),
+    grouped by k: it names the dimension of every chaos block of K_kj.  The
+    solve reads B_0, K_kj and G_kj.
 
     Both blocks are ``_csr.CSRMatrix``, whose products run on SciPy's
     compiled kernels without the SciPy packages, so neither assembly nor
@@ -103,6 +112,7 @@ class SgfemSystem:
     n_electrodes: int
     n_chaos: int
     parity: np.ndarray
+    G_kj: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def order(self) -> int:
@@ -286,6 +296,7 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
     ends = np.searchsorted(mm.dim[at], np.arange(1, mm.n_dims + 2))
     table = position[mm.row[at]], position[mm.col[at]], mm.coeff[at]
     couplings = [[part[a:b] for part in table] for a, b in zip(ends[:-1], ends[1:])]
+    G_kj = mm.dim[at], *table[:2]
 
     B0 = cem_matrix(sm.A0, sm.bounds.zeta_mid, sm.S, sm.g, sm.lengths)
     rows, cols, vals, electrode = _electrode_triplets(sm.S, sm.g, sm.lengths)
@@ -310,7 +321,7 @@ def assemble_system(sm: SpatialMatrices, mm: MomentMatrices) -> SgfemSystem:
         np.add(j * n_other, nu, out=cols[part].reshape(shape))
         np.multiply(v[:, None], g, out=vals[part].reshape(shape))
     K_kj = CSRMatrix.from_triplets(rows, cols, vals, (n_s * n_kept, n_s * n_other))
-    return SgfemSystem(B0, K_kj, sm.n_nodes, n_el, len(parity), parity)
+    return SgfemSystem(B0, K_kj, sm.n_nodes, n_el, len(parity), parity, G_kj)
 
 
 def _voltage_loads(patterns, n_electrodes: int) -> np.ndarray:
@@ -357,26 +368,30 @@ def solve(
     residual stays above ``tol``.
 
     The returned ``residuals`` are, per pattern, sqrt(r_k^2 + b^2) / ||c||
-    with c the load: r_k is the norm of the true residual on the rows of
-    the kept class, (B_0 (x) I) x_k + K_kj x_j - c_k, with x_j on the
-    supports from the blocks of the CG; b bounds the norm of the residual
-    on the rows of the eliminated class, where x_j = (K_0^{-1} (x) I) h
-    leaves (B_0 K_0^{-1} - I) h, pure rounding of the computed inverse:
-    b^2 = sum_nu ||(B_0 K_0^{-1} - I)[:, supp h_nu]||_F^2 ||h_nu||^2.  On
-    the tank r_k is ~1e-10 ||c|| and b ~2e-12 ||c||.
+    with c the load: r_k is the norm of the residual on the rows of the
+    kept class, c_k - (B_0 (x) I) x_k - K_kj x_j with x_j = (K_0^{-1} (x)
+    I) h and h = c_j - K_jk x_k, formed fresh from x_k through the CG's
+    coupling; b bounds the norm of the residual on the rows of the
+    eliminated class, where x_j leaves (B_0 K_0^{-1} - I) h, pure rounding
+    of the computed inverse: b^2 = sum_nu ||(B_0 K_0^{-1} - I)[:, supp
+    h_nu]||_F^2 ||h_nu||^2.  On the tank r_k is ~1e-10 ||c|| and b ~2e-12
+    ||c||.
 
-    The solve reads only B_0 and K_kj of the system, and derives the
-    supports S_nu of the other class from the columns of K_kj
-    (``_local_coupling``).  The class loads are built from the M-1 nonzeros
-    of each pattern, so the dense load block is never formed.  Besides the
-    system the solve holds the dense K_0^{-1}, the supports grouped by size,
-    the column indices of K_kj packed over the supports, the blocks
-    K_0^{-1}[S_nu, S_nu] and the CG blocks of the kept class, with one
-    (sum_nu |S_nu|, n_p) block of the other class packed over the supports.
-    After the CG it holds, instead of the CG blocks, the packed h, which
-    becomes x_j on the supports, two blocks of the kept class for its
-    residual and one chunk of ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1}:
-    the solution of all of K is never held, and only beta is returned.
+    The solve reads B_0, K_kj and G_kj of the system.  It lays the Schur
+    coupling out on the pair blocks K_0^{-1}[S_m, S_m'] of the dimensions'
+    supports (``_pair_coupling``), and after the CG derives the supports
+    S_nu of the other class from the columns of K_kj (``_local_coupling``)
+    for that class's voltage rows and residual bound.  The class loads are
+    built from the M-1 nonzeros of each pattern, so the dense load block is
+    never formed.  Besides the system the solve holds the dense K_0^{-1},
+    the pair blocks with their index arrays, the column indices of K_kj
+    renumbered over the packed rows of the dimensions, one (packed rows,
+    n_p) block and the outputs of the pairs m != m', and the CG blocks of
+    the kept class.  After the CG it holds, instead of the CG blocks, three
+    blocks of the kept class for its residual, then the column indices of
+    K_kj packed over the supports S_nu, the packed h and one chunk of
+    ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1}: the solution of all of K
+    is never held, and only beta is returned.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
@@ -390,12 +405,14 @@ def solve(
         )
     if maxiter is None:
         maxiter = 10 * system.order
-    K0inv = _mean_inverse(system)
-    K, groups = _local_coupling(system)
-    blocks = _support_blocks(K0inv, groups)
-    X, iterations = _schur_pcg(system, K0inv, K, groups, blocks, loads, tol, maxiter)
-    beta, square = _certified_voltages(system, K0inv, K, groups, blocks, loads, X)
-    residuals = np.sqrt(square) / np.linalg.norm(loads, axis=1)
+    coupling = _pair_coupling(system, _mean_inverse(system), len(loads))
+    X, iterations = _schur_pcg(system, coupling, loads, tol, maxiter)
+    square = _kept_residual(system, coupling, loads, X)
+    # the coupling's blocks go before those of the eliminated class come
+    K0inv = coupling.K0inv
+    del coupling
+    beta, bound = _certified_voltages(system, K0inv, loads, X)
+    residuals = np.sqrt(square + bound) / np.linalg.norm(loads, axis=1)
     for p, residual in enumerate(residuals):
         # written so that a nan residual fails too
         if not residual <= tol:
@@ -458,16 +475,15 @@ def _add_load(system: SgfemSystem, members, loads, V):
 
 def _local_coupling(system: SgfemSystem):
     """K_kj packed over the supports of the other class, and the supports
-    grouped by size.
+    grouped by size, for that class's voltage rows and residual bound
+    (``_certified_voltages``).
 
     The support S_nu of other-class position nu is the set of spatial rows
     j at which column (j, nu) of K_kj stores an entry; K_jk = K_kj^T fills
-    the other class only there, and K_kj reads it only there, so exactly
-
-        K_kj (K_0^{-1} (x) I) K_jk = K_kj blockdiag_nu(K_0^{-1}[S_nu, S_nu]) K_jk.
-
-    Every B_k, k >= 1, is local (A_l on pixel l, E_m on electrode m and
-    the voltage rows), so the supports are small, and many share a size.
+    the other class only there, so h = c_j - K_jk x_k is held packed over
+    the supports.  Every B_k, k >= 1, is local (A_l on pixel l, E_m on
+    electrode m and the voltage rows), so the supports are small, and many
+    share a size.
     The positions are ordered by |S_nu| (a stable sort, so position 0 comes
     first among those of its size), each support in ascending spatial
     order, and the packed rows follow that order, so the positions of one
@@ -502,41 +518,232 @@ def _local_coupling(system: SgfemSystem):
     return K, groups
 
 
-def _support_blocks(K0inv, groups):
-    """Per group of ``_local_coupling`` the blocks K_0^{-1}[S_nu, S_nu] as a
-    (count, s, s) array, which only the CG needs: one gather from K_0^{-1}
-    per group, and supports of all n_s rows share K_0^{-1} itself as a
-    read-only view (chaos index 0 at degree 2 on the tank and at paper
-    scale).  The gather broadcasts two index arrays: a flat index array was
-    faster to gather with, but its temporaries left the peak RSS of ``sgeit
-    precompute`` on the tank 0.3-0.9 MB higher.
+@dataclass(frozen=True)
+class _PairCoupling:
+    """The Schur coupling K_kj (K_0^{-1} (x) I) K_jk on blocks of K_0^{-1}
+    between pairs of dimensions, as ``_pair_coupling`` lays it out.
+
+    ``K`` is K_kj with its columns renumbered over packed rows, sharing its
+    entries and row pointers: first ``n_dense`` rows per spatial row, for
+    the other positions applied through all of K_0^{-1}, then per
+    dimension m an (|S_m|, g_m) block of rows, the position in S_m outer
+    and the g_m other positions that m reaches inner.  ``diagonal`` holds,
+    per run of dimensions of one (|S_m|, g_m), their packed rows and their
+    blocks K_0^{-1}[S_m, S_m].  ``off`` holds, per batch of pairs m != m'
+    and per orientation, the blocks K_0^{-1}[S_m, S_m'] (for the second
+    orientation their transposed view), the packed rows they read and the
+    slice of ``outputs`` they write.  Per layer, ``spread`` gives every
+    packed row the output it adds, or the zero row past the outputs, so
+    that no layer adds twice to one row.  ``K_0`` is K_kj's columns of
+    chaos index 0, numbered by spatial row; it stores nothing unless index
+    0 is in the other class.  ``packed`` and ``outputs`` are the blocks of
+    n_p patterns that every ``_couple`` call reuses.
     """
-    n_s = K0inv.shape[0]
-    return [
-        np.broadcast_to(K0inv, (len(S), n_s, n_s))
-        if S.shape[1] == n_s
-        else K0inv[S[:, :, None], S[:, None, :]]
-        for _, _, S in groups
-    ]
+
+    K: CSRMatrix
+    K0inv: np.ndarray
+    n_dense: int
+    diagonal: list
+    off: list
+    spread: np.ndarray
+    K_0: CSRMatrix
+    packed: np.ndarray
+    outputs: np.ndarray
 
 
-def _couple(K, groups, blocks, V, n_p):
-    """K_kj (K_0^{-1} (x) I) K_jk V for a wide view V of the kept class,
-    through the supports: sparse product, one batched product per support
-    size group in place on its contiguous packed rows, sparse product.
+def _pair_coupling(system: SgfemSystem, K0inv, n_p: int) -> _PairCoupling:
+    """Lay out K_kj (K_0^{-1} (x) I) K_jk on the blocks K_0^{-1}[S_m, S_m']
+    of pairs of dimensions, for blocks of ``n_p`` patterns.
 
-    The products run in place: a second packed block made a call about
-    twice as slow at paper scale (one BLAS thread), for the same bits.
+    K_kj = sum_m B_m (x) G_m[kept, other], with B_m nonzero only on the
+    rows and columns S_m (a pixel's nodes, or an electrode's nodes and
+    voltage rows), so by the mixed-product rule
+
+        K_kj (K_0^{-1} (x) I) K_jk
+            = sum_{m, m'} (B_m K_0^{-1} B_m') (x) (G_m G_m'^T)[kept, kept],
+
+    and B_m K_0^{-1} B_m' reads K_0^{-1} only on S_m x S_m'.  The chaos
+    factor runs through the other positions nu that both G_m and G_m'
+    reach: for each such nu, K_0^{-1}[S_m, S_m'] takes the entries of K_jk
+    in the columns (S_m', nu) that dimension m' fills to the columns
+    (S_m, nu) that K_kj's dimension m reads.  Every stored entry of K_kj
+    belongs to one dimension, that of the G_k coupling its chaos row and
+    column (``system.G_kj``), and each chaos block of dimension m holds the
+    entries of B_m, so the columns of one such block are S_m.
+
+    An other position whose dimensions cover at least n_s spatial rows
+    together (chaos index 0, which every dimension reaches, at degree 2)
+    is applied through all of K_0^{-1}, whose entries its pair blocks would
+    outnumber.  The rest run on the pair blocks, each held once, for m <=
+    m': besides K_0^{-1}, at most ((sum_m |S_m|)^2 + sum_m |S_m|^2) / 2 of
+    its entries, whatever the chaos degree.  The diagonal pairs m = m' are
+    one product per dimension over every position it reaches, batched over
+    the dimensions of one |S_m| and position count.  The pairs m != m' are
+    batched by (|S_m|, |S_m'|, shared positions), in both orientations.  A
+    dimension with an empty support (a collapsed contact) reaches nothing.
     """
-    W = K.transpose_matmul(V.reshape(-1, n_p))
-    for (rows, _, S), block in zip(groups, blocks):
-        group = W[rows].reshape(*S.shape, n_p)
-        # matmul reads an input that overlaps its output as if it did not
-        np.matmul(block, group, out=group)
-    return (K @ W).reshape(V.shape)
+    (keep, other), K_kj = system.classes, system.K_kj
+    n_s, n_k, n_j = system.B0.shape[0], len(keep), len(other)
+    dim, mu, nu = system.G_kj
+    n_dims, dim = int(dim.max(initial=0)), dim - 1
+    small = index_type((n_dims + 1) * max(n_j, n_s), n_k * n_j)
+    # the chaos block (mu, nu) and the spatial column of every stored entry
+    key = np.arange(K_kj.shape[0], dtype=small) % max(n_k, 1) * small(n_j)
+    key = np.repeat(key, np.diff(K_kj.indptr))
+    j, nu_e = np.divmod(K_kj.indices, n_j)
+    key += nu_e
+    chaos_block = mu * n_j + nu
+    block_dim = np.zeros(n_k * n_j, dtype=small)
+    block_dim[chaos_block] = dim
+    picked = np.zeros(n_k * n_j, dtype=bool)
+    picked[chaos_block[np.unique(dim, return_index=True)[1]]] = True
+    one = np.flatnonzero(picked.take(key))
+    stored = np.zeros((n_dims, n_s), dtype=bool)
+    stored[block_dim[key[one]], j[one]] = True
+    size = stored.sum(axis=1)
+    # the other positions each dimension reaches, less the dense ones
+    reach = np.zeros((n_dims, n_j), dtype=bool)
+    reach[dim, nu] = size[dim] > 0
+    dense = size @ reach >= n_s
+    reach[:, dense] = False
+    n_dense, count = int(dense.sum()), reach.sum(axis=1)
+    extent = size * count
+    order = np.lexsort((count, size))
+    base = np.empty(n_dims, dtype=np.int64)
+    base[order] = n_s * n_dense + np.cumsum(extent[order]) - extent[order]
+    n_rows = n_s * n_dense + int(extent.sum())
+    index = np.promote_types(K_kj.indices.dtype, index_type(n_rows))
+    # the packed row of an entry of dimension m is at[m, nu] + step[m, j];
+    # the entries of a dense position take the row m = n_dims
+    at = np.empty((n_dims + 1, n_j), dtype=index)
+    at[:n_dims] = base[:, None] + np.cumsum(reach, axis=1) - 1
+    at[n_dims] = np.cumsum(dense) - 1
+    step = np.empty((n_dims + 1, n_s), dtype=index)
+    step[:n_dims] = (np.cumsum(stored, axis=1) - 1) * count[:, None]
+    step[n_dims] = np.arange(n_s) * n_dense
+    block_dim.reshape(-1, n_j)[:, dense] = n_dims
+    m_e = block_dim.take(key)
+    del key, block_dim, picked, one
+    packed = at.ravel().take(m_e * n_j + nu_e)
+    packed += step.ravel().take(m_e * n_s + j)
+    indptr = K_kj.indptr.astype(index, copy=False)
+    K = CSRMatrix(K_kj.data, packed, indptr, (K_kj.shape[0], n_rows))
+    # K_kj's columns of chaos index 0 if it is in the other class, in order
+    first = np.flatnonzero((nu_e == 0) & bool(n_j and other[0] == 0))
+    starts = np.searchsorted(first, K_kj.indptr).astype(index)
+    K_0 = CSRMatrix(K_kj.data[first], j[first].astype(index), starts, (K_kj.shape[0], n_s))
+    del j, nu_e, m_e, packed, first
+    supports, start = np.nonzero(stored)[1], np.cumsum(size) - size
+
+    def S(ms, s):
+        """The supports of the dimensions ``ms``, each of size s."""
+        return supports[start[ms][:, None] + np.arange(s)]
+
+    def block(S1, S2):
+        """K_0^{-1}[S1, S2] for every row of S1 and S2, by one flat index."""
+        return K0inv.ravel().take(S1[:, :, None] * n_s + S2[:, None, :])
+
+    def rows(ms, s, nus):
+        """The packed rows of the dimensions ``ms``, each of support size s,
+        at the positions ``nus``, a row of them per dimension, (len(ms) * s
+        * w,)."""
+        grid = at[ms[:, None], nus][:, None] + np.arange(s)[:, None] * count[ms, None, None]
+        return grid.ravel().astype(index)
+
+    diagonal = []
+    used = order[extent[order] > 0]
+    cuts = np.flatnonzero(np.diff(size[used]) | np.diff(count[used])) + 1
+    for run in np.split(used, cuts) if len(used) else ():
+        S_run, a = S(run, size[run[0]]), base[run[0]]
+        diagonal.append((slice(a, a + int(extent[run].sum())), block(S_run, S_run)))
+    # every pair m != m' that shares a position, m first in ``order``, with
+    # the positions it shares
+    slot = np.empty(n_dims, dtype=np.int64)
+    slot[order] = np.arange(n_dims)
+    r_nu, r_m = np.nonzero(reach.T)
+    by = np.lexsort((slot[r_m], r_nu))
+    r_nu, r_m = r_nu[by], r_m[by]
+    later = np.cumsum(np.bincount(r_nu, minlength=n_j))[r_nu] - np.arange(len(r_nu)) - 1
+    a = np.repeat(np.arange(len(r_nu)), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    by = np.lexsort((r_nu[a], slot[r_m[b]], slot[r_m[a]]))
+    m1, m2, shared = r_m[a][by], r_m[b][by], r_nu[a][by]
+    firsts = np.flatnonzero(np.diff(m1, prepend=-1) | np.diff(m2, prepend=-1))
+    width = np.diff(np.append(firsts, len(m1)))
+    p1, p2 = m1[firsts], m2[firsts]
+    shape = size[p1], size[p2], width
+    by = np.lexsort(shape[::-1])
+    cuts = np.flatnonzero(np.any([np.diff(part[by]) for part in shape], axis=0)) + 1
+    off, scatter, end = [], [], 0
+    for batch in np.split(by, cuts) if len(by) else ():
+        s1, s2, w = (int(part[batch[0]]) for part in shape)
+        nus = shared[firsts[batch][:, None] + np.arange(w)]
+        P = block(S(p1[batch], s1), S(p2[batch], s2))
+        into, out_of = rows(p1[batch], s1, nus), rows(p2[batch], s2, nus)
+        # K_0^{-1}[S_m, S_m'] takes m' to m, its transpose m to m'
+        for blocks, src, dst in ((P, out_of, into), (P.transpose(0, 2, 1), into, out_of)):
+            off.append((blocks, src, slice(end, end + len(dst))))
+            scatter.append(dst)
+            end += len(dst)
+    scatter = np.concatenate(scatter or [np.empty(0, dtype=index)])
+    # the layer of each output: how many outputs to its packed row precede it
+    by = np.argsort(scatter, kind="stable")
+    runs = np.flatnonzero(np.diff(scatter[by], prepend=-1))
+    layer = np.empty(end, dtype=np.int64)
+    layer[by] = np.arange(end) - np.repeat(runs, np.diff(np.append(runs, end)))
+    spread = np.full((int(layer.max(initial=-1)) + 1, n_rows), end, dtype=index)
+    spread[layer, scatter] = np.arange(end)
+    outputs = np.empty((end + 1, n_p))
+    outputs[-1] = 0.0
+    return _PairCoupling(
+        K, K0inv, n_dense, diagonal, off, spread, K_0, np.empty((n_rows, n_p)), outputs
+    )
 
 
-def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxiter):
+def _couple(coupling: _PairCoupling, V, n_p):
+    """K_kj (K_0^{-1} (x) I) K_jk V for a wide view V of the kept class
+    (see ``_schur_pcg``): a sparse product onto the packed rows of
+    ``_pair_coupling``, the pairs m != m' into the outputs, the dense
+    positions through all of K_0^{-1} and the pairs m = m' in place, the
+    outputs added, and a sparse product back.
+
+    The products run in place: a second packed block would add its size to
+    the peak memory of the solve.
+    """
+    c, n_s = coupling, coupling.K0inv.shape[0]
+    U, outputs = c.packed, c.outputs
+    c.K.transpose_matmul(V.reshape(-1, n_p), out=U)
+    for blocks, src, dst in c.off:
+        k, s, t = blocks.shape
+        inputs = U.take(src, axis=0).reshape(k, t, -1)
+        np.matmul(blocks, inputs, out=outputs[dst].reshape(k, s, -1))
+    # matmul reads an input that overlaps its output as if it did not
+    dense = U[: n_s * c.n_dense].reshape(n_s, -1)
+    np.matmul(c.K0inv, dense, out=dense)
+    for rows, blocks in c.diagonal:
+        k, s = blocks.shape[:2]
+        diagonal = U[rows].reshape(k, s, -1)
+        np.matmul(blocks, diagonal, out=diagonal)
+        # the zero row past the outputs is what a layer adds to a row it skips
+        for spread in c.spread:
+            U[rows] += outputs.take(spread[rows], axis=0)
+    return (c.K @ U).reshape(V.shape)
+
+
+def _reduced_load(system: SgfemSystem, coupling: _PairCoupling, loads) -> np.ndarray:
+    """The load of the Schur complement, c_k - K_kj (K_0^{-1} (x) I) c_j, as
+    a wide view of the kept class (see ``_schur_pcg``).  c_j is nonzero
+    only if chaos index 0 is in the other class, on its voltage rows, so
+    K_kj reads K_0^{-1} c_j through its columns of index 0 alone."""
+    keep, n_s = system.classes[0], system.B0.shape[0]
+    R = _add_load(system, keep, loads, np.zeros((n_s, len(keep) * len(loads))))
+    K_0 = coupling.K_0
+    if K_0.nnz:
+        R -= (K_0 @ (coupling.K0inv[:, system.n_nodes :] @ loads.T)).reshape(R.shape)
+    return R
+
+
+def _schur_pcg(system: SgfemSystem, coupling: _PairCoupling, loads, tol, maxiter):
     """Conjugate gradients on every pattern at once, on the Schur complement
     of the kept parity class k, preconditioned by K_0^{-1} (x) I.
 
@@ -546,21 +753,21 @@ def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxite
                 = c_k - K_kj (K_0^{-1} (x) I) c_j,
 
     and x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) follows from x_k
-    (``_certified_voltages`` forms its voltage rows).  K is symmetric, so K_jk is the transpose of K_kj, and only K_kj
-    is stored.  The residual of the reduced system is that of all of K,
-    whose j rows x_j solves exactly.
-    Kept-class vectors are (n_s, n_kept * n_p) views of (n_s * n_kept,
-    n_p) blocks, spatial index outer, position in the class next and
-    pattern last: on them the preconditioner is one product with the dense
-    inverse of K_0.  The coupling through the other class runs on
-    (sum_nu |S_nu|, n_p) blocks packed over the supports, with one batched
-    product per support size (``_local_coupling``, ``_couple``), never on a
-    whole block of that class.  Each pattern has its own step length and
+    (``_certified_voltages`` forms its voltage rows).  K is symmetric, so
+    K_jk is the transpose of K_kj, and only K_kj is stored.  The residual
+    of the reduced system is that of all of K, whose j rows x_j solves
+    exactly.  Kept-class vectors are (n_s, n_kept * n_p) views of (n_s *
+    n_kept, n_p) blocks, spatial index outer, position in the class next
+    and pattern last: on them the preconditioner is one product with the
+    dense inverse of K_0.  The coupling through the other class runs on one
+    block packed over the supports of the dimensions, through the pair
+    blocks K_0^{-1}[S_m, S_m'] (``_pair_coupling``, ``_couple``), never on
+    a whole block of that class.  Each pattern has its own step length and
     direction, and stops moving once its residual norm is at most ``tol``
     times its load norm.  Returns the kept-class block x_k and the
     iteration count.
     """
-    (keep, other), B0 = system.classes, system.B0
+    keep, B0, K0inv = system.classes[0], system.B0, coupling.K0inv
     n_p, n_s, n_k = len(loads), B0.shape[0], len(keep)
 
     def column_dots(U, V):
@@ -575,16 +782,7 @@ def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxite
     # squared residual norms against squared thresholds
     atol2 = tol**2 * np.einsum("ij,ij->i", loads, loads)
     X = np.zeros((n_s, n_k * n_p))
-    R = _add_load(system, keep, loads, np.zeros((n_s, n_k * n_p)))
-    if other[0] == 0:
-        # c_j is the load on the voltage rows of chaos index 0, position 0
-        # of the other class and the first of its size group; K_kj reads
-        # K_0^{-1} c_j only on S_0
-        U = np.zeros((K.shape[1], n_p))
-        rows, S = next((rows, S[0]) for rows, nu, S in groups if nu[0] == 0)
-        U[rows.start : rows.start + len(S)] = K0inv[S, system.n_nodes :] @ loads.T
-        R -= (K @ U).reshape(R.shape)
-        del U
+    R = _reduced_load(system, coupling, loads)
     done = column_dots(R, R) <= atol2
     iteration = 0
     if not done.all():
@@ -593,7 +791,7 @@ def _schur_pcg(system: SgfemSystem, K0inv, K, groups, blocks, loads, tol, maxite
         rz = column_dots(R, Z)
         for iteration in range(1, maxiter + 1):
             Q = B0 @ D
-            Q -= _couple(K, groups, blocks, D, n_p)
+            Q -= _couple(coupling, D, n_p)
             step = active_ratio(rz, column_dots(D, Q), done)
             # Z is free until the next preconditioning
             X += np.multiply(D, step, out=Z)
@@ -627,23 +825,34 @@ def _inverse_defects(B0, K0inv) -> np.ndarray:
     return out
 
 
-def _certified_voltages(system: SgfemSystem, K0inv, K, groups, blocks, loads, X):
-    """beta of both classes from the kept-class block X (see ``_schur_pcg``)
-    and, per pattern, the squared residual: that of the kept rows plus a
-    bound on that of the eliminated rows.  x_j is formed only on the
-    voltage rows and on the supports.
+def _kept_residual(system: SgfemSystem, coupling: _PairCoupling, loads, X):
+    """Per pattern, the squared norm of the residual on the rows of the kept
+    class, for the kept-class block X (see ``_schur_pcg``).
 
-    h = c_j - K_jk x_k is formed once, packed over the supports as -K^T X;
-    c_j, the load on the voltage rows of chaos index 0, enters where h_0
-    is used.  Per support size group, with ``_local_coupling``'s groups
-    and the CG's blocks K_0^{-1}[S_nu, S_nu]:
+    With x_j = (K_0^{-1} (x) I) h and h = c_j - K_jk x_k, the kept rows'
+    residual c_k - (B_0 (x) I) x_k - K_kj x_j is that of the Schur
+    complement, c_k - K_kj (K_0^{-1} (x) I) c_j - (B_0 (x) I) x_k + K_kj
+    (K_0^{-1} (x) I) K_jk x_k, formed fresh from x_k with the CG's pair
+    coupling (``_reduced_load``, ``_couple``).
+    """
+    r = _reduced_load(system, coupling, loads)
+    r -= system.B0 @ X
+    r += _couple(coupling, X, len(loads))
+    return np.einsum("ij,ij->j", r, r).reshape(-1, len(loads)).sum(axis=0)
+
+
+def _certified_voltages(system: SgfemSystem, K0inv, loads, X):
+    """beta of both classes from the kept-class block X (see ``_schur_pcg``)
+    and, per pattern, a bound on the squared residual on the rows of the
+    eliminated class.  Of x_j only the voltage rows are formed.
+
+    h = c_j - K_jk x_k is formed once, packed over the supports S_nu of
+    ``_local_coupling`` as -K^T X; c_j, the load on the voltage rows of
+    chaos index 0, enters where h_0 is used.  Per support size group:
 
     - beta of the eliminated class is K_0^{-1}[n_d:, S_nu] h_nu, one
       batched product, plus K_0^{-1}[n_d:, n_d:] times the load for
       index 0, added after the product;
-    - x_j on the supports is K_0^{-1}[S_nu, S_nu] h_nu, in place of h, so
-      the kept rows' true residual (B_0 (x) I) x_k + K_kj x_j - c_k costs
-      one product with K_kj;
     - the eliminated rows' residual B_0 x_j,nu - h_nu = (B_0 K_0^{-1} - I)
       h_nu is pure rounding of the computed K_0^{-1}, and its norm is at
       most ||(B_0 K_0^{-1} - I)[:, supp h_nu]||_F ||h_nu|| (Higham,
@@ -656,21 +865,21 @@ def _certified_voltages(system: SgfemSystem, K0inv, K, groups, blocks, loads, X)
     n_p, n_s = len(loads), B0.shape[0]
     beta = np.empty((n_p, system.n_electrodes - 1, system.n_chaos))
     beta[:, :, keep] = X.reshape(n_s, -1, n_p)[n_d:].transpose(2, 0, 1)
+    bound = np.zeros(n_p)
+    K, groups = _local_coupling(system)
     h = K.transpose_matmul(X.reshape(-1, n_p))
     np.negative(h, out=h)
     defects = _inverse_defects(B0, K0inv)
-    load = K0inv[:, n_d:] @ loads.T
-    bound = np.zeros(n_p)
-    for (rows, positions, S), block in zip(groups, blocks):
+    load = K0inv[n_d:, n_d:] @ loads.T
+    for rows, positions, S in groups:
         h_nu = h[rows].reshape(*S.shape, n_p)
         # K_0^{-1} is symmetric: K_0^{-1}[n_d:, S_nu] is the transpose
         v = np.matmul(K0inv[S, n_d:].transpose(0, 2, 1), h_nu)
         weights = defects[S].sum(axis=1)
         norms = np.einsum("csp,csp->cp", h_nu, h_nu)
-        index_0 = other[positions[0]] == 0
-        if index_0:
+        if other[positions[0]] == 0:
             # the first of its size group; its load lies on the voltage rows
-            v[0] += load[n_d:]
+            v[0] += load
             h_0 = np.zeros((n_s, n_p))
             h_0[S[0]] = h_nu[0]
             h_0[n_d:] += loads.T
@@ -678,14 +887,7 @@ def _certified_voltages(system: SgfemSystem, K0inv, K, groups, blocks, loads, X)
             norms[0] = np.einsum("ip,ip->p", h_0, h_0)
         bound += weights @ norms
         beta[:, :, other[positions]] = v.transpose(2, 1, 0)
-        # matmul reads an input that overlaps its output as if it did not
-        np.matmul(block, h_nu, out=h_nu)
-        if index_0:
-            h_nu[0] += load[S[0]]
-    r = _add_load(system, keep, -loads, B0 @ X)
-    r += (K @ h).reshape(r.shape)
-    r = r.reshape(n_s, -1, n_p)
-    return beta, np.einsum("ijp,ijp->p", r, r) + bound
+    return beta, bound
 
 
 def standard_patterns(n_electrodes: int) -> np.ndarray:

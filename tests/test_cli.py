@@ -725,9 +725,10 @@ def test_the_benchmark_finds_the_library_names_it_reads(tmp_path):
 
 # a fresh interpreter that imports ``ops`` as bench/fresh_op.py does, which
 # loads every sgeit module but not multiprocessing, builds the chaos index
-# set and coupling table of the tank, then runs reconstruct, render and
-# precompute; precompute runs on SciPy's compiled sparse kernels and loads
-# no SciPy package module
+# set and coupling table of the tank, then runs reconstruct, render,
+# precompute and simulate; precompute runs on SciPy's compiled sparse
+# kernels and simulate on its compiled SuperLU, and neither loads a SciPy
+# package module; simulate writes the bytes of the in-process run
 NUMPY_ONLY_PROBE = """
 import pathlib, sys, warnings
 from env import pin_blas_threads
@@ -765,6 +766,12 @@ assert cli.main([
     "--out", str(out / "surr.bin"),
 ]) == 0
 assert not scipy_modules(), scipy_modules()
+assert cli.main([
+    "simulate", "--mesh", str(d / "mesh.json"), "--seeds", str(d / "seeds.json"),
+    "--phantom", str(d / "phantom.json"), "--seed", "11", "--out", str(out / "data.json"),
+]) == 0
+assert not scipy_modules(), scipy_modules()
+assert (out / "data.json").read_bytes() == (d / "data.json").read_bytes()
 """
 
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 import sgeit
 from conftest import as_scipy, two_ring_layout
-from sgeit import _csr, chaos, fem, sgfem
+from sgeit import _csr, chaos, fem, geometry, sgfem
 from sgeit._csr import CSRMatrix
 
 
@@ -82,18 +82,22 @@ def assert_products_are_scipys(M, seed=0, dense=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         got, want = M.transpose_matmul(U), ref.T @ U
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        out = np.full_like(want, np.nan)
+        assert M.transpose_matmul(U, out=out) is out and out.tobytes() == want.tobytes()
     if dense:
         assert M.toarray().tobytes() == ref.toarray().tobytes()
 
 
-@pytest.mark.parametrize("block", ["B0", "K_kj", "packed K"])
+@pytest.mark.parametrize("block", ["B0", "K_kj", "packed K", "pair K"])
 def test_products_on_the_tank_blocks_are_scipys(tank_system, block):
     system, _ = tank_system
     if block == "packed K":
         M, _ = sgfem._local_coupling(system)
+    elif block == "pair K":
+        M = sgfem._pair_coupling(system, sgfem._mean_inverse(system), 7).K
     else:
         M = getattr(system, block)
-    assert M.nnz == {"B0": 2_308, "K_kj": 55_986, "packed K": 55_986}[block]
+    assert M.nnz == {"B0": 2_308, "K_kj": 55_986, "packed K": 55_986, "pair K": 55_986}[block]
     # the dense form of K_kj would take 3.6 GB
     assert_products_are_scipys(M, dense=block == "B0")
 
@@ -165,6 +169,12 @@ def test_bad_operands_raise_before_any_kernel_runs(no_kernels):
             M @ V
     with pytest.raises(ValueError, match="block of 40 rows"):
         M.transpose_matmul(good)
+    U = np.zeros((40, 3))
+    for out in (np.zeros((30, 2)), np.zeros((30, 3), dtype=np.float32), U[:30]):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            M.transpose_matmul(U, out=out)
+    with pytest.raises(ValueError, match="square matrix"):
+        _csr.superlu(M)
     with pytest.raises(ValueError, match="outside 0..39"):
         CSRMatrix.from_triplets(np.r_[rows, 40], np.r_[cols, 0], np.r_[vals, 1.0], (40, 30))
     with pytest.raises(ValueError, match="outside 0..29"):
@@ -178,6 +188,27 @@ def test_bad_operands_raise_before_any_kernel_runs(no_kernels):
         CSRMatrix.from_triplets(rows.astype(float), cols, vals, (40, 30))
     with pytest.raises(ValueError, match="equal length"):
         CSRMatrix.from_triplets(rows[:-1], cols, vals, (40, 30))
+
+
+def test_superlu_factor_solves_as_scipys_splu(monkeypatch):
+    # the electrode-model matrix that ``det_cem.solve_deterministic``
+    # factors, on the tank, through a copy of SciPy's compiled SuperLU
+    # module loaded by ``_csr``; its solves have the bits of splu's factor
+    # of the same arrays
+    import scipy.sparse.linalg as spla
+
+    mesh = sgeit.make_disk_fixture(10, 32, 8, 0.5)
+    part = sgeit.assign_pixels(mesh, two_ring_layout())
+    eg = geometry.electrode_geometry(mesh)
+    S, g = fem.assemble_electrode_mass(mesh, eg)
+    sigma = np.linspace(0.5, 1.5, part.n_pixels)
+    A = fem.stiffness_matrix(mesh, sigma[part.triangle_pixel])
+    B = sgfem.cem_matrix(A, np.linspace(100.0, 500.0, mesh.n_electrodes), S, g, eg.lengths)
+    monkeypatch.setattr(_csr, "_superlu", _csr._load(_csr._SUPERLU))
+    lu = _csr.superlu(B)
+    ref = spla.splu(sp.csc_matrix((B.data, B.indices, B.indptr), shape=B.shape))
+    for b in np.random.default_rng(3).standard_normal((4, B.shape[0])):
+        assert lu.solve(b).tobytes() == ref.solve(b).tobytes()
 
 
 def test_bad_arrays_are_refused_when_the_matrix_is_made(no_kernels):
@@ -206,7 +237,7 @@ def test_a_missing_kernel_module_names_itself_and_scipys_version(monkeypatch):
 
     monkeypatch.setattr(_csr.importlib.util, "find_spec", lambda name: None)
     with pytest.raises(ImportError, match=rf"scipy\.sparse\._sparsetools of SciPy {scipy.__version__}"):
-        _csr._load()
+        _csr._load(_csr._NAME)
     monkeypatch.setattr(_csr, "_kernels", None)
     monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", types.ModuleType("empty"))
     with pytest.raises(ImportError, match=r"_sparsetools of SciPy .* lacks coo_tocsr"):

@@ -343,15 +343,39 @@ def test_block_pcg_matches_direct_and_single_pattern_solves(tiny):
         npt.assert_allclose(sol.beta[p], want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
+def tiny_collapsed_spatial(tiny):
+    """Spatial matrices of the tiny setup with collapsed contacts (a = b)."""
+    mesh, part, _ = tiny
+    L, M = part.n_pixels, mesh.n_electrodes
+    return spatial(mesh, part, 1.1, np.full(L, 0.6), np.full(M, 300.0), np.full(M, 300.0))
+
+
 def tiny_collapsed_system(tiny):
     """Galerkin system of the tiny setup at degree 2 with collapsed contacts
     (a = b): every electrode block B_{L+m} is zero, so the even indices
     coupled only through electrode dimensions (2 e_m, e_m + e_m') reach no
     spatial row, and their supports are empty."""
-    mesh, part, _ = tiny
-    L, M = part.n_pixels, mesh.n_electrodes
-    sm = spatial(mesh, part, 1.1, np.full(L, 0.6), np.full(M, 300.0), np.full(M, 300.0))
-    return sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(L + M, 2)))
+    sm = tiny_collapsed_spatial(tiny)
+    n_dims = sm.n_pixels + sm.n_electrodes
+    return sgfem.assemble_system(sm, chaos.moment_matrices(chaos.iso_td(n_dims, 2)))
+
+
+def support_sizes(sm):
+    """|S_k| of every B_k, k >= 1, from the spatial matrices: the rows that
+    A_l stores, and those of the electrode's unit block E_m, none when its
+    half-width is zero."""
+    sizes = [len(np.unique(sgfem._triplets(A_l)[0])) for A_l in sm.A]
+    rows, _, _, electrode = sgfem._electrode_triplets(sm.S, sm.g, sm.lengths)
+    for m, half in enumerate(sm.bounds.zeta_half):
+        sizes.append(len(np.unique(rows[electrode == m])) if half else 0)
+    return np.array(sizes)
+
+
+def held_entries(coupling):
+    """The entries of K_0^{-1} in the pair blocks of a ``_pair_coupling``:
+    the diagonal ones, and each pair m != m' in its first orientation."""
+    held = sum(blocks.size for _, blocks in coupling.diagonal)
+    return held + sum(blocks.size for blocks, _, _ in coupling.off[::2])
 
 
 def assert_groups_cover_the_other_class(system, K, groups):
@@ -370,31 +394,40 @@ def assert_groups_cover_the_other_class(system, K, groups):
     assert end == K.shape[1]
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
-def test_schur_coupling_through_the_supports_is_exact(tiny, degree):
-    # K_kj (K_0^{-1} (x) I) K_jk through the blocks K_0^{-1}[S_nu, S_nu],
-    # one batched product per support size, against the same product with
-    # all of K_0^{-1} (x) I; the kept class is the even one at degrees 1
-    # and 3, with chaos index 0 in it, and the odd one at degree 2
-    _, system = tiny_system(tiny, degree)
-    n_s, n_p = system.B0.shape[0], 3
+@pytest.mark.parametrize("case", [1, 2, 3, "collapsed"])
+def test_pair_coupling_is_exact(tiny, case):
+    # K_kj (K_0^{-1} (x) I) K_jk through the pair blocks K_0^{-1}[S_m,
+    # S_m'] against the same product with all of K_0^{-1} (x) I, K_kj taken
+    # from all of K.  The kept class is the even one at degrees 1 and 3,
+    # with chaos index 0 in it, and the odd one at degree 2.  Degree 1
+    # pairs no two dimensions; at degree 3 three dimensions reach a
+    # position, so the outputs of the pairs m != m' add in two layers; the
+    # collapsed contacts leave every electrode block empty.
+    if case == "collapsed":
+        sm = tiny_collapsed_spatial(tiny)
+        system = tiny_collapsed_system(tiny)
+    else:
+        sm, system = tiny_system(tiny, case)
+    n_s, n_g, n_p = system.B0.shape[0], system.n_chaos, 3
     kept, other = system.classes
     K0inv = sgfem._mean_inverse(system)
-    K, groups = sgfem._local_coupling(system)
-    blocks = sgfem._support_blocks(K0inv, groups)
-    assert_groups_cover_the_other_class(system, K, groups)
-    assert 0 < K.shape[1] < n_s * len(other)
-    for (_, _, S), block in zip(groups, blocks):
-        npt.assert_array_equal(block, K0inv[S[:, :, None], S[:, None, :]])
-    V = np.random.default_rng(degree).standard_normal((n_s, len(kept) * n_p))
+    coupling = sgfem._pair_coupling(system, K0inv, n_p)
+    assert len(coupling.spread) == {1: 0, 2: 1, 3: 2, "collapsed": 1}[case]
+    V = np.random.default_rng(len(kept)).standard_normal((n_s, len(kept) * n_p))
+    kept_rows, other_rows = (
+        (np.arange(n_s)[:, None] * n_g + members).ravel() for members in (kept, other)
+    )
+    K_kj = system.K[kept_rows][:, other_rows]
     dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
-    K_kj = as_scipy(system.K_kj)
     want = K_kj @ (dense @ (K_kj.T @ V.reshape(-1, n_p)))
-    got = sgfem._couple(K, groups, blocks, V, n_p)
+    got = sgfem._couple(coupling, V, n_p)
     assert got.shape == V.shape
     npt.assert_allclose(
         got.reshape(-1, n_p), want, rtol=0, atol=1e-13 * np.abs(want).max()
     )
+    # beside K_0^{-1}, the blocks hold each pair of dimensions once
+    sizes = support_sizes(sm)
+    assert 0 < held_entries(coupling) <= (sizes.sum() ** 2 + sizes @ sizes) / 2
 
 
 def test_solve_with_empty_supports_matches_direct(tiny):
@@ -638,16 +671,22 @@ def test_assembly_holds_little_beside_K(tank_sm_mm):
 def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     # the bound counts what the solve holds beside the system during the
     # CG, where its peak lies: K_0^{-1} with its Cholesky temporaries; the
-    # blocks K_0^{-1}[S_nu, S_nu] with the supports; the packed coupling,
-    # that is the column indices of K_kj renumbered over the supports and
-    # two packed blocks of the other class; and the CG blocks of the kept
-    # class.  The voltages and residuals of ``_certified_voltages`` run
-    # after the CG has freed its blocks; they keep the blocks K_0^{-1}[S_nu,
-    # S_nu] and hold the kept block, two blocks of the kept class for its
-    # residual, one packed block of the other class (h, then x_j on the
-    # supports), the voltage rows of one size group and one chunk of
-    # ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1} - I.  A block of the
-    # other class for all patterns does not fit in the bound.
+    # pair blocks K_0^{-1}[S_m, S_m'], m <= m', with their index arrays,
+    # that is the column indices of K_kj renumbered over the packed rows,
+    # the packed rows each pair m != m' reads, the rows each packed row adds
+    # and K_kj's columns of chaos index 0; the packed block and the outputs
+    # of the pairs m != m'; and the CG blocks of the kept class.  On the
+    # tank chaos index 0 goes through all of K_0^{-1} (one block of n_s
+    # packed rows), each of the d dimensions reaches the d positions
+    # e_m + e_m' of degree 2 (sum_m |S_m| d packed rows), and each pair
+    # m != m' shares one of them ((d - 1) sum_m |S_m| outputs).  After the
+    # CG, ``_kept_residual`` holds three blocks of the kept class beside
+    # the coupling; then the coupling is freed, and ``_certified_voltages``
+    # holds the kept block, one block of the other class packed over the
+    # supports S_nu with its indices, the voltage rows of one size group
+    # and one chunk of ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1} - I.  A
+    # block of the other class for all patterns does not fit in the bound.
+    sm, _ = tank_sm_mm
     system = sgfem.assemble_system(*tank_sm_mm)
     patterns = sgfem.standard_patterns(system.n_electrodes)
     sol, peak = traced_peak(lambda: sgfem.solve(system, patterns))
@@ -655,15 +694,21 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     n_s, n_p = system.order // system.n_chaos, len(patterns)
     n_kept = len(system.classes[0])
     n_other = system.n_chaos - n_kept
-    f8 = np.dtype(np.float64).itemsize
-    # |S_nu|: the spatial rows j at which column (j, nu) of K_kj is stored
-    stored = np.zeros(n_s * n_other, dtype=bool)
-    stored[system.K_kj.indices] = True
-    sizes = stored.reshape(n_s, n_other).sum(axis=0)
-    local = (sizes @ sizes + sizes.sum()) * f8
-    packed = system.K_kj.indices.nbytes + 2 * sizes.sum() * n_p * f8
+    f8, i4 = np.dtype(np.float64).itemsize, np.dtype(np.int32).itemsize
+    sizes = support_sizes(sm)
+    d, N = len(sizes), sizes.sum()
+    # every pair of dimensions shares a position e_m + e_m' that is not
+    # dense, so the blocks hold exactly that many entries of K_0^{-1}
+    held = held_entries(sgfem._pair_coupling(system, sgfem._mean_inverse(system), n_p))
+    assert held == (N * N + sizes @ sizes) // 2 == 116_942
+    pairs = held * f8
+    rows, outputs = n_s + d * N, (d - 1) * N
+    at_0 = np.count_nonzero(system.K_kj.indices % n_other == 0)
+    index = system.K_kj.indices.nbytes + (outputs + rows) * i4
+    index += at_0 * (f8 + i4) + (n_s * n_kept + 1) * i4
+    packed = (rows + outputs + 1) * n_p * f8
     kept_block = n_s * n_kept * n_p * f8
-    bound = 2 * n_s * n_s * f8 + local + packed + 6 * kept_block
+    bound = 2 * n_s * n_s * f8 + pairs + index + packed + 6 * kept_block
     other_block = n_s * n_other * n_p * f8
     assert other_block > 0.25 * bound
     assert peak <= bound
@@ -679,12 +724,9 @@ def full_residuals(system, sol):
     n_s, n_g = system.B0.shape[0], system.n_chaos
     kept, other = system.classes
     K0inv = sgfem._mean_inverse(system)
-    K, groups = sgfem._local_coupling(system)
-    blocks = sgfem._support_blocks(K0inv, groups)
     loads = sgfem._voltage_loads(sol.patterns, system.n_electrodes)
-    X, iterations = sgfem._schur_pcg(
-        system, K0inv, K, groups, blocks, loads, 1e-10, 10 * system.order
-    )
+    coupling = sgfem._pair_coupling(system, K0inv, n_p)
+    X, iterations = sgfem._schur_pcg(system, coupling, loads, 1e-10, 10 * system.order)
     assert iterations == sol.iterations
     # beta of the kept class is the voltage rows of the CG's block
     npt.assert_array_equal(
