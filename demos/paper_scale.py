@@ -8,17 +8,17 @@ chaos terms at degree 2, system order 1,468,656 and 15 current patterns.
 Then runs ``sgeit precompute`` on the files in a fresh interpreter, which
 prints the assembly and solve times, the iterations, the largest relative
 residual and the peak resident memory after the solve, and writes the
-surrogate next to the inputs.  Takes a few seconds and about 150 MiB.
+surrogate next to the inputs.  Takes a few seconds and about 90 MiB.
 
     python demos/paper_scale.py [DIR] [--rings R --sectors S]
 
 ``--rings`` and ``--sectors`` set the mesh, ``make_disk_fixture(R, S, 16,
 0.5)``, with the same seeds and electrodes: the defaults 10 and 32 give
-``paper``, 20 and 64 give ``paper-fine20`` (n_s = 1,296; about 5 s and
-300 MiB), and 30 and 96 give ``paper-fine30`` (n_s = 2,896; about 20 s and
-800 MiB).  DIR defaults to a temporary directory that is removed
-afterwards.  Other ``sgeit precompute`` options may follow, e.g.
-``--order 1``.
+``paper``, 20 and 64 give ``paper-fine20`` (n_s = 1,296; a solve of about
+3 s and about 230 MiB), and 30 and 96 give ``paper-fine30`` (n_s = 2,896;
+a solve of 8.2-8.6 s and about 518 MiB).  DIR defaults to a temporary
+directory that is removed afterwards.  Other ``sgeit precompute`` options
+may follow, e.g. ``--order 1``.
 """
 
 import argparse

@@ -9,14 +9,16 @@ BLAS thread.  The stages are those of ``cli.cmd_precompute``:
 - moment couplings: ``chaos.iso_td`` and ``chaos.moment_matrices``;
 - Galerkin assembly: ``sgfem.assemble_system``, B_0 and K_kj;
 - solve: ``sgfem.solve`` on the standard current patterns, printed with
-  the CG iterations and the largest relative residual of the last run;
+  the CG iterations and the largest relative residual of the last run,
+  and the peak of the memory that ``tracemalloc`` traced while the
+  warm-up run solved;
 - save: ``surrogate.from_solution`` and ``SgfemSurrogate.save``.
 
 The fixture is the tank (default): ``make_disk_fixture(10, 32, 8, 0.5)``
 with the two-ring seeds of the benchmark, or with ``--paper`` the ``paper``
 fixture of ``paper_scale.py`` (76 pixels, 16 electrodes; each run takes
-about a second and peaks near 110 MiB).  The first run warms up and is not
-counted.
+about half a second and peaks near 110 MiB).  The first run warms up and
+is not counted.
 
     python demos/precompute_cost.py [--paper] [--runs N]
 
@@ -35,6 +37,7 @@ import pathlib  # noqa: E402
 import statistics  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -47,9 +50,12 @@ from sgeit import chaos, cli, fem, sgfem, surrogate  # noqa: E402
 STAGES = ("FEM", "moment couplings", "Galerkin assembly", "solve", "save")
 
 
-def precompute(args) -> tuple[list[float], sgfem.SgfemSolution]:
+def precompute(
+    args, traced: bool = False
+) -> tuple[list[float], sgfem.SgfemSolution, int]:
     """One ``sgeit precompute`` of the parsed options; the wall time of
-    every stage in seconds, and the solution."""
+    every stage in seconds, the solution and, if ``traced``, the peak in
+    bytes of the memory traced while it solved (else 0)."""
     mesh = sgeit.load_mesh(args.mesh)
     seeds = np.array(json.loads(pathlib.Path(args.seeds).read_text()))
     partition = sgeit.assign_pixels(mesh, seeds)
@@ -66,11 +72,15 @@ def precompute(args) -> tuple[list[float], sgfem.SgfemSolution]:
     times.append(time.perf_counter())
     system = sgfem.assemble_system(sm, mm)
     times.append(time.perf_counter())
+    if traced:
+        tracemalloc.start()
     sol = sgfem.solve(system, sgfem.standard_patterns(n_el), tol=args.tol)
+    peak = tracemalloc.get_traced_memory()[1]  # 0 unless traced
+    tracemalloc.stop()
     times.append(time.perf_counter())
     surrogate.from_solution(sol, index_set, bounds, seeds).save(args.out)
     times.append(time.perf_counter())
-    return list(np.diff(times)), sol
+    return list(np.diff(times)), sol, peak
 
 
 def summary(runs: list[float]) -> str:
@@ -96,10 +106,10 @@ def main() -> None:
             "precompute", "--mesh", str(mesh_path), "--seeds", str(seeds_path),
             "--out", str(directory / "surrogate.bin"),
         ])
-        precompute(args)
+        peak = precompute(args, traced=True)[2]
         stages = []
         for _ in range(runs):
-            times, sol = precompute(args)
+            times, sol, _ = precompute(args)
             stages.append(times)
     stages = np.array(stages)
     name = "paper" if options.paper else "tank"
@@ -109,7 +119,7 @@ def main() -> None:
         text = f"{stage + ':':19s}{summary(list(column))}"
         if stage == "solve":
             text += (f", {sol.iterations} iterations, max relative residual "
-                     f"{sol.residuals.max():.4e}")
+                     f"{sol.residuals.max():.4e}, traced peak {peak / 2**20:.2f} MiB")
         print(text)
     print(f"{'total:':19s}{summary(list(stages.sum(axis=1)))}")
 

@@ -37,10 +37,9 @@ dimensions of (B_m K_0^{-1} B_m') (x) (G_m G_m'^T), which needs K_0^{-1}
 only on the pair blocks K_0^{-1}[S_m, S_m'], held once for m <= m' and
 shared by every chaos index: at most ((sum_m |S_m|)^2 + sum_m |S_m|^2) / 2
 entries, whatever the chaos degree (``_pair_coupling``).  Chaos index 0,
-which every dimension reaches, goes through all of K_0^{-1} instead.  The
-pairs of one support size share a batched product, with no loop over
-indices.  Of the larger class the solve needs only the M-1 voltage rows,
-x_j[n_d:, nu] = K_0^{-1}[n_d:, S_nu] h[S_nu, nu] on the rows S_nu at which
+which every dimension reaches, goes through all of K_0^{-1} instead.  Of
+the larger class the solve needs only the M-1 voltage rows, x_j[n_d:, nu]
+= K_0^{-1}[n_d:, S_nu] h[S_nu, nu], a sum over the rows S_nu at which
 column (., nu) of K_kj is nonzero, with h = c_j - K_jk x_k, plus the load
 term of chaos index 0 (``_certified_voltages``).  Its residual, pure
 rounding of the computed K_0^{-1}, is bounded from the column norms of
@@ -379,9 +378,9 @@ def solve(
 
     The solve reads B_0, K_kj and G_kj of the system.  It lays the Schur
     coupling out on the pair blocks K_0^{-1}[S_m, S_m'] of the dimensions'
-    supports (``_pair_coupling``), and after the CG derives the supports
-    S_nu of the other class from the columns of K_kj (``_local_coupling``)
-    for that class's voltage rows and residual bound.  The class loads are
+    supports (``_pair_coupling``), and after the CG packs K_kj's columns
+    over the supports S_nu of the other class (``_packed_supports``) for
+    that class's voltage rows and residual bound.  The class loads are
     built from the M-1 nonzeros of each pattern, so the dense load block is
     never formed.  Besides the system the solve holds the dense K_0^{-1},
     the pair blocks with their index arrays, the column indices of K_kj
@@ -473,49 +472,28 @@ def _add_load(system: SgfemSystem, members, loads, V):
     return V
 
 
-def _local_coupling(system: SgfemSystem):
-    """K_kj packed over the supports of the other class, and the supports
-    grouped by size, for that class's voltage rows and residual bound
-    (``_certified_voltages``).
-
-    The support S_nu of other-class position nu is the set of spatial rows
-    j at which column (j, nu) of K_kj stores an entry; K_jk = K_kj^T fills
-    the other class only there, so h = c_j - K_jk x_k is held packed over
-    the supports.  Every B_k, k >= 1, is local (A_l on pixel l, E_m on
-    electrode m and the voltage rows), so the supports are small, and many
-    share a size.
-    The positions are ordered by |S_nu| (a stable sort, so position 0 comes
-    first among those of its size), each support in ascending spatial
-    order, and the packed rows follow that order, so the positions of one
-    size fill contiguous rows.  Returns K_kj with its columns renumbered
-    over the supports, sharing the entries and row pointers of
-    ``system.K_kj``, and per support size s the group (packed rows,
-    positions, S as a (count, s) array), with no loop over positions.
-    """
-    K_kj, n_s, n_other = system.K_kj, system.B0.shape[0], len(system.classes[1])
-    j, nu = np.divmod(K_kj.indices, n_other)
-    stored = np.zeros((n_other, n_s), dtype=bool)
-    stored[nu, j] = True
-    sizes = stored.sum(axis=1)
-    order = np.argsort(sizes, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(n_other)
-    # column (j, nu) of K_kj goes to packed row rank[slot[nu] * n_s + j]
-    stored = stored[order]
-    rank = np.cumsum(stored, dtype=K_kj.indices.dtype)
+def _packed_supports(system: SgfemSystem):
+    """K_kj with its columns (j, nu) renumbered over the supports S_nu of h =
+    c_j - K_jk x_k, sharing its entries and row pointers: the j at which
+    column (j, nu) stores an entry, and for chaos index 0 the voltage rows,
+    where its load lies, position by position in ascending j.  Also returns
+    the first packed row of every position with the row count past them,
+    and the j of every packed row."""
+    K_kj, n_s, other = system.K_kj, system.B0.shape[0], system.classes[1]
+    j, nu = np.divmod(K_kj.indices, len(other))
+    key = nu * n_s + j
+    del j, nu
+    stored = np.zeros(len(other) * n_s, dtype=bool)
+    stored[key] = True
+    if other[0] == 0:
+        stored[system.n_nodes : n_s] = True
+    rank = np.cumsum(stored, dtype=key.dtype)
+    starts = np.insert(rank[n_s - 1 :: n_s], 0, 0)
     rank -= 1
-    indices = rank[slot[nu] * n_s + j]
-    del rank, j, nu
-    sizes = sizes[order]
-    first = np.concatenate(([0], np.cumsum(sizes)))
-    K = CSRMatrix(K_kj.data, indices, K_kj.indptr, (K_kj.shape[0], first[-1]))
-    supports = np.nonzero(stored)[1]
-    cuts = np.flatnonzero(np.diff(sizes)) + 1
-    groups = []
-    for a, b in zip(np.r_[0, cuts], np.r_[cuts, n_other]):
-        rows = slice(first[a], first[b])
-        groups.append((rows, order[a:b], supports[rows].reshape(b - a, sizes[a])))
-    return K, groups
+    indices = rank.take(key)
+    del rank, key
+    K = CSRMatrix(K_kj.data, indices, K_kj.indptr, (K_kj.shape[0], int(starts[-1])))
+    return K, starts, np.flatnonzero(stored) % n_s
 
 
 @dataclass(frozen=True)
@@ -592,14 +570,13 @@ def _pair_coupling(system: SgfemSystem, K0inv, n_p: int) -> _PairCoupling:
     key = np.repeat(key, np.diff(K_kj.indptr))
     j, nu_e = np.divmod(K_kj.indices, n_j)
     key += nu_e
-    chaos_block = mu * n_j + nu
+    # the dimension of every stored entry, and the supports S_m its entries fill
     block_dim = np.zeros(n_k * n_j, dtype=small)
-    block_dim[chaos_block] = dim
-    picked = np.zeros(n_k * n_j, dtype=bool)
-    picked[chaos_block[np.unique(dim, return_index=True)[1]]] = True
-    one = np.flatnonzero(picked.take(key))
+    block_dim[mu * n_j + nu] = dim
+    m_e = block_dim.take(key)
+    del key, block_dim
     stored = np.zeros((n_dims, n_s), dtype=bool)
-    stored[block_dim[key[one]], j[one]] = True
+    stored.ravel()[m_e * n_s + j] = True
     size = stored.sum(axis=1)
     # the other positions each dimension reaches, less the dense ones
     reach = np.zeros((n_dims, n_j), dtype=bool)
@@ -621,9 +598,7 @@ def _pair_coupling(system: SgfemSystem, K0inv, n_p: int) -> _PairCoupling:
     step = np.empty((n_dims + 1, n_s), dtype=index)
     step[:n_dims] = (np.cumsum(stored, axis=1) - 1) * count[:, None]
     step[n_dims] = np.arange(n_s) * n_dense
-    block_dim.reshape(-1, n_j)[:, dense] = n_dims
-    m_e = block_dim.take(key)
-    del key, block_dim, picked, one
+    m_e[dense.take(nu_e)] = n_dims
     packed = at.ravel().take(m_e * n_j + nu_e)
     packed += step.ravel().take(m_e * n_s + j)
     indptr = K_kj.indptr.astype(index, copy=False)
@@ -846,47 +821,42 @@ def _certified_voltages(system: SgfemSystem, K0inv, loads, X):
     and, per pattern, a bound on the squared residual on the rows of the
     eliminated class.  Of x_j only the voltage rows are formed.
 
-    h = c_j - K_jk x_k is formed once, packed over the supports S_nu of
-    ``_local_coupling`` as -K^T X; c_j, the load on the voltage rows of
-    chaos index 0, enters where h_0 is used.  Per support size group:
+    h = c_j - K_jk x_k is formed once, packed over its supports S_nu as
+    -K^T X (``_packed_supports``), and summed over every S_nu by one
+    product with a matrix of a row per position and the columns of its
+    packed rows:
 
-    - beta of the eliminated class is K_0^{-1}[n_d:, S_nu] h_nu, one
-      batched product, plus K_0^{-1}[n_d:, n_d:] times the load for
-      index 0, added after the product;
+    - beta of the eliminated class is K_0^{-1}[n_d:, S_nu] h_nu, one such
+      product per voltage row, plus K_0^{-1}[n_d:, n_d:] times the load
+      c_j of index 0;
     - the eliminated rows' residual B_0 x_j,nu - h_nu = (B_0 K_0^{-1} - I)
       h_nu is pure rounding of the computed K_0^{-1}, and its norm is at
       most ||(B_0 K_0^{-1} - I)[:, supp h_nu]||_F ||h_nu|| (Higham,
       Accuracy and Stability of Numerical Algorithms, 2002, ch. 14): the
       squared Frobenius norm is the sum of e_j^2 over the support
-      (``_inverse_defects``), and the support of h_0 takes in the voltage
-      rows.
+      (``_inverse_defects``), and h_0 takes in c_j on the voltage rows.
     """
     (keep, other), B0, n_d = system.classes, system.B0, system.n_nodes
     n_p, n_s = len(loads), B0.shape[0]
     beta = np.empty((n_p, system.n_electrodes - 1, system.n_chaos))
     beta[:, :, keep] = X.reshape(n_s, -1, n_p)[n_d:].transpose(2, 0, 1)
-    bound = np.zeros(n_p)
-    K, groups = _local_coupling(system)
+    K, starts, supports = _packed_supports(system)
     h = K.transpose_matmul(X.reshape(-1, n_p))
     np.negative(h, out=h)
+    rows = np.arange(len(supports), dtype=starts.dtype)
+    shape = (len(other), len(rows))
+    for r in range(n_d, n_s):
+        # K_0^{-1} is symmetric: row r is column r
+        sums = CSRMatrix(K0inv[r].take(supports), rows, starts, shape)
+        beta[:, r - n_d, other] = (sums @ h).T
+    if other[0] == 0:
+        # index 0 is position 0, and its load lies on the last rows of S_0
+        beta[:, :, 0] += (K0inv[n_d:, n_d:] @ loads.T).T
+        h[starts[1] - (n_s - n_d) : starts[1]] += loads.T
     defects = _inverse_defects(B0, K0inv)
-    load = K0inv[n_d:, n_d:] @ loads.T
-    for rows, positions, S in groups:
-        h_nu = h[rows].reshape(*S.shape, n_p)
-        # K_0^{-1} is symmetric: K_0^{-1}[n_d:, S_nu] is the transpose
-        v = np.matmul(K0inv[S, n_d:].transpose(0, 2, 1), h_nu)
-        weights = defects[S].sum(axis=1)
-        norms = np.einsum("csp,csp->cp", h_nu, h_nu)
-        if other[positions[0]] == 0:
-            # the first of its size group; its load lies on the voltage rows
-            v[0] += load
-            h_0 = np.zeros((n_s, n_p))
-            h_0[S[0]] = h_nu[0]
-            h_0[n_d:] += loads.T
-            weights[0] = defects[np.union1d(S[0], np.arange(n_d, n_s))].sum()
-            norms[0] = np.einsum("ip,ip->p", h_0, h_0)
-        bound += weights @ norms
-        beta[:, :, other[positions]] = v.transpose(2, 1, 0)
+    weights = CSRMatrix(defects.take(supports), rows, starts, shape) @ np.ones(len(rows))
+    h *= h
+    bound = np.repeat(weights, np.diff(starts)) @ h
     return beta, bound
 
 

@@ -92,7 +92,7 @@ def assert_products_are_scipys(M, seed=0, dense=True):
 def test_products_on_the_tank_blocks_are_scipys(tank_system, block):
     system, _ = tank_system
     if block == "packed K":
-        M, _ = sgfem._local_coupling(system)
+        M, _, _ = sgfem._packed_supports(system)
     elif block == "pair K":
         M = sgfem._pair_coupling(system, sgfem._mean_inverse(system), 7).K
     else:

@@ -378,20 +378,26 @@ def held_entries(coupling):
     return held + sum(blocks.size for blocks, _, _ in coupling.off[::2])
 
 
-def assert_groups_cover_the_other_class(system, K, groups):
-    """Every other-class position lies in exactly one size group, whose
-    packed rows follow each other and hold its supports, in ascending size."""
-    n_other = len(system.classes[1])
-    positions = np.concatenate([nu for _, nu, _ in groups])
-    npt.assert_array_equal(np.sort(positions), np.arange(n_other))
-    sizes = [S.shape[1] for _, _, S in groups]
-    assert sizes == sorted(set(sizes))
-    end = 0
-    for rows, nu, S in groups:
-        assert S.shape[0] == len(nu) and rows.start == end
-        end = rows.stop
-        assert rows.stop - rows.start == S.size
-    assert end == K.shape[1]
+def assert_packed_rows_are_the_supports(system):
+    """Each other-class position's rows of ``_packed_supports`` follow those
+    of the position before it and hold its support in ascending order: the
+    spatial rows at which its columns of K_kj store an entry, and for chaos
+    index 0 the voltage rows, where its load lies; every entry of K_kj is
+    renumbered to the packed row of its column.  Returns the first packed
+    row of every position, with the row count."""
+    other, n_s = system.classes[1], system.B0.shape[0]
+    K, starts, supports = sgfem._packed_supports(system)
+    j, nu = np.divmod(system.K_kj.indices, len(other))
+    assert len(starts) == len(other) + 1 and starts[0] == 0
+    for p, index in enumerate(other):
+        want = np.unique(j[nu == p])
+        if index == 0:
+            want = np.union1d(want, np.arange(system.n_nodes, n_s))
+        npt.assert_array_equal(supports[starts[p] : starts[p + 1]], want)
+    assert K.shape == (system.K_kj.shape[0], len(supports))
+    npt.assert_array_equal(supports[K.indices], j)
+    assert ((starts[nu] <= K.indices) & (K.indices < starts[nu + 1])).all()
+    return starts
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, "collapsed"])
@@ -431,10 +437,16 @@ def test_pair_coupling_is_exact(tiny, case):
 
 
 def test_solve_with_empty_supports_matches_direct(tiny):
+    # an other position is reached by a pixel dimension exactly when its
+    # support is not empty: the collapsed contacts store nothing
     system = tiny_collapsed_system(tiny)
-    K, groups = sgfem._local_coupling(system)
-    assert_groups_cover_the_other_class(system, K, groups)
-    assert groups[0][2].shape[1] == 0
+    n_pixels = tiny_collapsed_spatial(tiny).n_pixels
+    dim, _, nu = system.G_kj
+    reached = np.zeros(len(system.classes[1]), dtype=bool)
+    reached[nu[dim <= n_pixels]] = True
+    assert not reached.all()
+    starts = assert_packed_rows_are_the_supports(system)
+    npt.assert_array_equal(np.diff(starts) > 0, reached)
     sol = sgfem.solve(system, MIXED_PATTERNS)
     assert sol.residuals.max() <= 1e-10
     beta = lu_reference(system, MIXED_PATTERNS)
@@ -683,9 +695,11 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     # CG, ``_kept_residual`` holds three blocks of the kept class beside
     # the coupling; then the coupling is freed, and ``_certified_voltages``
     # holds the kept block, one block of the other class packed over the
-    # supports S_nu with its indices, the voltage rows of one size group
-    # and one chunk of ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1} - I.  A
-    # block of the other class for all patterns does not fit in the bound.
+    # supports S_nu with the renumbered indices of K_kj, the row indices,
+    # spatial rows and one voltage row of K_0^{-1} of the packed rows, the
+    # voltage rows of that class and one chunk of ``_DEFECT_COLUMNS``
+    # columns of B_0 K_0^{-1} - I.  A block of the other class for all
+    # patterns does not fit in the bound.
     sm, _ = tank_sm_mm
     system = sgfem.assemble_system(*tank_sm_mm)
     patterns = sgfem.standard_patterns(system.n_electrodes)
@@ -714,12 +728,12 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     assert peak <= bound
 
 
-def full_residuals(system, sol):
-    """Norms of K x - c per pattern on the rows of the kept and of the
-    eliminated class, relative to the load, with K built whole by
-    ``SgfemSystem.K``.  x_k is the block of ``_schur_pcg`` run on the pieces
-    ``solve`` uses, x_j = (K_0^{-1} (x) I)(c_j - K_jk x_k) is formed densely,
-    on every spatial row, and the voltage rows of x are the solution's beta."""
+def dense_solution(system, sol):
+    """The solution on every row of K, with K built whole by
+    ``SgfemSystem.K`` and the load block, for a solution of ``solve``: x_k
+    is the block of ``_schur_pcg`` run on the pieces ``solve`` uses, and x_j
+    = (K_0^{-1} (x) I)(c_j - K_jk x_k) is formed densely, on every spatial
+    row.  x is returned as (n_s, n_g, n_p)."""
     n_p, n_d = len(sol.patterns), system.n_nodes
     n_s, n_g = system.B0.shape[0], system.n_chaos
     kept, other = system.classes
@@ -744,11 +758,42 @@ def full_residuals(system, sol):
     # K_0^{-1} (x) I on this numbering is K_0^{-1} on an (n_s, n_other * n_p)
     # view: sp.kron(K0inv, I) holds 23M entries on the tank
     x[other_rows] = (K0inv @ h.reshape(n_s, -1)).reshape(h.shape)
-    x = x.reshape(n_s, n_g, n_p)
-    x[n_d:] = sol.beta.transpose(1, 2, 0)
-    R = (A @ x.reshape(-1, n_p) - C).reshape(n_s, n_g, n_p)
+    return x.reshape(n_s, n_g, n_p), A, C
+
+
+def full_residuals(system, sol):
+    """Norms of K x - c per pattern on the rows of the kept and of the
+    eliminated class, relative to the load, for x of ``dense_solution``
+    with the solution's beta as its voltage rows."""
+    x, A, C = dense_solution(system, sol)
+    x[system.n_nodes :] = sol.beta.transpose(1, 2, 0)
+    R = (A @ x.reshape(-1, len(sol.patterns)) - C).reshape(x.shape)
     norms = np.linalg.norm(C, axis=0)
-    return tuple(np.linalg.norm(R[:, c], axis=(0, 1)) / norms for c in (kept, other))
+    return tuple(np.linalg.norm(R[:, c], axis=(0, 1)) / norms for c in system.classes)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "collapsed", "tank"])
+def test_eliminated_voltages_are_those_of_the_dense_solution(tiny, tank_sm_mm, case):
+    # beta of the eliminated class, summed over the supports S_nu of
+    # ``_packed_supports``, against the voltage rows of x_j formed on every
+    # spatial row; at degree 2, collapsed and on the tank chaos index 0 is
+    # in that class, with its load
+    if case == "tank":
+        system = sgfem.assemble_system(*tank_sm_mm)
+        patterns = sgfem.standard_patterns(system.n_electrodes)
+    else:
+        if case == "collapsed":
+            system = tiny_collapsed_system(tiny)
+        else:
+            _, system = tiny_system(tiny, case)
+        patterns = MIXED_PATTERNS
+    sol = sgfem.solve(system, patterns)
+    x, _, _ = dense_solution(system, sol)
+    other = system.classes[1]
+    want = x[system.n_nodes :, other].transpose(2, 0, 1)
+    npt.assert_allclose(
+        sol.beta[:, :, other], want, rtol=0, atol=1e-14 * np.abs(sol.beta).max()
+    )
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, "tank"])
