@@ -17,7 +17,7 @@ BLAS thread.  The stages are those of ``cli.cmd_precompute``:
 The fixture is the tank (default): ``make_disk_fixture(10, 32, 8, 0.5)``
 with the two-ring seeds of the benchmark, or with ``--paper`` the ``paper``
 fixture of ``paper_scale.py`` (76 pixels, 16 electrodes; each run takes
-about half a second and peaks near 110 MiB).  The first run warms up and
+about half a second and peaks near 100 MiB).  The first run warms up and
 is not counted.
 
     python demos/precompute_cost.py [--paper] [--runs N]

@@ -29,7 +29,9 @@ operand's dtype, C-contiguity and shape before a kernel runs; a bad one
 raises ValueError.  The operations are those of ``scipy.sparse`` on the
 same arrays, kernel for kernel, so their results have its bits; only a
 product with a vector runs the block kernel on one column, which forms
-the same sums in the same order as SciPy's vector kernel.
+the same sums in the same order as SciPy's vector kernel.  ``add_matmul``,
+which SciPy does not offer, runs the same kernel on a given output instead
+of zeros, so that a sum of products needs no block per term.
 """
 
 from __future__ import annotations
@@ -242,7 +244,15 @@ class CSRMatrix:
         ``U``, which receives the product and is returned."""
         return self._product(U, True, out)
 
-    def _product(self, V, transpose: bool, out=None) -> np.ndarray:
+    def add_matmul(self, V, out) -> np.ndarray:
+        """Add the product with a dense float64 vector or (n_cols, k) block
+        to ``out`` in place and return ``out``: ``csr_matvecs`` on ``out``
+        as given, which adds each stored entry's term to its row of ``out``
+        in the order of the stored entries.  ``out`` is a C-contiguous
+        float64 array of the product's shape apart from ``V``."""
+        return self._product(V, False, out, add=True)
+
+    def _product(self, V, transpose: bool, out=None, add: bool = False) -> np.ndarray:
         n_rows, n_cols = self.shape
         n_in, n_out = (n_rows, n_cols) if transpose else (n_cols, n_rows)
         if not (
@@ -257,22 +267,22 @@ class CSRMatrix:
                 f"{getattr(V, 'dtype', type(V))} of shape {getattr(V, 'shape', None)}"
             )
         shape = (n_out,) + V.shape[1:]
-        if out is None:
+        if out is None and not add:
             out = np.zeros(shape)
-        elif (
+        elif not (
             isinstance(out, np.ndarray)
             and out.dtype == np.float64
             and out.flags.c_contiguous
             and out.shape == shape
             and not np.may_share_memory(out, V)
         ):
-            out[...] = 0.0
-        else:
             raise ValueError(
                 f"out must be a C-contiguous float64 array of shape {shape} apart "
                 f"from the operand, got {getattr(out, 'dtype', type(out))} of shape "
                 f"{getattr(out, 'shape', None)}"
             )
+        elif not add:
+            out[...] = 0.0
         k, arrays = kernels(), (self.indptr, self.indices, self.data)
         # each entry is summed in the order of the stored entries, one
         # column as in SciPy's vector kernels csr_matvec and csc_matvec

@@ -288,6 +288,8 @@ class MapResult:
 
 # relative tolerance of the MAP search on F, its step and its gradient
 _MAP_TOL = 1e-8
+# the largest lambda at which a small decrease of F counts as convergence
+_MAP_SETTLED = 1e-2
 
 
 def map_estimate(posterior: Posterior, start=None, max_iter: int = 500) -> MapResult:
@@ -302,8 +304,11 @@ def map_estimate(posterior: Posterior, start=None, max_iter: int = 500) -> MapRe
     diagonal of the scaled matrix and goes at most 99.5 % of the way to
     a face, so every iterate lies inside the cube.  A step that lowers F
     is taken and divides lambda by 10; any other step multiplies it by
-    10.  The search stops when a step lowers F by at most ``_MAP_TOL``
-    relative, or when a step or max_k v_k |g_k| is that small.  After
+    10.  The search stops when a step tried at lambda <= ``_MAP_SETTLED``
+    (1e-2) lowers F by at most ``_MAP_TOL`` relative, or when a step or
+    max_k v_k |g_k| is that small.  A more damped step that lowers F
+    little shows no convergence: at the cube centre, where the prior term
+    is zero, the damping dwarfs J^T J and the first steps are tiny.  After
     ``max_iter`` residual evaluations it returns the best point with
     ``converged=False`` and a warning.
     """
@@ -330,7 +335,8 @@ def map_estimate(posterior: Posterior, start=None, max_iter: int = 500) -> MapRe
         obj_new = float(r_new @ r_new)
         moved = obj_new < obj
         tiny_step = np.linalg.norm(step) <= _MAP_TOL * (_MAP_TOL + np.linalg.norm(y))
-        converged = tiny_step or (moved and obj - obj_new <= _MAP_TOL * obj)
+        small = moved and obj - obj_new <= _MAP_TOL * obj
+        converged = tiny_step or (small and lam <= _MAP_SETTLED)
         if moved:
             y, r, obj = y + step, r_new, obj_new
         lam = lam / 10.0 if moved else lam * 10.0

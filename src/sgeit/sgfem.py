@@ -45,10 +45,10 @@ term of chaos index 0 (``_certified_voltages``).  Its residual, pure
 rounding of the computed K_0^{-1}, is bounded from the column norms of
 B_0 K_0^{-1} - I instead of computed, so the other spatial rows of that
 class are never formed.  ``solve`` holds, besides B_0 and K_kj, the dense
-K_0^{-1}, the pair blocks, the CG blocks of the smaller class and one
-block of the larger one packed over the dimensions' supports.  It returns
-beta alone: the posterior reads the surrogate only through the electrode
-voltages.
+K_0^{-1}, the pair blocks, four CG blocks of the smaller class (x, r, the
+direction and one work block) and one block of the larger one packed over
+the dimensions' supports.  It returns beta alone: the posterior reads the
+surrogate only through the electrode voltages.
 """
 
 from __future__ import annotations
@@ -385,12 +385,13 @@ def solve(
     never formed.  Besides the system the solve holds the dense K_0^{-1},
     the pair blocks with their index arrays, the column indices of K_kj
     renumbered over the packed rows of the dimensions, one (packed rows,
-    n_p) block and the outputs of the pairs m != m', and the CG blocks of
-    the kept class.  After the CG it holds, instead of the CG blocks, three
-    blocks of the kept class for its residual, then the column indices of
-    K_kj packed over the supports S_nu, the packed h and one chunk of
-    ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1}: the solution of all of K
-    is never held, and only beta is returned.
+    n_p) block and the outputs of the pairs m != m', and four CG blocks of
+    the kept class (``_schur_pcg``).  After the CG it holds, instead of the
+    CG blocks, two blocks of the kept class for its residual, x_k and one
+    work block, then the column indices of K_kj packed over the supports
+    S_nu, the packed h and one chunk of ``_DEFECT_COLUMNS`` columns of B_0
+    K_0^{-1}: the solution of all of K is never held, and only beta is
+    returned.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if not 0.0 < tol < np.inf:
@@ -675,18 +676,21 @@ def _pair_coupling(system: SgfemSystem, K0inv, n_p: int) -> _PairCoupling:
     )
 
 
-def _couple(coupling: _PairCoupling, V, n_p):
-    """K_kj (K_0^{-1} (x) I) K_jk V for a wide view V of the kept class
-    (see ``_schur_pcg``): a sparse product onto the packed rows of
-    ``_pair_coupling``, the pairs m != m' into the outputs, the dense
-    positions through all of K_0^{-1} and the pairs m = m' in place, the
-    outputs added, and a sparse product back.
+def _couple(coupling: _PairCoupling, V, out):
+    """Subtract K_kj (K_0^{-1} (x) I) K_jk V from ``out`` in place and
+    return ``out``, for a wide view V of the kept class (see
+    ``_schur_pcg``) and ``out`` of its shape: a sparse product onto the
+    packed rows of ``_pair_coupling``, the pairs m != m' into the outputs,
+    the dense positions through all of K_0^{-1} and the pairs m = m' in
+    place, the outputs added, the packed rows negated, and a sparse product
+    back that adds into ``out``.
 
-    The products run in place: a second packed block would add its size to
-    the peak memory of the solve.
+    The products run in place: a second packed block, or a kept-class block
+    for the last product, would add its size to the peak memory of the
+    solve.
     """
     c, n_s = coupling, coupling.K0inv.shape[0]
-    U, outputs = c.packed, c.outputs
+    U, outputs, n_p = c.packed, c.outputs, c.packed.shape[1]
     c.K.transpose_matmul(V.reshape(-1, n_p), out=U)
     for blocks, src, dst in c.off:
         k, s, t = blocks.shape
@@ -702,20 +706,34 @@ def _couple(coupling: _PairCoupling, V, n_p):
         # the zero row past the outputs is what a layer adds to a row it skips
         for spread in c.spread:
             U[rows] += outputs.take(spread[rows], axis=0)
-    return (c.K @ U).reshape(V.shape)
+    np.negative(U, out=U)
+    c.K.add_matmul(U, out.reshape(-1, n_p))
+    return out
 
 
-def _reduced_load(system: SgfemSystem, coupling: _PairCoupling, loads) -> np.ndarray:
-    """The load of the Schur complement, c_k - K_kj (K_0^{-1} (x) I) c_j, as
-    a wide view of the kept class (see ``_schur_pcg``).  c_j is nonzero
-    only if chaos index 0 is in the other class, on its voltage rows, so
-    K_kj reads K_0^{-1} c_j through its columns of index 0 alone."""
-    keep, n_s = system.classes[0], system.B0.shape[0]
-    R = _add_load(system, keep, loads, np.zeros((n_s, len(keep) * len(loads))))
+def _schur_product(system: SgfemSystem, coupling: _PairCoupling, V, W):
+    """The Schur complement of the kept class applied to V, (B_0 (x) I) V -
+    K_kj (K_0^{-1} (x) I) K_jk V, into W, a block of V's shape, returned.
+    The product with B_0 and the coupling's last product add into W, so
+    that neither holds a block of its own."""
+    W[...] = 0.0
+    system.B0.add_matmul(V, W)
+    return _couple(coupling, V, W)
+
+
+def _reduced_load(system: SgfemSystem, coupling: _PairCoupling, loads, out) -> np.ndarray:
+    """Add the load of the Schur complement, c_k - K_kj (K_0^{-1} (x) I)
+    c_j, to ``out``, a wide view of the kept class (see ``_schur_pcg``), in
+    place and return ``out``.  c_j is nonzero only if chaos index 0 is in
+    the other class, on its voltage rows, so K_kj reads K_0^{-1} c_j
+    through its columns of index 0 alone, and adds it negated into
+    ``out``."""
+    _add_load(system, system.classes[0], loads, out)
     K_0 = coupling.K_0
     if K_0.nnz:
-        R -= (K_0 @ (coupling.K0inv[:, system.n_nodes :] @ loads.T)).reshape(R.shape)
-    return R
+        h = coupling.K0inv[:, system.n_nodes :] @ loads.T
+        K_0.add_matmul(np.negative(h, out=h), out.reshape(-1, len(loads)))
+    return out
 
 
 def _schur_pcg(system: SgfemSystem, coupling: _PairCoupling, loads, tol, maxiter):
@@ -741,6 +759,12 @@ def _schur_pcg(system: SgfemSystem, coupling: _PairCoupling, loads, tol, maxiter
     direction, and stops moving once its residual norm is at most ``tol``
     times its load norm.  Returns the kept-class block x_k and the
     iteration count.
+
+    Four kept-class blocks are held: x, r, the direction d and one work
+    block w (Saad, Iterative Methods for Sparse Linear Systems, 2003,
+    sec. 9.2).  w holds in turn S_k d, which the products with B_0 and
+    the coupling add into (``_schur_product``), the step along d, and the
+    preconditioned residual z.
     """
     keep, B0, K0inv = system.classes[0], system.B0, coupling.K0inv
     n_p, n_s, n_k = len(loads), B0.shape[0], len(keep)
@@ -757,27 +781,25 @@ def _schur_pcg(system: SgfemSystem, coupling: _PairCoupling, loads, tol, maxiter
     # squared residual norms against squared thresholds
     atol2 = tol**2 * np.einsum("ij,ij->i", loads, loads)
     X = np.zeros((n_s, n_k * n_p))
-    R = _reduced_load(system, coupling, loads)
+    R = _reduced_load(system, coupling, loads, np.zeros_like(X))
     done = column_dots(R, R) <= atol2
     iteration = 0
     if not done.all():
-        Z = K0inv @ R
-        D = Z.copy()
-        rz = column_dots(R, Z)
+        W = K0inv @ R
+        D = W.copy()
+        rz = column_dots(R, W)
         for iteration in range(1, maxiter + 1):
-            Q = B0 @ D
-            Q -= _couple(coupling, D, n_p)
-            step = active_ratio(rz, column_dots(D, Q), done)
-            # Z is free until the next preconditioning
-            X += np.multiply(D, step, out=Z)
-            R -= np.multiply(Q, step, out=Q)
+            _schur_product(system, coupling, D, W)
+            step = active_ratio(rz, column_dots(D, W), done)
+            R -= np.multiply(W, step, out=W)
+            X += np.multiply(D, step, out=W)
             done |= column_dots(R, R) <= atol2
             if done.all():
                 break
-            np.matmul(K0inv, R, out=Z)
-            rz, rz_old = column_dots(R, Z), rz
+            np.matmul(K0inv, R, out=W)
+            rz, rz_old = column_dots(R, W), rz
             D *= active_ratio(rz, rz_old, done)
-            D += Z
+            D += W
         else:
             raise RuntimeError(
                 f"PCG did not reach tolerance {tol:g} in {maxiter} iterations"
@@ -808,11 +830,12 @@ def _kept_residual(system: SgfemSystem, coupling: _PairCoupling, loads, X):
     residual c_k - (B_0 (x) I) x_k - K_kj x_j is that of the Schur
     complement, c_k - K_kj (K_0^{-1} (x) I) c_j - (B_0 (x) I) x_k + K_kj
     (K_0^{-1} (x) I) K_jk x_k, formed fresh from x_k with the CG's pair
-    coupling (``_reduced_load``, ``_couple``).
+    coupling (``_schur_product``, ``_reduced_load``), in one block of the
+    kept class beside X.
     """
-    r = _reduced_load(system, coupling, loads)
-    r -= system.B0 @ X
-    r += _couple(coupling, X, len(loads))
+    r = _schur_product(system, coupling, X, np.empty_like(X))
+    np.negative(r, out=r)
+    _reduced_load(system, coupling, loads, r)
     return np.einsum("ij,ij->j", r, r).reshape(-1, len(loads)).sum(axis=0)
 
 

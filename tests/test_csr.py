@@ -1,4 +1,5 @@
-"""``sgeit._csr`` against ``scipy.sparse``, bit for bit.
+"""``sgeit._csr`` against ``scipy.sparse``, bit for bit, and its
+``add_matmul``, which SciPy lacks, against a Python loop.
 
 The module calls SciPy's private compiled kernels (``_sparsetools``)
 directly; these tests fail if a SciPy release changes a kernel's arguments
@@ -12,6 +13,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
@@ -102,6 +104,48 @@ def test_products_on_the_tank_blocks_are_scipys(tank_system, block):
     assert_products_are_scipys(M, dense=block == "B0")
 
 
+def added_in_stored_order(M, V, out):
+    """out + M @ V by Python floats: each stored entry's term added to its
+    row of a copy of ``out``, entry by entry in stored order."""
+    out, V = out.astype(float), V.reshape(len(V), -1)
+    rows = out.reshape(len(out), -1)
+    for i in range(M.shape[0]):
+        for e in range(M.indptr[i], M.indptr[i + 1]):
+            a, j = float(M.data[e]), int(M.indices[e])
+            for c in range(V.shape[1]):
+                rows[i, c] = float(rows[i, c]) + a * float(V[j, c])
+    return out
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_added_products_add_each_term_in_stored_order(index, seed):
+    # empty rows, and unsorted rows with repeated columns
+    (data, indices, indptr, shape), _ = random_csr(seed, index)
+    M = CSRMatrix(data, indices, indptr, shape)
+    rng = np.random.default_rng(seed)
+    for width in (None, 1, 7):
+        extra = () if width is None else (width,)
+        V = rng.standard_normal((shape[1],) + extra)
+        out = rng.standard_normal((shape[0],) + extra)
+        want = added_in_stored_order(M, V, out)
+        assert M.add_matmul(V, out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", ["B0", "K_kj"])
+def test_added_products_on_the_tank_blocks(tank_system, block):
+    M = getattr(tank_system[0], block)
+    rng = np.random.default_rng(4)
+    V = rng.standard_normal((M.shape[1], 5))
+    start = rng.standard_normal((M.shape[0], 5))
+    want = start + M @ V
+    out = start.copy()
+    M.add_matmul(V, out)
+    scale = np.abs(start).max() + np.abs(M.data).max() * np.abs(V).max()
+    npt.assert_allclose(out, want, rtol=0, atol=1e-13 * scale)
+
+
 def test_the_tank_cross_block_is_scipys_conversion(tank_system):
     system, (rows, cols, vals, shape) = tank_system
     want = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
@@ -173,6 +217,11 @@ def test_bad_operands_raise_before_any_kernel_runs(no_kernels):
     for out in (np.zeros((30, 2)), np.zeros((30, 3), dtype=np.float32), U[:30]):
         with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
             M.transpose_matmul(U, out=out)
+    # an ``out`` that overlaps the operand, or none at all, is refused too
+    shared = np.zeros((40, 3))
+    for out in (None, np.zeros((40, 2)), np.zeros((40, 3), dtype=np.float32), shared):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            M.add_matmul(shared[:30], out)
     with pytest.raises(ValueError, match="square matrix"):
         _csr.superlu(M)
     with pytest.raises(ValueError, match="outside 0..39"):

@@ -342,11 +342,6 @@ def test_map_from_the_centre_matches_the_best_restart(tiny, tiny_surrogate):
     assert inversion.map_estimate(post).objective == pytest.approx(best, rel=1e-6)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP items 2 and 13: on tank-22 the search from the centre "
-    "stops after 2 evaluations at F = 52.14, where seeded restarts reach 44.26",
-)
 def test_map_from_the_centre_matches_the_best_restart_on_tank22(tank22):
     surr = surrogate.load(tank22 / "surr.bin")
     post = inversion.build_posterior(surr, det_cem.load_measurements(tank22 / "data.json"))

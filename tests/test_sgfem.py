@@ -426,10 +426,11 @@ def test_pair_coupling_is_exact(tiny, case):
     K_kj = system.K[kept_rows][:, other_rows]
     dense = sp.kron(K0inv, sp.identity(len(other)), format="csr")
     want = K_kj @ (dense @ (K_kj.T @ V.reshape(-1, n_p)))
-    got = sgfem._couple(coupling, V, n_p)
-    assert got.shape == V.shape
+    # ``_couple`` subtracts the product from the block it is given
+    got = np.zeros_like(V)
+    assert sgfem._couple(coupling, V, got) is got
     npt.assert_allclose(
-        got.reshape(-1, n_p), want, rtol=0, atol=1e-13 * np.abs(want).max()
+        -got.reshape(-1, n_p), want, rtol=0, atol=1e-13 * np.abs(want).max()
     )
     # beside K_0^{-1}, the blocks hold each pair of dimensions once
     sizes = support_sizes(sm)
@@ -687,13 +688,14 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     # that is the column indices of K_kj renumbered over the packed rows,
     # the packed rows each pair m != m' reads, the rows each packed row adds
     # and K_kj's columns of chaos index 0; the packed block and the outputs
-    # of the pairs m != m'; and the CG blocks of the kept class.  On the
-    # tank chaos index 0 goes through all of K_0^{-1} (one block of n_s
-    # packed rows), each of the d dimensions reaches the d positions
-    # e_m + e_m' of degree 2 (sum_m |S_m| d packed rows), and each pair
-    # m != m' shares one of them ((d - 1) sum_m |S_m| outputs).  After the
-    # CG, ``_kept_residual`` holds three blocks of the kept class beside
-    # the coupling; then the coupling is freed, and ``_certified_voltages``
+    # of the pairs m != m'; and the four CG blocks of the kept class (x, r,
+    # the direction and one work block).  On the tank chaos index 0 goes
+    # through all of K_0^{-1} (one block of n_s packed rows), each of the d
+    # dimensions reaches the d positions e_m + e_m' of degree 2 (sum_m
+    # |S_m| d packed rows), and each pair m != m' shares one of them
+    # ((d - 1) sum_m |S_m| outputs).  After the
+    # CG, ``_kept_residual`` holds two blocks of the kept class beside the
+    # coupling; then the coupling is freed, and ``_certified_voltages``
     # holds the kept block, one block of the other class packed over the
     # supports S_nu with the renumbered indices of K_kj, the row indices,
     # spatial rows and one voltage row of K_0^{-1} of the packed rows, the
@@ -722,7 +724,7 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     index += at_0 * (f8 + i4) + (n_s * n_kept + 1) * i4
     packed = (rows + outputs + 1) * n_p * f8
     kept_block = n_s * n_kept * n_p * f8
-    bound = 2 * n_s * n_s * f8 + pairs + index + packed + 6 * kept_block
+    bound = 2 * n_s * n_s * f8 + pairs + index + packed + 4 * kept_block
     other_block = n_s * n_other * n_p * f8
     assert other_block > 0.25 * bound
     assert peak <= bound
