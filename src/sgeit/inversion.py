@@ -29,16 +29,16 @@ the burn-in, toward an acceptance of 0.25 (Haario, Saksman & Tamminen
 burn-in it is frozen at the geometric mean of its values over the
 burn-in's second half, as dual averaging freezes its averaged iterate
 (Hoffman & Gelman 2014).  The chain draws its random numbers in blocks
-from two child streams of its seed, the proposal increments from one and
-one uniform u per step from the other, and accepts a step when the log
-density rises by at least log u.  One step (``Posterior.step``) writes
-the proposal into the posterior's kept point [1, y] and reads it back as
-Python floats once: a pixel outside the cube rejects it at that cost,
-the contacts that left the cube are folded back on the same floats, and
-a proposal inside the cube costs Q gathers of [1, y] that form m+(y),
-one product with A' and one dot product.  Each block of increments is
-checked once for non-finite entries, and a step with one is rejected
-unevaluated.
+that never change scale, from two child streams of its seed, the
+proposal increments from one and one uniform u per step from the other,
+and accepts a step when the log density rises by at least log u.  One
+step (``Posterior.step``) writes the proposal into the posterior's kept
+point [1, y] and reads it back as Python floats once: a pixel outside
+the cube rejects it at that cost, the contacts that left the cube are
+folded back on the same floats, and a proposal inside the cube costs Q
+gathers of [1, y] that form m+(y), one product with A' and one dot
+product.  Each block of increments is checked once for non-finite
+entries, and a step with one is rejected unevaluated.
 
 ``mcmc_sample`` runs two such chains from the same start, each with its
 own child seed, burn-in and adaptation and half of the retained samples,
@@ -379,7 +379,8 @@ class McmcConfig:
             raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
-# steps per block of random draws; the chain does not depend on it
+# retained steps per block of random draws, rounded up to whole thinning
+# periods; the chain does not depend on it, and no block changes scale
 _DRAW_BLOCK = 1024
 # burn-in steps per adaptation of the proposal scale, and its target
 _ADAPT_WINDOW = 500
@@ -492,12 +493,6 @@ def _fold(p: float) -> float:
     return 1.0 - abs((p + 1.0) % 4.0 - 2.0)
 
 
-def _scaled(raw: np.ndarray, scale: float) -> tuple[np.ndarray, list[bool]]:
-    """A block of increments at one scale, and whether each row is finite."""
-    incs = raw * scale
-    return incs, np.isfinite(incs).all(axis=1).tolist()
-
-
 def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain:
     """One Metropolis chain with a Gaussian proposal of covariance s^2 F F^T.
 
@@ -516,15 +511,17 @@ def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain
     scales set after the windows of the burn-in's second half (windows
     k > K // 2 of K full windows), so that the acceptance noise of the
     last window alone does not decide it; it then stays fixed.  Random
-    numbers come in blocks from two child streams spawned from
+    numbers come in blocks of one scale, a window of burn-in each (the
+    last cut at burn_in) and then ``_DRAW_BLOCK`` steps rounded up to
+    whole thinning periods, from two child streams spawned from
     ``config.seed``: one gives the increments F z, the other one uniform
     u per step (1 - U for a draw U in [0, 1), so log u is finite), and a
     step accepts when the change of the log density is at least log u.
     Numpy fills a block exactly as it draws one value after another, and
     :func:`correlated_increments` maps each row alone, so the chain does
-    not depend on the block size.  Runs burn_in + n_samples * thinning
-    iterations and keeps every thinning-th state after burn-in; the
-    acceptances are counted after burn-in, the proposals inside the
+    not depend on where its blocks end.  Runs burn_in + n_samples *
+    thinning iterations and keeps every thinning-th state after burn-in;
+    the acceptances are counted after burn-in, the proposals inside the
     support over all steps.
     """
     y = np.asarray(start, dtype=np.float64).copy()
@@ -538,21 +535,18 @@ def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain
     burn_in, thinning = config.burn_in, config.thinning
     total = burn_in + config.n_samples * thinning
     samples = np.empty((config.n_samples, n_dim))
-    # acceptances counted over all steps, and their count at the last mark
-    accepted = marked = 0
-    kept = 0
-    inside = 0
+    block = thinning * -(-_DRAW_BLOCK // thinning)
+    starts = [*range(0, burn_in, _ADAPT_WINDOW), *range(burn_in, total, block)]
     # the adaptations after this many steps enter the frozen scale
     late = burn_in // _ADAPT_WINDOW // 2 * _ADAPT_WINDOW
+    accepted = kept = inside = n_late = 0
     log_sum = 0.0
-    n_late = 0
-    for t0 in range(0, total, _DRAW_BLOCK):
-        n = min(_DRAW_BLOCK, total - t0)
-        raw = correlated_increments(steps.standard_normal((n, n_dim)), factor)
-        incs, finite = _scaled(raw, scale)
+    for t0, t1 in zip(starts, starts[1:] + [total]):
+        n, retained = t1 - t0, t0 >= burn_in
+        incs = correlated_increments(steps.standard_normal((n, n_dim)), factor) * scale
+        finite = np.isfinite(incs).all(axis=1).tolist()
         log_us = np.log1p(-uniforms.random(n)).tolist()
         for i in range(n):
-            t = t0 + i
             lp_new = step(y, incs[i]) if finite[i] else -math.inf
             if lp_new > -math.inf:
                 inside += 1
@@ -560,25 +554,22 @@ def _metropolis(target, start, config: McmcConfig, factor: np.ndarray) -> _Chain
                     y[:] = proposal
                     lp = float(lp_new)
                     accepted += 1
-            if t >= burn_in:
-                if (t - burn_in + 1) % thinning == 0:
-                    samples[kept] = y
-                    kept += 1
-            elif (t + 1) % _ADAPT_WINDOW == 0:
-                # a full window of burn-in ends with this step
-                rate = (accepted - marked) / _ADAPT_WINDOW
-                scale *= math.exp(2.0 * (rate - _TARGET_ACCEPTANCE))
-                if t >= late:
-                    log_sum += math.log(scale)
-                    n_late += 1
-                incs, finite = _scaled(raw, scale)
-                marked = accepted
-            if t + 1 == burn_in:
-                marked = accepted
-                if n_late:
-                    scale = math.exp(log_sum / n_late)
-                    incs, finite = _scaled(raw, scale)
-    return _Chain(samples, accepted - marked, inside, total, burn_in, scale)
+            if retained and (i + 1) % thinning == 0:
+                samples[kept] = y
+                kept += 1
+        if retained:
+            continue
+        # a full window adapts the scale, and the end of burn-in freezes it
+        if n == _ADAPT_WINDOW:
+            scale *= math.exp(2.0 * (accepted / _ADAPT_WINDOW - _TARGET_ACCEPTANCE))
+            if t0 >= late:
+                log_sum += math.log(scale)
+                n_late += 1
+        if t1 == burn_in and n_late:
+            scale = math.exp(log_sum / n_late)
+        # acceptances restart with every window, and after burn-in
+        accepted = 0
+    return _Chain(samples, accepted, inside, total, burn_in, scale)
 
 
 def laplace_proposal(posterior: Posterior, y: np.ndarray) -> np.ndarray:

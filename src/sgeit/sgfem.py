@@ -461,18 +461,6 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return L
 
 
-def _add_load(system: SgfemSystem, members, loads, V):
-    """Add the load of the chaos indices ``members`` to V in place and
-    return V, for V of shape (n_s, len(members) * n_p), or a view of that
-    layout (see ``_schur_pcg``).  The load is nonzero only at the degree-0
-    voltage coefficients, so only if chaos index 0 is a member."""
-    zero = members == 0
-    if zero.any():
-        n_p = len(loads)
-        V.reshape(V.shape[0], -1, n_p)[system.n_nodes :, zero] += loads.T[:, None]
-    return V
-
-
 def _packed_supports(system: SgfemSystem):
     """K_kj with its columns (j, nu) renumbered over the supports S_nu of h =
     c_j - K_jk x_k, sharing its entries and row pointers: the j at which
@@ -724,11 +712,12 @@ def _schur_product(system: SgfemSystem, coupling: _PairCoupling, V, W):
 def _reduced_load(system: SgfemSystem, coupling: _PairCoupling, loads, out) -> np.ndarray:
     """Add the load of the Schur complement, c_k - K_kj (K_0^{-1} (x) I)
     c_j, to ``out``, a wide view of the kept class (see ``_schur_pcg``), in
-    place and return ``out``.  c_j is nonzero only if chaos index 0 is in
-    the other class, on its voltage rows, so K_kj reads K_0^{-1} c_j
-    through its columns of index 0 alone, and adds it negated into
-    ``out``."""
-    _add_load(system, system.classes[0], loads, out)
+    place and return ``out``.  The load is nonzero only on the voltage rows
+    of chaos index 0, which is position 0 of the class that holds it.  If
+    that is the other class, K_kj reads K_0^{-1} c_j through its columns of
+    index 0 alone, and adds it negated into ``out``."""
+    if system.classes[0][:1].tolist() == [0]:
+        out[system.n_nodes :, : len(loads)] += loads.T
     K_0 = coupling.K_0
     if K_0.nnz:
         h = coupling.K0inv[:, system.n_nodes :] @ loads.T

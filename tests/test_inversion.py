@@ -526,17 +526,31 @@ def reference_chain(log_density, start, cfg, factor, reflect):
     return np.array(samples), rate, inside / total, scale
 
 
-@pytest.mark.parametrize("block", [1, 7, 1000, None])
+@pytest.mark.parametrize(
+    "block, burn_in, thinning",
+    [
+        pytest.param(1, 200, 3, id="1"),
+        pytest.param(7, 200, 3, id="7"),
+        pytest.param(1000, 200, 3, id="1000"),
+        pytest.param(None, 200, 3, id="None"),
+        # two full windows and a partial one, the burn-in's last block
+        pytest.param(None, 130, 3, id="burn-in-ends-mid-window"),
+        pytest.param(None, 0, 3, id="no-burn-in"),
+        # retained blocks of 12 steps
+        pytest.param(10, 200, 4, id="thinning-does-not-divide-the-block"),
+    ],
+)
 def test_mcmc_equals_a_per_step_loop_for_any_block_size(
-    tiny_posterior, monkeypatch, block
+    tiny_posterior, monkeypatch, block, burn_in, thinning
 ):
     if block is not None:
         monkeypatch.setattr(inversion, "_DRAW_BLOCK", block)
-    # four adaptations in the burn-in, the last at its final step; the
-    # last two are averaged into the frozen scale
+    # at a burn-in of 200, four adaptations, the last at its final step;
+    # the last two are averaged into the frozen scale
     monkeypatch.setattr(inversion, "_ADAPT_WINDOW", 50)
-    # 1,250 steps per chain: two blocks of 1000, the second one partial
-    cfg = inversion.McmcConfig(n_samples=700, burn_in=200, thinning=3, seed=31)
+    cfg = inversion.McmcConfig(
+        n_samples=700, burn_in=burn_in, thinning=thinning, seed=31
+    )
     laplace_started_at(monkeypatch, 0.6)
     start = np.zeros(tiny_posterior.n_params)
     res = inversion.mcmc_sample(tiny_posterior, cfg)
@@ -550,7 +564,9 @@ def test_mcmc_equals_a_per_step_loop_for_any_block_size(
     assert res.samples.tobytes() == np.concatenate(samples).tobytes()
     assert res.acceptance == pooled(acceptance, configs, post=True)
     assert res.in_support == pooled(in_support, configs, post=False)
-    assert res.chain_scales == scales and 2.38 / math.sqrt(7) not in scales
+    assert res.chain_scales == scales
+    # the scale moves only after a full window
+    assert (2.38 / math.sqrt(7) in scales) == (burn_in < 50)
     assert all(0.0 < share < 1.0 for share in in_support)
 
 

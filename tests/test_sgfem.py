@@ -682,26 +682,31 @@ def test_assembly_holds_little_beside_K(tank_sm_mm):
 
 
 def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
-    # the bound counts what the solve holds beside the system during the
-    # CG, where its peak lies: K_0^{-1} with its Cholesky temporaries; the
+    # the bound counts what the solve holds beside the system at its peak,
+    # in the CG's products with the coupling (``_couple``): K_0^{-1}; the
     # pair blocks K_0^{-1}[S_m, S_m'], m <= m', with their index arrays,
     # that is the column indices of K_kj renumbered over the packed rows,
     # the packed rows each pair m != m' reads, the rows each packed row adds
     # and K_kj's columns of chaos index 0; the packed block and the outputs
-    # of the pairs m != m'; and the four CG blocks of the kept class (x, r,
-    # the direction and one work block).  On the tank chaos index 0 goes
-    # through all of K_0^{-1} (one block of n_s packed rows), each of the d
-    # dimensions reaches the d positions e_m + e_m' of degree 2 (sum_m
-    # |S_m| d packed rows), and each pair m != m' shares one of them
-    # ((d - 1) sum_m |S_m| outputs).  After the
-    # CG, ``_kept_residual`` holds two blocks of the kept class beside the
-    # coupling; then the coupling is freed, and ``_certified_voltages``
-    # holds the kept block, one block of the other class packed over the
-    # supports S_nu with the renumbered indices of K_kj, the row indices,
-    # spatial rows and one voltage row of K_0^{-1} of the packed rows, the
-    # voltage rows of that class and one chunk of ``_DEFECT_COLUMNS``
-    # columns of B_0 K_0^{-1} - I.  A block of the other class for all
-    # patterns does not fit in the bound.
+    # of the pairs m != m'; the four CG blocks of the kept class (x, r, the
+    # direction and one work block); and, while the pairs m = m' add the
+    # outputs, the outputs gathered for the longest run of them, with its
+    # rows as intp, beside the inputs of the last batch of pairs m != m',
+    # which ``_couple`` still holds.  The Python objects that hold these
+    # arrays take 22 KiB on the tank; 32 KiB are allowed.  On the tank
+    # chaos index 0 goes through all of K_0^{-1} (one block of n_s packed
+    # rows), each of the d dimensions reaches the d positions e_m + e_m' of
+    # degree 2 (sum_m |S_m| d packed rows), and each pair m != m' shares
+    # one of them ((d - 1) sum_m |S_m| outputs).  The other stages hold
+    # less: ``_mean_inverse`` two n_s x n_s arrays, ``_kept_residual`` two
+    # blocks of the kept class beside the coupling, and
+    # ``_certified_voltages``, after the coupling is freed, the kept block,
+    # one block of the other class packed over the supports S_nu with the
+    # renumbered indices of K_kj, the row indices, spatial rows and one
+    # voltage row of K_0^{-1} of the packed rows, the voltage rows of that
+    # class and one chunk of ``_DEFECT_COLUMNS`` columns of B_0 K_0^{-1} -
+    # I.  Neither a block of the other class for all patterns nor two more
+    # CG blocks of the kept class fit in the bound.
     sm, _ = tank_sm_mm
     system = sgfem.assemble_system(*tank_sm_mm)
     patterns = sgfem.standard_patterns(system.n_electrodes)
@@ -715,7 +720,8 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     d, N = len(sizes), sizes.sum()
     # every pair of dimensions shares a position e_m + e_m' that is not
     # dense, so the blocks hold exactly that many entries of K_0^{-1}
-    held = held_entries(sgfem._pair_coupling(system, sgfem._mean_inverse(system), n_p))
+    coupling = sgfem._pair_coupling(system, sgfem._mean_inverse(system), n_p)
+    held = held_entries(coupling)
     assert held == (N * N + sizes @ sizes) // 2 == 116_942
     pairs = held * f8
     rows, outputs = n_s + d * N, (d - 1) * N
@@ -724,10 +730,15 @@ def test_solve_holds_one_block_of_the_eliminated_class(tank_sm_mm):
     index += at_0 * (f8 + i4) + (n_s * n_kept + 1) * i4
     packed = (rows + outputs + 1) * n_p * f8
     kept_block = n_s * n_kept * n_p * f8
-    bound = 2 * n_s * n_s * f8 + pairs + index + packed + 4 * kept_block
+    run = max(r.stop - r.start for r, _ in coupling.diagonal)
+    gathered = run * (n_p * f8 + np.dtype(np.intp).itemsize)
+    k, _, t = coupling.off[-1][0].shape
+    held_inputs = k * t * n_p * f8
+    bound = n_s * n_s * f8 + pairs + index + packed + 4 * kept_block
+    bound += gathered + held_inputs + 32 * 1024
     other_block = n_s * n_other * n_p * f8
     assert other_block > 0.25 * bound
-    assert peak <= bound
+    assert peak <= bound < peak + 2 * kept_block
 
 
 def dense_solution(system, sol):
